@@ -289,73 +289,102 @@ BENCHMARK(BM_GatheredTagScan)
     ->Arg(static_cast<int>(tagscan::Path::Sse2))
     ->Arg(static_cast<int>(tagscan::Path::Avx2));
 
-// Whole cells through the batched engine (sim/batch.hh) at batch
-// size B: the per-cell cost including uncore construction and lane
-// reset, i.e. what a population shard pays per (workload, policy)
-// cell. Items = cells.
-void
-BM_BatchStep(benchmark::State &state)
+// Models and uncore shared by the batched-engine microbenches:
+// load-heavy mcf/povray cells on a 4-core LRU uncore.
+constexpr std::uint64_t kBatchTarget = 20000;
+
+const std::vector<const BadcoModel *> &
+batchModels()
 {
-    constexpr std::uint64_t kTarget = 20000;
     static const BadcoModel m0 = buildBadcoModel(
-        findProfile("mcf"), CoreConfig{}, kTarget, 6);
+        findProfile("mcf"), CoreConfig{}, kBatchTarget, 6);
     static const BadcoModel m1 = buildBadcoModel(
-        findProfile("povray"), CoreConfig{}, kTarget, 6);
+        findProfile("povray"), CoreConfig{}, kBatchTarget, 6);
     static const std::vector<const BadcoModel *> models = {&m0,
                                                            &m1};
+    return models;
+}
+
+const std::vector<UncoreConfig> &
+batchUncores()
+{
     static const std::vector<UncoreConfig> ucfgs = {
         UncoreConfig::forCores(4, PolicyKind::LRU)};
-    const auto batch = static_cast<std::uint32_t>(state.range(0));
-    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                            kTarget, models, batch);
+    return ucfgs;
+}
+
+/** Fill @p runner to capacity and flush it once per iteration. */
+void
+runFlushes(benchmark::State &state, BadcoBatchRunner &runner)
+{
+    const std::uint32_t cells = runner.capacity();
     const std::uint32_t benches[4] = {0, 1, 0, 1};
-    std::vector<double> out(static_cast<std::size_t>(batch) * 4);
+    std::vector<double> out(static_cast<std::size_t>(cells) * 4);
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        for (std::uint32_t i = 0; i < batch; ++i)
+        for (std::uint32_t i = 0; i < cells; ++i)
             runner.add(seed++, 0, {benches, 4}, out.data() + i * 4);
         runner.run();
         benchmark::DoNotOptimize(out.data());
     }
-    state.SetItemsProcessed(state.iterations() * batch);
+    state.SetItemsProcessed(state.iterations() * cells);
+}
+
+// Whole cells through the batched engine (sim/batch.hh) at batch
+// size B on one thread: the per-cell cost including uncore
+// construction and lane reset, i.e. what a population shard pays
+// per (workload, policy) cell. Items = cells.
+void
+BM_BatchStep(benchmark::State &state)
+{
+    const auto &ucfgs = batchUncores();
+    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
+                            kBatchTarget, batchModels(),
+                            static_cast<std::uint32_t>(state.range(0)),
+                            1, 1);
+    runFlushes(state, runner);
 }
 BENCHMARK(BM_BatchStep)->Arg(1)->Arg(8)->Arg(32);
 
-// The same per-cell cost under wavefront interleaving: W = batch
-// cells advance in lockstep with W resident uncores and gathered
-// tag-scan sweeps (sim/batch.hh runWavefront). Compare against
-// BM_BatchStep at the same batch size to see what the wave costs
-// or saves per cell. Items = cells.
+// Batch 32 per thread at jobs {1, 4}: each iteration is one flush
+// of 32 x jobs cells, so the jobs=4 point over the jobs=1 point is
+// the flush's thread scaling, per-flush barrier (the wait for the
+// slowest thread) included. Wall-clock rate; items = cells.
+void
+BM_BatchJobs(benchmark::State &state)
+{
+    const auto &ucfgs = batchUncores();
+    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
+                            kBatchTarget, batchModels(),
+                            static_cast<std::uint32_t>(state.range(0)),
+                            1,
+                            static_cast<std::size_t>(state.range(1)));
+    runFlushes(state, runner);
+}
+BENCHMARK(BM_BatchJobs)
+    ->Args({32, 1})
+    ->Args({32, 4})
+    ->UseRealTime();
+
+// The same per-cell cost under wavefront interleaving, also on one
+// thread: W = batch cells advance in lockstep with W resident
+// uncores and gathered tag-scan sweeps (sim/batch.hh runWave).
+// Compare against BM_BatchStep at the same batch size to see what
+// the wave costs or saves per cell. Items = cells.
 void
 BM_WaveStep(benchmark::State &state)
 {
-    constexpr std::uint64_t kTarget = 20000;
-    static const BadcoModel m0 = buildBadcoModel(
-        findProfile("mcf"), CoreConfig{}, kTarget, 6);
-    static const BadcoModel m1 = buildBadcoModel(
-        findProfile("povray"), CoreConfig{}, kTarget, 6);
-    static const std::vector<const BadcoModel *> models = {&m0,
-                                                           &m1};
-    static const std::vector<UncoreConfig> ucfgs = {
-        UncoreConfig::forCores(4, PolicyKind::LRU)};
+    const auto &ucfgs = batchUncores();
     const auto batch = static_cast<std::uint32_t>(state.range(0));
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                            kTarget, models, batch, batch);
+                            kBatchTarget, batchModels(), batch, batch,
+                            1);
     if (runner.wave() != batch) {
         state.SkipWithError("wave clamped below batch "
                             "(WSEL_WAVE_MEM too small)");
         return;
     }
-    const std::uint32_t benches[4] = {0, 1, 0, 1};
-    std::vector<double> out(static_cast<std::size_t>(batch) * 4);
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        for (std::uint32_t i = 0; i < batch; ++i)
-            runner.add(seed++, 0, {benches, 4}, out.data() + i * 4);
-        runner.run();
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
+    runFlushes(state, runner);
 }
 BENCHMARK(BM_WaveStep)->Arg(2)->Arg(8)->Arg(32);
 

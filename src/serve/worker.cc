@@ -114,10 +114,11 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
             // Batch and wave sizes from WSEL_BATCH_CELLS /
             // WSEL_BATCH_WAVE (resolver defaults otherwise);
             // neither ever changes shard bytes, so mixed worker
-            // fleets stay coherent.
+            // fleets stay coherent. One thread: the fleet's
+            // processes already spread the campaign's shards.
             simulatePopulationShardBatched(
                 m, ctx.population(), ctx.uncores(), ctx.models(),
-                ctx.seed(), lease.shard, 0, 0, payload, tick);
+                ctx.seed(), lease.shard, 0, 0, 1, payload, tick);
         else
             simulateDetailedPopulationShard(
                 m, ctx.population(), ctx.coreConfig(),

@@ -286,10 +286,12 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
                     rows, r0 + group_rows);
                 std::vector<double> ipc(
                     static_cast<std::size_t>(r1 - r0) * 2 * k, 0.0);
+                // One thread per runner: the row groups are
+                // already the parallel_for grain.
                 BadcoBatchRunner runner(
                     {ucfgs.data(), ucfgs.size()}, k, target_uops,
                     models, batch_cells,
-                    resolveBatchWave(opts.batchWave));
+                    resolveBatchWave(opts.batchWave), 1);
                 std::vector<std::uint32_t> benches;
                 for (std::uint64_t r = r0; r < r1; ++r) {
                     const std::uint64_t rank = batch.ranks[r];

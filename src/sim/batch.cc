@@ -1,10 +1,12 @@
 #include "sim/batch.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
 
 #include "cache/tagscan.hh"
+#include "exec/scheduler.hh"
 #include "mem/numa.hh"
 #include "obs/metrics.hh"
 #include "stats/logging.hh"
@@ -99,32 +101,15 @@ waveBudgetBytes()
     return mib << 20;
 }
 
-/**
- * Final wave width: within the batch, and small enough that W
- * resident uncores (worst policy) fit the WSEL_WAVE_MEM budget.
- */
-std::uint32_t
-clampWave(std::uint32_t wave, std::uint32_t batch_cells,
-          std::span<const UncoreConfig> ucfgs, std::uint32_t cores)
+/** Host bytes of the largest policy's resident uncore. */
+std::size_t
+worstUncoreFootprint(std::span<const UncoreConfig> ucfgs,
+                     std::uint32_t cores)
 {
-    wave = std::clamp<std::uint32_t>(wave, 1, kMaxBatchCells);
-    wave = std::min(wave, batch_cells);
-    if (wave <= 1 || ucfgs.empty())
-        return wave;
     std::size_t worst = 1;
     for (const UncoreConfig &cfg : ucfgs)
         worst = std::max(worst, estimateUncoreFootprint(cfg, cores));
-    const std::uint64_t allowed = std::max<std::uint64_t>(
-        1, waveBudgetBytes() / worst);
-    if (allowed < wave) {
-        warn("clamping --batch-wave " + std::to_string(wave) +
-             " to " + std::to_string(allowed) +
-             ": resident uncores (~" +
-             std::to_string(worst >> 10) +
-             " KiB each) exceed the WSEL_WAVE_MEM budget");
-        wave = static_cast<std::uint32_t>(allowed);
-    }
-    return wave;
+    return worst;
 }
 
 } // namespace
@@ -133,32 +118,61 @@ BadcoBatchRunner::BadcoBatchRunner(
     std::span<const UncoreConfig> ucfgs, std::uint32_t cores,
     std::uint64_t target_uops,
     const std::vector<const BadcoModel *> &models,
-    std::uint32_t batch_cells, std::uint32_t wave,
-    std::uint32_t window, std::uint32_t max_outstanding,
-    std::uint64_t quantum)
-    : ucfgs_(ucfgs), cores_(cores), targetUops_(target_uops),
+    std::uint32_t batch_cells, std::uint32_t wave, std::size_t jobs)
+    : ucfgs_(ucfgs), cores_(cores),
+      laneStride_((cores + kLaneAlign - 1) / kLaneAlign * kLaneAlign),
+      targetUops_(target_uops),
       models_(models),
       batchCells_(std::clamp<std::uint32_t>(batch_cells, 1,
-                                            kMaxBatchCells)),
-      wave_(clampWave(wave, batchCells_, ucfgs, cores)),
-      windowOverride_(window), maxOutstanding_(max_outstanding),
-      quantum_(quantum)
+                                            kMaxBatchCells))
 {
     if (cores_ == 0)
         WSEL_FATAL("need at least one core");
     if (targetUops_ == 0)
         WSEL_FATAL("target µop count cannot be zero");
-    if (quantum_ == 0)
-        WSEL_FATAL("quantum cannot be zero");
-    if (maxOutstanding_ == 0)
-        WSEL_FATAL("degenerate BADCO machine limits");
+
+    // Wave width: within the batch, and small enough that one
+    // group's W resident uncores (worst policy) fit WSEL_WAVE_MEM.
+    // Threads: the caller's jobs, and in wave mode no more groups in
+    // flight than the budget holds, so all threads' resident
+    // uncores together fit it too.
+    wave_ = std::min(std::clamp<std::uint32_t>(wave, 1,
+                                               kMaxBatchCells),
+                     batchCells_);
+    threads_ = exec::resolveJobs(jobs);
+    if (wave_ > 1 && !ucfgs.empty()) {
+        const std::size_t worst = worstUncoreFootprint(ucfgs, cores);
+        const std::uint64_t budget = waveBudgetBytes();
+        const std::uint64_t allowed =
+            std::max<std::uint64_t>(1, budget / worst);
+        if (allowed < wave_) {
+            warn("clamping --batch-wave " + std::to_string(wave_) +
+                 " to " + std::to_string(allowed) +
+                 ": resident uncores (~" +
+                 std::to_string(worst >> 10) +
+                 " KiB each) exceed the WSEL_WAVE_MEM budget");
+            wave_ = static_cast<std::uint32_t>(allowed);
+        }
+        const std::uint64_t groups = std::max<std::uint64_t>(
+            1, budget / (static_cast<std::uint64_t>(wave_) * worst));
+        if (groups < threads_) {
+            warn("running " + std::to_string(groups) +
+                 " wave groups at a time instead of " +
+                 std::to_string(threads_) +
+                 ": their resident uncores exceed the WSEL_WAVE_MEM "
+                 "budget");
+            threads_ = static_cast<std::uint32_t>(groups);
+        }
+    }
+    capacity_ = batchCells_ * threads_;
+    workers_ = std::vector<Worker>(threads_);
 
     const std::size_t lanes =
-        static_cast<std::size_t>(batchCells_) * cores_;
-    cellSeed_.resize(batchCells_);
-    cellPolicy_.resize(batchCells_);
-    cellOut_.resize(batchCells_);
-    cellLoads_.resize(batchCells_);
+        static_cast<std::size_t>(capacity_) * laneStride_;
+    cellSeed_.resize(capacity_);
+    cellPolicy_.resize(capacity_);
+    cellOut_.resize(capacity_);
+    cellLoads_.resize(capacity_);
     clock_.resize(lanes);
     totalUops_.resize(lanes);
     nodeIdx_.resize(lanes);
@@ -169,13 +183,13 @@ BadcoBatchRunner::BadcoBatchRunner(
     laneWindow_.resize(lanes);
     laneModel_.resize(lanes);
     loadOff_.resize(lanes);
-    outComp_.resize(lanes * maxOutstanding_);
-    outMark_.resize(lanes * maxOutstanding_);
+    outComp_.resize(lanes * kMaxOutstanding);
+    outMark_.resize(lanes * kMaxOutstanding);
 
-    // The resizes above first-touch every slab on this thread — the
-    // worker that will step the lanes — so kernel-default placement
-    // is already node-local; WSEL_NUMA=interleave re-spreads the
-    // big slabs instead (mem/numa.hh).
+    // The resizes above first-touch every slab on the constructing
+    // thread, so kernel-default placement puts them on its node;
+    // WSEL_NUMA=interleave re-spreads the big slabs instead
+    // (mem/numa.hh).
     numa::placeSlab(clock_.data(),
                     clock_.size() * sizeof(clock_[0]));
     numa::placeSlab(totalUops_.data(),
@@ -189,18 +203,20 @@ BadcoBatchRunner::BadcoBatchRunner(
                     outMark_.size() * sizeof(outMark_[0]));
 
     if (wave_ > 1) {
-        waveUnc_.reserve(wave_);
-        waveT_.reserve(wave_);
-        waveFirst_.reserve(wave_);
-        waveRot_.reserve(wave_);
-        waveDone_.reserve(wave_);
-        waveStepping_.reserve(wave_);
-        wavePhase_.reserve(wave_);
-        wavePend_.resize(wave_);
-        waveResume_.reserve(wave_);
-        wavePendCell_.reserve(wave_);
-        waveProbe_.reserve(wave_);
-        waveWay_.reserve(wave_);
+        for (Worker &w : workers_) {
+            w.waveUnc.reserve(wave_);
+            w.waveT.reserve(wave_);
+            w.waveFirst.reserve(wave_);
+            w.waveRot.reserve(wave_);
+            w.waveDone.reserve(wave_);
+            w.waveStepping.reserve(wave_);
+            w.wavePhase.reserve(wave_);
+            w.wavePend.resize(wave_);
+            w.waveResume.reserve(wave_);
+            w.wavePendCell.reserve(wave_);
+            w.waveProbe.reserve(wave_);
+            w.waveWay.reserve(wave_);
+        }
     }
 
     if (obs::metricsEnabled()) {
@@ -209,6 +225,8 @@ BadcoBatchRunner::BadcoBatchRunner(
         obs::gauge("batch.wave").set(static_cast<double>(wave_));
     }
 }
+
+BadcoBatchRunner::~BadcoBatchRunner() = default;
 
 void
 BadcoBatchRunner::add(std::uint64_t seed, std::uint32_t policy,
@@ -226,10 +244,8 @@ BadcoBatchRunner::add(std::uint64_t seed, std::uint32_t policy,
                    << " outside the campaign's " << ucfgs_.size());
 
     const std::size_t b = cells_;
-    // Cells execute one at a time (cell-major run()), so every
-    // cell's lanes share the same load-completion arena region —
-    // the arena is sized for the largest single cell, not the
-    // whole batch.
+    // Lane load offsets are cell-local: whichever thread runs the
+    // cell places its region in that thread's own arena.
     std::size_t load_watermark = 0;
     cellSeed_[b] = seed;
     cellPolicy_[b] = policy;
@@ -244,12 +260,10 @@ BadcoBatchRunner::add(std::uint64_t seed, std::uint32_t policy,
         if (!model.finalized)
             WSEL_FATAL("BADCO model for " << model.benchmark
                        << " was not finalize()d");
-        const std::uint32_t window =
-            windowOverride_ == 0 ? model.window : windowOverride_;
-        if (window == 0)
+        if (model.window == 0)
             WSEL_FATAL("degenerate BADCO machine limits");
         const std::size_t lane =
-            static_cast<std::size_t>(b) * cores_ + k;
+            static_cast<std::size_t>(b) * laneStride_ + k;
         clock_[lane] = 0;
         totalUops_[lane] = 0;
         nodeIdx_[lane] = 0;
@@ -257,14 +271,12 @@ BadcoBatchRunner::add(std::uint64_t seed, std::uint32_t policy,
         outMin_[lane] = UINT64_MAX;
         outCnt_[lane] = 0;
         cyclesToTarget_[lane] = 0;
-        laneWindow_[lane] = window;
+        laneWindow_[lane] = model.window;
         laneModel_[lane] = &model;
         loadOff_[lane] = load_watermark;
         load_watermark += model.loadCount;
     }
     cellLoads_[b] = load_watermark;
-    if (loadComp_.size() < load_watermark)
-        loadComp_.resize(load_watermark);
     ++cells_;
 }
 
@@ -275,68 +287,106 @@ BadcoBatchRunner::run()
         return;
     const bool metrics = obs::metricsEnabled();
     obs::Gauge *lanes_active = nullptr;
+    obs::Gauge *resident = nullptr;
+    // A wave of one (or a lone leftover cell) degenerates to
+    // cell-major exactly, so claim groups of W cells in wave mode
+    // and single cells otherwise.
+    const std::size_t group = wave_;
+    const std::size_t groups = (cells_ + group - 1) / group;
+    const std::size_t threads =
+        std::min<std::size_t>(threads_, groups);
     if (metrics) {
         static obs::Counter &cellsC = obs::counter("batch.cells");
         static obs::Gauge &lanesG =
             obs::gauge("batch.lanes_active");
+        static obs::Gauge &residentG =
+            obs::gauge("batch.uncores_resident");
         cellsC.inc(cells_);
         lanes_active = &lanesG;
         lanesG.set(static_cast<double>(cells_ * cores_));
-    }
-
-    // Wavefront mode interleaves cells; a wave of one (or one
-    // pending cell) degenerates to cell-major exactly.
-    if (wave_ > 1 && cells_ > 1) {
-        runWavefront();
-        return;
-    }
-
-    // Cell-major execution: each cell runs to completion under the
-    // rotating-quantum schedule of BadcoMulticoreSim::run before
-    // the next cell starts. Cells share nothing, so this ordering
-    // is bitwise identical to any cross-cell interleaving — and it
-    // keeps one uncore's working set hot instead of cycling B of
-    // them through the host cache every quantum.
-    for (std::size_t b = 0; b < cells_; ++b) {
-        uncore_.emplace(ucfgs_[cellPolicy_[b]], cores_,
-                        cellSeed_[b]);
-        Uncore &unc = *uncore_;
-        const std::size_t base = b * cores_;
-        std::uint64_t t = 0;
-        std::uint32_t first = 0;
-        for (;;) {
-            bool all_done = true;
-            for (std::uint32_t k = 0; k < cores_; ++k)
-                all_done =
-                    all_done && cyclesToTarget_[base + k] != 0;
-            if (all_done)
-                break;
-            t += quantum_;
-            for (std::uint32_t i = 0; i < cores_; ++i) {
-                std::uint32_t k = first + i;
-                if (k >= cores_)
-                    k -= cores_;
-                const std::size_t lane = base + k;
-                if (clock_[lane] < t)
-                    runLane(lane, unc, k, t);
-            }
-            first = first + 1 == cores_ ? 0 : first + 1;
+        if (wave_ > 1) {
+            resident = &residentG;
+            residentG.set(static_cast<double>(
+                threads * std::min(group, cells_)));
         }
-        double *out = cellOut_[b];
-        for (std::uint32_t k = 0; k < cores_; ++k)
-            out[k] = static_cast<double>(targetUops_) /
-                     static_cast<double>(cyclesToTarget_[base + k]);
-        uncore_.reset();
-        if (lanes_active)
-            lanes_active->set(static_cast<double>(
-                (cells_ - b - 1) * cores_));
     }
+
+    // Each thread claims the next unclaimed group until none is
+    // left. Which thread runs which group, and in what order, is
+    // unobservable: cells share nothing, and each writes only its
+    // own lanes and output slot.
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&](std::size_t t) {
+        Worker &w = workers_[t];
+        for (std::size_t g = next.fetch_add(1); g < groups;
+             g = next.fetch_add(1)) {
+            const std::size_t g0 = g * group;
+            const std::size_t gn = std::min(group, cells_ - g0);
+            if (gn == 1)
+                runCell(w, g0);
+            else
+                runWave(w, g0, gn);
+        }
+    };
+    if (threads <= 1) {
+        drain(0);
+    } else {
+        if (!pool_)
+            pool_ = std::make_unique<exec::ThreadPool>(threads_);
+        exec::parallel_for(*pool_, std::size_t{0}, threads, drain);
+    }
+
+    if (lanes_active)
+        lanes_active->set(0.0);
+    if (resident)
+        resident->set(0.0);
     cells_ = 0;
 }
 
 void
+BadcoBatchRunner::runCell(Worker &w, std::size_t b)
+{
+    // Cell-major execution: the cell runs to completion under the
+    // rotating-quantum schedule of BadcoMulticoreSim::run. Cells
+    // share nothing, so this ordering is bitwise identical to any
+    // cross-cell interleaving — and it keeps one uncore's working
+    // set hot per thread instead of cycling several of them
+    // through the host cache every quantum.
+    if (w.loadComp.size() < cellLoads_[b])
+        w.loadComp.resize(cellLoads_[b]);
+    w.uncore.emplace(ucfgs_[cellPolicy_[b]], cores_, cellSeed_[b]);
+    Uncore &unc = *w.uncore;
+    const std::size_t base = b * laneStride_;
+    std::uint64_t t = 0;
+    std::uint32_t first = 0;
+    for (;;) {
+        bool all_done = true;
+        for (std::uint32_t k = 0; k < cores_; ++k)
+            all_done = all_done && cyclesToTarget_[base + k] != 0;
+        if (all_done)
+            break;
+        t += kQuantum;
+        for (std::uint32_t i = 0; i < cores_; ++i) {
+            std::uint32_t k = first + i;
+            if (k >= cores_)
+                k -= cores_;
+            const std::size_t lane = base + k;
+            if (clock_[lane] < t)
+                runLane(lane, unc, k, t, w.loadComp.data());
+        }
+        first = first + 1 == cores_ ? 0 : first + 1;
+    }
+    double *out = cellOut_[b];
+    for (std::uint32_t k = 0; k < cores_; ++k)
+        out[k] = static_cast<double>(targetUops_) /
+                 static_cast<double>(cyclesToTarget_[base + k]);
+    w.uncore.reset();
+}
+
+void
 BadcoBatchRunner::runLane(std::size_t lane, Uncore &unc,
-                          std::uint32_t core, std::uint64_t until)
+                          std::uint32_t core, std::uint64_t until,
+                          std::uint64_t *lcomp_base)
 {
     // Lane state in locals for the step loop; written back once at
     // quantum end. The loop body is BadcoMachine::step() operation
@@ -361,11 +411,11 @@ BadcoBatchRunner::runLane(std::size_t lane, Uncore &unc,
     const std::int64_t *nd = model.nodeDependsOn.data();
     std::uint64_t *ocomp =
         outComp_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
+        static_cast<std::size_t>(lane) * kMaxOutstanding;
     std::uint64_t *omark =
         outMark_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
-    std::uint64_t *lcomp = loadComp_.data() + loadOff_[lane];
+        static_cast<std::size_t>(lane) * kMaxOutstanding;
+    std::uint64_t *lcomp = lcomp_base + loadOff_[lane];
 
     const auto expire = [&] {
         if (omin > clk)
@@ -431,7 +481,7 @@ BadcoBatchRunner::runLane(std::size_t lane, Uncore &unc,
                     expire();
                 }
             }
-            if (ocnt >= maxOutstanding_) {
+            if (ocnt >= kMaxOutstanding) {
                 if (omin > clk)
                     clk = omin;
                 expire();
@@ -471,164 +521,139 @@ BadcoBatchRunner::runLane(std::size_t lane, Uncore &unc,
 }
 
 void
-BadcoBatchRunner::runWavefront()
+BadcoBatchRunner::runWave(Worker &w, std::size_t g0, std::size_t gn)
 {
-    const bool metrics = obs::metricsEnabled();
     obs::Counter *probes_gathered = nullptr;
-    obs::Gauge *resident = nullptr;
-    obs::Gauge *lanes_active = nullptr;
-    if (metrics) {
+    if (obs::metricsEnabled()) {
         static obs::Counter &probesC =
             obs::counter("batch.probes_gathered");
-        static obs::Gauge &residentG =
-            obs::gauge("batch.uncores_resident");
-        static obs::Gauge &lanesG =
-            obs::gauge("batch.lanes_active");
         probes_gathered = &probesC;
-        resident = &residentG;
-        lanes_active = &lanesG;
     }
 
-    // Waves of up to W cells advance in lockstep. Each cell runs
-    // its own copy of the cell-major control flow — the all-done
-    // check, the quantum advance, the rotating lane schedule — so
-    // its uncore sees the exact request sequence cell-major issues;
-    // only *between* cells does execution interleave, which the
+    // The group's cells advance in lockstep. Each cell runs its own
+    // copy of the cell-major control flow — the all-done check, the
+    // quantum advance, the rotating lane schedule — so its uncore
+    // sees the exact request sequence cell-major issues; only
+    // *between* cells does execution interleave, which the
     // share-nothing contract makes unobservable.
-    for (std::size_t g0 = 0; g0 < cells_; g0 += wave_) {
-        const std::size_t gn =
-            std::min<std::size_t>(wave_, cells_ - g0);
-        waveUnc_.clear();
-        waveUnc_.resize(gn);
-        for (std::size_t c = 0; c < gn; ++c)
-            waveUnc_[c].emplace(ucfgs_[cellPolicy_[g0 + c]],
-                                cores_, cellSeed_[g0 + c]);
-        // Cell-major execution lets every cell reuse one
-        // loadComp_ region; resident cells must not — give each
-        // wave slot its own stride-sized region.
-        waveLoadStride_ = 0;
-        for (std::size_t c = 0; c < gn; ++c)
-            waveLoadStride_ =
-                std::max(waveLoadStride_, cellLoads_[g0 + c]);
-        if (loadComp_.size() < gn * waveLoadStride_)
-            loadComp_.resize(gn * waveLoadStride_);
-        if (resident)
-            resident->set(static_cast<double>(gn));
-        waveT_.assign(gn, 0);
-        waveFirst_.assign(gn, 0);
-        waveRot_.assign(gn, 0);
-        waveDone_.assign(gn, 0);
-        waveStepping_.assign(gn, 0);
-        wavePhase_.assign(gn, kPhaseTop);
-        waveResume_.assign(gn, UINT32_MAX);
+    w.waveUnc.clear();
+    w.waveUnc.resize(gn);
+    for (std::size_t c = 0; c < gn; ++c)
+        w.waveUnc[c].emplace(ucfgs_[cellPolicy_[g0 + c]], cores_,
+                             cellSeed_[g0 + c]);
+    // Cell-major execution lets every cell reuse one load-completion
+    // region; resident cells must not — give each wave slot its own
+    // stride-sized region for the lifetime of the group.
+    w.loadStride = 0;
+    for (std::size_t c = 0; c < gn; ++c)
+        w.loadStride = std::max(w.loadStride, cellLoads_[g0 + c]);
+    if (w.loadComp.size() < gn * w.loadStride)
+        w.loadComp.resize(gn * w.loadStride);
+    w.waveT.assign(gn, 0);
+    w.waveFirst.assign(gn, 0);
+    w.waveRot.assign(gn, 0);
+    w.waveDone.assign(gn, 0);
+    w.waveStepping.assign(gn, 0);
+    w.wavePhase.assign(gn, kPhaseTop);
+    w.waveResume.assign(gn, UINT32_MAX);
 
-        std::size_t remaining = gn;
-        while (remaining > 0) {
-            // Quantum head, per cell: the all-done test over the
-            // cell's lanes (hoisted into a branchless lane-parallel
-            // count over the cyclesToTarget_ slab) and the t
-            // advance of the rotating schedule.
-            std::size_t stepping = 0;
-            for (std::size_t c = 0; c < gn; ++c) {
-                if (waveDone_[c])
-                    continue;
-                const std::uint64_t *ctt =
-                    cyclesToTarget_.data() + (g0 + c) * cores_;
-                std::uint32_t live = 0;
-                for (std::uint32_t k = 0; k < cores_; ++k)
-                    live += ctt[k] == 0;
-                if (live == 0) {
-                    waveDone_[c] = 1;
-                    --remaining;
-                    continue;
-                }
-                waveT_[c] += quantum_;
-                waveRot_[c] = 0;
-                waveStepping_[c] = 1;
-                ++stepping;
-            }
-
-            // Drive every stepping cell through its quantum. A cell
-            // parks when a lane reaches its LLC tag scan; at the end
-            // of each sweep all parked probes — one per cell, all
-            // against disjoint tag arrays — resolve in one gathered
-            // SIMD sweep, and the next sweep resumes them.
-            while (stepping > 0) {
-                wavePendCell_.clear();
-                for (std::size_t c = 0; c < gn; ++c) {
-                    if (!waveStepping_[c])
-                        continue;
-                    const std::size_t base = (g0 + c) * cores_;
-                    bool parked = false;
-                    while (waveRot_[c] < cores_) {
-                        std::uint32_t k =
-                            waveFirst_[c] + waveRot_[c];
-                        if (k >= cores_)
-                            k -= cores_;
-                        const std::size_t lane = base + k;
-                        if (wavePhase_[c] == kPhaseTop &&
-                            clock_[lane] >= waveT_[c]) {
-                            ++waveRot_[c];
-                            continue;
-                        }
-                        parked = runLaneWave(c, lane, *waveUnc_[c],
-                                             k, waveT_[c]);
-                        if (parked)
-                            break;
-                        ++waveRot_[c];
-                    }
-                    if (parked) {
-                        wavePendCell_.push_back(
-                            static_cast<std::uint32_t>(c));
-                    } else {
-                        waveStepping_[c] = 0;
-                        --stepping;
-                        waveFirst_[c] =
-                            waveFirst_[c] + 1 == cores_
-                                ? 0
-                                : waveFirst_[c] + 1;
-                    }
-                }
-                if (!wavePendCell_.empty()) {
-                    waveProbe_.clear();
-                    waveWay_.resize(wavePendCell_.size());
-                    for (const std::uint32_t c : wavePendCell_)
-                        waveProbe_.push_back(
-                            waveUnc_[c]->llcProbe(wavePend_[c]));
-                    tagscan::findMany(waveProbe_.data(),
-                                      waveProbe_.size(),
-                                      waveWay_.data());
-                    if (probes_gathered)
-                        probes_gathered->inc(waveProbe_.size());
-                    for (std::size_t i = 0;
-                         i < wavePendCell_.size(); ++i)
-                        waveResume_[wavePendCell_[i]] =
-                            waveWay_[i];
-                }
-            }
-        }
-
+    std::size_t remaining = gn;
+    while (remaining > 0) {
+        // Quantum head, per cell: the all-done test over the cell's
+        // lanes (a branchless lane-parallel count over the
+        // cyclesToTarget_ slab) and the t advance of the rotating
+        // schedule.
+        std::size_t stepping = 0;
         for (std::size_t c = 0; c < gn; ++c) {
-            double *out = cellOut_[g0 + c];
-            const std::size_t base = (g0 + c) * cores_;
+            if (w.waveDone[c])
+                continue;
+            const std::uint64_t *ctt =
+                cyclesToTarget_.data() + (g0 + c) * laneStride_;
+            std::uint32_t live = 0;
             for (std::uint32_t k = 0; k < cores_; ++k)
-                out[k] =
-                    static_cast<double>(targetUops_) /
-                    static_cast<double>(cyclesToTarget_[base + k]);
+                live += ctt[k] == 0;
+            if (live == 0) {
+                w.waveDone[c] = 1;
+                --remaining;
+                continue;
+            }
+            w.waveT[c] += kQuantum;
+            w.waveRot[c] = 0;
+            w.waveStepping[c] = 1;
+            ++stepping;
         }
-        waveUnc_.clear();
-        if (lanes_active)
-            lanes_active->set(static_cast<double>(
-                (cells_ - std::min(cells_, g0 + gn)) * cores_));
+
+        // Drive every stepping cell through its quantum. A cell
+        // parks when a lane reaches its LLC tag scan; at the end of
+        // each sweep all parked probes — one per cell, all against
+        // disjoint tag arrays — resolve in one gathered SIMD sweep,
+        // and the next sweep resumes them.
+        while (stepping > 0) {
+            w.wavePendCell.clear();
+            for (std::size_t c = 0; c < gn; ++c) {
+                if (!w.waveStepping[c])
+                    continue;
+                const std::size_t base = (g0 + c) * laneStride_;
+                bool parked = false;
+                while (w.waveRot[c] < cores_) {
+                    std::uint32_t k = w.waveFirst[c] + w.waveRot[c];
+                    if (k >= cores_)
+                        k -= cores_;
+                    const std::size_t lane = base + k;
+                    if (w.wavePhase[c] == kPhaseTop &&
+                        clock_[lane] >= w.waveT[c]) {
+                        ++w.waveRot[c];
+                        continue;
+                    }
+                    parked = runLaneWave(w, c, lane, *w.waveUnc[c],
+                                         k, w.waveT[c]);
+                    if (parked)
+                        break;
+                    ++w.waveRot[c];
+                }
+                if (parked) {
+                    w.wavePendCell.push_back(
+                        static_cast<std::uint32_t>(c));
+                } else {
+                    w.waveStepping[c] = 0;
+                    --stepping;
+                    w.waveFirst[c] = w.waveFirst[c] + 1 == cores_
+                                         ? 0
+                                         : w.waveFirst[c] + 1;
+                }
+            }
+            if (!w.wavePendCell.empty()) {
+                w.waveProbe.clear();
+                w.waveWay.resize(w.wavePendCell.size());
+                for (const std::uint32_t c : w.wavePendCell)
+                    w.waveProbe.push_back(
+                        w.waveUnc[c]->llcProbe(w.wavePend[c]));
+                tagscan::findMany(w.waveProbe.data(),
+                                  w.waveProbe.size(),
+                                  w.waveWay.data());
+                if (probes_gathered)
+                    probes_gathered->inc(w.waveProbe.size());
+                for (std::size_t i = 0; i < w.wavePendCell.size();
+                     ++i)
+                    w.waveResume[w.wavePendCell[i]] = w.waveWay[i];
+            }
+        }
     }
-    if (resident)
-        resident->set(0.0);
-    cells_ = 0;
+
+    for (std::size_t c = 0; c < gn; ++c) {
+        double *out = cellOut_[g0 + c];
+        const std::size_t base = (g0 + c) * laneStride_;
+        for (std::uint32_t k = 0; k < cores_; ++k)
+            out[k] = static_cast<double>(targetUops_) /
+                     static_cast<double>(cyclesToTarget_[base + k]);
+    }
+    w.waveUnc.clear();
 }
 
 bool
-BadcoBatchRunner::runLaneWave(std::size_t slot, std::size_t lane,
-                              Uncore &unc, std::uint32_t core,
+BadcoBatchRunner::runLaneWave(Worker &w, std::size_t slot,
+                              std::size_t lane, Uncore &unc,
+                              std::uint32_t core,
                               std::uint64_t until)
 {
     // runLane() with a park point at every LLC access: identical
@@ -654,12 +679,12 @@ BadcoBatchRunner::runLaneWave(std::size_t slot, std::size_t lane,
     const std::int64_t *nd = model.nodeDependsOn.data();
     std::uint64_t *ocomp =
         outComp_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
+        static_cast<std::size_t>(lane) * kMaxOutstanding;
     std::uint64_t *omark =
         outMark_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
-    std::uint64_t *lcomp = loadComp_.data() +
-                           slot * waveLoadStride_ + loadOff_[lane];
+        static_cast<std::size_t>(lane) * kMaxOutstanding;
+    std::uint64_t *lcomp =
+        w.loadComp.data() + slot * w.loadStride + loadOff_[lane];
 
     const auto expire = [&] {
         if (omin > clk)
@@ -690,9 +715,9 @@ BadcoBatchRunner::runLaneWave(std::size_t slot, std::size_t lane,
     // finishes it, then the post-access tail of the interrupted
     // iteration (outstanding bookkeeping for loads, then
     // check_target / node advance) runs exactly as runLane's.
-    if (wavePhase_[slot] != kPhaseTop) {
+    if (w.wavePhase[slot] != kPhaseTop) {
         const std::uint64_t comp =
-            unc.accessFinish(wavePend_[slot], waveResume_[slot]);
+            unc.accessFinish(w.wavePend[slot], w.waveResume[slot]);
         ocomp[ocnt] = comp;
         omark[ocnt] = tu;
         ++ocnt;
@@ -700,7 +725,7 @@ BadcoBatchRunner::runLaneWave(std::size_t slot, std::size_t lane,
         WSEL_ASSERT(seq < model.loadCount,
                     "load numbering overflow");
         lcomp[seq++] = comp;
-        wavePhase_[slot] = kPhaseTop;
+        w.wavePhase[slot] = kPhaseTop;
         check_target();
         ++ni;
     }
@@ -745,14 +770,14 @@ BadcoBatchRunner::runLaneWave(std::size_t slot, std::size_t lane,
                     expire();
                 }
             }
-            if (ocnt >= maxOutstanding_) {
+            if (ocnt >= kMaxOutstanding) {
                 if (omin > clk)
                     clk = omin;
                 expire();
             }
-            wavePend_[slot] = unc.accessBegin(clk, core, vaddr,
-                                              false, pc, false);
-            wavePhase_[slot] = kPhaseLoad;
+            w.wavePend[slot] = unc.accessBegin(clk, core, vaddr,
+                                               false, pc, false);
+            w.wavePhase[slot] = kPhaseLoad;
             parked = true;
             break;
           }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Batched BADCO cell execution: B campaign cells per scheduler task.
+ * Batched BADCO cell execution: B campaign cells per thread per flush.
  *
  * The population/adaptive/hybrid runners used to simulate one
  * (workload, policy) cell at a time — each cell constructing a
@@ -12,19 +12,30 @@
  * accumulators live in flat reusable arrays, and a quantum loop
  * advances all K lanes of a cell together through the rotating
  * schedule. Cells execute cell-major by default — each runs to
- * completion before the next starts — because cells share nothing:
- * any cross-cell interleaving is bitwise identical, and cell-major
- * keeps exactly one uncore's working set (tags, page table,
- * prefetcher state) hot in the host cache while peak RSS stays
- * flat in B. What the batch amortizes is setup: one runner's lane
- * slabs, load-completion arena and uncore slot are reused by every
- * cell, the batch's cells share benchmark model node arrays, and
- * the detailed path pins each row's trace chunks once per batch
- * (trace/trace_store.hh BatchPin). Cells own private Uncore
- * instances (the paper's sharing is within a cell, never across
- * cells) stepped through devirtualized calls; the packed 32-bit
- * LLC tag arrays they probe resolve through the runtime-dispatched
- * SWAR/SSE2/AVX2 tag-scan paths (cache/tagscan.hh, WSEL_SIMD).
+ * completion on one thread before that thread claims the next —
+ * because cells share nothing: any cross-cell interleaving is
+ * bitwise identical, and cell-major keeps exactly one uncore's
+ * working set (tags, page table, prefetcher state) hot in each
+ * thread's host cache while peak RSS stays flat in B. What the
+ * batch amortizes is setup: each thread's uncore slot,
+ * load-completion arena and wave scratch, and the runner's lane
+ * slabs, are reused by every cell, the batch's cells share
+ * benchmark model node arrays, and the detailed path pins each
+ * row's trace chunks once per batch (trace/trace_store.hh
+ * BatchPin). Cells own private Uncore instances (the paper's
+ * sharing is within a cell, never across cells) stepped through
+ * devirtualized calls; the packed 32-bit LLC tag arrays they probe
+ * resolve through the runtime-dispatched SWAR/SSE2/AVX2 tag-scan
+ * paths (cache/tagscan.hh, WSEL_SIMD).
+ *
+ * Threads: run() is the one place BADCO cells are spread across
+ * threads. A runner built for J jobs holds B cells per thread (a
+ * flush runs up to B x J cells) and J pool threads claim work one
+ * group at a time — one cell in cell-major mode, one W-cell wave
+ * group in wavefront mode — each with its own uncore slot,
+ * load-completion arena and wave scratch. Every result lands in
+ * its cell's own output slot, so the bytes do not depend on which
+ * thread ran which cell or in what order (docs/PARALLELISM.md).
  *
  * Wavefront mode (--batch-wave / WSEL_BATCH_WAVE) exploits that
  * same share-nothing structure the other way: W cells advance in
@@ -37,9 +48,10 @@
  * by construction, and the per-cell operation order is untouched,
  * so shard artifacts stay byte-for-byte identical at every
  * (wave, batch, jobs) combination, including kill/resume at a
- * different wave size (tests/test_batch.cc). W is clamped so the
- * resident uncore working set fits WSEL_WAVE_MEM (MiB); NUMA
- * placement of the slabs follows mem/numa.hh (WSEL_NUMA).
+ * different wave size (tests/test_batch.cc). W is clamped so one
+ * group's resident uncores fit WSEL_WAVE_MEM (MiB), and the number
+ * of concurrent wave groups so all threads' resident uncores do;
+ * NUMA placement of the slabs follows mem/numa.hh (WSEL_NUMA).
  *
  * Determinism contract (docs/PARALLELISM.md): every cell is an
  * independent computation — its own seed (campaignCellSeed keyed by
@@ -56,10 +68,11 @@
  * benchmark models and are adjacent in the batch, so their model
  * node arrays stay hot across lanes.
  *
- * Knobs: --batch-cells / WSEL_BATCH_CELLS picks B (default 32,
- * 1 disables batching structurally — one cell per run());
+ * Knobs: --batch-cells / WSEL_BATCH_CELLS picks B per thread
+ * (default 32; 1 at one thread runs one cell per run());
  * --batch-wave / WSEL_BATCH_WAVE picks W (default 1 = cell-major);
- * WSEL_WAVE_MEM caps the resident-uncore budget in MiB.
+ * WSEL_WAVE_MEM caps the resident-uncore budget in MiB; the
+ * caller's jobs (--jobs / WSEL_JOBS) picks J.
  * Instruments: batch.cells, batch.lanes_active, batch.wave,
  * batch.uncores_resident, batch.probes_gathered,
  * batch.chunk_pins_saved (trace/trace_store.hh BatchPin),
@@ -70,6 +83,7 @@
 #define WSEL_SIM_BATCH_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -81,6 +95,11 @@
 
 namespace wsel
 {
+
+namespace exec
+{
+class ThreadPool;
+}
 
 /** Default cells per batch when WSEL_BATCH_CELLS is unset. */
 inline constexpr std::uint32_t kDefaultBatchCells = 32;
@@ -138,26 +157,29 @@ class BadcoBatchRunner
      * @param target_uops Per-thread slice length.
      * @param models One BADCO model per suite benchmark
      *        (caller-owned).
-     * @param batch_cells Cells per batch (use resolveBatchCells).
+     * @param batch_cells Cells per thread per flush (use
+     *        resolveBatchCells).
      * @param wave Wave width W (use resolveBatchWave); 1 =
      *        cell-major. Clamped to the batch size and the
      *        WSEL_WAVE_MEM resident-uncore budget.
-     * @param window BADCO window override; 0 = per-model
-     *        calibrated window (the campaign default).
-     * @param max_outstanding Outstanding-load cap per lane.
-     * @param quantum Simulation quantum in cycles.
+     * @param jobs Threads run() spreads cells over; 0 =
+     *        $WSEL_JOBS, else hardware threads
+     *        (exec::resolveJobs). In wave mode the thread count
+     *        is further capped so every thread's W resident
+     *        uncores together fit WSEL_WAVE_MEM.
      *
-     * The defaults mirror BadcoMulticoreSim's — the identity
-     * contract requires both engines to agree on them.
+     * Cells run BadcoMulticoreSim's default machine (per-model
+     * calibrated window, kMaxOutstanding loads, kQuantum-cycle
+     * quantum) — the identity contract requires both engines to
+     * agree on it.
      */
     BadcoBatchRunner(std::span<const UncoreConfig> ucfgs,
                      std::uint32_t cores, std::uint64_t target_uops,
                      const std::vector<const BadcoModel *> &models,
                      std::uint32_t batch_cells,
-                     std::uint32_t wave = 1,
-                     std::uint32_t window = 0,
-                     std::uint32_t max_outstanding = 16,
-                     std::uint64_t quantum = 50);
+                     std::uint32_t wave = 1, std::size_t jobs = 0);
+
+    ~BadcoBatchRunner();
 
     /**
      * Append one cell. @p benches is copied (callers typically pass
@@ -177,20 +199,34 @@ class BadcoBatchRunner
     std::size_t pending() const { return cells_; }
 
     /** True when the next add() would flush. */
-    bool full() const { return cells_ >= batchCells_; }
+    bool full() const { return cells_ >= capacity_; }
 
-    /** Resolved batch capacity B. */
-    std::uint32_t capacity() const { return batchCells_; }
+    /** Cells one flush holds: B per thread, B x threads(). */
+    std::uint32_t capacity() const { return capacity_; }
 
     /** Resolved wave width W after batch and budget clamps. */
     std::uint32_t wave() const { return wave_; }
+
+    /** Threads run() spreads cells over, after the budget cap. */
+    std::uint32_t threads() const { return threads_; }
 
     /** Run all pending cells to completion and clear the batch. */
     void run();
 
   private:
-    void runLane(std::size_t lane, Uncore &unc, std::uint32_t core,
-                 std::uint64_t until);
+    /** Outstanding-load cap per lane (BadcoMulticoreSim default). */
+    static constexpr std::uint32_t kMaxOutstanding = 16;
+    /** Simulation quantum in cycles (BadcoMulticoreSim default). */
+    static constexpr std::uint64_t kQuantum = 50;
+    /**
+     * Each cell's lanes start on a multiple of this many lane slots
+     * (128 B of u64 state), so two cells never share a cache line
+     * or an adjacent-line prefetch pair. Cells running on different
+     * threads write their lane state back every quantum; packed
+     * lanes made neighbouring cells false-share those lines
+     * (BM_BatchJobs/32/4 ran ~1.3x slower packed).
+     */
+    static constexpr std::uint32_t kLaneAlign = 16;
 
     /** Where a parked wave lane re-enters runLaneWave(). Only
      *  loads park — stores/prefetches/writebacks discard their
@@ -202,44 +238,91 @@ class BadcoBatchRunner
     };
 
     /**
+     * What one pool thread owns while it runs cells: nothing in it
+     * is shared with another thread, which is what keeps the
+     * share-nothing contract intact under run()'s thread spread.
+     * Wave vectors are indexed by wave slot [0, group size).
+     */
+    struct alignas(64) Worker
+    {
+        /** The running cell's uncore (cell-major). */
+        std::optional<Uncore> uncore;
+        /** Load completions of the running cell (cell-major) or,
+         *  in wave mode, one loadStride-sized region per slot. */
+        std::vector<std::uint64_t> loadComp;
+        std::size_t loadStride = 0;
+
+        /** Resident uncores of the in-flight wave group. */
+        std::vector<std::optional<Uncore>> waveUnc;
+        /** Per-cell quantum deadline t of the rotating schedule. */
+        std::vector<std::uint64_t> waveT;
+        /** Per-cell rotation origin (BadcoMulticoreSim's `first`). */
+        std::vector<std::uint32_t> waveFirst;
+        /** Lanes already visited in the current quantum rotation. */
+        std::vector<std::uint32_t> waveRot;
+        std::vector<std::uint8_t> waveDone;
+        std::vector<std::uint8_t> waveStepping;
+        /** Park phase per cell (kPhaseTop = not parked). */
+        std::vector<std::uint8_t> wavePhase;
+        /** The parked access, valid while wavePhase != kPhaseTop. */
+        std::vector<Uncore::PendingAccess> wavePend;
+        /** Way index handed back to the parked cell by the sweep. */
+        std::vector<std::uint32_t> waveResume;
+        /** Gather buffers of one sweep: cells, probes, way results. */
+        std::vector<std::uint32_t> wavePendCell;
+        std::vector<tagscan::Probe> waveProbe;
+        std::vector<std::uint32_t> waveWay;
+    };
+
+    /** Cell-major: run batch cell @p b to completion on @p w. */
+    void runCell(Worker &w, std::size_t b);
+
+    /** Wavefront: run cells [g0, g0 + gn) in lockstep on @p w. */
+    void runWave(Worker &w, std::size_t g0, std::size_t gn);
+
+    void runLane(std::size_t lane, Uncore &unc, std::uint32_t core,
+                 std::uint64_t until, std::uint64_t *lcomp_base);
+
+    /**
      * runLane() with park/resume at LLC accesses: runs lane until
      * it either reaches @p until (returns false) or issues an
      * accessBegin() whose tag scan the wave driver should gather
-     * (parks the lane state in wave slots and returns true). On
-     * re-entry with wavePhase_[slot] != kPhaseTop the access is
-     * finished with waveResume_[slot] first.
+     * (parks the lane state in @p w's wave slot and returns true).
+     * On re-entry with w.wavePhase[slot] != kPhaseTop the access is
+     * finished with w.waveResume[slot] first.
      */
-    bool runLaneWave(std::size_t slot, std::size_t lane,
+    bool runLaneWave(Worker &w, std::size_t slot, std::size_t lane,
                      Uncore &unc, std::uint32_t core,
                      std::uint64_t until);
 
-    /** Wave-interleaved run(): W uncores resident in lockstep. */
-    void runWavefront();
-
     std::span<const UncoreConfig> ucfgs_;
     const std::uint32_t cores_;
+    /** Lane slots per cell: cores_ rounded up to kLaneAlign. */
+    const std::uint32_t laneStride_;
     const std::uint64_t targetUops_;
     const std::vector<const BadcoModel *> &models_;
     const std::uint32_t batchCells_;
-    const std::uint32_t wave_;
-    const std::uint32_t windowOverride_;
-    const std::uint32_t maxOutstanding_;
-    const std::uint64_t quantum_;
+    std::uint32_t wave_ = 1;
+    std::uint32_t threads_ = 1;
+    std::uint32_t capacity_ = 1;
 
     std::size_t cells_ = 0;
 
+    /** Pool threads, created by the first run() that uses two. */
+    std::unique_ptr<exec::ThreadPool> pool_;
+    /** One per thread: workers_[t] belongs to run()'s task t. */
+    std::vector<Worker> workers_;
+
     /** @name Per-cell state, indexed by batch slot [0, cells_). */
     /** @{ */
-    /** The running cell's uncore (cell-major: one live at a time). */
-    std::optional<Uncore> uncore_;
     std::vector<std::uint64_t> cellSeed_;
     std::vector<std::uint32_t> cellPolicy_;
     std::vector<double *> cellOut_;
-    /** Per-cell loadComp_ arena watermark (sum of lane spans). */
+    /** Load-completion entries the cell needs (sum of its lanes'). */
     std::vector<std::size_t> cellLoads_;
     /** @} */
 
-    /** @name Per-lane SoA state, lane = cell * cores_ + core. */
+    /** @name Per-lane SoA state, lane = cell * laneStride_ + core. */
     /** @{ */
     std::vector<std::uint64_t> clock_;
     std::vector<std::uint64_t> totalUops_;
@@ -250,47 +333,16 @@ class BadcoBatchRunner
     std::vector<std::uint64_t> cyclesToTarget_;
     std::vector<std::uint32_t> laneWindow_;
     std::vector<const BadcoModel *> laneModel_;
-    /** loadCompletion arena offset of each lane (cell-local:
-     *  cell-major execution lets all cells share one region). */
+    /** Offset of each lane inside its cell's load-completion
+     *  region (the region itself belongs to the running thread). */
     std::vector<std::size_t> loadOff_;
     /** @} */
 
     /** @name Slabs (capacity fixed at construction). */
     /** @{ */
-    /** Outstanding loads: lane * maxOutstanding_ + j. */
+    /** Outstanding loads: lane * kMaxOutstanding + j. */
     std::vector<std::uint64_t> outComp_;
     std::vector<std::uint64_t> outMark_;
-    /** Per-iteration load completions, packed by loadOff_. */
-    std::vector<std::uint64_t> loadComp_;
-    /** @} */
-
-    /** @name Wave state, indexed by wave slot [0, group size). */
-    /** @{ */
-    /** Resident uncores of the in-flight wave group. */
-    std::vector<std::optional<Uncore>> waveUnc_;
-    /** Per-cell quantum deadline t of the rotating schedule. */
-    std::vector<std::uint64_t> waveT_;
-    /** Per-cell rotation origin (BadcoMulticoreSim's `first`). */
-    std::vector<std::uint32_t> waveFirst_;
-    /** Lanes already visited in the current quantum rotation. */
-    std::vector<std::uint32_t> waveRot_;
-    std::vector<std::uint8_t> waveDone_;
-    std::vector<std::uint8_t> waveStepping_;
-    /** Park phase per cell (kPhaseTop = not parked). */
-    std::vector<std::uint8_t> wavePhase_;
-    /** The parked access, valid while wavePhase_ != kPhaseTop. */
-    std::vector<Uncore::PendingAccess> wavePend_;
-    /** Way index handed back to the parked cell by the sweep. */
-    std::vector<std::uint32_t> waveResume_;
-    /** Gather buffers of one sweep: cells, probes, way results. */
-    std::vector<std::uint32_t> wavePendCell_;
-    std::vector<tagscan::Probe> waveProbe_;
-    std::vector<std::uint32_t> waveWay_;
-    /** loadComp_ bytes per wave slot: with W cells resident the
-     *  arena can no longer be shared (cell-major lets every cell
-     *  reuse region [0, cellLoads_)), so each slot gets its own
-     *  stride-sized region for the lifetime of its group. */
-    std::size_t waveLoadStride_ = 0;
     /** @} */
 };
 

@@ -27,8 +27,8 @@ namespace fs = std::filesystem;
 /**
  * Per-shard statistics partial: one accumulator triple per pair,
  * filled while the shard's payload is in cache and merged into the
- * campaign totals in shard order afterwards, so the merged result
- * is independent of which thread ran which shard.
+ * campaign totals right after, in shard order, so the merged
+ * result does not depend on the job count.
  */
 struct ShardPartial
 {
@@ -137,7 +137,7 @@ simulatePopulationShardBatched(
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
     std::uint32_t batch_cells, std::uint32_t batch_wave,
-    std::vector<double> &payload,
+    std::size_t jobs, std::vector<double> &payload,
     const std::function<void()> &tick)
 {
     const std::size_t np = m.policies.size();
@@ -150,7 +150,7 @@ simulatePopulationShardBatched(
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
                             m.targetUops, models,
                             resolveBatchCells(batch_cells),
-                            resolveBatchWave(batch_wave));
+                            resolveBatchWave(batch_wave), jobs);
     WorkloadCursor cur(pop, m.shardFirstRank(shard));
     for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
         if (tick)
@@ -297,14 +297,13 @@ runBadcoPopulationCampaign(
         ucfgs.push_back(UncoreConfig::forCores(k, p));
 
     const std::uint64_t shards = m.shardCount();
-    std::vector<ShardPartial> parts(shards);
     const std::uint32_t batch_cells =
         resolveBatchCells(opts.batchCells);
     const std::uint32_t batch_wave =
         resolveBatchWave(opts.batchWave);
 
     auto run_shard = [&](std::size_t s) {
-        ShardPartial &part = parts[s];
+        ShardPartial part;
         part.pairs = makeAccumulators(pairs, opts);
         const std::uint64_t rows = m.rowsInShard(s);
         const std::uint64_t cells = rows * np;
@@ -318,7 +317,7 @@ runBadcoPopulationCampaign(
                 accumulateShard(m, pop, s, payload, m.refIpc, part);
                 part.cellsResumed = cells;
                 part.resumed = true;
-                return;
+                return part;
             } catch (const persist::CacheInvalid &e) {
                 if (fs::exists(shard_path)) {
                     const std::string moved =
@@ -339,7 +338,7 @@ runBadcoPopulationCampaign(
         std::vector<double> payload;
         simulatePopulationShardBatched(m, pop, ucfgs, models,
                                        opts.seed, s, batch_cells,
-                                       batch_wave, payload);
+                                       batch_wave, jobs, payload);
         {
             std::uint64_t write_ns = 0;
             {
@@ -380,24 +379,21 @@ runBadcoPopulationCampaign(
                << shards << " (" << cells << " cells)";
             logLine(os.str());
         }
+        return part;
     };
 
-    if (jobs <= 1 || shards <= 1) {
-        for (std::uint64_t s = 0; s < shards; ++s)
-            run_shard(s);
-    } else {
-        exec::ThreadPool pool(std::min<std::size_t>(jobs, shards));
-        exec::parallel_for(pool, std::size_t{0}, shards, run_shard);
-    }
-
-    // Deterministic merge in shard (= rank) order; the Welford,
-    // histogram and sketch merges are all order-insensitive in
-    // value but merging in a fixed order keeps the floating-point
-    // result reproducible across job counts.
+    // Shards run one after another in rank order, so at most one
+    // shard's payload is live; the batch runner spreads each
+    // shard's cells over the jobs threads (sim/batch.hh). The
+    // Welford, histogram and sketch merges are order-insensitive in
+    // value, but merging in shard order keeps the floating-point
+    // result reproducible.
     PopulationResult result;
     result.dir = out_dir;
     result.pairs = makeAccumulators(pairs, opts);
-    for (const ShardPartial &part : parts) {
+    double sim_seconds = 0.0;
+    for (std::uint64_t s = 0; s < shards; ++s) {
+        const ShardPartial part = run_shard(s);
         for (std::size_t i = 0; i < result.pairs.size(); ++i) {
             result.pairs[i].d.merge(part.pairs[i].d);
             result.pairs[i].hist.merge(part.pairs[i].hist);
@@ -407,8 +403,9 @@ runBadcoPopulationCampaign(
         result.cellsResumed += part.cellsResumed;
         result.shardsWritten += part.written ? 1 : 0;
         result.shardsResumed += part.resumed ? 1 : 0;
-        m.simSeconds += part.simWall;
+        sim_seconds += part.simWall;
     }
+    m.simSeconds += sim_seconds;
     // Instructions describe the whole artifact (resumed shards
     // included); simSeconds is this run's simulation wall only.
     m.instructions = m.rows() * np * k * target_uops;

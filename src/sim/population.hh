@@ -87,7 +87,11 @@ struct PopulationOptions
 {
     std::uint64_t seed = 1;
 
-    /** Worker threads over shards; 0 = $WSEL_JOBS else hardware. */
+    /**
+     * Threads the batch runner spreads each shard's cells over
+     * (sim/batch.hh); 0 = $WSEL_JOBS else hardware. Shards
+     * themselves run one at a time, in rank order.
+     */
     std::size_t jobs = 1;
 
     /**
@@ -189,14 +193,17 @@ void simulatePopulationShard(
 /**
  * Batched variant of simulatePopulationShard: identical contract
  * and bitwise-identical payload, but cells run through the
- * BadcoBatchRunner (sim/batch.hh) in groups of @p batch_cells
- * (resolved via resolveBatchCells; 1 behaves like the serial
- * engine) with wave width @p batch_wave (resolved via
- * resolveBatchWave; >1 interleaves cells in lockstep waves). The
- * "population.cell" fault point still fires once per cell, at
- * batch-append time — a fault or SIGKILL mid-batch abandons the
- * whole (unwritten) shard exactly as the serial engine's mid-shard
- * fault does, so resume semantics are unchanged at any wave size.
+ * BadcoBatchRunner (sim/batch.hh) in groups of @p batch_cells per
+ * thread (resolved via resolveBatchCells; 1 at one job behaves
+ * like the serial engine) with wave width @p batch_wave (resolved
+ * via resolveBatchWave; >1 interleaves cells in lockstep waves),
+ * spread over @p jobs threads (0 = $WSEL_JOBS else hardware; the
+ * distributed worker passes 1, since worker processes already
+ * spread shards). The "population.cell" fault point still fires
+ * once per cell, at batch-append time on the calling thread — a
+ * fault or SIGKILL mid-batch abandons the whole (unwritten) shard
+ * exactly as the serial engine's mid-shard fault does, so resume
+ * semantics are unchanged at any wave size or job count.
  */
 void simulatePopulationShardBatched(
     const persist::V3Manifest &m, const WorkloadPopulation &pop,
@@ -204,7 +211,7 @@ void simulatePopulationShardBatched(
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
     std::uint32_t batch_cells, std::uint32_t batch_wave,
-    std::vector<double> &payload,
+    std::size_t jobs, std::vector<double> &payload,
     const std::function<void()> &tick = {});
 
 /**
@@ -229,8 +236,9 @@ void simulateDetailedPopulationShard(
  * Run (or resume) a BADCO population campaign over ranks
  * [opts.firstRank, opts.lastRank) of @p pop, writing a campaign_v3
  * artifact to @p out_dir (created if missing) and returning the
- * streamed per-pair statistics.  Memory is O(shard), independent
- * of the population size.
+ * streamed per-pair statistics.  Shards run one at a time, each
+ * spread over opts.jobs threads, so memory is O(one shard),
+ * independent of the population size.
  */
 PopulationResult runBadcoPopulationCampaign(
     const WorkloadPopulation &pop,

@@ -267,11 +267,18 @@ TEST(BatchEngine, AutoFlushMatchesSerialRunner)
 
     // Capacity 1: every add() runs one cell (the serial shape).
     BadcoBatchRunner one({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                         models, 1);
+                         models, 1, 1, 1);
     // Capacity 2: add() must auto-flush on the third cell.
     BadcoBatchRunner two({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                         models, 2);
+                         models, 2, 1, 1);
     EXPECT_EQ(two.capacity(), 2u);
+    // Two cells per thread at three jobs: one 6-cell flush spread
+    // over three threads.
+    std::vector<double> threaded(kCells * 4);
+    BadcoBatchRunner wide({ucfgs.data(), ucfgs.size()}, 4, kUops,
+                          models, 2, 1, 3);
+    EXPECT_EQ(wide.threads(), 3u);
+    EXPECT_EQ(wide.capacity(), 6u);
 
     for (std::size_t i = 0; i < kCells; ++i) {
         const Workload w = pop.unrank(2 * i);
@@ -282,16 +289,22 @@ TEST(BatchEngine, AutoFlushMatchesSerialRunner)
         two.add(seed, p, {w.benchmarks().data(), 4},
                 batched.data() + i * 4);
         EXPECT_LE(two.pending(), 2u);
+        wide.add(seed, p, {w.benchmarks().data(), 4},
+                 threaded.data() + i * 4);
     }
     EXPECT_TRUE(two.full());
+    EXPECT_TRUE(wide.full());
     one.run();
     two.run();
+    wide.run();
     EXPECT_EQ(one.pending(), 0u);
     EXPECT_EQ(two.pending(), 0u);
+    EXPECT_EQ(wide.pending(), 0u);
 
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_GT(batched[i], 0.0);
         EXPECT_EQ(serial[i], batched[i]) << "lane " << i;
+        EXPECT_EQ(serial[i], threaded[i]) << "lane " << i;
     }
 }
 
@@ -311,19 +324,27 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
         simulatePopulationShard(m, pop, ucfgs, models, 1, s,
                                 serial);
         ASSERT_FALSE(serial.empty());
-        for (std::uint32_t batch : {1u, 3u, 7u, 32u}) {
-            // Wave 1 is cell-major; larger waves interleave lanes
-            // across resident uncores. All must be bit-identical.
-            for (std::uint32_t wave : {1u, 2u, 3u, 32u}) {
-                std::vector<double> batched;
-                simulatePopulationShardBatched(m, pop, ucfgs,
-                                               models, 1, s, batch,
-                                               wave, batched);
-                ASSERT_EQ(batched.size(), serial.size());
-                for (std::size_t i = 0; i < serial.size(); ++i)
-                    EXPECT_EQ(serial[i], batched[i])
-                        << "shard " << s << " batch " << batch
-                        << " wave " << wave << " lane " << i;
+        // Jobs spread each flush over threads: at jobs 7 a shard
+        // of 8 cells leaves most threads idle in some flushes (one
+        // cell at batch 1, two wave-4 groups), which must not
+        // matter either.
+        for (std::size_t jobs : {1u, 2u, 4u, 7u}) {
+            for (std::uint32_t batch : {1u, 3u, 7u, 32u}) {
+                // Wave 1 is cell-major; larger waves interleave
+                // lanes across resident uncores. All must be
+                // bit-identical.
+                for (std::uint32_t wave : {1u, 2u, 3u, 4u, 32u}) {
+                    std::vector<double> batched;
+                    simulatePopulationShardBatched(
+                        m, pop, ucfgs, models, 1, s, batch, wave,
+                        jobs, batched);
+                    ASSERT_EQ(batched.size(), serial.size());
+                    for (std::size_t i = 0; i < serial.size(); ++i)
+                        EXPECT_EQ(serial[i], batched[i])
+                            << "shard " << s << " jobs " << jobs
+                            << " batch " << batch << " wave "
+                            << wave << " lane " << i;
+                }
             }
         }
     }
@@ -412,12 +433,14 @@ class BatchCampaign : public ::testing::Test
 
     /**
      * 2 policies x the full 4-core population over 3 benchmarks
-     * (15 workloads), 8 cells per shard -> 4 shards, run with
-     * explicit batch and wave sizes (wave 1 = cell-major).
+     * (15 workloads), 8 cells per shard -> 4 shards unless
+     * @p shard_cells says otherwise, run with explicit batch and
+     * wave sizes (wave 1 = cell-major).
      */
     PopulationResult
     run(const std::string &out, std::size_t jobs,
-        std::uint32_t batch, std::uint32_t wave = 1)
+        std::uint32_t batch, std::uint32_t wave = 1,
+        std::size_t shard_cells = 8)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(
@@ -425,7 +448,7 @@ class BatchCampaign : public ::testing::Test
         BadcoModelStore store(CoreConfig{}, kUops, 5);
         PopulationOptions opts;
         opts.jobs = jobs;
-        opts.shardCells = 8;
+        opts.shardCells = shard_cells;
         opts.batchCells = batch;
         opts.batchWave = wave;
         return runBadcoPopulationCampaign(pop, kPolicies, kUops,
@@ -569,6 +592,54 @@ TEST_F(BatchCampaign, KillMidBatchResumesToIdenticalArtifact)
     const PopulationResult r2 = run(out, 1, 1);
     EXPECT_GE(r2.shardsResumed, 1u);
     EXPECT_LT(r2.cellsSimulated, 15u * kPolicies.size());
+    EXPECT_EQ(r2.cellsSimulated + r2.cellsResumed,
+              15u * kPolicies.size());
+    const auto got = shardBytes(out, r2.manifest.shardCount());
+    for (std::size_t s = 0; s < want.size(); ++s)
+        EXPECT_EQ(want[s], got[s]) << "shard " << s;
+    EXPECT_TRUE(persist::isV3CampaignDir(out));
+}
+
+TEST_F(BatchCampaign, OneShardAtJobsFourMatchesSerialBatchOne)
+{
+    // At the default 64 Ki-cell shard size the whole campaign is one
+    // shard, so every thread works inside it: the runner, not the
+    // shard loop, spreads the cells.
+    constexpr std::size_t kDefaultShard = 64 * 1024;
+    const std::string ref = path("ref");
+    const PopulationResult rr = run(ref, 1, 1, 1, kDefaultShard);
+    ASSERT_EQ(rr.manifest.shardCount(), 1u);
+    const auto want = shardBytes(ref, 1);
+    ASSERT_FALSE(want[0].empty());
+
+    for (std::uint32_t wave : {1u, 4u}) {
+        const std::string out = path("j4w" + std::to_string(wave));
+        const PopulationResult r = run(out, 4, 0, wave, kDefaultShard);
+        ASSERT_EQ(r.manifest.shardCount(), 1u);
+        EXPECT_EQ(r.cellsSimulated, 15u * kPolicies.size());
+        EXPECT_EQ(want, shardBytes(out, 1)) << "wave " << wave;
+    }
+}
+
+TEST_F(BatchCampaign, KillMidFlushAtJobsFourResumesAtJobsOne)
+{
+    const std::string ref = path("ref");
+    const PopulationResult rr = run(ref, 1, 1);
+    const auto want = shardBytes(ref, rr.manifest.shardCount());
+
+    // Batch 2 per thread at jobs 4 is an 8-cell flush: shard 0's
+    // cells run as one flush on four threads and commit; the kill
+    // at the 13th appended cell lands in shard 1 with four cells
+    // of its flush appended and not yet run.
+    const std::string out = path("v3");
+    {
+        test::FaultInjector fi("population.cell", 13);
+        EXPECT_THROW(run(out, 4, 2), test::InjectedFault);
+    }
+    EXPECT_FALSE(persist::isV3CampaignDir(out));
+
+    const PopulationResult r2 = run(out, 1, 1);
+    EXPECT_GE(r2.shardsResumed, 1u);
     EXPECT_EQ(r2.cellsSimulated + r2.cellsResumed,
               15u * kPolicies.size());
     const auto got = shardBytes(out, r2.manifest.shardCount());

@@ -22,6 +22,7 @@
 
 #include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -672,8 +673,12 @@ class ServeDistributedTest : public ::testing::Test
     SetUpTestSuite()
     {
         obs::enableMetrics();
+        // Per process: ctest runs each test in its own process, in
+        // parallel, and a sibling's TearDownTestSuite must not
+        // delete the cache under a campaign that is writing to it.
         cacheDir_ = (fs::temp_directory_path() /
-                     "wsel_serve_test_model_cache")
+                     ("wsel_serve_test_model_cache_" +
+                      std::to_string(::getpid())))
                         .string();
         fs::create_directories(cacheDir_);
     }

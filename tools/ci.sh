@@ -28,12 +28,15 @@
 # the load-heavy cells the gathered tag-scan sweeps target.
 #
 # Every sanitizer preset also runs a capped `wsel_cli population`
-# smoke, exercising the streamed campaign_v3 writer, the parallel
-# shard runner, and the one-pass statistics under asan/ubsan and
-# tsan — three times, at --batch-cells 1, --batch-cells 8, and
-# --batch-cells 8 --batch-wave 4 (wavefront interleaving with
-# gathered tag scans), with a byte-compare of the shards (the
-# sim/batch.hh identity contract under the sanitizer) — plus a
+# smoke, exercising the streamed campaign_v3 writer, the batch
+# runner's thread spread, and the one-pass statistics under
+# asan/ubsan and tsan — three times at 80-cell shards, at
+# --batch-cells 1, --batch-cells 8, and --batch-cells 8
+# --batch-wave 4 (wavefront interleaving with gathered tag scans),
+# and twice more at the default (one-shard) size, --jobs 1
+# --batch-cells 1 against --jobs 4, with a byte-compare of the
+# shards (the sim/batch.hh identity contract under the sanitizer)
+# — plus a
 # `wsel_cli adaptive` smoke (sequential
 # stopping rule with a resume pass, docs/SAMPLING.md), both
 # adaptive and hybrid smokes running their cells through the
@@ -101,8 +104,24 @@ for preset in $presets; do
             cmp "$shard" "$popdir/pop-batched.v3/${shard##*/}"
             cmp "$shard" "$popdir/pop-wave.v3/${shard##*/}"
         done
+        # One-shard twin at the default shard size: the whole
+        # campaign is a single shard, so the four threads work
+        # inside it (the batch runner's thread spread, not the
+        # shard loop) — same bytes as the serial engine.
+        WSEL_CACHE_DIR="$popdir/cache" \
+            "./$bindir/tools/wsel_cli" population \
+            --out "$popdir/pop-one.v3" \
+            --insns 5000 --limit 64 --jobs 1 --batch-cells 1
+        WSEL_CACHE_DIR="$popdir/cache" \
+            "./$bindir/tools/wsel_cli" population \
+            --out "$popdir/pop-one-j4.v3" \
+            --insns 5000 --limit 64 --jobs 4
+        test -s "$popdir/pop-one-j4.v3/manifest.bin"
+        test "$(ls "$popdir"/pop-one.v3/shard-*.bin | wc -l)" -eq 1
+        cmp "$popdir/pop-one.v3/shard-000000.bin" \
+            "$popdir/pop-one-j4.v3/shard-000000.bin"
         rm -rf "$popdir"
-        echo "==> population smoke (serial + batched + wave) passed under $preset"
+        echo "==> population smoke (serial + batched + wave + one-shard threads) passed under $preset"
 
         # Adaptive sequential campaign smoke (docs/SAMPLING.md):
         # live stopping rule, batch artifacts and a resume of the
