@@ -45,13 +45,7 @@ main()
             CoreConfig ccfg;
             DetailedCore core(ccfg, TraceStore::global().cursor(p),
                               slow, 0, target, 1);
-            std::uint64_t now = 0;
-            while (!core.reachedTarget()) {
-                core.tick(now);
-                const std::uint64_t next = core.nextEventCycle(now);
-                now = std::max(now + 1,
-                               next == UINT64_MAX ? now + 1 : next);
-            }
+            runToTarget(core);
             ref_cpi_slow.push_back(
                 static_cast<double>(core.stats().cyclesToTarget) /
                 static_cast<double>(target));

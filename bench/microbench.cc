@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the library's hot paths:
  * RNG draws, trace generation, cache accesses per policy, TAGE
- * prediction, uncore requests, detailed-core cycles and BADCO
- * machine steps — plus the observability primitives (counter
+ * prediction, uncore requests, detailed-core cycles, one 4-core
+ * detailed cell and BADCO machine steps — plus the observability primitives (counter
  * increments and span enter/exit), measured both enabled and
  * disabled to back the near-zero-overhead-when-off claim in
  * docs/OBSERVABILITY.md.
@@ -24,6 +24,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/batch.hh"
+#include "sim/multicore.hh"
 #include "stats/persist_v3.hh"
 #include "stats/summary.hh"
 #include "trace/trace_generator.hh"
@@ -166,6 +167,29 @@ BM_DetailedCoreUop(benchmark::State &state)
         static_cast<std::int64_t>(committed));
 }
 BENCHMARK(BM_DetailedCoreUop)->Arg(0)->Arg(1);
+
+// One escalated hybrid cell in context: a 4-core DetailedMulticoreSim
+// on the real shared Uncore (DRRIP, 20k µops per thread, the
+// hybrid-4c shape), beside BM_DetailedCoreUop's isolated core.
+void
+BM_DetailedCell(benchmark::State &state)
+{
+    const auto &suite = spec2006Suite();
+    const Workload w({0, 5, 11, 21});
+    const std::uint64_t target = 20000;
+    const DetailedMulticoreSim sim(
+        CoreConfig{}, UncoreConfig::forCores(4, PolicyKind::DRRIP), 4,
+        target, 7);
+    for (auto _ : state) {
+        const SimResult r = sim.run(w, suite);
+        benchmark::DoNotOptimize(r.ipc.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["uops_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * 4 * target),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DetailedCell)->Unit(benchmark::kMillisecond);
 
 // One tag scan over a 16-way set (the Table II LLC geometry), per
 // implementation. The hit way cycles through all 16 positions so

@@ -47,13 +47,7 @@ main()
         CoreConfig ccfg;
         DetailedCore core(ccfg, TraceStore::global().cursor(p),
                           uncore, 0, target, 1);
-        std::uint64_t now = 0;
-        while (!core.reachedTarget()) {
-            core.tick(now);
-            const std::uint64_t next = core.nextEventCycle(now);
-            now = std::max(now + 1,
-                           next == UINT64_MAX ? now + 1 : next);
-        }
+        runToTarget(core);
         const double mpki =
             static_cast<double>(uncore.coreStats(0).demandMisses) /
             (static_cast<double>(target) / 1000.0);

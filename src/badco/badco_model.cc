@@ -129,12 +129,7 @@ detailedCyclesAt(const BenchmarkProfile &profile,
                       uncore, 0, target_uops, seed);
     if (recorder)
         core.setObserver(recorder);
-    std::uint64_t now = 0;
-    while (!core.reachedTarget()) {
-        core.tick(now);
-        const std::uint64_t next = core.nextEventCycle(now);
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
-    }
+    runToTarget(core);
     (void)model;
     return core.stats().cyclesToTarget;
 }

@@ -1,6 +1,7 @@
 #include "cpu/detailed_core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "stats/logging.hh"
@@ -42,7 +43,7 @@ DetailedCore::DetailedCore(const CoreConfig &cfg,
       dl1_(cfg.dl1, PolicyKind::LRU, seed ^ 0xdd1, "dl1"),
       itlb_(cfg.itlbEntries, cfg.itlbWays),
       dtlb_(cfg.dtlbEntries, cfg.dtlbWays),
-      rob_(cfg.robSize), missDepRing_(kDepRing, -1)
+      missDepRing_(kDepRing, -1)
 {
     if (targetUops_ == 0)
         WSEL_FATAL("target µop count cannot be zero");
@@ -50,6 +51,10 @@ DetailedCore::DetailedCore(const CoreConfig &cfg,
         cfg_.decodeWidth == 0 || cfg_.issueWidth == 0 ||
         cfg_.commitWidth == 0)
         WSEL_FATAL("degenerate core configuration");
+    rob_.resize(std::bit_ceil<std::uint64_t>(cfg_.robSize));
+    robMask_ = rob_.size() - 1;
+    readyOps_.reserve(cfg_.rsSize);
+    fetchBuffer_.resize(cfg_.fetchBufferSize);
 
     std::vector<std::unique_ptr<Prefetcher>> dparts;
     if (cfg_.dl1NextLinePrefetch)
@@ -66,29 +71,72 @@ DetailedCore::DetailedCore(const CoreConfig &cfg,
                          : makeNullPrefetcher();
 }
 
-DetailedCore::RobEntry &
-DetailedCore::entry(std::uint64_t seq)
-{
-    return rob_[seq % cfg_.robSize];
-}
+// -------------------------------------------------------------------
+// Wakeup: a producer's completion is fixed when it issues, so a
+// consumer's operand-ready cycle is known, and never changes, once
+// its last producer has issued.  Consumers wait on intrusive lists
+// threaded through the ROB (RobEntry::firstConsumer).
+// -------------------------------------------------------------------
 
-const DetailedCore::RobEntry &
-DetailedCore::entry(std::uint64_t seq) const
+void
+DetailedCore::linkDependence(RobEntry &e, int slot)
 {
-    return rob_[seq % cfg_.robSize];
-}
-
-bool
-DetailedCore::depReady(std::uint64_t dep_seq, std::uint64_t now) const
-{
-    if (dep_seq == kNoDep)
-        return true;
-    if (dep_seq < robHeadSeq_)
-        return true; // producer already retired
-    const RobEntry &p = entry(dep_seq);
-    WSEL_ASSERT(p.valid && p.seq == dep_seq,
+    const std::uint64_t dep = slot == 0 ? e.dep1Seq : e.dep2Seq;
+    if (dep == kNoDep)
+        return;
+    RobEntry &p = entry(dep);
+    WSEL_ASSERT(p.valid && p.seq == dep,
                 "dependence on a µop not in the ROB");
-    return p.done && p.completion <= now;
+    if (p.issued) {
+        e.readyCycle = std::max(e.readyCycle, p.completion);
+        return;
+    }
+    e.nextConsumer[slot] = p.firstConsumer;
+    p.firstConsumer = (e.seq << 1) | static_cast<std::uint64_t>(slot);
+    ++e.pendingDeps;
+}
+
+void
+DetailedCore::wakeConsumers(const RobEntry &producer)
+{
+    for (std::uint64_t link = producer.firstConsumer; link != kNoDep;) {
+        RobEntry &c = entry(link >> 1);
+        WSEL_ASSERT(c.valid && c.seq == (link >> 1) && !c.issued &&
+                        c.pendingDeps > 0,
+                    "consumer list corrupted");
+        link = c.nextConsumer[link & 1];
+        c.readyCycle = std::max(c.readyCycle, producer.completion);
+        if (--c.pendingDeps == 0)
+            insertReady(c.seq, c.readyCycle);
+    }
+}
+
+void
+DetailedCore::insertReady(std::uint64_t seq, std::uint64_t cycle)
+{
+    WSEL_ASSERT(readyOps_.size() < cfg_.rsSize, "RS overflow");
+    auto pos = readyOps_.end();
+    while (pos != readyOps_.begin() && (pos - 1)->seq > seq)
+        --pos;
+    readyOps_.insert(pos, ReadyOp{seq, cycle});
+}
+
+void
+DetailedCore::fetchPush(const FetchedUop &f)
+{
+    std::uint32_t slot = fetchHead_ + fetchCount_;
+    if (slot >= cfg_.fetchBufferSize)
+        slot -= cfg_.fetchBufferSize;
+    fetchBuffer_[slot] = f;
+    ++fetchCount_;
+}
+
+void
+DetailedCore::fetchPop()
+{
+    if (++fetchHead_ == cfg_.fetchBufferSize)
+        fetchHead_ = 0;
+    --fetchCount_;
 }
 
 std::int64_t
@@ -132,7 +180,7 @@ DetailedCore::retire(std::uint64_t now)
         RobEntry &e = entry(robHeadSeq_);
         WSEL_ASSERT(e.valid && e.seq == robHeadSeq_,
                     "ROB head corrupted");
-        if (!e.done || e.completion > now)
+        if (!e.issued || e.completion > now)
             return;
         if (e.kind == OpKind::Store) {
             storeWrite(e, now);
@@ -196,23 +244,28 @@ DetailedCore::storeWrite(const RobEntry &e, std::uint64_t now)
 void
 DetailedCore::issue(std::uint64_t now)
 {
+    // Age order over the µops whose producers have issued; a
+    // consumer woken here is younger than its producer, so it lands
+    // behind the cursor and is still considered this cycle.
     std::uint32_t issued = 0;
-    for (auto it = rsQueue_.begin();
-         it != rsQueue_.end() && issued < cfg_.issueWidth;) {
-        RobEntry &e = entry(*it);
-        WSEL_ASSERT(e.valid && e.seq == *it && !e.issued,
-                    "RS queue corrupted");
-        if (!depReady(e.dep1Seq, now) || !depReady(e.dep2Seq, now)) {
-            ++it;
+    for (std::size_t i = 0;
+         i < readyOps_.size() && issued < cfg_.issueWidth;) {
+        if (readyOps_[i].cycle > now) {
+            ++i;
             continue;
         }
+        RobEntry &e = entry(readyOps_[i].seq);
+        WSEL_ASSERT(e.valid && e.seq == readyOps_[i].seq && !e.issued,
+                    "RS corrupted");
         if (!tryExecute(e, now)) {
-            ++it; // structural hazard (e.g. DL1 MSHRs full)
+            ++i; // structural hazard (e.g. DL1 MSHRs full)
             continue;
         }
         e.issued = true;
-        e.done = true;
-        it = rsQueue_.erase(it);
+        readyOps_.erase(readyOps_.begin() +
+                        static_cast<std::ptrdiff_t>(i));
+        --rsUsed_;
+        wakeConsumers(e);
         ++issued;
     }
 }
@@ -371,14 +424,14 @@ void
 DetailedCore::dispatch(std::uint64_t now)
 {
     for (std::uint32_t n = 0; n < cfg_.decodeWidth; ++n) {
-        if (fetchBuffer_.empty())
+        if (fetchCount_ == 0)
             return;
-        const FetchedUop &f = fetchBuffer_.front();
+        const FetchedUop &f = fetchFront();
         if (f.readyCycle > now)
             return;
         if (robTailSeq_ - robHeadSeq_ >= cfg_.robSize)
             return;
-        if (rsQueue_.size() >= cfg_.rsSize)
+        if (rsUsed_ >= cfg_.rsSize)
             return;
         if (f.uop.kind == OpKind::Load && ldqUsed_ >= cfg_.ldqSize)
             return;
@@ -408,13 +461,18 @@ DetailedCore::dispatch(std::uint64_t now)
         if (e.dep2Seq != kNoDep && e.dep2Seq < robHeadSeq_)
             e.dep2Seq = kNoDep;
 
+        linkDependence(e, 0);
+        linkDependence(e, 1);
+        if (e.pendingDeps == 0)
+            readyOps_.push_back(ReadyOp{e.seq, e.readyCycle});
+
         if (e.kind == OpKind::Load)
             ++ldqUsed_;
         if (e.kind == OpKind::Store)
             ++stqUsed_;
-        rsQueue_.push_back(e.seq);
+        ++rsUsed_;
         ++robTailSeq_;
-        fetchBuffer_.pop_front();
+        fetchPop();
     }
 }
 
@@ -431,7 +489,7 @@ DetailedCore::fetch(std::uint64_t now)
         return;
 
     for (std::uint32_t n = 0; n < cfg_.decodeWidth; ++n) {
-        if (fetchBuffer_.size() >= cfg_.fetchBufferSize)
+        if (fetchCount_ >= cfg_.fetchBufferSize)
             return;
 
         MicroOp uop;
@@ -497,13 +555,13 @@ DetailedCore::fetch(std::uint64_t now)
             if (!correct) {
                 ++stats_.branchMispredicts;
                 f.mispredicted = true;
-                fetchBuffer_.push_back(f);
+                fetchPush(f);
                 // Stall until the branch executes and redirects.
                 stalledBranchSeq_ = f.seq;
                 return;
             }
         }
-        fetchBuffer_.push_back(f);
+        fetchPush(f);
     }
 }
 
@@ -535,52 +593,104 @@ DetailedCore::issueIl1Prefetches(std::uint64_t now)
 std::uint64_t
 DetailedCore::nextEventCycle(std::uint64_t now) const
 {
+    // Every candidate is floored at now + 1, so reaching that floor
+    // settles the answer.
+    const std::uint64_t floor = now + 1;
     std::uint64_t best = UINT64_MAX;
     auto consider = [&](std::uint64_t c) {
-        best = std::min(best, std::max(c, now + 1));
+        best = std::min(best, std::max(c, floor));
+        return best == floor;
     };
 
     // Fetch progress.
     if (stalledBranchSeq_ == kNoDep &&
-        fetchBuffer_.size() < cfg_.fetchBufferSize)
-        consider(fetchStallUntil_);
+        fetchCount_ < cfg_.fetchBufferSize &&
+        consider(fetchStallUntil_))
+        return best;
 
     // Dispatch progress.
-    if (!fetchBuffer_.empty())
-        consider(fetchBuffer_.front().readyCycle);
+    if (fetchCount_ != 0 && consider(fetchFront().readyCycle))
+        return best;
 
     // Retire progress.
     if (robHeadSeq_ != robTailSeq_) {
         const RobEntry &h = entry(robHeadSeq_);
-        if (h.done)
-            consider(h.completion);
+        if (h.issued && consider(h.completion))
+            return best;
     }
 
-    // Issue progress: entries whose producers are already done
-    // become ready at the producers' completion.
-    for (std::uint64_t seq : rsQueue_) {
-        const RobEntry &e = entry(seq);
-        std::uint64_t ready = now + 1;
-        bool known = true;
-        for (std::uint64_t dep : {e.dep1Seq, e.dep2Seq}) {
-            if (dep == kNoDep || dep < robHeadSeq_)
-                continue;
-            const RobEntry &p = entry(dep);
-            if (!p.done) {
-                known = false;
-                break;
-            }
-            ready = std::max(ready, p.completion);
-        }
-        if (known)
-            consider(ready);
-    }
-
-    // MSHR frees (for loads blocked on a full MSHR file).
-    for (const Dl1Mshr &m : dl1Mshrs_)
-        consider(m.completion);
-
+    // Issue progress: a µop whose producers have all issued becomes
+    // ready at its operand-ready cycle; the others wait on an issue.
+    // A load stalled on a full MSHR file is ready already, so it
+    // keeps this at now + 1 until an MSHR frees.
+    for (const ReadyOp &r : readyOps_)
+        if (consider(r.cycle))
+            return best;
     return best;
+}
+
+std::uint64_t
+DetailedCore::paceCycle(std::uint64_t now, std::uint64_t next) const
+{
+    std::uint64_t best = next;
+    for (const Dl1Mshr &m : dl1Mshrs_) {
+        best = std::min(best, std::max(m.completion, now + 1));
+        if (best == now + 1)
+            break;
+    }
+    return best;
+}
+
+void
+runToTarget(std::span<DetailedCore *const> cores)
+{
+    struct Slot
+    {
+        DetailedCore *core;
+        std::uint64_t tickAt; ///< its nextEventCycle()
+        std::uint64_t paceAt; ///< its paceCycle()
+    };
+    std::vector<Slot> slots;
+    slots.reserve(cores.size());
+    for (DetailedCore *c : cores)
+        slots.push_back(Slot{c, 0, 0});
+
+    // Until a core finishes, only the cores' own events matter.
+    bool any_done = false;
+    std::uint64_t now = 0;
+    while (true) {
+        bool all_done = true;
+        for (Slot &s : slots) {
+            if (s.tickAt <= now) {
+                s.core->tick(now);
+                s.tickAt = s.core->nextEventCycle(now);
+                s.paceAt = s.core->paceCycle(now, s.tickAt);
+            }
+            const bool done = s.core->reachedTarget();
+            all_done = all_done && done;
+            any_done = any_done || done;
+        }
+        if (all_done)
+            return;
+        // No unfinished core can do better than the next cycle.
+        std::uint64_t next = UINT64_MAX;
+        for (const Slot &s : slots) {
+            if (s.core->reachedTarget())
+                continue;
+            next = std::min(next, any_done ? s.paceAt : s.tickAt);
+            if (next <= now + 1)
+                break;
+        }
+        WSEL_ASSERT(next != UINT64_MAX, "no core can make progress");
+        now = std::max(now + 1, next);
+    }
+}
+
+void
+runToTarget(DetailedCore &core)
+{
+    DetailedCore *const one[] = {&core};
+    runToTarget(one);
 }
 
 } // namespace wsel

@@ -15,9 +15,9 @@
 #define WSEL_CPU_DETAILED_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -36,7 +36,7 @@ namespace wsel
 struct CoreStats
 {
     std::uint64_t committed = 0;
-    std::uint64_t cycles = 0;          ///< cycles simulated so far
+    std::uint64_t cycles = 0;          ///< cycles this core was ticked
     std::uint64_t cyclesToTarget = 0;  ///< cycle the target committed
     std::uint64_t branches = 0;
     std::uint64_t branchMispredicts = 0;
@@ -84,7 +84,8 @@ class DetailedCore
 
     /**
      * Earliest future cycle (> @p now) at which this core could make
-     * progress; used by the multicore driver to skip idle cycles.
+     * progress.  Ticking the core at an earlier cycle changes
+     * nothing but stats().cycles, so runToTarget() skips it.
      */
     std::uint64_t nextEventCycle(std::uint64_t now) const;
 
@@ -96,20 +97,53 @@ class DetailedCore
     double ipc() const { return stats_.ipc(targetUops_); }
 
   private:
+    friend void runToTarget(std::span<DetailedCore *const> cores);
+
+    /**
+     * The cycle runToTarget()'s clock advances to once a core has
+     * finished: @p next (= nextEventCycle(@p now)) lowered to the
+     * earliest DL1 MSHR completion, floored at now + 1.  An MSHR
+     * that already completed stays listed until the next DL1 load
+     * miss prunes it, so this is usually now + 1.  It adds no
+     * progress, but finished cores tick on the cycles it visits, so
+     * it is part of the timing model.
+     */
+    std::uint64_t paceCycle(std::uint64_t now, std::uint64_t next) const;
+
     struct RobEntry
     {
         std::uint64_t seq = 0;
         OpKind kind = OpKind::IntAlu;
         bool valid = false;
-        bool issued = false;
-        bool done = false;
+        bool issued = false; ///< executed; completion is final
+        bool mispredicted = false;
+        std::uint8_t latency = 1;
+        /** Producers that have not issued yet. */
+        std::uint8_t pendingDeps = 0;
         std::uint64_t completion = 0;
+        /**
+         * Latest completion among the producers that have issued; the
+         * operand-ready cycle once pendingDeps reaches zero.
+         */
+        std::uint64_t readyCycle = 0;
         std::uint64_t dep1Seq = kNoDep;
         std::uint64_t dep2Seq = kNoDep;
+        /**
+         * Head of the list of unissued consumers waiting on this µop;
+         * a link is (consumer seq << 1) | dependence slot.
+         */
+        std::uint64_t firstConsumer = kNoDep;
+        /** Next link in the dep1 / dep2 producer's consumer list. */
+        std::uint64_t nextConsumer[2] = {kNoDep, kNoDep};
         std::uint64_t addr = 0;
         std::uint64_t pc = 0;
-        std::uint8_t latency = 1;
-        bool mispredicted = false;
+    };
+
+    /** RS entry whose producers have all issued, in age order. */
+    struct ReadyOp
+    {
+        std::uint64_t seq;
+        std::uint64_t cycle; ///< operand-ready cycle
     };
 
     struct FetchedUop
@@ -128,9 +162,14 @@ class DetailedCore
     void dispatch(std::uint64_t now);
     void fetch(std::uint64_t now);
 
-    RobEntry &entry(std::uint64_t seq);
-    const RobEntry &entry(std::uint64_t seq) const;
-    bool depReady(std::uint64_t dep_seq, std::uint64_t now) const;
+    RobEntry &entry(std::uint64_t seq) { return rob_[seq & robMask_]; }
+    const RobEntry &entry(std::uint64_t seq) const
+    {
+        return rob_[seq & robMask_];
+    }
+    void linkDependence(RobEntry &e, int slot);
+    void wakeConsumers(const RobEntry &producer);
+    void insertReady(std::uint64_t seq, std::uint64_t cycle);
     bool tryExecute(RobEntry &e, std::uint64_t now);
     void executeLoadMiss(RobEntry &e, std::uint64_t now,
                          std::uint64_t start);
@@ -140,6 +179,13 @@ class DetailedCore
     void issueIl1Prefetches(std::uint64_t now);
     void emitEvent(const UncoreRequestEvent &ev);
     std::int64_t inheritedMissDep(const RobEntry &e) const;
+
+    const FetchedUop &fetchFront() const
+    {
+        return fetchBuffer_[fetchHead_];
+    }
+    void fetchPush(const FetchedUop &f);
+    void fetchPop();
 
     const CoreConfig cfg_;
     TraceCursor trace_;
@@ -155,17 +201,27 @@ class DetailedCore
     std::unique_ptr<Prefetcher> dl1Prefetcher_;
     std::unique_ptr<Prefetcher> il1Prefetcher_;
 
-    // ROB as a ring indexed by seq % robSize.
+    // ROB as a ring indexed by seq & robMask_: the ring is robSize
+    // rounded up to a power of two, so indexing is a mask for any
+    // robSize; occupancy is still capped at robSize.
     std::vector<RobEntry> rob_;
+    std::uint64_t robMask_ = 0;
     std::uint64_t robHeadSeq_ = 0; ///< oldest in-flight seq
     std::uint64_t robTailSeq_ = 0; ///< next seq to dispatch
     std::uint32_t ldqUsed_ = 0;
     std::uint32_t stqUsed_ = 0;
 
-    // RS: seqs dispatched but not yet issued, in age order.
-    std::deque<std::uint64_t> rsQueue_;
+    // RS: rsUsed_ counts dispatched, unissued µops.  Only those
+    // whose producers have all issued are in readyOps_ (capacity
+    // rsSize, sorted by seq); the rest wait on their producers'
+    // consumer lists and are never scanned.
+    std::uint32_t rsUsed_ = 0;
+    std::vector<ReadyOp> readyOps_;
 
-    std::deque<FetchedUop> fetchBuffer_;
+    // Fetch buffer: a fixed ring of fetchBufferSize slots.
+    std::vector<FetchedUop> fetchBuffer_;
+    std::uint32_t fetchHead_ = 0;
+    std::uint32_t fetchCount_ = 0;
     std::optional<MicroOp> pendingUop_;
     std::uint64_t nextFetchSeq_ = 0;
     std::uint64_t fetchStallUntil_ = 0;
@@ -187,6 +243,22 @@ class DetailedCore
     CoreStats stats_;
     std::vector<std::uint64_t> prefetchScratch_;
 };
+
+/**
+ * The cycle loop every caller of detailed cores shares.  Runs
+ * @p cores (which may share one uncore; on any one cycle they tick
+ * in order) from cycle 0 until each has reached its target.  A core
+ * is ticked only at cycles at which it can progress, and the clock
+ * jumps between such cycles.  Once a core has finished, its thread
+ * restarts and keeps contending for the uncore (paper §IV-A); from
+ * then on the clock steps through every paceCycle() of the
+ * unfinished cores, and the finished cores' ticks land on the first
+ * of those cycles at or after their own next event.
+ */
+void runToTarget(std::span<DetailedCore *const> cores);
+
+/** Single-core form of runToTarget(). */
+void runToTarget(DetailedCore &core);
 
 } // namespace wsel
 

@@ -47,12 +47,7 @@ characterizeBenchmark(const BenchmarkProfile &profile,
     Uncore uncore(uncore_cfg, 1, seed);
     DetailedCore core(core_cfg, TraceStore::global().cursor(profile),
                       uncore, 0, target_uops, seed);
-    std::uint64_t now = 0;
-    while (!core.reachedTarget()) {
-        core.tick(now);
-        const std::uint64_t next = core.nextEventCycle(now);
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
-    }
+    runToTarget(core);
 
     const double n = static_cast<double>(target_uops);
     const double kilo = n / 1000.0;

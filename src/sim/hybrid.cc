@@ -1,6 +1,7 @@
 #include "sim/hybrid.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -254,16 +255,33 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
         for (PolicyKind p : policies)
             ucfgs.push_back(UncoreConfig::forCores(k, p));
 
+        // Resumed batches load first; the cells of every other batch
+        // then go to the pool one by one, so --jobs threads share
+        // the phase even when one batch holds every escalated row.
+        // The batch file stays the unit of persistence: whichever
+        // cell of a batch finishes last writes it.
         const std::uint64_t batches =
             (esc_n + opts.batchRows - 1) / opts.batchRows;
-        std::vector<std::uint64_t> simulated(batches, 0);
-        std::vector<std::uint64_t> resumed(batches, 0);
-        auto run_batch = [&](std::size_t b) {
-            const std::size_t first = static_cast<std::size_t>(
-                b * opts.batchRows);
-            const std::size_t count = std::min<std::size_t>(
+        auto batch_first = [&](std::uint64_t b) {
+            return static_cast<std::size_t>(b * opts.batchRows);
+        };
+        auto batch_rows = [&](std::uint64_t b) {
+            return std::min<std::size_t>(
                 static_cast<std::size_t>(opts.batchRows),
-                esc_n - first);
+                esc_n - batch_first(b));
+        };
+        // Pending cells in batch, row, policy order.
+        struct PendingCell
+        {
+            std::uint64_t batch;
+            std::size_t ord; ///< index into esc_ranks
+            std::size_t policy;
+        };
+        std::vector<PendingCell> pending;
+        std::vector<std::atomic<std::size_t>> cells_left(batches);
+        for (std::uint64_t b = 0; b < batches; ++b) {
+            const std::size_t first = batch_first(b);
+            const std::size_t count = batch_rows(b);
             const std::string path =
                 fidelity::fidelityBatchPath(out_dir, b);
             if (opts.resume) {
@@ -281,8 +299,8 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                         std::copy(got.ipc.begin(), got.ipc.end(),
                                   det_ipc.begin() +
                                       first * np * k);
-                        resumed[b] = count * np;
-                        return;
+                        result.detailedCellsResumed += count * np;
+                        continue;
                     }
                     // A well-formed batch for a different
                     // escalation set is stale, not corrupt.
@@ -302,6 +320,15 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                     }
                 }
             }
+            cells_left[b].store(count * np, std::memory_order_relaxed);
+            for (std::size_t r = 0; r < count; ++r)
+                for (std::size_t p = 0; p < np; ++p)
+                    pending.push_back({b, first + r, p});
+        }
+
+        auto write_batch = [&](std::uint64_t b) {
+            const std::size_t first = batch_first(b);
+            const std::size_t count = batch_rows(b);
             fidelity::FidelityBatch batch;
             batch.detailedFingerprint = detailed_fp;
             batch.index = b;
@@ -310,38 +337,10 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
             batch.numPolicies = static_cast<std::uint32_t>(np);
             batch.ranks.assign(esc_ranks.begin() + first,
                                esc_ranks.begin() + first + count);
-            batch.ipc.assign(count * np * k, 0.0);
-            for (std::size_t r = 0; r < count; ++r) {
-                const std::uint64_t rank = batch.ranks[r];
-                const Workload w = pop.unrank(rank);
-                for (std::size_t p = 0; p < np; ++p) {
-                    persist::faultPoint("fidelity.escalate");
-                    const auto c0 =
-                        std::chrono::steady_clock::now();
-                    const DetailedMulticoreSim sim(
-                        opts.coreCfg, ucfgs[p], k, target_uops,
-                        campaignCellSeed(detailed_fp, opts.seed, p,
-                                         rank));
-                    const SimResult res = sim.run(w, suite);
-                    for (std::uint32_t c = 0; c < k; ++c)
-                        batch.ipc[(r * np + p) * k + c] =
-                            res.ipc[c];
-                    if (obs::metricsEnabled()) {
-                        static obs::LatencyHistogram &detNs =
-                            obs::histogram("fidelity.detailed_ns");
-                        detNs.recordNs(static_cast<std::uint64_t>(
-                            std::chrono::duration<double,
-                                                   std::nano>(
-                                std::chrono::steady_clock::now() -
-                                c0)
-                                .count()));
-                    }
-                }
-            }
+            batch.ipc.assign(det_ipc.begin() + first * np * k,
+                             det_ipc.begin() +
+                                 (first + count) * np * k);
             fidelity::writeFidelityBatch(out_dir, batch);
-            std::copy(batch.ipc.begin(), batch.ipc.end(),
-                      det_ipc.begin() + first * np * k);
-            simulated[b] = count * np;
             if (opts.verbose) {
                 std::ostringstream os;
                 os << "  [hybrid] detailed batch " << (b + 1)
@@ -349,19 +348,39 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                 logLine(os.str());
             }
         };
-        if (jobs <= 1 || batches <= 1) {
-            for (std::uint64_t b = 0; b < batches; ++b)
-                run_batch(b);
+        auto run_cell = [&](std::size_t i) {
+            const PendingCell &cell = pending[i];
+            const std::size_t p = cell.policy;
+            const std::uint64_t rank = esc_ranks[cell.ord];
+            persist::faultPoint("fidelity.escalate");
+            const auto c0 = std::chrono::steady_clock::now();
+            const DetailedMulticoreSim sim(
+                opts.coreCfg, ucfgs[p], k, target_uops,
+                campaignCellSeed(detailed_fp, opts.seed, p, rank));
+            const SimResult res = sim.run(pop.unrank(rank), suite);
+            std::copy(res.ipc.begin(), res.ipc.end(),
+                      det_ipc.begin() + (cell.ord * np + p) * k);
+            if (obs::metricsEnabled()) {
+                static obs::LatencyHistogram &detNs =
+                    obs::histogram("fidelity.detailed_ns");
+                detNs.recordNs(static_cast<std::uint64_t>(
+                    std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - c0)
+                        .count()));
+            }
+            if (cells_left[cell.batch].fetch_sub(
+                    1, std::memory_order_acq_rel) == 1)
+                write_batch(cell.batch);
+        };
+        const std::size_t n = pending.size();
+        if (jobs <= 1 || n <= 1) {
+            for (std::size_t i = 0; i < n; ++i)
+                run_cell(i);
         } else {
-            exec::ThreadPool pool(
-                std::min<std::size_t>(jobs, batches));
-            exec::parallel_for(pool, std::size_t{0}, batches,
-                               run_batch);
+            exec::ThreadPool pool(std::min<std::size_t>(jobs, n));
+            exec::parallel_for(pool, std::size_t{0}, n, run_cell);
         }
-        for (std::uint64_t b = 0; b < batches; ++b) {
-            result.detailedCellsSimulated += simulated[b];
-            result.detailedCellsResumed += resumed[b];
-        }
+        result.detailedCellsSimulated += n;
     }
 
     // Phase 4: splice detailed d(w) values over BADCO's and emit

@@ -78,24 +78,11 @@ DetailedMulticoreSim::run(
             uncore, k, targetUops_, seed_ + 0x1000 * (k + 1)));
     }
 
-    std::uint64_t now = 0;
-    while (true) {
-        bool all_done = true;
-        for (auto &c : coresv) {
-            c->tick(now);
-            all_done = all_done && c->reachedTarget();
-        }
-        if (all_done)
-            break;
-        // Skip cycles in which no unfinished core can progress.
-        std::uint64_t next = UINT64_MAX;
-        for (auto &c : coresv) {
-            if (c->reachedTarget())
-                continue;
-            next = std::min(next, c->nextEventCycle(now));
-        }
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
-    }
+    std::vector<DetailedCore *> view;
+    view.reserve(cores_);
+    for (const auto &c : coresv)
+        view.push_back(c.get());
+    runToTarget(view);
 
     SimResult res;
     res.ipc.reserve(cores_);
@@ -136,13 +123,7 @@ DetailedMulticoreSim::referenceIpcs(
         Uncore uncore(ref_cfg, 1, seed_);
         DetailedCore core(coreCfg_, TraceStore::global().cursor(p),
                           uncore, 0, targetUops_, seed_ + 0x51);
-        std::uint64_t now = 0;
-        while (!core.reachedTarget()) {
-            core.tick(now);
-            const std::uint64_t next = core.nextEventCycle(now);
-            now = std::max(now + 1,
-                           next == UINT64_MAX ? now + 1 : next);
-        }
+        runToTarget(core);
         refs.push_back(core.ipc());
     }
     return refs;

@@ -3,6 +3,10 @@
  * Tests for the detailed out-of-order core model.
  */
 
+#include <array>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cpu/detailed_core.hh"
@@ -51,7 +55,7 @@ TEST(DetailedCore, DeterministicAcrossRuns)
 
 TEST(DetailedCore, IdleSkippingPreservesTiming)
 {
-    // Driving the core with nextEventCycle() jumps must produce the
+    // Driving the core with runToTarget() jumps must produce the
     // exact same cycle count as stepping every cycle.
     const BenchmarkProfile p = test::heavyProfile();
     UncoreConfig ucfg = UncoreConfig::forCores(4, PolicyKind::LRU);
@@ -61,17 +65,12 @@ TEST(DetailedCore, IdleSkippingPreservesTiming)
     Uncore u1(ucfg, 1, 5);
     DetailedCore skip(ccfg, TraceStore::global().cursor(p), u1, 0,
                       target, 1);
-    std::uint64_t now = 0;
-    while (!skip.reachedTarget()) {
-        skip.tick(now);
-        const std::uint64_t next = skip.nextEventCycle(now);
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
-    }
+    runToTarget(skip);
 
     Uncore u2(ucfg, 1, 5);
     DetailedCore step(ccfg, TraceStore::global().cursor(p), u2, 0,
                       target, 1);
-    now = 0;
+    std::uint64_t now = 0;
     while (!step.reachedTarget()) {
         step.tick(now);
         ++now;
@@ -81,6 +80,186 @@ TEST(DetailedCore, IdleSkippingPreservesTiming)
               step.stats().cyclesToTarget);
     EXPECT_EQ(skip.stats().dl1Misses, step.stats().dl1Misses);
     EXPECT_EQ(skip.stats().uncoreLoads, step.stats().uncoreLoads);
+}
+
+namespace
+{
+
+/** One request as the shared uncore saw it, with its answer. */
+struct UncoreCall
+{
+    std::uint64_t cycle;
+    std::uint32_t core;
+    std::uint64_t vaddr;
+    bool isWrite;
+    bool isPrefetch;
+    bool isWriteback;
+    std::uint64_t completion;
+
+    bool operator==(const UncoreCall &) const = default;
+};
+
+/** Forwards to a real Uncore and records the interleaved stream. */
+class RecordingUncore : public UncoreIf
+{
+  public:
+    explicit RecordingUncore(Uncore &inner) : inner_(inner) {}
+
+    std::uint64_t
+    access(std::uint64_t cycle, std::uint32_t core_id,
+           std::uint64_t vaddr, bool is_write, std::uint64_t pc,
+           bool is_prefetch) override
+    {
+        const std::uint64_t done = inner_.access(
+            cycle, core_id, vaddr, is_write, pc, is_prefetch);
+        calls.push_back(UncoreCall{cycle, core_id, vaddr, is_write,
+                                   is_prefetch, false, done});
+        return done;
+    }
+
+    void
+    writeback(std::uint64_t cycle, std::uint32_t core_id,
+              std::uint64_t vaddr) override
+    {
+        inner_.writeback(cycle, core_id, vaddr);
+        calls.push_back(
+            UncoreCall{cycle, core_id, vaddr, true, false, true, 0});
+    }
+
+    std::uint32_t hitLatency() const override
+    {
+        return inner_.hitLatency();
+    }
+
+    std::vector<UncoreCall> calls;
+
+  private:
+    Uncore &inner_;
+};
+
+/** Per-core observer of the emitted request events. */
+class EventLog : public CoreObserver
+{
+  public:
+    void
+    onUncoreRequest(const UncoreRequestEvent &ev) override
+    {
+        events.push_back({ev.uopSeq, ev.vaddr, ev.pc,
+                          static_cast<std::uint64_t>(ev.dependsOn),
+                          ev.issueCycle,
+                          static_cast<std::uint64_t>(
+                              ev.isWrite | ev.isWriteback << 1 |
+                              ev.isPrefetch << 2 |
+                              ev.isInstruction << 3)});
+    }
+
+    std::vector<std::array<std::uint64_t, 6>> events;
+};
+
+struct FourCoreRun
+{
+    std::vector<std::uint64_t> cyclesToTarget;
+    std::vector<std::uint64_t> committed;
+    std::vector<std::vector<std::array<std::uint64_t, 6>>> events;
+    std::vector<UncoreCall> calls;
+};
+
+/**
+ * Four cores on one shared Uncore, ticked in core order until all
+ * have reached their target.  @p skip jumps to the earliest cycle
+ * at which any core, finished or not, could progress (finished
+ * cores keep running, so they must pace the clock here for the two
+ * modes to agree); otherwise every cycle is stepped.
+ */
+FourCoreRun
+runFourCores(const CoreConfig &ccfg, bool skip)
+{
+    const std::uint64_t target = 6000;
+    const std::vector<BenchmarkProfile> profiles = {
+        test::heavyProfile(11), test::lightProfile(7),
+        test::heavyProfile(23), test::lightProfile(13)};
+    Uncore shared(UncoreConfig::forCores(4, PolicyKind::DRRIP), 4,
+                  9);
+    RecordingUncore rec(shared);
+    std::vector<std::unique_ptr<DetailedCore>> cores;
+    std::vector<EventLog> logs(profiles.size());
+    for (std::uint32_t k = 0; k < profiles.size(); ++k) {
+        cores.push_back(std::make_unique<DetailedCore>(
+            ccfg, TraceStore::global().cursor(profiles[k]), rec, k,
+            target, 3 + k));
+        cores.back()->setObserver(&logs[k]);
+    }
+    std::uint64_t now = 0;
+    while (true) {
+        bool all_done = true;
+        for (auto &c : cores) {
+            c->tick(now);
+            all_done = all_done && c->reachedTarget();
+        }
+        if (all_done)
+            break;
+        std::uint64_t next = now + 1;
+        if (skip) {
+            next = UINT64_MAX;
+            for (auto &c : cores)
+                next = std::min(next, c->nextEventCycle(now));
+        }
+        EXPECT_GT(next, now);
+        now = next;
+    }
+    FourCoreRun r;
+    for (std::uint32_t k = 0; k < cores.size(); ++k) {
+        r.cyclesToTarget.push_back(cores[k]->stats().cyclesToTarget);
+        r.committed.push_back(cores[k]->stats().committed);
+        r.events.push_back(std::move(logs[k].events));
+    }
+    r.calls = std::move(rec.calls);
+    return r;
+}
+
+} // namespace
+
+TEST(DetailedCore, IdleSkippingPreservesTimingOnSharedUncore)
+{
+    // Four cores contending for one uncore, stepped every cycle vs
+    // jumped by nextEventCycle(): every request, its cycle and the
+    // uncore's answer must match, for the Table I core, a ROB that
+    // is not a power of two, and queues small enough that RS-full,
+    // LDQ-full and MSHR-full stalls are common.
+    CoreConfig table1;
+    CoreConfig odd_rob;
+    odd_rob.robSize = 96;
+    CoreConfig tight;
+    tight.robSize = 96;
+    tight.rsSize = 6;
+    tight.ldqSize = 4;
+    tight.stqSize = 4;
+    tight.dl1Mshrs = 2;
+    std::vector<std::uint64_t> base_cycles;
+    for (const CoreConfig &ccfg : {table1, odd_rob, tight}) {
+        SCOPED_TRACE(ccfg.describe());
+        const FourCoreRun step = runFourCores(ccfg, false);
+        const FourCoreRun skip = runFourCores(ccfg, true);
+        EXPECT_EQ(skip.cyclesToTarget, step.cyclesToTarget);
+        EXPECT_EQ(skip.committed, step.committed);
+        ASSERT_EQ(skip.events.size(), step.events.size());
+        for (std::size_t k = 0; k < step.events.size(); ++k) {
+            EXPECT_GT(step.events[k].size(), 50u);
+            EXPECT_TRUE(skip.events[k] == step.events[k])
+                << "core " << k;
+        }
+        EXPECT_GT(step.calls.size(), 200u);
+        EXPECT_TRUE(skip.calls == step.calls);
+        // The small queues must bind on the memory-heavy cores (0
+        // and 2); the light cores may even speed up as the heavy
+        // ones press the uncore less.
+        if (base_cycles.empty()) {
+            base_cycles = step.cyclesToTarget;
+        } else if (ccfg.rsSize == tight.rsSize) {
+            EXPECT_GT(step.cyclesToTarget[0], base_cycles[0]);
+            EXPECT_GT(step.cyclesToTarget[2], base_cycles[2]);
+        }
+    }
 }
 
 TEST(DetailedCore, SlowerUncoreMeansMoreCycles)
@@ -156,12 +335,7 @@ TEST(DetailedCore, ObserverSeesConsistentRequestStream)
                       0, 20000, 1);
     EventCollector obs;
     core.setObserver(&obs);
-    std::uint64_t now = 0;
-    while (!core.reachedTarget()) {
-        core.tick(now);
-        const std::uint64_t next = core.nextEventCycle(now);
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
-    }
+    runToTarget(core);
 
     ASSERT_GT(obs.events.size(), 100u);
     std::int64_t data_loads = 0;

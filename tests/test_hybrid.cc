@@ -77,13 +77,15 @@ class HybridCampaign : public ::testing::Test
     /**
      * The standard run: LRU vs DIP over the full 4-core population
      * of the 3-benchmark suite (15 rows, 4 shards), quantile 0.95,
-     * budget 0.25, 2 rows per detailed batch.  A fresh *empty*
+     * budget 0.25, @p batch_rows rows per detailed batch (2 unless
+     * a test asks for the default).  A fresh *empty*
      * profile has an infinite error bound, so every row straddles
      * and the budget alone picks the escalation set — maximally
      * deterministic for the resilience tests.
      */
     HybridResult
-    run(const std::string &out, std::size_t jobs = 1)
+    run(const std::string &out, std::size_t jobs = 1,
+        std::uint64_t batch_rows = 2)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(
@@ -93,7 +95,8 @@ class HybridCampaign : public ::testing::Test
         HybridOptions opts;
         opts.jobs = jobs;
         opts.shardCells = 8;
-        opts.batchRows = 2;
+        opts.batchRows = batch_rows;
+        batchRows_ = batch_rows;
         return runHybridCampaign(pop, PolicyKind::LRU,
                                  PolicyKind::DIP,
                                  ThroughputMetric::IPCT, kUops,
@@ -117,7 +120,8 @@ class HybridCampaign : public ::testing::Test
                            test::readFile(
                                fidelity::escalationRecordPath(out)));
         const std::uint64_t batches =
-            (r.escalation.escalatedCount + 1) / 2; // batchRows = 2
+            (r.escalation.escalatedCount + batchRows_ - 1) /
+            batchRows_;
         for (std::uint64_t b = 0; b < batches; ++b)
             files.emplace_back(
                 fidelity::fidelityBatchName(b),
@@ -145,6 +149,7 @@ class HybridCampaign : public ::testing::Test
     }
 
     std::string dir_;
+    std::uint64_t batchRows_ = 2; ///< of the latest run()
 };
 
 TEST_F(HybridCampaign, BudgetCapsEscalationSet)
@@ -194,6 +199,22 @@ TEST_F(HybridCampaign, SerialAndParallelBitwiseIdentical)
     expectIdenticalArtifacts(serial, rs, parallel, rp);
 }
 
+TEST_F(HybridCampaign, DefaultBatchRowsJobsInvariant)
+{
+    // At the default 64 rows every escalation fits one batch file;
+    // its cells still spread over the jobs, and the file, like
+    // hybrid.bin, must not depend on how many there were.
+    const std::uint64_t rows = HybridOptions{}.batchRows;
+    const std::string serial = path("serial");
+    const std::string parallel = path("parallel");
+    const HybridResult rs = run(serial, 1, rows);
+    const HybridResult rp = run(parallel, 4, rows);
+    EXPECT_EQ(rs.escalation.escalatedCount, 4u);
+    EXPECT_EQ(rp.detailedCellsSimulated, 4u * 2u);
+    ASSERT_FALSE(fs::exists(fidelity::fidelityBatchPath(serial, 1)));
+    expectIdenticalArtifacts(serial, rs, parallel, rp);
+}
+
 TEST_F(HybridCampaign, KillMidEscalationResumesIdentical)
 {
     const std::string ref = path("ref");
@@ -212,6 +233,25 @@ TEST_F(HybridCampaign, KillMidEscalationResumesIdentical)
     EXPECT_EQ(r2.detailedCellsResumed, 4u);  // batch 0 survives
     EXPECT_EQ(r2.detailedCellsSimulated, 4u); // batch 1 redone
     EXPECT_EQ(r2.badco.cellsSimulated, 0u);  // phase 1 resumed
+    expectIdenticalArtifacts(ref, rr, out, r2);
+}
+
+TEST_F(HybridCampaign, KillMidEscalationResumesAtOtherJobCount)
+{
+    // Killed on one thread, resumed on four: the resumed batch loads
+    // before the remaining cells fan out, and every byte matches.
+    const std::string ref = path("ref");
+    const HybridResult rr = run(ref);
+
+    const std::string out = path("v3");
+    {
+        test::FaultInjector fi("fidelity.escalate", 5);
+        EXPECT_THROW(run(out, 1), test::InjectedFault);
+    }
+    const HybridResult r2 = run(out, 4);
+    EXPECT_EQ(r2.detailedCellsResumed, 4u);
+    EXPECT_EQ(r2.detailedCellsSimulated, 4u);
+    EXPECT_EQ(r2.badco.cellsSimulated, 0u);
     expectIdenticalArtifacts(ref, rr, out, r2);
 }
 

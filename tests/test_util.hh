@@ -74,12 +74,7 @@ runSingleCore(const BenchmarkProfile &profile, UncoreIf &uncore,
     CoreConfig cfg;
     DetailedCore core(cfg, TraceStore::global().cursor(profile),
                       uncore, 0, target, seed);
-    std::uint64_t now = 0;
-    while (!core.reachedTarget()) {
-        core.tick(now);
-        const std::uint64_t next = core.nextEventCycle(now);
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
-    }
+    runToTarget(core);
     return core.stats();
 }
 

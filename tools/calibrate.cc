@@ -34,13 +34,7 @@ main(int argc, char **argv)
         Uncore uncore(ucfg, 1, 1);
         DetailedCore core(ccfg, TraceStore::global().cursor(p),
                           uncore, 0, target, 1);
-        std::uint64_t now = 0;
-        while (!core.reachedTarget()) {
-            core.tick(now);
-            const std::uint64_t next = core.nextEventCycle(now);
-            now = std::max(now + 1,
-                           next == UINT64_MAX ? now + 1 : next);
-        }
+        runToTarget(core);
         const CoreStats &cs = core.stats();
         const double kinsn = static_cast<double>(target) / 1000.0;
         const double llc_mpki =

@@ -45,8 +45,10 @@
 #
 # The mixed-fidelity layer (docs/FIDELITY.md) gets a smoke on every
 # sanitizer preset — calibrate, SIGKILL a hybrid campaign at the
-# `fidelity.escalate` kill point, resume to a committed report —
-# and the release leg archives hybrid_fidelity's escalation-budget
+# `fidelity.escalate` kill point, resume to a committed report,
+# then byte-compare --jobs 1 against --jobs 4 at the default batch
+# rows (one batch file whose cells spread over the threads) — and
+# the release leg archives hybrid_fidelity's escalation-budget
 # vs ranking-accuracy sweep to build-release/BENCH_hybrid.json.
 #
 # Usage: tools/ci.sh [preset ...]   (default: release asan-ubsan
@@ -171,6 +173,25 @@ for preset in $presets; do
             --budget-frac 0.25 --batch-rows 2 --jobs 4 \
             --batch-cells 8
         test -s "$hybdir/run/hybrid.bin"
+        # Default batch rows: one batch file holds every escalated
+        # row and its cells spread over the jobs; --jobs 1 and
+        # --jobs 4 must commit the same bytes.  Each run reads its
+        # own copy of one frozen profile (a run updates its profile
+        # online).
+        for jobs in 1 4; do
+            cp "$hybdir/cache/error_profile.bin" \
+                "$hybdir/profile-j$jobs.bin"
+            WSEL_CACHE_DIR="$hybdir/cache" \
+                "./$bindir/tools/wsel_cli" hybrid \
+                --out "$hybdir/default-j$jobs" \
+                --insns 5000 --cores 2 --limit 24 \
+                --budget-frac 0.25 --jobs "$jobs" \
+                --profile "$hybdir/profile-j$jobs.bin"
+        done
+        test "$(ls "$hybdir"/default-j1/fidelity-batch-*.bin | wc -l)" -eq 1
+        for f in hybrid.bin "$(cd "$hybdir/default-j1" && ls fidelity-batch-*.bin)"; do
+            cmp "$hybdir/default-j1/$f" "$hybdir/default-j4/$f"
+        done
         rm -rf "$hybdir"
         echo "==> hybrid smoke passed under $preset"
 

@@ -61,7 +61,8 @@
  *       [--first R] [--last R] [--shard-size CELLS] [--jobs N]
  *       [--quantile Q] [--budget-frac F] [--threshold T]
  *       [--batch-rows W] [--profile FILE] [--calibrate W]
- *       [--resume 0|1] [--seed S]
+ *       [--resume 0|1] [--seed S] [--batch-cells B]
+ *       [--batch-wave W] [--verbose 1]
  *       error-bounded mixed-fidelity campaign (docs/FIDELITY.md):
  *       BADCO sweep, then cells whose d(w) error interval
  *       straddles --threshold escalate to the detailed simulator
@@ -1248,11 +1249,12 @@ usage()
         "      sequential campaign that stops at target confidence\n"
         "      (docs/SAMPLING.md); resumable bitwise-identically\n"
         "  hybrid --out DIR [--x POL --y POL|--policies Y,X]\n"
-        "      [--metric M] [--cores K] [--insns N] [--limit N]\n"
+        "      [--metric M] [--cores K] [--insns N]\n"
+        "      [--first R] [--last R|--limit N] [--shard-size CELLS]\n"
         "      [--quantile Q] [--budget-frac F] [--threshold T]\n"
-        "      [--profile FILE] [--calibrate W] [--jobs N]\n"
-        "      [--resume 0|1] [--seed S] [--batch-cells B]\n"
-        "      [--batch-wave W]\n"
+        "      [--batch-rows W] [--profile FILE] [--calibrate W]\n"
+        "      [--jobs N] [--resume 0|1] [--seed S]\n"
+        "      [--batch-cells B] [--batch-wave W] [--verbose 1]\n"
         "      error-bounded mixed-fidelity campaign: BADCO sweep,\n"
         "      then suspect cells escalate to the detailed\n"
         "      simulator, at most --budget-frac of the population;\n"
