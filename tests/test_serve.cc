@@ -1015,6 +1015,8 @@ TEST_F(ServeDistributedTest, PoisonShardQuarantinedCampaignFails)
     const serve::CampaignSpec spec = tinySpec();
     Service service(coordinatorOptions());
     serve::Client client(socket_);
+    const double workers0 = counterValue(client.metricsJson(),
+                                         "serve.workers_active");
     const std::uint64_t id = client.submit(spec);
 
     // Two workers in a row die the moment they start shard 2; the
@@ -1025,9 +1027,33 @@ TEST_F(ServeDistributedTest, PoisonShardQuarantinedCampaignFails)
             spawnWorker({"WSEL_KILL_POINT=serve.shard-start:1",
                          "WSEL_KILL_SHARD=2"}));
 
+    // The second victim may already have committed every other
+    // shard, so the campaign can finish before the healthy worker
+    // below says hello.  A drain only sends Shutdown to registered
+    // workers, so before stopping the daemon wait until it has
+    // dropped both victims, then until it has registered the
+    // healthy one.
+    const auto awaitWorkers = [&](double want) {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(30);
+        double workers = -1.0;
+        while (std::chrono::steady_clock::now() < deadline) {
+            workers = counterValue(client.metricsJson(),
+                                   "serve.workers_active");
+            if (workers == want)
+                break;
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(10));
+        }
+        EXPECT_EQ(workers, want);
+    };
+    awaitWorkers(workers0);
+
     // A healthy worker finishes everything else; the campaign
     // completes as Failed, not wedged.
     const pid_t w = spawnWorker();
+    awaitWorkers(workers0 + 1.0);
+
     const serve::StatusMsg st = client.waitFinished(id);
     EXPECT_EQ(st.state, serve::CampaignState::Failed);
     EXPECT_NE(st.message.find("quarantined"), std::string::npos)
