@@ -2,12 +2,15 @@
  * @file
  * Distributed campaign service scaling (docs/ROBUSTNESS.md,
  * "Distributed campaigns"): cells/sec of one population campaign
- * served by 1/2/4/8 `wsel_worker` processes through the
- * coordinator, against the in-process population runner at
- * --jobs 8 on the same rank range.  The distributed path pays for
- * process isolation (socket round-trips per lease, per-worker
- * model loads and reference-IPC computation, shard files through
- * the kernel) and this bench quantifies that overhead.
+ * served by 1/2/4/8 single-threaded (`--jobs 1`) `wsel_worker`
+ * processes through the coordinator, so that axis measures
+ * process scaling alone, plus one worker at its default job count
+ * (every host thread inside one process), against the in-process
+ * population runner at --jobs 8 on the same rank range.  The
+ * distributed path pays for process isolation (socket round-trips
+ * per lease, per-worker model loads and reference-IPC computation,
+ * shard files through the kernel) and this bench quantifies that
+ * overhead.
  *
  * Environment knobs (beyond bench_util.hh's):
  *  - WSEL_SERVE_ROWS: population rows in the campaign
@@ -72,18 +75,23 @@ benchSpec(std::uint64_t rows, std::uint64_t shard_rows,
 struct Run
 {
     std::size_t workers = 0;
+    std::size_t jobs = 0; ///< each worker's --jobs (0 = default)
     double seconds = 0.0;
     double cellsPerSec = 0.0;
 };
 
-/** One timed distributed run with @p workers worker processes. */
+/**
+ * One timed distributed run with @p workers worker processes, each
+ * given `--jobs` @p jobs.
+ */
 Run
 runDistributed(const serve::CampaignSpec &spec,
-               std::size_t workers, const std::string &scratch,
-               const std::string &cache)
+               std::size_t workers, std::size_t jobs,
+               const std::string &scratch, const std::string &cache)
 {
-    const std::string dir =
-        scratch + "/w" + std::to_string(workers);
+    const std::string dir = scratch + "/w" +
+                            std::to_string(workers) + "j" +
+                            std::to_string(jobs);
     fs::remove_all(dir);
     fs::create_directories(dir);
 
@@ -99,10 +107,12 @@ runDistributed(const serve::CampaignSpec &spec,
     for (std::size_t i = 0; i < workers; ++i)
         pids.push_back(serve::spawnProcess(
             {worker_bin, "--socket", opts.socketPath,
-             "--cache-dir", cache}));
+             "--cache-dir", cache, "--jobs",
+             std::to_string(jobs)}));
 
     Run r;
     r.workers = workers;
+    r.jobs = jobs;
     const auto t0 = std::chrono::steady_clock::now();
     {
         serve::Client client(opts.socketPath);
@@ -194,13 +204,17 @@ main()
     std::printf("%-24s %10d %10.2f %12.0f\n", "in-process --jobs 8",
                 1, base_sec, base_cps);
 
+    // Single-threaded workers for the process-scaling axis, then
+    // one worker at the default (all host threads).
     std::vector<Run> runs;
-    for (const std::size_t n : {1u, 2u, 4u, 8u}) {
-        const Run r = runDistributed(spec, n, scratch, cache);
-        std::printf("%-24s %10zu %10.2f %12.0f\n",
-                    "coordinator + workers", r.workers, r.seconds,
-                    r.cellsPerSec);
-        runs.push_back(r);
+    for (const std::size_t n : {1u, 2u, 4u, 8u})
+        runs.push_back(runDistributed(spec, n, 1, scratch, cache));
+    runs.push_back(runDistributed(spec, 1, 0, scratch, cache));
+    for (const Run &r : runs) {
+        const std::string config =
+            "workers --jobs " + std::to_string(r.jobs);
+        std::printf("%-24s %10zu %10.2f %12.0f\n", config.c_str(),
+                    r.workers, r.seconds, r.cellsPerSec);
     }
 
     if (const char *json = std::getenv("WSEL_BENCH_JSON");
@@ -231,9 +245,9 @@ main()
         for (std::size_t i = 0; i < runs.size(); ++i)
             std::fprintf(
                 f,
-                "    {\"workers\": %zu, \"seconds\": %.3f, "
-                "\"cells_per_sec\": %.1f}%s\n",
-                runs[i].workers, runs[i].seconds,
+                "    {\"workers\": %zu, \"jobs\": %zu, "
+                "\"seconds\": %.3f, \"cells_per_sec\": %.1f}%s\n",
+                runs[i].workers, runs[i].jobs, runs[i].seconds,
                 runs[i].cellsPerSec,
                 i + 1 < runs.size() ? "," : "");
         std::fprintf(f, "  ]\n}\n");

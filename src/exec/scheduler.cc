@@ -91,9 +91,11 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> body)
+ThreadPool::submit(std::function<void()> body,
+                   std::function<void()> done)
 {
-    Task t{std::move(body), std::chrono::steady_clock::now()};
+    Task t{std::move(body), std::move(done),
+           std::chrono::steady_clock::now()};
     std::size_t target;
     if (tls.pool == this && tls.index < workers_.size()) {
         target = tls.index; // locality for nested submissions
@@ -213,6 +215,7 @@ ThreadPool::runOne(std::size_t self, bool helping)
             std::max(stats_.maxQueueSeconds, queued);
         stats_.maxRunSeconds = std::max(stats_.maxRunSeconds, ran);
     }
+    t.done();
     return true;
 }
 
@@ -294,23 +297,29 @@ TaskGroup::run(std::function<void()> fn)
         std::lock_guard<std::mutex> g(mu_);
         ++pending_;
     }
-    pool_.submit([this, fn = std::move(fn)] {
-        if (!cancelled()) {
-            try {
-                fn();
-            } catch (...) {
-                std::lock_guard<std::mutex> g(mu_);
-                if (!error_)
-                    error_ = std::current_exception();
-                cancelled_.store(true, std::memory_order_release);
+    pool_.submit(
+        [this, fn = std::move(fn)] {
+            if (!cancelled()) {
+                try {
+                    fn();
+                } catch (...) {
+                    std::lock_guard<std::mutex> g(mu_);
+                    if (!error_)
+                        error_ = std::current_exception();
+                    cancelled_.store(true,
+                                     std::memory_order_release);
+                }
+            } else {
+                pool_.noteCancelled();
             }
-        } else {
-            pool_.noteCancelled();
-        }
-        std::lock_guard<std::mutex> g(mu_);
-        if (--pending_ == 0)
-            cv_.notify_all();
-    });
+        },
+        // Only after runOne has counted the task: wait() may
+        // return, and the group die, as soon as pending_ is 0.
+        [this] {
+            std::lock_guard<std::mutex> g(mu_);
+            if (--pending_ == 0)
+                cv_.notify_all();
+        });
 }
 
 void

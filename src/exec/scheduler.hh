@@ -118,6 +118,12 @@ class ThreadPool
     struct Task
     {
         std::function<void()> body;
+        /**
+         * Runs after the task's stats are recorded: TaskGroup
+         * reports completion here, so a stats() snapshot taken
+         * after wait() counts every task of the group.
+         */
+        std::function<void()> done;
         std::chrono::steady_clock::time_point enqueued;
     };
 
@@ -129,7 +135,8 @@ class ThreadPool
     };
 
     /** Enqueue a task (TaskGroup wraps all bookkeeping around it). */
-    void submit(std::function<void()> body);
+    void submit(std::function<void()> body,
+                std::function<void()> done);
 
     /**
      * Claim one task: own deque front first (when the caller is

@@ -48,7 +48,34 @@ Coordinator::~Coordinator()
     for (int fd : wakePipe_)
         if (fd >= 0)
             ::close(fd);
-    (void)::unlink(opts_.socketPath.c_str());
+    closeEndpoints();
+}
+
+void
+Coordinator::closeEndpoints()
+{
+    if (listenFd_.valid()) {
+        listenFd_.reset();
+        (void)::unlink(opts_.socketPath.c_str());
+    }
+    for (auto &c : conns_)
+        dropConnection(*c);
+    conns_.clear();
+}
+
+void
+Coordinator::shutDown()
+{
+    for (auto &c : conns_)
+        if (c->kind == Conn::Kind::Worker)
+            (void)sendFrame(c->fd.get(), MsgType::Shutdown, {});
+    // Nobody is served after this: a worker that connects late
+    // must find no socket (and give up within its connect
+    // timeout) rather than wait out its receive timeout on a
+    // listener no loop reads; one accepted but not yet registered
+    // sees EOF.  Registered workers read the Shutdown queued
+    // before the close.
+    closeEndpoints();
 }
 
 const std::string &
@@ -728,10 +755,7 @@ Coordinator::run()
         activateNext();
 
         if (draining_ && inflight_.empty()) {
-            for (auto &c : conns_)
-                if (c->kind == Conn::Kind::Worker)
-                    (void)sendFrame(c->fd.get(),
-                                    MsgType::Shutdown, {});
+            shutDown();
             return 0;
         }
         if (opts_.exitWhenIdle && sawClient_ && activeId_ == 0 &&
@@ -742,10 +766,7 @@ Coordinator::run()
                     return c->kind == Conn::Kind::Client;
                 });
             if (!clients_left) {
-                for (auto &c : conns_)
-                    if (c->kind == Conn::Kind::Worker)
-                        (void)sendFrame(c->fd.get(),
-                                        MsgType::Shutdown, {});
+                shutDown();
                 return 0;
             }
         }

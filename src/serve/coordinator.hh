@@ -13,8 +13,12 @@
  *    elsewhere.  A worker that died *after* committing the shard
  *    file leaves a complete shard the next lease holder detects
  *    and reports as a dedup.
- *  - wedged worker: no heartbeat, the lease deadline passes,
- *    expire() reclaims it (counts as a death).
+ *  - wedged worker: no heartbeat (workers only beat while their
+ *    shard's finished-cell count grows), the lease deadline
+ *    passes, expire() reclaims it (counts as a death).
+ *  - late worker (connects after run() returned): the listener is
+ *    closed and its path unlinked, so the worker's connect fails
+ *    within its timeout instead of hanging on a dead loop.
  *  - poison shard: quarantineAfter deaths on the same shard
  *    quarantine it; the campaign completes as Failed instead of
  *    killing workers forever.
@@ -91,7 +95,9 @@ class Coordinator
 
     /**
      * Serve until drained (requestStop) or idle (exitWhenIdle).
-     * Returns 0 on a clean drain.
+     * Returns 0 on a clean drain, after sending Shutdown to every
+     * registered worker and closing the listener (the socket path
+     * is unlinked) and every connection.
      */
     int run();
 
@@ -154,6 +160,12 @@ class Coordinator
     void noteLeaseClosed(std::uint64_t leaseId, Conn *conn);
     StatusMsg statusOf(std::uint64_t id) const;
     Campaign *active();
+
+    /** Shutdown to registered workers, then closeEndpoints(). */
+    void shutDown();
+
+    /** Close the listener (unlinking its path) and every conn. */
+    void closeEndpoints();
 
     CoordinatorOptions opts_;
     ResultStore store_;

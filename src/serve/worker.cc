@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -32,6 +34,70 @@ struct CachedContext
     std::uint64_t fingerprint = 0;
     std::uint64_t geomHash = 0;
     std::unique_ptr<CampaignContext> ctx;
+};
+
+/**
+ * The lease heartbeat, sent from its own thread while the shard
+ * simulates: every @p interval, but only when @p cells_done has
+ * grown since the previous beat. A shard making progress keeps its
+ * lease through flushes of any length; a wedged or livelocked one
+ * stops renewing it and loses it, like a dead worker. The
+ * destructor stops and joins the thread, so once it returns the
+ * caller is again the only writer on the socket.
+ */
+class HeartbeatThread
+{
+  public:
+    HeartbeatThread(int fd, std::uint64_t lease_id,
+                    std::chrono::milliseconds interval,
+                    const std::atomic<std::uint64_t> &cells_done)
+        : thread_([this, fd, lease_id, interval, &cells_done] {
+              run(fd, lease_id, interval, cells_done);
+          })
+    {
+    }
+
+    ~HeartbeatThread()
+    {
+        {
+            std::lock_guard<std::mutex> g(mu_);
+            stop_ = true;
+        }
+        cv_.notify_one();
+        thread_.join();
+    }
+
+    HeartbeatThread(const HeartbeatThread &) = delete;
+    HeartbeatThread &operator=(const HeartbeatThread &) = delete;
+
+  private:
+    void
+    run(int fd, std::uint64_t lease_id,
+        std::chrono::milliseconds interval,
+        const std::atomic<std::uint64_t> &cells_done)
+    {
+        std::uint64_t seen = 0;
+        std::unique_lock<std::mutex> lk(mu_);
+        while (!cv_.wait_for(lk, interval, [this] { return stop_; })) {
+            const std::uint64_t done =
+                cells_done.load(std::memory_order_relaxed);
+            if (done == seen)
+                continue; // no progress: let the lease run down
+            seen = done;
+            lk.unlock();
+            WireWriter w;
+            w.u64(lease_id);
+            // A lost coordinator surfaces on the main thread's
+            // next send or receive; nothing to do about it here.
+            (void)sendFrame(fd, MsgType::Heartbeat, w.bytes());
+            lk.lock();
+        }
+    }
+
+    std::mutex mu_; ///< guards stop_
+    std::condition_variable cv_;
+    bool stop_ = false;
+    std::thread thread_; ///< last: starts after mu_/cv_/stop_ exist
 };
 
 /**
@@ -94,36 +160,28 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
         return true; // dedup: someone already produced it
     }
 
-    // Heartbeat from the row callback, at most every ttl/4.
-    const auto hb_interval = std::chrono::milliseconds(
-        std::max<std::uint64_t>(1, lease.ttlMs / 4));
-    auto last_hb = std::chrono::steady_clock::now();
-    const auto tick = [&] {
-        const auto now = std::chrono::steady_clock::now();
-        if (now - last_hb < hb_interval)
-            return;
-        last_hb = now;
-        WireWriter w;
-        w.u64(lease.leaseId);
-        (void)sendFrame(fd, MsgType::Heartbeat, w.bytes());
-    };
-
     std::vector<double> payload;
+    std::atomic<std::uint64_t> cells_done{0};
     try {
+        const HeartbeatThread heartbeat(
+            fd, lease.leaseId,
+            std::chrono::milliseconds(
+                std::max<std::uint64_t>(1, lease.ttlMs / 4)),
+            cells_done);
         if (ctx.fidelity() == 0)
             // Batch and wave sizes from WSEL_BATCH_CELLS /
-            // WSEL_BATCH_WAVE (resolver defaults otherwise);
-            // neither ever changes shard bytes, so mixed worker
-            // fleets stay coherent. One thread: the fleet's
-            // processes already spread the campaign's shards.
+            // WSEL_BATCH_WAVE (resolver defaults otherwise), and
+            // job count from --jobs; none of them ever changes
+            // shard bytes, so mixed worker fleets stay coherent.
             simulatePopulationShardBatched(
                 m, ctx.population(), ctx.uncores(), ctx.models(),
-                ctx.seed(), lease.shard, 0, 0, 1, payload, tick);
+                ctx.seed(), lease.shard, 0, 0, opts.jobs, payload,
+                &cells_done);
         else
             simulateDetailedPopulationShard(
                 m, ctx.population(), ctx.coreConfig(),
                 ctx.uncores(), ctx.suite(), ctx.seed(),
-                lease.shard, payload, tick);
+                lease.shard, payload, &cells_done);
     } catch (const std::exception &e) {
         g_current_shard.store(-1, std::memory_order_relaxed);
         error = std::string("shard simulation failed: ") + e.what();
@@ -136,6 +194,21 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
     persist::faultPoint("serve.shard-committed");
     g_current_shard.store(-1, std::memory_order_relaxed);
     return !wrote; // a lost commit race is a dedup, same as above
+}
+
+/**
+ * Exit code after a send to the coordinator failed. A coordinator
+ * that drained sends Shutdown and then closes the connection, so a
+ * worker whose send raced that close finds the Shutdown already in
+ * its receive buffer: a clean exit, not a lost coordinator.
+ */
+int
+exitAfterLostSend(int fd, FrameBuffer &fb)
+{
+    while (const std::optional<Frame> f = recvFrame(fd, fb, 100))
+        if (f->type == MsgType::Shutdown)
+            return 0;
+    return 1;
 }
 
 } // namespace
@@ -159,7 +232,7 @@ runWorker(const WorkerOptions &opts)
     CachedContext cached;
     for (;;) {
         if (!sendFrame(fd.get(), MsgType::RequestLease, {}))
-            return 1;
+            return exitAfterLostSend(fd.get(), fb);
         std::optional<Frame> f = recvFrame(fd.get(), fb, 60000);
         if (!f)
             return 1; // coordinator died or wedged
@@ -192,7 +265,7 @@ runWorker(const WorkerOptions &opts)
                 w.u64(lease.shard);
                 w.u8(*dedup ? 1 : 0);
                 if (!sendFrame(fd.get(), MsgType::Done, w.bytes()))
-                    return 1;
+                    return exitAfterLostSend(fd.get(), fb);
             } else {
                 w.u64(lease.leaseId);
                 w.str(error);
@@ -201,7 +274,7 @@ runWorker(const WorkerOptions &opts)
                      error);
                 if (!sendFrame(fd.get(), MsgType::Failed,
                                w.bytes()))
-                    return 1;
+                    return exitAfterLostSend(fd.get(), fb);
             }
             continue;
         }

@@ -19,9 +19,17 @@
  *         zombie-completion window)
  *     WSEL_KILL_SHARD=3   only count hits while holding shard 3
  *
- * Heartbeats ride the row callback of simulatePopulationShard,
- * rate-limited to ttl/4 so a long shard cannot expire its own
- * lease while making steady progress.
+ * A BADCO shard runs through the same threads-inside-a-shard path
+ * as the in-process population engine: WorkerOptions::jobs threads
+ * share each flush of the batch runner (sim/batch.hh).  A flush of
+ * B x J cells sends nothing on its own, so heartbeats come from a
+ * timer thread that lives for the lease's simulation: every ttl/4
+ * it sends one, but only when the shard's finished-cell count has
+ * grown since the last beat.  A long flush that makes progress
+ * keeps its lease; a wedged or livelocked simulation stops
+ * renewing it and the coordinator reclaims the shard.  The timer
+ * thread is joined before the shard is committed and before Done
+ * or Failed is sent, so the socket only ever has one writer.
  */
 
 #ifndef WSEL_SERVE_WORKER_HH
@@ -40,8 +48,13 @@ struct WorkerOptions
     /** Model cache directory ("" = in-memory only). */
     std::string cacheDir;
 
-    /** Threads for model building (simulation itself is serial). */
-    std::size_t jobs = 1;
+    /**
+     * Threads for model building and for the batch runner that
+     * simulates each BADCO shard; 0 = $WSEL_JOBS, else hardware
+     * threads.  Detailed-fidelity shards run serially.  Never
+     * changes shard bytes.
+     */
+    std::size_t jobs = 0;
 };
 
 /**

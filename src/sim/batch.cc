@@ -118,13 +118,15 @@ BadcoBatchRunner::BadcoBatchRunner(
     std::span<const UncoreConfig> ucfgs, std::uint32_t cores,
     std::uint64_t target_uops,
     const std::vector<const BadcoModel *> &models,
-    std::uint32_t batch_cells, std::uint32_t wave, std::size_t jobs)
+    std::uint32_t batch_cells, std::uint32_t wave, std::size_t jobs,
+    std::atomic<std::uint64_t> *cells_done)
     : ucfgs_(ucfgs), cores_(cores),
       laneStride_((cores + kLaneAlign - 1) / kLaneAlign * kLaneAlign),
       targetUops_(target_uops),
       models_(models),
       batchCells_(std::clamp<std::uint32_t>(batch_cells, 1,
-                                            kMaxBatchCells))
+                                            kMaxBatchCells)),
+      cellsDone_(cells_done)
 {
     if (cores_ == 0)
         WSEL_FATAL("need at least one core");
@@ -326,6 +328,8 @@ BadcoBatchRunner::run()
                 runCell(w, g0);
             else
                 runWave(w, g0, gn);
+            if (cellsDone_)
+                cellsDone_->fetch_add(gn, std::memory_order_relaxed);
         }
     };
     if (threads <= 1) {

@@ -82,6 +82,7 @@
 #ifndef WSEL_SIM_BATCH_HH
 #define WSEL_SIM_BATCH_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -167,6 +168,10 @@ class BadcoBatchRunner
      *        (exec::resolveJobs). In wave mode the thread count
      *        is further capped so every thread's W resident
      *        uncores together fit WSEL_WAVE_MEM.
+     * @param cells_done When set, run() adds one per finished cell
+     *        (relaxed), so another thread can watch a flush make
+     *        progress — the distributed worker's heartbeat gate.
+     *        Caller-owned, must outlive the runner.
      *
      * Cells run BadcoMulticoreSim's default machine (per-model
      * calibrated window, kMaxOutstanding loads, kQuantum-cycle
@@ -177,7 +182,9 @@ class BadcoBatchRunner
                      std::uint32_t cores, std::uint64_t target_uops,
                      const std::vector<const BadcoModel *> &models,
                      std::uint32_t batch_cells,
-                     std::uint32_t wave = 1, std::size_t jobs = 0);
+                     std::uint32_t wave = 1, std::size_t jobs = 0,
+                     std::atomic<std::uint64_t> *cells_done =
+                         nullptr);
 
     ~BadcoBatchRunner();
 
@@ -307,6 +314,9 @@ class BadcoBatchRunner
     std::uint32_t capacity_ = 1;
 
     std::size_t cells_ = 0;
+
+    /** Finished-cell counter run() bumps (nullptr = none). */
+    std::atomic<std::uint64_t> *const cellsDone_;
 
     /** Pool threads, created by the first run() that uses two. */
     std::unique_ptr<exec::ThreadPool> pool_;

@@ -102,7 +102,7 @@ simulatePopulationShard(const persist::V3Manifest &m,
                         const std::vector<const BadcoModel *> &models,
                         std::uint64_t base_seed, std::uint64_t shard,
                         std::vector<double> &payload,
-                        const std::function<void()> &tick)
+                        std::atomic<std::uint64_t> *cells_done)
 {
     const std::size_t np = m.policies.size();
     if (ucfgs.size() != np)
@@ -113,8 +113,6 @@ simulatePopulationShard(const persist::V3Manifest &m,
     payload.assign(static_cast<std::size_t>(rows) * np * k, 0.0);
     WorkloadCursor cur(pop, m.shardFirstRank(shard));
     for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
-        if (tick)
-            tick();
         const std::uint64_t rank = cur.rank();
         double *row = payload.data() + r * np * k;
         for (std::size_t p = 0; p < np; ++p) {
@@ -126,6 +124,8 @@ simulatePopulationShard(const persist::V3Manifest &m,
             const SimResult res = sim.run(cur.benchmarks(), models);
             for (std::uint32_t c = 0; c < k; ++c)
                 row[p * k + c] = res.ipc[c];
+            if (cells_done)
+                cells_done->fetch_add(1, std::memory_order_relaxed);
         }
     }
 }
@@ -138,7 +138,7 @@ simulatePopulationShardBatched(
     std::uint64_t base_seed, std::uint64_t shard,
     std::uint32_t batch_cells, std::uint32_t batch_wave,
     std::size_t jobs, std::vector<double> &payload,
-    const std::function<void()> &tick)
+    std::atomic<std::uint64_t> *cells_done)
 {
     const std::size_t np = m.policies.size();
     if (ucfgs.size() != np)
@@ -150,11 +150,10 @@ simulatePopulationShardBatched(
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
                             m.targetUops, models,
                             resolveBatchCells(batch_cells),
-                            resolveBatchWave(batch_wave), jobs);
+                            resolveBatchWave(batch_wave), jobs,
+                            cells_done);
     WorkloadCursor cur(pop, m.shardFirstRank(shard));
     for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
-        if (tick)
-            tick();
         const std::uint64_t rank = cur.rank();
         double *row = payload.data() + r * np * k;
         for (std::size_t p = 0; p < np; ++p) {
@@ -176,7 +175,7 @@ simulateDetailedPopulationShard(
     const std::vector<BenchmarkProfile> &suite,
     std::uint64_t base_seed, std::uint64_t shard,
     std::vector<double> &payload,
-    const std::function<void()> &tick)
+    std::atomic<std::uint64_t> *cells_done)
 {
     const std::size_t np = m.policies.size();
     if (ucfgs.size() != np)
@@ -187,8 +186,6 @@ simulateDetailedPopulationShard(
     payload.assign(static_cast<std::size_t>(rows) * np * k, 0.0);
     WorkloadCursor cur(pop, m.shardFirstRank(shard));
     for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
-        if (tick)
-            tick();
         const std::uint64_t rank = cur.rank();
         const Workload w{std::vector<std::uint32_t>(
             cur.benchmarks().begin(), cur.benchmarks().end())};
@@ -213,6 +210,8 @@ simulateDetailedPopulationShard(
             const SimResult res = sim.run(w, suite);
             for (std::uint32_t c = 0; c < k; ++c)
                 row[p * k + c] = res.ipc[c];
+            if (cells_done)
+                cells_done->fetch_add(1, std::memory_order_relaxed);
         }
     }
 }

@@ -27,8 +27,8 @@
 #ifndef WSEL_SIM_POPULATION_HH
 #define WSEL_SIM_POPULATION_HH
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -176,8 +176,9 @@ struct PopulationResult
  *
  * @p ucfgs must hold one UncoreConfig per manifest policy (in
  * order) and @p models one BADCO model per suite benchmark.
- * @p tick, when set, is invoked once per workload row — the
- * distributed worker sends lease heartbeats from it.  The
+ * @p cells_done, when set, gains one (relaxed) per finished cell —
+ * the distributed worker's heartbeat thread watches it to tell a
+ * shard that is making progress from a wedged one.  The
  * "population.cell" fault point fires once per simulated cell
  * (tests/fault_injection.hh; the worker binary can arm it to
  * SIGKILL itself mid-shard).
@@ -188,7 +189,7 @@ void simulatePopulationShard(
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
     std::vector<double> &payload,
-    const std::function<void()> &tick = {});
+    std::atomic<std::uint64_t> *cells_done = nullptr);
 
 /**
  * Batched variant of simulatePopulationShard: identical contract
@@ -198,8 +199,9 @@ void simulatePopulationShard(
  * like the serial engine) with wave width @p batch_wave (resolved
  * via resolveBatchWave; >1 interleaves cells in lockstep waves),
  * spread over @p jobs threads (0 = $WSEL_JOBS else hardware; the
- * distributed worker passes 1, since worker processes already
- * spread shards). The "population.cell" fault point still fires
+ * in-process runner and the distributed worker both pass their
+ * --jobs). @p cells_done gains one per cell as each finishes
+ * inside a flush. The "population.cell" fault point still fires
  * once per cell, at batch-append time on the calling thread — a
  * fault or SIGKILL mid-batch abandons the whole (unwritten) shard
  * exactly as the serial engine's mid-shard fault does, so resume
@@ -212,7 +214,7 @@ void simulatePopulationShardBatched(
     std::uint64_t base_seed, std::uint64_t shard,
     std::uint32_t batch_cells, std::uint32_t batch_wave,
     std::size_t jobs, std::vector<double> &payload,
-    const std::function<void()> &tick = {});
+    std::atomic<std::uint64_t> *cells_done = nullptr);
 
 /**
  * Detailed-fidelity twin of simulatePopulationShard: the same
@@ -221,7 +223,8 @@ void simulatePopulationShardBatched(
  * manifest's fingerprint must be a "detailed" one).  The unit of
  * work behind escalated shards in mixed-fidelity campaigns
  * (docs/FIDELITY.md); its kill point is "fidelity.escalate", fired
- * once per cell.
+ * once per cell.  Cells run serially on the calling thread;
+ * @p cells_done gains one after each.
  */
 void simulateDetailedPopulationShard(
     const persist::V3Manifest &m, const WorkloadPopulation &pop,
@@ -230,7 +233,7 @@ void simulateDetailedPopulationShard(
     const std::vector<BenchmarkProfile> &suite,
     std::uint64_t base_seed, std::uint64_t shard,
     std::vector<double> &payload,
-    const std::function<void()> &tick = {});
+    std::atomic<std::uint64_t> *cells_done = nullptr);
 
 /**
  * Run (or resume) a BADCO population campaign over ranks

@@ -14,6 +14,7 @@
  * releases its pins.
  */
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
@@ -321,9 +322,14 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
 
     for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
         std::vector<double> serial;
+        std::atomic<std::uint64_t> serial_done{0};
         simulatePopulationShard(m, pop, ucfgs, models, 1, s,
-                                serial);
+                                serial, &serial_done);
         ASSERT_FALSE(serial.empty());
+        // Every engine counts each finished cell exactly once.
+        const std::uint64_t cells =
+            m.rowsInShard(s) * m.policies.size();
+        EXPECT_EQ(serial_done.load(), cells);
         // Jobs spread each flush over threads: at jobs 7 a shard
         // of 8 cells leaves most threads idle in some flushes (one
         // cell at batch 1, two wave-4 groups), which must not
@@ -335,10 +341,12 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
                 // bit-identical.
                 for (std::uint32_t wave : {1u, 2u, 3u, 4u, 32u}) {
                     std::vector<double> batched;
+                    std::atomic<std::uint64_t> done{0};
                     simulatePopulationShardBatched(
                         m, pop, ucfgs, models, 1, s, batch, wave,
-                        jobs, batched);
+                        jobs, batched, &done);
                     ASSERT_EQ(batched.size(), serial.size());
+                    EXPECT_EQ(done.load(), cells);
                     for (std::size_t i = 0; i < serial.size(); ++i)
                         EXPECT_EQ(serial[i], batched[i])
                             << "shard " << s << " jobs " << jobs
@@ -773,9 +781,11 @@ TEST(BatchPinBudget, TinyBudgetKeepsDetailedShardIdentical)
 
     g.clear();
     std::vector<double> plenty;
+    std::atomic<std::uint64_t> done{0};
     simulateDetailedPopulationShard(m, pop, CoreConfig{}, ucfgs,
-                                    suite, 1, 0, plenty);
+                                    suite, 1, 0, plenty, &done);
     ASSERT_EQ(plenty.size(), 3u * 2u * 2u);
+    EXPECT_EQ(done.load(), 3u * 2u); // one per (row, policy) cell
 
     g.clear();
     g.setChunkUops(512);

@@ -9,12 +9,14 @@
  * must be bitwise identical to an uninterrupted serial run.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -737,12 +739,15 @@ class ServeDistributedTest : public ::testing::Test
     }
 
     pid_t
-    spawnWorker(const std::vector<std::string> &extra_env = {})
+    spawnWorker(const std::vector<std::string> &extra_env = {},
+                const std::vector<std::string> &extra_args = {})
     {
-        return serve::spawnProcess(
-            {serve::findWorkerBinary(), "--socket", socket_,
-             "--cache-dir", cacheDir_},
-            extra_env);
+        std::vector<std::string> argv = {
+            serve::findWorkerBinary(), "--socket", socket_,
+            "--cache-dir", cacheDir_};
+        argv.insert(argv.end(), extra_args.begin(),
+                    extra_args.end());
+        return serve::spawnProcess(argv, extra_env);
     }
 
     static void
@@ -783,6 +788,41 @@ class ServeDistributedTest : public ::testing::Test
         }
         serve::ResultStore::commitManifest(dir, m);
         return m;
+    }
+
+    /** Expect every shard of @p dir to equal the reference's. */
+    void
+    expectShardsMatch(const std::string &dir,
+                      const persist::V3Manifest &m,
+                      const std::string &ref_dir)
+    {
+        ASSERT_TRUE(serve::ResultStore::isComplete(dir));
+        for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
+            EXPECT_EQ(readFileBytes(persist::v3ShardPath(dir, s)),
+                      readFileBytes(persist::v3ShardPath(ref_dir, s)))
+                << "shard " << s << " differs";
+        }
+    }
+
+    /**
+     * Poll a metrics counter of @p client until it reaches
+     * @p want (30 s deadline); returns the last value read.
+     */
+    static double
+    awaitCounter(serve::Client &client, const std::string &name,
+                 double want)
+    {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(30);
+        double v = -1.0;
+        while (std::chrono::steady_clock::now() < deadline) {
+            v = counterValue(client.metricsJson(), name);
+            if (v >= want)
+                break;
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(10));
+        }
+        return v;
     }
 
     /** Counter value out of the metrics JSON (-1 when absent). */
@@ -1176,6 +1216,158 @@ TEST_F(ServeDistributedTest, RestartedCoordinatorResumesFromStore)
 
     service.stop();
     expectClean(w);
+}
+
+TEST_F(ServeDistributedTest, ThreadedWorkersMatchSerialReference)
+{
+    // Workers run each shard's cells on 4 threads through the batch
+    // runner; the bytes must still be the serial engine's.
+    const serve::CampaignSpec spec = tinySpec();
+    const persist::V3Manifest m =
+        writeReference(spec, dir_ + "/reference");
+
+    Service service(coordinatorOptions());
+    serve::Client client(socket_);
+    const pid_t w1 = spawnWorker({}, {"--jobs", "4"});
+    const pid_t w2 = spawnWorker({}, {"--jobs", "4"});
+    const serve::StatusMsg st =
+        client.waitFinished(client.submit(spec));
+    EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
+    EXPECT_EQ(st.shardsDeduped, 0u);
+
+    service.stop();
+    expectClean(w1);
+    expectClean(w2);
+    expectShardsMatch(st.dir, m, dir_ + "/reference");
+}
+
+TEST_F(ServeDistributedTest, LongFlushKeepsLeaseByProgress)
+{
+    // One shard, run as ONE batch-runner flush on one thread: no
+    // row boundary falls inside it, so only the heartbeat thread
+    // can renew the lease. The TTL is a quarter of the shard's
+    // measured serial time, so the flush outlives it ~4 times; at
+    // least 100 ms, because the worker loads the campaign's models
+    // under the lease before any cell can finish.
+    serve::CampaignSpec spec = tinySpec();
+    spec.benchmarks = {"povray", "gromacs", "gcc",
+                       "mcf",    "milc",    "namd"};
+    spec.policies = {"LRU", "RND", "FIFO", "DIP", "DRRIP"};
+    spec.targetUops = 200000;
+    spec.shardRows = 21; // C(7, 2) workloads: the whole population
+    { serve::CampaignContext warm(spec, cacheDir_); } // model build
+    const auto t0 = std::chrono::steady_clock::now();
+    const persist::V3Manifest m =
+        writeReference(spec, dir_ + "/reference");
+    const auto serial = std::chrono::steady_clock::now() - t0;
+    ASSERT_EQ(m.shardCount(), 1u);
+    const std::uint64_t cells = m.rowsInShard(0) * m.policies.size();
+
+    serve::CoordinatorOptions opts = coordinatorOptions();
+    opts.lease.ttl = std::max(
+        std::chrono::milliseconds(100),
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            serial / 4));
+    Service service(opts);
+    serve::Client client(socket_);
+    const double expired0 =
+        counterValue(client.metricsJson(), "serve.leases_expired");
+    const double dedup0 =
+        counterValue(client.metricsJson(), "serve.dedup_hits");
+    const pid_t w = spawnWorker(
+        {"WSEL_BATCH_CELLS=" + std::to_string(cells)},
+        {"--jobs", "1"});
+    const serve::StatusMsg st =
+        client.waitFinished(client.submit(spec));
+    EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
+    EXPECT_EQ(counterValue(client.metricsJson(),
+                           "serve.leases_expired"),
+              expired0)
+        << "ttl " << opts.lease.ttl.count() << " ms";
+    EXPECT_EQ(counterValue(client.metricsJson(), "serve.dedup_hits"),
+              dedup0);
+
+    service.stop();
+    expectClean(w);
+    expectShardsMatch(st.dir, m, dir_ + "/reference");
+}
+
+TEST_F(ServeDistributedTest, WedgedWorkerLosesLeaseAndCommitsLate)
+{
+    // The failure matrix's "worker wedged" row: a worker that
+    // stops making progress (SIGSTOP) sends no heartbeats, so its
+    // lease is reclaimed and the shard moves; once it resumes, its
+    // late report is a duplicate completion, never a double count.
+    const serve::CampaignSpec spec = tinySpec();
+    const persist::V3Manifest m =
+        writeReference(spec, dir_ + "/reference");
+
+    serve::CoordinatorOptions opts = coordinatorOptions();
+    opts.lease.ttl = std::chrono::milliseconds(1000);
+    Service service(opts);
+    serve::Client client(socket_);
+    const std::string json0 = client.metricsJson();
+    const double expired0 =
+        counterValue(json0, "serve.leases_expired");
+    const double dup0 =
+        counterValue(json0, "serve.duplicate_completions");
+    const std::uint64_t id = client.submit(spec);
+
+    // Freeze the victim as soon as it holds its first lease: it is
+    // then still loading the campaign's models.
+    const pid_t victim = spawnWorker();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (client.status(id).leasesActive == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(::kill(victim, SIGSTOP), 0);
+    EXPECT_GE(awaitCounter(client, "serve.leases_expired",
+                           expired0 + 1.0),
+              expired0 + 1.0);
+
+    // A healthy worker finishes the campaign, the reclaimed shard
+    // included; then the victim wakes up and reports its lease.
+    const pid_t w = spawnWorker();
+    const serve::StatusMsg st = client.waitFinished(id);
+    EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
+    EXPECT_EQ(st.shardsQuarantined, 0u);
+    ASSERT_EQ(::kill(victim, SIGCONT), 0);
+    EXPECT_GE(awaitCounter(client, "serve.duplicate_completions",
+                           dup0 + 1.0),
+              dup0 + 1.0);
+
+    service.stop();
+    expectClean(victim);
+    expectClean(w);
+    expectShardsMatch(st.dir, m, dir_ + "/reference");
+}
+
+TEST_F(ServeDistributedTest, LateWorkerExitsPromptly)
+{
+    // A worker that arrives after the coordinator has drained must
+    // not wait out its 60 s receive timeout on a listener nobody
+    // serves: the drained coordinator closed and unlinked it, so
+    // the worker gives up within its connect timeout.
+    Service service(coordinatorOptions());
+    service.stop();
+    EXPECT_EQ(service.exitCode(), 0);
+    EXPECT_FALSE(fs::exists(socket_));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const pid_t late = spawnWorker();
+    std::optional<int> status;
+    while (!(status = serve::pollProcess(late)) &&
+           std::chrono::steady_clock::now() - t0 <
+               std::chrono::seconds(20))
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (!status) {
+        ::kill(late, SIGKILL);
+        (void)serve::waitProcess(late);
+        FAIL() << "late worker still running after 20 s";
+    }
+    EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 1)
+        << serve::describeExit(*status);
 }
 
 } // namespace

@@ -198,7 +198,9 @@ for preset in $presets; do
         # Distributed campaign smoke (docs/ROBUSTNESS.md): a
         # wsel_serve daemon, four workers — one of which SIGKILLs
         # itself mid-shard — and a client submission that must
-        # still complete with a committed manifest.
+        # still complete with a committed manifest. Workers run
+        # two threads each, so the threaded batch runner and the
+        # heartbeat thread run under the sanitizer too.
         echo "==> distributed campaign smoke: $preset"
         servedir="$bindir/serve-smoke"
         rm -rf "$servedir"
@@ -212,13 +214,13 @@ for preset in $presets; do
         for i in 1 2 3; do
             "./$bindir/tools/wsel_worker" \
                 --socket "$servedir/serve.sock" \
-                --cache-dir "$servedir/cache" &
+                --cache-dir "$servedir/cache" --jobs 2 &
             worker_pids="$worker_pids $!"
         done
         WSEL_KILL_POINT=population.cell:3 \
             "./$bindir/tools/wsel_worker" \
             --socket "$servedir/serve.sock" \
-            --cache-dir "$servedir/cache" &
+            --cache-dir "$servedir/cache" --jobs 2 &
         victim_pid=$!
         "./$bindir/tools/wsel_cli" serve submit \
             --socket "$servedir/serve.sock" \

@@ -37,8 +37,9 @@
  *       with --distributed N the campaign instead runs through
  *       the crash-resilient campaign service: an in-process
  *       coordinator leases shards to N spawned wsel_worker
- *       processes and --out is the content-addressed result-store
- *       root (docs/ROBUSTNESS.md, "Distributed campaigns");
+ *       processes, each running its shards on --jobs threads, and
+ *       --out is the content-addressed result-store root
+ *       (docs/ROBUSTNESS.md, "Distributed campaigns");
  *       with --sequential 1 (and --policies Y,X) the campaign is
  *       driven by the adaptive stopping rule instead of the full
  *       population (equivalent to the adaptive command below);
@@ -406,12 +407,13 @@ printServeStatus(std::uint64_t id, const serve::StatusMsg &st)
 
 /**
  * `population --distributed N`: run the campaign through the
- * coordinator/worker service instead of in-process threads — an
+ * coordinator/worker service instead of in process — an
  * in-process coordinator loop plus N spawned wsel_worker
- * processes.  --out is the result-store ROOT; the campaign lands
- * in a content-addressed directory under it (printed on
- * completion), so resubmitting the same campaign — or an
- * overlapping one — reuses every shard already present.
+ * processes, each passed this command's --jobs.  --out is the
+ * result-store ROOT; the campaign lands in a content-addressed
+ * directory under it (printed on completion), so resubmitting the
+ * same campaign — or an overlapping one — reuses every shard
+ * already present.
  */
 int
 cmdPopulationDistributed(const Args &args)
@@ -433,8 +435,12 @@ cmdPopulationDistributed(const Args &args)
                                ".sock");
     copts.storeRoot = args.get("out", "");
     copts.cacheDir = defaultCacheDir();
-    copts.jobs = std::max<std::size_t>(
-        1, static_cast<std::size_t>(args.getU64("jobs", 1)));
+    // --jobs sizes the coordinator's model build and is forwarded
+    // to every worker, which spreads each shard's cells over that
+    // many threads.
+    const std::size_t jobs =
+        static_cast<std::size_t>(args.getU64("jobs", 0));
+    copts.jobs = jobs;
     copts.lease.ttl =
         std::chrono::milliseconds(args.getU64("ttl-ms", 2000));
     copts.exitWhenIdle = true;
@@ -458,7 +464,8 @@ cmdPopulationDistributed(const Args &args)
         for (std::size_t i = 0; i < nworkers; ++i)
             workers.push_back(serve::spawnProcess(
                 {worker_bin, "--socket", copts.socketPath,
-                 "--cache-dir", copts.cacheDir}));
+                 "--cache-dir", copts.cacheDir, "--jobs",
+                 std::to_string(jobs)}));
         serve::Client client(copts.socketPath);
         const std::uint64_t id = client.submit(spec);
         std::printf("campaign %llu submitted to %zu workers\n",

@@ -6,7 +6,10 @@
  *   wsel_worker --socket PATH [--cache-dir DIR] [--jobs N]
  *       connect to the coordinator at PATH and lease shards until
  *       told to shut down (exit 0) or the coordinator disappears
- *       (exit 1)
+ *       (exit 1); --jobs N sizes both the model build and the
+ *       batch runner that spreads each BADCO shard's cells over N
+ *       threads (default 0 = $WSEL_JOBS, else hardware threads;
+ *       shard bytes are identical at every N)
  *
  *   wsel_worker --mkdir-race DIR
  *       test helper: create the directory tree DIR through
@@ -37,7 +40,7 @@ main(int argc, char **argv)
     std::string socket_path;
     std::string cache_dir;
     std::string mkdir_race;
-    std::size_t jobs = 1;
+    std::size_t jobs = 0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string key = argv[i];
@@ -59,7 +62,11 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: wsel_worker --socket PATH "
                          "[--cache-dir DIR] [--jobs N]\n"
-                         "       wsel_worker --mkdir-race DIR\n");
+                         "       wsel_worker --mkdir-race DIR\n"
+                         "--jobs N: threads for the model build "
+                         "and for each shard's cells\n"
+                         "          (0 = $WSEL_JOBS, else "
+                         "hardware threads; default 0)\n");
             return 2;
         }
     }
@@ -78,7 +85,7 @@ main(int argc, char **argv)
         serve::WorkerOptions opts;
         opts.socketPath = socket_path;
         opts.cacheDir = cache_dir;
-        opts.jobs = jobs == 0 ? 1 : jobs;
+        opts.jobs = jobs;
         return serve::runWorker(opts);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "wsel_worker: %s\n", e.what());
