@@ -9,16 +9,29 @@
  * The constants were recorded from the event-skipping core before
  * its cycle loop was made event-driven; any change to a cycle
  * count, an uncore request or its timing shows up here.
+ *
+ * BadcoGolden pins the BADCO simulator the same way: four-core
+ * BadcoMulticoreSim IPCs under all five paper policies, the same
+ * cells through BadcoBatchRunner at one and four threads, the
+ * single-machine reference IPCs, and one cell each with a window
+ * override, a lower outstanding-load cap and halted (not
+ * restarted) finished threads. Its constants were recorded while
+ * the batch runner still had its own copy of the node walk, so a
+ * regression shared by every caller of the walk still shows up.
  */
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "badco/badco_model.hh"
+#include "cache/replacement.hh"
+#include "sim/batch.hh"
+#include "sim/model_store.hh"
 #include "sim/multicore.hh"
 #include "stats/persist.hh"
 #include "trace/benchmark_profile.hh"
@@ -130,6 +143,186 @@ TEST(DetailedGolden, BadcoModelBytes)
     EXPECT_EQ(bytes.size(), 250450u);
     EXPECT_EQ(persist::fnv1a(bytes), 0xe74baf17e65fe3e7ull)
         << std::hex << persist::fnv1a(bytes);
+}
+
+// -------------------------------------------------------------------
+// BADCO
+// -------------------------------------------------------------------
+
+namespace
+{
+
+/** Six suite benchmarks; golden workloads index into this list. */
+const std::vector<BenchmarkProfile> &
+badcoSuite()
+{
+    static const std::vector<BenchmarkProfile> suite = [] {
+        const auto &all = spec2006Suite();
+        return std::vector<BenchmarkProfile>{all[0],  all[5],
+                                             all[11], all[16],
+                                             all[19], all[20]};
+    }();
+    return suite;
+}
+
+/** BADCO models of badcoSuite(), built once per process. */
+const std::vector<const BadcoModel *> &
+badcoModels()
+{
+    static BadcoModelStore store(
+        CoreConfig{}, kGoldenUops,
+        UncoreConfig::forCores(4, PolicyKind::LRU).llcHitLatency);
+    static const std::vector<const BadcoModel *> models =
+        store.getSuite(badcoSuite());
+    return models;
+}
+
+std::string
+hexBits(const std::vector<std::uint64_t> &bits)
+{
+    std::ostringstream os;
+    for (std::uint64_t b : bits)
+        os << std::hex << "0x" << b << "ull, ";
+    return os.str();
+}
+
+const std::vector<std::vector<std::uint32_t>> kBadcoWorkloads = {
+    {0, 1, 2, 5}, {1, 3, 3, 4}};
+
+constexpr std::uint64_t kBadcoSeed = 404;
+
+/**
+ * IPC bits of kBadcoWorkloads[w] under paperPolicies()[p], at
+ * index p * 2 + w.
+ */
+const std::vector<std::vector<std::uint64_t>> kBadcoCellBits = {
+    {0x3fd4e719c4d63ea4ull, 0x3fca6da28f6bbf7eull,
+     0x3fbe909635262c85ull, 0x3fb026eed7aadd98ull},
+    {0x3fc31952c0f2e08cull, 0x3fc8c2c75e943bbcull,
+     0x3fc8f3d5ee1bebfdull, 0x3fb2586c4a0bb3d9ull},
+    {0x3fd51f9e1f43462eull, 0x3fca7d3f16e50803ull,
+     0x3fbbf0d403a9053full, 0x3fad606785e7b1feull},
+    {0x3fc2ff5836f0cae5ull, 0x3fc86d8df0e74da8ull,
+     0x3fc84e43b101a401ull, 0x3fb1a7a96b941b71ull},
+    {0x3fd5475a0f5f2abcull, 0x3fc95ffb0bfc0d3aull,
+     0x3fbb34d6c30ba06dull, 0x3fac4886e2129e14ull},
+    {0x3fc23acf2048eb3dull, 0x3fc7ec92d8a2039dull,
+     0x3fc7d0fef80004e1ull, 0x3fb1156575d1c8a7ull},
+    {0x3fd522d50d305bfcull, 0x3fcad7670101ad76ull,
+     0x3fc027ad38caf8a4ull, 0x3fb13f8864edee82ull},
+    {0x3fc5d316e32e3f9aull, 0x3fc96c4d5e10b7dcull,
+     0x3fc9985ae4b927bdull, 0x3fb54a74839d9fa1ull},
+    {0x3fd4fc98909fa21dull, 0x3fcb4a8e932bb4f9ull,
+     0x3fc02b4eb8a1ecaeull, 0x3fb12b432ea971b9ull},
+    {0x3fc41feaf10884cfull, 0x3fc8d578d447abaaull,
+     0x3fc8ab8164d37883ull, 0x3fb4d46c0a34e305ull},
+};
+
+} // namespace
+
+TEST(BadcoGolden, FourCoreCellsBitwise)
+{
+    const auto &models = badcoModels();
+    const auto &policies = paperPolicies();
+    ASSERT_EQ(kBadcoCellBits.size(),
+              policies.size() * kBadcoWorkloads.size());
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+        const BadcoMulticoreSim sim(
+            UncoreConfig::forCores(4, policies[p]), 4, kGoldenUops,
+            kBadcoSeed);
+        for (std::size_t w = 0; w < kBadcoWorkloads.size(); ++w) {
+            const auto got = ipcBits(
+                sim.run(Workload(kBadcoWorkloads[w]), models).ipc);
+            EXPECT_EQ(got, kBadcoCellBits[p * 2 + w])
+                << toString(policies[p]) << " workload " << w << ": "
+                << hexBits(got);
+        }
+    }
+}
+
+TEST(BadcoGolden, BatchRunnerCellsBitwise)
+{
+    const auto &models = badcoModels();
+    const auto &policies = paperPolicies();
+    ASSERT_EQ(kBadcoCellBits.size(),
+              policies.size() * kBadcoWorkloads.size());
+    std::vector<UncoreConfig> ucfgs;
+    for (PolicyKind p : policies)
+        ucfgs.push_back(UncoreConfig::forCores(4, p));
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        // Two cells per thread: at four threads the ten cells run
+        // as one flush, at one thread as five.
+        BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
+                                kGoldenUops, models, 2, 1, jobs);
+        std::vector<double> ipc(kBadcoCellBits.size() * 4);
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+            for (std::size_t w = 0; w < kBadcoWorkloads.size(); ++w)
+                runner.add(kBadcoSeed, static_cast<std::uint32_t>(p),
+                           std::span<const std::uint32_t>(
+                               kBadcoWorkloads[w]),
+                           ipc.data() + (p * 2 + w) * 4);
+        }
+        runner.run();
+        for (std::size_t c = 0; c < kBadcoCellBits.size(); ++c) {
+            const auto got = ipcBits(std::vector<double>(
+                ipc.begin() + c * 4, ipc.begin() + c * 4 + 4));
+            EXPECT_EQ(got, kBadcoCellBits[c])
+                << "jobs " << jobs << " cell " << c << ": "
+                << hexBits(got);
+        }
+    }
+}
+
+TEST(BadcoGolden, ReferenceIpcsBitwise)
+{
+    const BadcoMulticoreSim sim(
+        UncoreConfig::forCores(4, PolicyKind::DRRIP), 4, kGoldenUops,
+        7);
+    const std::vector<std::uint64_t> want = {
+        0x3fe284e0bf4b5f60ull, 0x3fe37da54035e35full,
+        0x3fd4c19d66343d4eull, 0x3fe0508088276a6eull,
+        0x3fc81a118bcf5566ull, 0x3fb9966c4caa60a6ull,
+    };
+    const auto got = ipcBits(sim.referenceIpcs(badcoModels()));
+    EXPECT_EQ(got, want) << hexBits(got);
+}
+
+TEST(BadcoGolden, MachineKnobsBitwise)
+{
+    const auto &models = badcoModels();
+    const Workload w(kBadcoWorkloads[0]);
+    const UncoreConfig cfg =
+        UncoreConfig::forCores(4, PolicyKind::DIP);
+
+    // Window override: every machine runs at most 48 µops past an
+    // incomplete load instead of its calibrated window.
+    const std::vector<std::uint64_t> want_window = {
+        0x3fdc76f5a9605312ull, 0x3fd0c8c4337b0abcull,
+        0x3fc2718bb97c960bull, 0x3fb45f978ec9ff8dull};
+    const BadcoMulticoreSim narrow(cfg, 4, kGoldenUops, kBadcoSeed,
+                                   48);
+    const auto window = ipcBits(narrow.run(w, models).ipc);
+    EXPECT_EQ(window, want_window) << "window 48: " << hexBits(window);
+
+    // Outstanding-load cap of four instead of sixteen.
+    const std::vector<std::uint64_t> want_capped = {
+        0x3fd5097cdade9d3bull, 0x3fcb66e65a0dc449ull,
+        0x3fc010a800839ae1ull, 0x3fb128e7cee1bf4full};
+    const BadcoMulticoreSim capped(cfg, 4, kGoldenUops, kBadcoSeed,
+                                   0, 4);
+    const auto outstanding = ipcBits(capped.run(w, models).ipc);
+    EXPECT_EQ(outstanding, want_capped)
+        << "max_outstanding 4: " << hexBits(outstanding);
+
+    // Finished threads halt instead of restarting.
+    const std::vector<std::uint64_t> want_halted = {
+        0x3fd522d50d305bfcull, 0x3fccb8320a7723d9ull,
+        0x3fc353c198af4636ull, 0x3fb4dcdfd63db4b4ull};
+    BadcoMulticoreSim halting(cfg, 4, kGoldenUops, kBadcoSeed);
+    halting.restartFinishedThreads(false);
+    const auto halted = ipcBits(halting.run(w, models).ipc);
+    EXPECT_EQ(halted, want_halted)
+        << "halted threads: " << hexBits(halted);
 }
 
 } // namespace wsel
