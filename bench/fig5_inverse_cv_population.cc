@@ -26,21 +26,12 @@
  *    process high-water mark, so later sweep points can only
  *    inherit earlier peaks — flat numbers across the sweep mean
  *    batching added nothing.
- *  - a wavefront composition matrix over --jobs x --batch-cells x
- *    --batch-wave (docs/PERFORMANCE.md, "Wavefront interleaving"):
- *    wave 1 is cell-major, larger waves keep W uncores resident
- *    and resolve their LLC probes in gathered SIMD sweeps. Every
- *    point produces byte-identical shards (tests/test_batch.cc),
- *    so the matrix again measures pure execution efficiency —
- *    including how the wave composes with thread-level (--jobs)
- *    parallelism.
  *
  * When WSEL_BENCH_JSON names a file, the engine sections are
  * archived there as JSON (tools/ci.sh stores it as
  * BENCH_population.json); WSEL_BENCH_JSON_BATCH does the same for
- * the batch sweep and wave matrix (BENCH_batch.json), which
- * tools/ci.sh also uses as its batched-throughput and wavefront
- * floor checks.
+ * the batch sweep (BENCH_batch.json), which tools/ci.sh also uses
+ * as its batched-throughput floor check.
  */
 
 #include <chrono>
@@ -255,61 +246,6 @@ main()
         (void)r;
     }
 
-    // --------------------------------------------------------------
-    // Wavefront composition matrix: jobs x batch-cells x wave.
-    // wave=1 repeats the cell-major shape so each (jobs, batch)
-    // row carries its own baseline; the jobs=1 column isolates the
-    // wave's single-thread effect from thread-level parallelism.
-    // --------------------------------------------------------------
-    struct WavePoint
-    {
-        std::size_t jobs;
-        std::uint32_t batch;
-        std::uint32_t wave;
-        double sec;
-        double cps;
-        double rssMib;
-    };
-    std::vector<WavePoint> wave_points;
-    std::printf("\nWAVEFRONT MATRIX (badco, 4 cores, %llu "
-                "workloads x %zu policies)\n\n",
-                static_cast<unsigned long long>(bench_rows), np);
-    std::printf("%-6s %-12s %-11s %10s %12s %12s\n", "jobs",
-                "batch-cells", "batch-wave", "seconds", "cells/sec",
-                "peak-RSS-MiB");
-    const auto run_wave_point = [&](std::size_t jobs,
-                                    std::uint32_t bsz,
-                                    std::uint32_t wave) {
-        const std::string out =
-            scratch + "/wave_j" + std::to_string(jobs) + "_b" +
-            std::to_string(bsz) + "_w" + std::to_string(wave) +
-            ".v3";
-        PopulationOptions opts;
-        opts.jobs = jobs;
-        opts.lastRank = bench_rows;
-        opts.resume = false;
-        opts.batchCells = bsz;
-        opts.batchWave = wave;
-        const auto t0 = std::chrono::steady_clock::now();
-        const PopulationResult r = runBadcoPopulationCampaign(
-            pop4, policies, target, store, suite, {}, out, opts);
-        const double sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        wave_points.push_back(
-            {jobs, bsz, wave, sec, cells4 / sec, peakRssMib()});
-        std::printf("%-6zu %-12u %-11u %10.2f %12.0f %12.1f\n",
-                    jobs, bsz, wave, sec, wave_points.back().cps,
-                    wave_points.back().rssMib);
-        (void)r;
-    };
-    for (std::size_t jobs : {std::size_t{1}, std::size_t{8}})
-        for (std::uint32_t bsz : {8u, 32u})
-            for (std::uint32_t wave : {1u, 8u})
-                run_wave_point(jobs, bsz, wave);
-    run_wave_point(8, 32, 32); // whole batch resident
-
     if (const char *json = std::getenv("WSEL_BENCH_JSON_BATCH");
         json && *json) {
         FILE *f = std::fopen(json, "w");
@@ -337,17 +273,6 @@ main()
                 "%.1f}%s\n",
                 p.batch, p.sec, p.cps, p.rssMib,
                 i + 1 == batch_points.size() ? "" : ",");
-        }
-        std::fprintf(f, "  ],\n  \"wave_points\": [\n");
-        for (std::size_t i = 0; i < wave_points.size(); ++i) {
-            const WavePoint &p = wave_points[i];
-            std::fprintf(
-                f,
-                "    {\"jobs\": %zu, \"batch\": %u, \"wave\": %u, "
-                "\"seconds\": %.2f, \"cells_per_sec\": %.2f, "
-                "\"peak_rss_mib\": %.1f}%s\n",
-                p.jobs, p.batch, p.wave, p.sec, p.cps, p.rssMib,
-                i + 1 == wave_points.size() ? "" : ",");
         }
         std::fprintf(f, "  ]\n}\n");
         std::fclose(f);

@@ -198,7 +198,7 @@ BENCHMARK(BM_DetailedCell)->Unit(benchmark::kMillisecond);
 // find() routes 16-way sets to the inlined SSE2 body even on AVX2
 // hosts — see cache/tagscan.hh).
 void
-BM_SwarTagCompare(benchmark::State &state)
+BM_TagCompare(benchmark::State &state)
 {
     const auto path = static_cast<tagscan::Path>(state.range(0));
 #ifdef WSEL_TAGSCAN_X86
@@ -208,8 +208,7 @@ BM_SwarTagCompare(benchmark::State &state)
         return;
     }
 #else
-    if (static_cast<int>(path) >=
-        static_cast<int>(tagscan::Path::Sse2)) {
+    if (path != tagscan::Path::Scalar) {
         state.SkipWithError("x86-only path");
         return;
     }
@@ -231,9 +230,6 @@ BM_SwarTagCompare(benchmark::State &state)
             r = tagscan::findSse2(tags, 16, want);
             break;
 #endif
-          case tagscan::Path::Swar:
-            r = tagscan::findSwar(tags, 16, want);
-            break;
           default:
             r = tagscan::findScalar(tags, 16, want);
             break;
@@ -243,73 +239,8 @@ BM_SwarTagCompare(benchmark::State &state)
     state.SetLabel(tagscan::toString(path));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SwarTagCompare)
+BENCHMARK(BM_TagCompare)
     ->Arg(static_cast<int>(tagscan::Path::Scalar))
-    ->Arg(static_cast<int>(tagscan::Path::Swar))
-    ->Arg(static_cast<int>(tagscan::Path::Sse2))
-    ->Arg(static_cast<int>(tagscan::Path::Avx2));
-
-// A gathered sweep of 16 independent 16-way probes (the wavefront
-// engine's shape: one parked probe per resident cell, disjoint tag
-// arrays), per implementation. Items = probes, so the per-probe
-// cost is directly comparable with BM_SwarTagCompare's single-probe
-// numbers — the difference is the call amortization and (on AVX2)
-// the 2-probe 256-bit pairing the gathered kernels can afford.
-void
-BM_GatheredTagScan(benchmark::State &state)
-{
-    const auto path = static_cast<tagscan::Path>(state.range(0));
-#ifdef WSEL_TAGSCAN_X86
-    if (static_cast<int>(path) >
-        static_cast<int>(tagscan::activePath())) {
-        state.SkipWithError("path unsupported on this host");
-        return;
-    }
-#else
-    if (static_cast<int>(path) >=
-        static_cast<int>(tagscan::Path::Sse2)) {
-        state.SkipWithError("x86-only path");
-        return;
-    }
-#endif
-    constexpr std::size_t kProbes = 16;
-    alignas(64) static std::uint32_t tags[kProbes][16];
-    tagscan::Probe probes[kProbes];
-    for (std::size_t p = 0; p < kProbes; ++p) {
-        for (std::uint32_t w = 0; w < 16; ++w)
-            tags[p][w] = ((w + 1) << 1) | 1;
-        probes[p] = {tags[p], 16, 0};
-    }
-    std::uint32_t out[kProbes];
-    std::uint32_t i = 0;
-    for (auto _ : state) {
-        for (std::size_t p = 0; p < kProbes; ++p)
-            probes[p].want = ((((i + p) & 15) + 1) << 1) | 1;
-        ++i;
-        switch (path) {
-#ifdef WSEL_TAGSCAN_X86
-          case tagscan::Path::Avx2:
-            tagscan::findManyAvx2(probes, kProbes, out);
-            break;
-          case tagscan::Path::Sse2:
-            tagscan::findManySse2(probes, kProbes, out);
-            break;
-#endif
-          case tagscan::Path::Swar:
-            tagscan::findManySwar(probes, kProbes, out);
-            break;
-          default:
-            tagscan::findManyScalar(probes, kProbes, out);
-            break;
-        }
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetLabel(tagscan::toString(path));
-    state.SetItemsProcessed(state.iterations() * kProbes);
-}
-BENCHMARK(BM_GatheredTagScan)
-    ->Arg(static_cast<int>(tagscan::Path::Scalar))
-    ->Arg(static_cast<int>(tagscan::Path::Swar))
     ->Arg(static_cast<int>(tagscan::Path::Sse2))
     ->Arg(static_cast<int>(tagscan::Path::Avx2));
 
@@ -365,7 +296,7 @@ BM_BatchStep(benchmark::State &state)
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
                             kBatchTarget, batchModels(),
                             static_cast<std::uint32_t>(state.range(0)),
-                            1, 1);
+                            std::size_t{1});
     runFlushes(state, runner);
 }
 BENCHMARK(BM_BatchStep)->Arg(1)->Arg(8)->Arg(32);
@@ -381,7 +312,6 @@ BM_BatchJobs(benchmark::State &state)
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
                             kBatchTarget, batchModels(),
                             static_cast<std::uint32_t>(state.range(0)),
-                            1,
                             static_cast<std::size_t>(state.range(1)));
     runFlushes(state, runner);
 }
@@ -389,28 +319,6 @@ BENCHMARK(BM_BatchJobs)
     ->Args({32, 1})
     ->Args({32, 4})
     ->UseRealTime();
-
-// The same per-cell cost under wavefront interleaving, also on one
-// thread: W = batch cells advance in lockstep with W resident
-// uncores and gathered tag-scan sweeps (sim/batch.hh runWave).
-// Compare against BM_BatchStep at the same batch size to see what
-// the wave costs or saves per cell. Items = cells.
-void
-BM_WaveStep(benchmark::State &state)
-{
-    const auto &ucfgs = batchUncores();
-    const auto batch = static_cast<std::uint32_t>(state.range(0));
-    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                            kBatchTarget, batchModels(), batch, batch,
-                            1);
-    if (runner.wave() != batch) {
-        state.SkipWithError("wave clamped below batch "
-                            "(WSEL_WAVE_MEM too small)");
-        return;
-    }
-    runFlushes(state, runner);
-}
-BENCHMARK(BM_WaveStep)->Arg(2)->Arg(8)->Arg(32);
 
 // Pinning a batch's trace chunks up front (trace/trace_store.hh
 // BatchPin): the per-batch fixed cost the detailed path pays to

@@ -1,9 +1,5 @@
 #include "badco/badco_machine.hh"
 
-#include <algorithm>
-
-#include "stats/logging.hh"
-
 namespace wsel
 {
 
@@ -12,169 +8,33 @@ BadcoMachine::BadcoMachine(const BadcoModel &model, UncoreIf &uncore,
                            std::uint64_t target_uops,
                            std::uint32_t window,
                            std::uint32_t max_outstanding)
-    : model_(model), uncore_(uncore), coreId_(core_id),
-      targetUops_(target_uops),
-      window_(window == 0 ? model.window : window),
-      maxOutstanding_(max_outstanding)
+    : uncore_(uncore), outComp_(max_outstanding),
+      outMark_(max_outstanding), loadComp_(model.loadCount)
 {
-    if (model_.traceUops == 0 || model_.intrinsicCycles == 0)
+    if (model.traceUops == 0 || model.intrinsicCycles == 0)
         WSEL_FATAL("empty BADCO model for " << model.benchmark);
-    if (max_outstanding == 0 || window_ == 0)
+    if (max_outstanding == 0 || (window == 0 && model.window == 0))
         WSEL_FATAL("degenerate BADCO machine limits");
-    if (!model_.finalized)
+    if (!model.finalized)
         WSEL_FATAL("BADCO model for " << model.benchmark
                    << " was not finalize()d");
-    nodeCount_ = model_.nodeWeight.size();
-    nodeWeight_ = model_.nodeWeight.data();
-    nodeUops_ = model_.nodeUops.data();
-    nodeVaddr_ = model_.nodeVaddr.data();
-    nodePc_ = model_.nodePc.data();
-    nodeType_ = model_.nodeType.data();
-    nodeDependsOn_ = model_.nodeDependsOn.data();
-    loadCompletion_.assign(model_.loadCount, 0);
-    outstanding_.reserve(max_outstanding);
+    lane_.model = &model;
+    lane_.outComp = outComp_.data();
+    lane_.outMark = outMark_.data();
+    lane_.loadComp = loadComp_.data();
+    lane_.targetUops = target_uops;
+    lane_.core = core_id;
+    lane_.window = window == 0 ? model.window : window;
+    lane_.maxOutstanding = max_outstanding;
 }
 
 double
 BadcoMachine::ipc() const
 {
-    if (stats_.cyclesToTarget == 0)
+    if (lane_.cyclesToTarget == 0)
         return 0.0;
-    return static_cast<double>(targetUops_) /
-           static_cast<double>(stats_.cyclesToTarget);
-}
-
-void
-BadcoMachine::expireOutstanding()
-{
-    // Nothing can have completed before the earliest completion:
-    // skipping the scan is behaviour-identical and saves the most
-    // frequent loop in the BADCO hot path.
-    if (outstandingMin_ > clock_)
-        return;
-    // Stable one-pass compaction (same surviving order as
-    // erase_if) that recomputes the minimum as it goes.
-    std::uint64_t min = UINT64_MAX;
-    std::size_t n = 0;
-    for (const Outstanding &o : outstanding_) {
-        if (o.completion > clock_) {
-            outstanding_[n++] = o;
-            min = std::min(min, o.completion);
-        }
-    }
-    outstanding_.resize(n);
-    outstandingMin_ = min;
-}
-
-void
-BadcoMachine::checkTarget()
-{
-    if (stats_.cyclesToTarget != 0 || totalUops_ < targetUops_)
-        return;
-    // The target µop cannot commit before in-flight older loads
-    // complete.
-    std::uint64_t t = clock_;
-    for (const Outstanding &o : outstanding_)
-        t = std::max(t, o.completion);
-    stats_.cyclesToTarget = std::max<std::uint64_t>(t, 1);
-}
-
-void
-BadcoMachine::run(std::uint64_t until)
-{
-    while (clock_ < until) {
-        if (stopAtTarget_ && reachedTarget()) {
-            // Idle: the thread halted instead of restarting.
-            clock_ = until;
-            return;
-        }
-        step();
-    }
-}
-
-void
-BadcoMachine::step()
-{
-    if (nodeIdx_ >= nodeCount_) {
-        // Tail of the slice, then thread restart.
-        clock_ += model_.tailWeight;
-        totalUops_ += model_.tailUops;
-        stats_.uops = totalUops_;
-        checkTarget();
-        nodeIdx_ = 0;
-        loadSeqInIter_ = 0;
-        return;
-    }
-
-    const std::size_t i = nodeIdx_;
-
-    // Intrinsic execution of the node's µops (SoA walk).
-    clock_ += nodeWeight_[i];
-    totalUops_ += nodeUops_[i];
-    stats_.uops = totalUops_;
-    expireOutstanding();
-
-    // Effective-window constraint: the machine cannot be more than
-    // window_ µops past an incomplete blocking load.  uopMark is
-    // non-decreasing in push order, so once an entry is inside the
-    // window every later entry is too — the scan can stop there.
-    for (const Outstanding &o : outstanding_) {
-        if (totalUops_ <= o.uopMark + window_)
-            break;
-        if (o.completion > clock_) {
-            stats_.windowStallCycles += o.completion - clock_;
-            clock_ = o.completion;
-        }
-    }
-    expireOutstanding();
-
-    const std::uint64_t vaddr = nodeVaddr_[i];
-    const std::uint64_t pc = nodePc_[i];
-    switch (static_cast<BadcoReqType>(nodeType_[i])) {
-      case BadcoReqType::Load: {
-        const std::int64_t depends_on = nodeDependsOn_[i];
-        if (depends_on >= 0) {
-            WSEL_ASSERT(static_cast<std::uint64_t>(depends_on) <
-                            loadSeqInIter_,
-                        "forward load dependency in model");
-            const std::uint64_t dep_done =
-                loadCompletion_[depends_on];
-            if (dep_done > clock_) {
-                stats_.depStallCycles += dep_done - clock_;
-                clock_ = dep_done;
-                expireOutstanding();
-            }
-        }
-        // Outstanding-slot (MSHR) limit: wait for the earliest
-        // completion (the cached minimum — same value the old
-        // full scan computed).
-        if (outstanding_.size() >= maxOutstanding_) {
-            if (outstandingMin_ > clock_)
-                clock_ = outstandingMin_;
-            expireOutstanding();
-        }
-        const std::uint64_t comp = uncore_.access(
-            clock_, coreId_, vaddr, false, pc, false);
-        outstanding_.push_back(Outstanding{comp, totalUops_});
-        outstandingMin_ = std::min(outstandingMin_, comp);
-        WSEL_ASSERT(loadSeqInIter_ < loadCompletion_.size(),
-                    "load numbering overflow");
-        loadCompletion_[loadSeqInIter_++] = comp;
-        break;
-      }
-      case BadcoReqType::Store:
-        uncore_.access(clock_, coreId_, vaddr, true, pc, false);
-        break;
-      case BadcoReqType::Prefetch:
-        uncore_.access(clock_, coreId_, vaddr, false, pc, true);
-        break;
-      case BadcoReqType::Writeback:
-        uncore_.writeback(clock_, coreId_, vaddr);
-        break;
-    }
-    ++stats_.requests;
-    checkTarget();
-    ++nodeIdx_;
+    return static_cast<double>(lane_.targetUops) /
+           static_cast<double>(lane_.cyclesToTarget);
 }
 
 } // namespace wsel

@@ -147,35 +147,25 @@ bool
 Cache::accessIfHit(std::uint64_t byte_addr, bool is_write,
                    bool is_prefetch)
 {
-    const tagscan::Probe p = scanProbe(byte_addr);
-    return finishAccessAt(byte_addr,
-                          tagscan::find(p.tags, p.n, p.want),
-                          is_write, is_prefetch);
-}
-
-bool
-Cache::finishAccessAt(std::uint64_t byte_addr, std::uint32_t way,
-                      bool is_write, bool is_prefetch)
-{
     const std::uint64_t la = lineAddr(byte_addr);
     const std::uint32_t set = setIndex(la);
     const std::size_t base =
         static_cast<std::size_t>(set) * geom_.ways;
-    const std::uint32_t w = way;
-    if (w < geom_.ways) {
-        if (is_prefetch) {
-            ++stats_.prefetchAccesses;
-            ++stats_.prefetchHits;
-        } else {
-            ++stats_.demandAccesses;
-            ++stats_.demandHits;
-        }
-        policy_->onHit(set, w);
-        if (is_write)
-            dirty_[base + w] = 1;
-        return true;
+    const std::uint32_t w =
+        tagscan::find(&tags_[base], geom_.ways, tagFor(la));
+    if (w == geom_.ways)
+        return false;
+    if (is_prefetch) {
+        ++stats_.prefetchAccesses;
+        ++stats_.prefetchHits;
+    } else {
+        ++stats_.demandAccesses;
+        ++stats_.demandHits;
     }
-    return false;
+    policy_->onHit(set, w);
+    if (is_write)
+        dirty_[base + w] = 1;
+    return true;
 }
 
 Cache::Result

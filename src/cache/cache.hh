@@ -18,7 +18,6 @@
 #include <string>
 
 #include "cache/replacement.hh"
-#include "cache/tagscan.hh"
 #include "stats/logging.hh"
 
 namespace wsel
@@ -129,40 +128,6 @@ class Cache
      */
     bool accessIfHit(std::uint64_t byte_addr, bool is_write,
                      bool is_prefetch = false);
-
-    /**
-     * The tag scan an access to @p byte_addr performs, as a gather
-     * descriptor for tagscan::findMany(). The pointer references
-     * this cache's tag array and is invalidated by any fill to the
-     * same set (missFill/access/writeback) — build, sweep, and
-     * consume via finishAccessAt() before touching the cache again.
-     */
-    tagscan::Probe
-    scanProbe(std::uint64_t byte_addr) const
-    {
-        const std::uint64_t la = lineAddr(byte_addr);
-        const std::uint32_t set = setIndex(la);
-        return tagscan::Probe{
-            &tags_[static_cast<std::size_t>(set) * geom_.ways],
-            geom_.ways, tagFor(la)};
-    }
-
-    /** Set index of @p byte_addr (gather conflict tracking). */
-    std::uint32_t
-    setOf(std::uint64_t byte_addr) const
-    {
-        return setIndex(lineAddr(byte_addr));
-    }
-
-    /**
-     * accessIfHit() with the tag scan already done: @p way is the
-     * result of sweeping scanProbe(byte_addr). Applies the hit-side
-     * effects and returns true when way < ways; mutates nothing on
-     * a miss. accessIfHit() is exactly
-     * finishAccessAt(a, find(scanProbe(a)), ...).
-     */
-    bool finishAccessAt(std::uint64_t byte_addr, std::uint32_t way,
-                        bool is_write, bool is_prefetch = false);
 
     /**
      * Miss half of access() without the tag scan, for callers that

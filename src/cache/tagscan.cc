@@ -14,8 +14,6 @@ toString(Path path)
     switch (path) {
       case Path::Scalar:
         return "scalar";
-      case Path::Swar:
-        return "swar";
       case Path::Sse2:
         return "sse2";
       case Path::Avx2:
@@ -35,7 +33,7 @@ widestSupported()
         return Path::Avx2;
     return Path::Sse2; // baseline on x86-64
 #else
-    return Path::Swar;
+    return Path::Scalar;
 #endif
 }
 
@@ -48,8 +46,6 @@ resolvePath()
     const std::string v(env);
     if (v == "scalar")
         return Path::Scalar;
-    if (v == "swar")
-        return Path::Swar;
 #ifdef WSEL_TAGSCAN_X86
     if (v == "sse2")
         return Path::Sse2;
@@ -63,12 +59,12 @@ resolvePath()
 #else
     if (v == "sse2" || v == "avx2") {
         warn("WSEL_SIMD=" + v +
-             " is x86-64 only; using the SWAR path");
-        return Path::Swar;
+             " is x86-64 only; using the scalar path");
+        return Path::Scalar;
     }
 #endif
     warn("ignoring unknown WSEL_SIMD '" + v +
-         "' (want scalar|swar|sse2|avx2|auto)");
+         "' (want scalar|sse2|avx2|auto)");
     return widestSupported();
 }
 

@@ -4,13 +4,11 @@
  *
  * PR 4 packed tags to 32 bits so a 16-way set occupies one host
  * cache line; this header turns the way-probe loop over that line
- * into a single data-parallel compare. Three implementations share
+ * into a single data-parallel compare. The implementations share
  * one contract — return the lowest way index holding @p want, or
  * @p n when absent:
  *
- *  - findScalar: the reference loop;
- *  - findSwar: branch-free SWAR over two tags per 64-bit word
- *    (portable, no intrinsics);
+ *  - findScalar: the reference loop, and the path on other ISAs;
  *  - findSse2 / findAvx2 (x86-64 only): explicit 4- and 8-wide
  *    compares with a movemask + countr_zero pick.
  *
@@ -20,21 +18,10 @@
  * so replacement decisions are bit-for-bit independent of the path.
  *
  * The active path is resolved once per process: WSEL_SIMD
- * (scalar | swar | sse2 | avx2 | auto) overrides, "auto" (the
- * default) picks the widest supported implementation. The choice is
+ * (scalar | sse2 | avx2 | auto) overrides, "auto" (the default)
+ * picks the widest supported implementation. The choice is
  * observable via the batch.simd_path gauge and microbenchmarked by
- * BM_SwarTagCompare (docs/PERFORMANCE.md).
- *
- * Multi-probe entry points (findMany*) scan several independent
- * sets per call for the wavefront batch engine (sim/batch.hh):
- * each Probe names a tag row, its way count and the wanted tag, and
- * the result slot receives exactly what the single-probe path of
- * the same tier would return — per-probe results never depend on
- * the other probes in the sweep, so gathering is invisible to
- * replacement decisions. What gathering buys is amortization: one
- * call, one dispatched switch and one pattern broadcast per tier
- * cover a whole wave of pending probes whose tag rows the hardware
- * can fetch in parallel (BM_GatheredTagScan).
+ * BM_TagCompare (docs/PERFORMANCE.md).
  */
 
 #ifndef WSEL_CACHE_TAGSCAN_HH
@@ -42,7 +29,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define WSEL_TAGSCAN_X86 1
@@ -56,12 +42,11 @@ namespace wsel::tagscan
 enum class Path : std::uint8_t
 {
     Scalar = 0,
-    Swar = 1,
-    Sse2 = 2,
-    Avx2 = 3,
+    Sse2 = 1,
+    Avx2 = 2,
 };
 
-/** "scalar" / "swar" / "sse2" / "avx2". */
+/** "scalar" / "sse2" / "avx2". */
 const char *toString(Path path);
 
 /**
@@ -80,37 +65,6 @@ findScalar(const std::uint32_t *tags, std::uint32_t n,
         if (tags[w] == want)
             return w;
     }
-    return n;
-}
-
-/**
- * SWAR: two tags per 64-bit word; a zero 32-bit half of
- * word ^ broadcast(want) marks a match. The zero test
- * (x - kLo) & ~x & kHi is exact for 32-bit fields because the
- * borrow of the low half cannot reach the high half's top bit
- * unless the low half itself is zero.
- */
-inline std::uint32_t
-findSwar(const std::uint32_t *tags, std::uint32_t n,
-         std::uint32_t want)
-{
-    constexpr std::uint64_t kLo = 0x0000000100000001ULL;
-    constexpr std::uint64_t kHi = 0x8000000080000000ULL;
-    const std::uint64_t pattern =
-        kLo * static_cast<std::uint64_t>(want);
-    std::uint32_t w = 0;
-    for (; w + 2 <= n; w += 2) {
-        std::uint64_t x;
-        std::memcpy(&x, tags + w, 8);
-        x ^= pattern;
-        const std::uint64_t zero = (x - kLo) & ~x & kHi;
-        if (zero != 0) {
-            // Bit 31 set => low (first) tag matched; prefer it.
-            return w + ((zero & 0x80000000ULL) ? 0 : 1);
-        }
-    }
-    if (w < n && tags[w] == want)
-        return w;
     return n;
 }
 
@@ -171,157 +125,6 @@ findAvx2(const std::uint32_t *tags, std::uint32_t n,
 
 #endif // WSEL_TAGSCAN_X86
 
-/**
- * One pending tag lookup of a gathered sweep: scan @p n ways at
- * @p tags for @p want. Cache::scanProbe() builds these.
- */
-struct Probe
-{
-    const std::uint32_t *tags;
-    std::uint32_t n;
-    std::uint32_t want;
-};
-
-/** Gathered reference sweep: out[i] = findScalar(probes[i]). */
-inline void
-findManyScalar(const Probe *probes, std::size_t count,
-               std::uint32_t *out)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        out[i] = findScalar(probes[i].tags, probes[i].n,
-                            probes[i].want);
-}
-
-/** Gathered SWAR sweep: per-probe results match findSwar. */
-inline void
-findManySwar(const Probe *probes, std::size_t count,
-             std::uint32_t *out)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        out[i] = findSwar(probes[i].tags, probes[i].n,
-                          probes[i].want);
-}
-
-#ifdef WSEL_TAGSCAN_X86
-
-/**
- * Gathered SSE2 sweep. A 16-way probe (the Table II LLC) resolves
- * branch-free: all four 128-bit compares run unconditionally and
- * their movemasks OR into one 16-bit mask whose lowest set bit is
- * the lowest matching way — identical to the early-exit scalar
- * pick, because a valid tag occupies at most one way and the
- * invalid-search (want == 0) pick is lowest-index by construction.
- * Dropping the per-chunk branches lets consecutive probes' loads
- * overlap instead of serializing on four predictions each.
- */
-inline void
-findManySse2(const Probe *probes, std::size_t count,
-             std::uint32_t *out)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const Probe &p = probes[i];
-        if (p.n == 16) {
-            const __m128i pat =
-                _mm_set1_epi32(static_cast<int>(p.want));
-            unsigned mask = 0;
-            for (std::uint32_t j = 0; j < 4; ++j) {
-                const __m128i x = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(p.tags +
-                                                      4 * j));
-                mask |= static_cast<unsigned>(_mm_movemask_ps(
-                            _mm_castsi128_ps(
-                                _mm_cmpeq_epi32(x, pat))))
-                        << (4 * j);
-            }
-            out[i] = mask != 0
-                         ? static_cast<std::uint32_t>(
-                               std::countr_zero(mask))
-                         : 16u;
-        } else {
-            out[i] = findSse2(p.tags, p.n, p.want);
-        }
-    }
-}
-
-/**
- * Gathered AVX2 sweep: two probes in flight per iteration, each
- * 16-way set in two 256-bit compares with the masks combined as in
- * findManySse2. (The single-probe dispatcher routes 16-way sets to
- * SSE2 because the target-attribute call isn't worth one probe;
- * here the call is already amortized over the sweep.)
- */
-__attribute__((target("avx2"))) inline void
-findManyAvx2(const Probe *probes, std::size_t count,
-             std::uint32_t *out)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= count; i += 2) {
-        const Probe &a = probes[i];
-        const Probe &b = probes[i + 1];
-        if (a.n != 16 || b.n != 16) {
-            out[i] = findScalar(a.tags, a.n, a.want);
-            out[i + 1] = findScalar(b.tags, b.n, b.want);
-            continue;
-        }
-        const __m256i pa =
-            _mm256_set1_epi32(static_cast<int>(a.want));
-        const __m256i pb =
-            _mm256_set1_epi32(static_cast<int>(b.want));
-        const __m256i a0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a.tags));
-        const __m256i a1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a.tags + 8));
-        const __m256i b0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b.tags));
-        const __m256i b1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b.tags + 8));
-        const unsigned ma =
-            static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(a0, pa)))) |
-            static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(a1, pa))))
-                << 8;
-        const unsigned mb =
-            static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(b0, pb)))) |
-            static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(b1, pb))))
-                << 8;
-        out[i] = ma != 0 ? static_cast<std::uint32_t>(
-                               std::countr_zero(ma))
-                         : 16u;
-        out[i + 1] = mb != 0 ? static_cast<std::uint32_t>(
-                                   std::countr_zero(mb))
-                             : 16u;
-    }
-    for (; i < count; ++i) {
-        const Probe &p = probes[i];
-        if (p.n == 16) {
-            const __m256i pat =
-                _mm256_set1_epi32(static_cast<int>(p.want));
-            const __m256i x0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p.tags));
-            const __m256i x1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p.tags + 8));
-            const unsigned m =
-                static_cast<unsigned>(_mm256_movemask_ps(
-                    _mm256_castsi256_ps(
-                        _mm256_cmpeq_epi32(x0, pat)))) |
-                static_cast<unsigned>(_mm256_movemask_ps(
-                    _mm256_castsi256_ps(
-                        _mm256_cmpeq_epi32(x1, pat))))
-                    << 8;
-            out[i] = m != 0 ? static_cast<std::uint32_t>(
-                                  std::countr_zero(m))
-                            : 16u;
-        } else {
-            out[i] = findScalar(p.tags, p.n, p.want);
-        }
-    }
-}
-
-#endif // WSEL_TAGSCAN_X86
-
 /** @name Internal dispatch state (read via find()). */
 /** @{ */
 namespace detail
@@ -333,8 +136,8 @@ extern const Path gPath; ///< resolved once at first use of find()
 /**
  * Dispatched scan: the active path's implementation. The dispatch
  * is a predictable two-branch switch on a constant — no indirect
- * call, so the scalar/SWAR bodies still inline into the cache's
- * probe sites.
+ * call, so the scalar and SSE2 bodies still inline into the
+ * cache's probe sites.
  */
 inline std::uint32_t
 find(const std::uint32_t *tags, std::uint32_t n, std::uint32_t want)
@@ -354,39 +157,8 @@ find(const std::uint32_t *tags, std::uint32_t n, std::uint32_t want)
       case Path::Sse2:
         return findSse2(tags, n, want);
 #endif
-      case Path::Swar:
-        return findSwar(tags, n, want);
       default:
         return findScalar(tags, n, want);
-    }
-}
-
-/**
- * Dispatched gathered sweep: out[i] is exactly what
- * find(probes[i]...) would return — one dispatch for the whole
- * sweep. Probes must reference distinct tag rows or at least rows
- * no probe's eventual fill has mutated since the Probe was built;
- * the wavefront engine guarantees this by gathering at most one
- * probe per cell (cells own private uncores).
- */
-inline void
-findMany(const Probe *probes, std::size_t count, std::uint32_t *out)
-{
-    switch (detail::gPath) {
-#ifdef WSEL_TAGSCAN_X86
-      case Path::Avx2:
-        findManyAvx2(probes, count, out);
-        return;
-      case Path::Sse2:
-        findManySse2(probes, count, out);
-        return;
-#endif
-      case Path::Swar:
-        findManySwar(probes, count, out);
-        return;
-      default:
-        findManyScalar(probes, count, out);
-        return;
     }
 }
 

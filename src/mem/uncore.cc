@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "cache/tagscan.hh"
 #include "stats/logging.hh"
 
 namespace wsel
@@ -218,10 +217,10 @@ Uncore::missPath(std::uint64_t start, std::uint64_t paddr,
     return completion;
 }
 
-Uncore::PendingAccess
-Uncore::accessBegin(std::uint64_t cycle, std::uint32_t core_id,
-                    std::uint64_t vaddr, bool is_write,
-                    std::uint64_t pc, bool is_prefetch)
+std::uint64_t
+Uncore::access(std::uint64_t cycle, std::uint32_t core_id,
+               std::uint64_t vaddr, bool is_write, std::uint64_t pc,
+               bool is_prefetch)
 {
     WSEL_ASSERT(core_id < numCores_, "core id out of range");
     UncoreCoreStats &cs = coreStats_[core_id];
@@ -238,58 +237,35 @@ Uncore::accessBegin(std::uint64_t cycle, std::uint32_t core_id,
     const std::uint64_t start = std::max(cycle, portNextFree_);
     portNextFree_ = start + 1;
 
-    return PendingAccess{cycle, pc,       paddr,      start,
-                         core_id, is_write, is_prefetch};
-}
-
-std::uint64_t
-Uncore::accessFinish(const PendingAccess &pa, std::uint32_t way)
-{
-    // Hit-side effects from the already-performed scan; the miss
-    // path defers its accounting to missFill() (an MSHR-merged
-    // miss is never accounted, exactly as before).
-    const bool hit = llc_.finishAccessAt(pa.paddr, way, pa.isWrite,
-                                         pa.isPrefetch);
+    // Hit-side effects in one tag scan; the miss path defers its
+    // accounting to missFill() (an MSHR-merged miss is never
+    // accounted).
+    const bool hit = llc_.accessIfHit(paddr, is_write, is_prefetch);
 
     std::uint64_t completion;
     if (hit) {
-        completion = pa.start + cfg_.llcHitLatency;
+        completion = start + cfg_.llcHitLatency;
         // The tags fill at request time, so a "hit" may target a
         // line whose data is still in flight: wait for its MSHR.
-        const std::uint64_t line = llc_.lineAddr(pa.paddr);
+        const std::uint64_t line = llc_.lineAddr(paddr);
         for (const Mshr &m : mshrs_) {
             if (m.lineAddr == line)
                 completion = std::max(completion, m.completion);
         }
     } else {
-        if (!pa.isPrefetch)
-            ++coreStats_[pa.core].demandMisses;
-        completion = missPath(pa.start + cfg_.llcHitLatency,
-                              pa.paddr, pa.isWrite, pa.isPrefetch);
+        if (!is_prefetch)
+            ++cs.demandMisses;
+        completion = missPath(start + cfg_.llcHitLatency, paddr,
+                              is_write, is_prefetch);
     }
 
     // Core prefetches train the LLC prefetchers like demand traffic;
     // their own proposals are not re-observed.
-    if (!pa.isPrefetch) {
-        coreStats_[pa.core].totalDemandLatency +=
-            completion - pa.cycle;
-        maybePrefetch(pa.start, pa.core, pa.pc, pa.paddr, !hit);
+    if (!is_prefetch) {
+        cs.totalDemandLatency += completion - cycle;
+        maybePrefetch(start, core_id, pc, paddr, !hit);
     }
     return completion;
-}
-
-std::uint64_t
-Uncore::access(std::uint64_t cycle, std::uint32_t core_id,
-               std::uint64_t vaddr, bool is_write, std::uint64_t pc,
-               bool is_prefetch)
-{
-    // The begin / scan / finish composition IS the access path —
-    // the wavefront engine interposes a gathered sweep between the
-    // same halves, so the two can never diverge.
-    const PendingAccess pa = accessBegin(cycle, core_id, vaddr,
-                                         is_write, pc, is_prefetch);
-    const tagscan::Probe p = llcProbe(pa);
-    return accessFinish(pa, tagscan::find(p.tags, p.n, p.want));
 }
 
 void
@@ -301,47 +277,6 @@ Uncore::maybePrefetch(std::uint64_t start, std::uint32_t core_id,
     std::vector<std::uint64_t> &proposals = prefetchScratch_;
     prefetchers_[core_id]->observe(pc, llc_.lineAddr(paddr), was_miss,
                                    proposals);
-
-    // A degree-N prefetcher emits its proposals at once, so their
-    // presence probes can share one gathered sweep instead of N
-    // dispatched scans. Correctness caveat: an earlier proposal's
-    // missPath() fill can mutate a set a later proposal's probe
-    // already scanned, so any proposal whose set a fill of this
-    // sweep touched is re-probed scalar at its turn — conservative
-    // (fills touch only their own set) and therefore identical to
-    // the probe-then-fill-one-at-a-time order.
-    constexpr std::size_t kMaxGather = 16;
-    if (gatherPrefetchProbes_ && proposals.size() >= 2 &&
-        proposals.size() <= kMaxGather) {
-        tagscan::Probe probes[kMaxGather];
-        std::uint32_t ways[kMaxGather];
-        std::uint32_t sets[kMaxGather];
-        const std::size_t n = proposals.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t byte_addr =
-                proposals[i] * cfg_.llc.lineBytes;
-            probes[i] = llc_.scanProbe(byte_addr);
-            sets[i] = llc_.setOf(byte_addr);
-        }
-        tagscan::findMany(probes, n, ways);
-        std::uint32_t filled_sets[kMaxGather];
-        std::size_t filled = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t byte_addr =
-                proposals[i] * cfg_.llc.lineBytes;
-            bool stale = false;
-            for (std::size_t j = 0; j < filled; ++j)
-                stale = stale || filled_sets[j] == sets[i];
-            const bool present = stale ? llc_.probe(byte_addr)
-                                       : ways[i] < probes[i].n;
-            if (present)
-                continue;
-            missPath(start + cfg_.llcHitLatency, byte_addr, false,
-                     true);
-            filled_sets[filled++] = sets[i];
-        }
-        return;
-    }
 
     for (std::uint64_t line : proposals) {
         const std::uint64_t byte_addr = line * cfg_.llc.lineBytes;

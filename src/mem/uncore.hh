@@ -133,48 +133,6 @@ class Uncore final : public UncoreIf
                          std::uint64_t pc,
                          bool is_prefetch = false) override;
 
-    /**
-     * An access() split at its LLC tag scan, for the wavefront
-     * batch engine (sim/batch.hh): accessBegin() performs the
-     * pre-scan half (demand counters, translation, LLC port
-     * scheduling), llcProbe() names the scan as a gather
-     * descriptor, and accessFinish() — given the way index the
-     * sweep returned — performs the post-scan half (hit/miss
-     * resolution, MSHRs, prefetch training) and yields the
-     * completion cycle. access() IS this composition with a
-     * single-probe sweep, so interposing a gathered sweep between
-     * the halves cannot change any result. Between accessBegin()
-     * and accessFinish() no other operation may touch this uncore
-     * (the wave engine parks the whole cell).
-     */
-    struct PendingAccess
-    {
-        std::uint64_t cycle;  ///< request cycle, pre-port
-        std::uint64_t pc;     ///< training PC
-        std::uint64_t paddr;  ///< translated address
-        std::uint64_t start;  ///< LLC port grant cycle
-        std::uint32_t core;
-        bool isWrite;
-        bool isPrefetch;
-    };
-
-    /** Pre-scan half of access(). */
-    PendingAccess accessBegin(std::uint64_t cycle,
-                              std::uint32_t core_id,
-                              std::uint64_t vaddr, bool is_write,
-                              std::uint64_t pc, bool is_prefetch);
-
-    /** The LLC tag scan @p pa performs, for a gathered sweep. */
-    tagscan::Probe
-    llcProbe(const PendingAccess &pa) const
-    {
-        return llc_.scanProbe(pa.paddr);
-    }
-
-    /** Post-scan half of access(); @p way from the sweep. */
-    std::uint64_t accessFinish(const PendingAccess &pa,
-                               std::uint32_t way);
-
     void writeback(std::uint64_t cycle, std::uint32_t core_id,
                    std::uint64_t vaddr) override;
 
@@ -191,18 +149,6 @@ class Uncore final : public UncoreIf
 
     const UncoreConfig &config() const { return cfg_; }
     std::uint32_t numCores() const { return numCores_; }
-
-    /**
-     * Diagnostic hook: force multi-proposal prefetch probes back to
-     * one scan per line instead of the gathered sweep. Contractually
-     * behaviour-identical — tests/test_uncore.cc drives both modes
-     * over the same request stream and compares every completion.
-     */
-    void
-    setGatheredPrefetchProbes(bool on)
-    {
-        gatherPrefetchProbes_ = on;
-    }
 
   private:
     /** Translate with first-touch page allocation. */
@@ -298,9 +244,6 @@ class Uncore final : public UncoreIf
 
     /** Reused proposal buffer for maybePrefetch(). */
     std::vector<std::uint64_t> prefetchScratch_;
-
-    /** See setGatheredPrefetchProbes(). */
-    bool gatherPrefetchProbes_ = true;
 
     std::vector<UncoreCoreStats> coreStats_;
 };

@@ -139,9 +139,6 @@ constexpr CatalogEntry kCatalog[] = {
     {"batch.lanes_active", 'g'},
     {"batch.chunk_pins_saved", 'c'},
     {"batch.simd_path", 'g'},
-    {"batch.wave", 'g'},
-    {"batch.probes_gathered", 'c'},
-    {"batch.uncores_resident", 'g'},
     {"trace_store.chunks_built", 'c'},
     {"trace_store.chunk_hits", 'c'},
     {"trace_store.chunks_evicted", 'c'},

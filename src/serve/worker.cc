@@ -169,13 +169,13 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
                 std::max<std::uint64_t>(1, lease.ttlMs / 4)),
             cells_done);
         if (ctx.fidelity() == 0)
-            // Batch and wave sizes from WSEL_BATCH_CELLS /
-            // WSEL_BATCH_WAVE (resolver defaults otherwise), and
-            // job count from --jobs; none of them ever changes
-            // shard bytes, so mixed worker fleets stay coherent.
+            // Batch size from WSEL_BATCH_CELLS (resolver default
+            // otherwise) and job count from --jobs; neither ever
+            // changes shard bytes, so mixed worker fleets stay
+            // coherent.
             simulatePopulationShardBatched(
                 m, ctx.population(), ctx.uncores(), ctx.models(),
-                ctx.seed(), lease.shard, 0, 0, opts.jobs, payload,
+                ctx.seed(), lease.shard, 0, opts.jobs, payload,
                 &cells_done);
         else
             simulateDetailedPopulationShard(

@@ -290,8 +290,7 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
                 // already the parallel_for grain.
                 BadcoBatchRunner runner(
                     {ucfgs.data(), ucfgs.size()}, k, target_uops,
-                    models, batch_cells,
-                    resolveBatchWave(opts.batchWave), 1);
+                    models, batch_cells, std::size_t{1});
                 std::vector<std::uint32_t> benches;
                 for (std::uint64_t r = r0; r < r1; ++r) {
                     const std::uint64_t rank = batch.ranks[r];

@@ -96,12 +96,6 @@ struct AdaptiveOptions
      * Bitwise identical at every value.
      */
     std::uint32_t batchCells = 0;
-
-    /**
-     * Wavefront width (sim/batch.hh): 0 resolves WSEL_BATCH_WAVE
-     * (default 1 = cell-major). Bitwise identical at every value.
-     */
-    std::uint32_t batchWave = 0;
 };
 
 struct AdaptiveResult

@@ -65,10 +65,6 @@ struct HybridOptions
     /** BADCO-phase batched-engine cells per batch (sim/batch.hh):
      *  0 resolves WSEL_BATCH_CELLS (default 32), 1 = serial. */
     std::uint32_t batchCells = 0;
-
-    /** BADCO-phase wavefront width (sim/batch.hh): 0 resolves
-     *  WSEL_BATCH_WAVE (default 1 = cell-major). */
-    std::uint32_t batchWave = 0;
 };
 
 struct HybridResult

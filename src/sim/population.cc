@@ -136,8 +136,8 @@ simulatePopulationShardBatched(
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
-    std::uint32_t batch_cells, std::uint32_t batch_wave,
-    std::size_t jobs, std::vector<double> &payload,
+    std::uint32_t batch_cells, std::size_t jobs,
+    std::vector<double> &payload,
     std::atomic<std::uint64_t> *cells_done)
 {
     const std::size_t np = m.policies.size();
@@ -149,8 +149,7 @@ simulatePopulationShardBatched(
     payload.assign(static_cast<std::size_t>(rows) * np * k, 0.0);
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
                             m.targetUops, models,
-                            resolveBatchCells(batch_cells),
-                            resolveBatchWave(batch_wave), jobs,
+                            resolveBatchCells(batch_cells), jobs,
                             cells_done);
     WorkloadCursor cur(pop, m.shardFirstRank(shard));
     for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
@@ -298,8 +297,6 @@ runBadcoPopulationCampaign(
     const std::uint64_t shards = m.shardCount();
     const std::uint32_t batch_cells =
         resolveBatchCells(opts.batchCells);
-    const std::uint32_t batch_wave =
-        resolveBatchWave(opts.batchWave);
 
     auto run_shard = [&](std::size_t s) {
         ShardPartial part;
@@ -337,7 +334,7 @@ runBadcoPopulationCampaign(
         std::vector<double> payload;
         simulatePopulationShardBatched(m, pop, ucfgs, models,
                                        opts.seed, s, batch_cells,
-                                       batch_wave, jobs, payload);
+                                       jobs, payload);
         {
             std::uint64_t write_ns = 0;
             {

@@ -129,14 +129,6 @@ struct PopulationOptions
      * serially. Results are bitwise identical at every value.
      */
     std::uint32_t batchCells = 0;
-
-    /**
-     * Wave width for the wavefront batch engine: 0 resolves
-     * WSEL_BATCH_WAVE (default 1 = cell-major), W > 1 steps W
-     * cells in lockstep with gathered tag scans. Results are
-     * bitwise identical at every value.
-     */
-    std::uint32_t batchWave = 0;
 };
 
 /** Result of a population campaign run. */
@@ -196,24 +188,23 @@ void simulatePopulationShard(
  * and bitwise-identical payload, but cells run through the
  * BadcoBatchRunner (sim/batch.hh) in groups of @p batch_cells per
  * thread (resolved via resolveBatchCells; 1 at one job behaves
- * like the serial engine) with wave width @p batch_wave (resolved
- * via resolveBatchWave; >1 interleaves cells in lockstep waves),
- * spread over @p jobs threads (0 = $WSEL_JOBS else hardware; the
- * in-process runner and the distributed worker both pass their
- * --jobs). @p cells_done gains one per cell as each finishes
- * inside a flush. The "population.cell" fault point still fires
- * once per cell, at batch-append time on the calling thread — a
- * fault or SIGKILL mid-batch abandons the whole (unwritten) shard
- * exactly as the serial engine's mid-shard fault does, so resume
- * semantics are unchanged at any wave size or job count.
+ * like the serial engine), spread over @p jobs threads (0 =
+ * $WSEL_JOBS else hardware; the in-process runner and the
+ * distributed worker both pass their --jobs). @p cells_done
+ * gains one per cell as each finishes inside a flush. The
+ * "population.cell" fault point still fires once per cell, at
+ * batch-append time on the calling thread — a fault or SIGKILL
+ * mid-batch abandons the whole (unwritten) shard exactly as the
+ * serial engine's mid-shard fault does, so resume semantics are
+ * unchanged at any batch size or job count.
  */
 void simulatePopulationShardBatched(
     const persist::V3Manifest &m, const WorkloadPopulation &pop,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
-    std::uint32_t batch_cells, std::uint32_t batch_wave,
-    std::size_t jobs, std::vector<double> &payload,
+    std::uint32_t batch_cells, std::size_t jobs,
+    std::vector<double> &payload,
     std::atomic<std::uint64_t> *cells_done = nullptr);
 
 /**

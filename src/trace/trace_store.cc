@@ -4,64 +4,12 @@
 #include <cstdlib>
 #include <string>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
-
-#include "mem/numa.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "stats/logging.hh"
 
 namespace wsel
 {
-
-namespace
-{
-
-/** WSEL_TRACE_HUGEPAGES=1 opts chunk arrays into THP backing. */
-bool
-traceHugepagesEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("WSEL_TRACE_HUGEPAGES");
-        return env && *env && std::string(env) != "0";
-    }();
-    return enabled;
-}
-
-/**
- * Advise the kernel to back @p data's pages with transparent huge
- * pages. Purely a performance hint: trims the page-table walk cost
- * of the fetch loops streaming the large addr/pc arrays. The range
- * is rounded inward to page boundaries; sub-page arrays are left
- * alone. Failures are ignored — THP may be disabled system-wide.
- */
-void
-adviseHugepages(const void *data, std::size_t bytes)
-{
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    if (!traceHugepagesEnabled() || bytes == 0)
-        return;
-    static const std::uintptr_t page = static_cast<std::uintptr_t>(
-        ::sysconf(_SC_PAGESIZE));
-    const std::uintptr_t lo =
-        (reinterpret_cast<std::uintptr_t>(data) + page - 1) &
-        ~(page - 1);
-    const std::uintptr_t hi =
-        (reinterpret_cast<std::uintptr_t>(data) + bytes) &
-        ~(page - 1);
-    if (hi > lo)
-        (void)::madvise(reinterpret_cast<void *>(lo), hi - lo,
-                        MADV_HUGEPAGE);
-#else
-    (void)data;
-    (void)bytes;
-#endif
-}
-
-} // namespace
 
 // -------------------------------------------------------------------
 // TraceStream
@@ -89,9 +37,6 @@ TraceStream::buildOne()
                    "{\"bench\":\"" + profile_.name + "\"}");
     obs::LatencyHistogram::Timer timer(build_ns);
 
-    // reserve() up front also fixes the arrays' NUMA home: the
-    // build loop below runs on the requesting worker thread, so
-    // first touch places the pages on that worker's node.
     auto c = std::make_shared<TraceChunk>();
     c->firstUop = gen_.generated();
     c->count = chunkUops_;
@@ -112,19 +57,6 @@ TraceStream::buildOne()
         c->latency.push_back(u.latency);
         c->taken.push_back(u.taken ? 1 : 0);
     }
-    // Only the 8-byte-per-µop arrays span enough pages to benefit.
-    adviseHugepages(c->addr.data(),
-                    c->addr.size() * sizeof(std::uint64_t));
-    adviseHugepages(c->pc.data(),
-                    c->pc.size() * sizeof(std::uint64_t));
-    // WSEL_NUMA=interleave re-spreads the big arrays after the
-    // first-touch build above (mem/numa.hh; default keeps them on
-    // this worker's node).
-    numa::placeSlab(c->addr.data(),
-                    c->addr.size() * sizeof(std::uint64_t));
-    numa::placeSlab(c->pc.data(),
-                    c->pc.size() * sizeof(std::uint64_t));
-
     built.inc();
     builds_.fetch_add(1, std::memory_order_relaxed);
     return c;

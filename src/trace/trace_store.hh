@@ -30,11 +30,7 @@
  * front, so co-scheduled cells reading the same benchmark share one
  * resident copy for the batch's lifetime instead of racing the LRU
  * per cursor-refill. Releasing the pin re-runs eviction, so the
- * budget converges as soon as the batch retires. Chunk arrays are
- * touched by the building worker thread (first-touch NUMA
- * placement) and, behind WSEL_TRACE_HUGEPAGES=1, get
- * madvise(MADV_HUGEPAGE) backing to cut TLB pressure on the big
- * addr/pc arrays.
+ * budget converges as soon as the batch retires.
  *
  * Instrumented through src/obs/: trace_store.chunks_built /
  * chunk_hits / chunks_evicted counters, trace_store.resident_bytes

@@ -2,16 +2,13 @@
  * @file
  * Tests for the batched BADCO cell engine (sim/batch.hh) and its
  * bitwise-identity contract: a batched population shard must equal
- * the serial engine's bytes at every (batch, wave, jobs)
- * combination, through mid-batch (and mid-wave) kills and resumes
- * — including resume at a different wave size — and under
- * trace-store budget pressure that forces chunk eviction and
- * re-pinning. Also covers the gathered tag-scan sweeps
- * (cache/tagscan.hh findMany*) against the scalar reference on
- * every dispatch tier, the WSEL_WAVE_MEM resident-uncore clamp,
- * and the BatchPin budget semantics: pinned chunks are ineligible
- * eviction victims, and the budget converges as soon as a batch
- * releases its pins.
+ * the serial engine's bytes at every (batch, jobs) combination,
+ * through mid-batch kills and resumes, and under trace-store budget
+ * pressure that forces chunk eviction and re-pinning. Also covers
+ * the tag-scan kernels (cache/tagscan.hh) against the scalar
+ * reference on every x86 tier, and the BatchPin budget semantics:
+ * pinned chunks are ineligible eviction victims, and the budget
+ * converges as soon as a batch releases its pins.
  */
 
 #include <atomic>
@@ -57,15 +54,10 @@ testSuite()
 const std::vector<PolicyKind> kPolicies = {PolicyKind::LRU,
                                            PolicyKind::DIP};
 
-/** Restores the batch-engine knobs to "unset" on scope exit. */
+/** Restores the batch-size knob to "unset" on scope exit. */
 struct BatchEnvGuard
 {
-    ~BatchEnvGuard()
-    {
-        unsetenv("WSEL_BATCH_CELLS");
-        unsetenv("WSEL_BATCH_WAVE");
-        unsetenv("WSEL_WAVE_MEM");
-    }
+    ~BatchEnvGuard() { unsetenv("WSEL_BATCH_CELLS"); }
 };
 
 // -------------------------------------------------------------------
@@ -100,47 +92,24 @@ TEST(ResolveBatchCells, EnvResolvesWhenUnspecified)
 }
 
 // -------------------------------------------------------------------
-// resolveBatchWave
+// Tag-scan kernels (tagscan::find*) vs the scalar reference
 // -------------------------------------------------------------------
 
-TEST(ResolveBatchWave, ExplicitRequestWinsAndClamps)
+/** One tag lookup: scan @p n ways at @p tags for @p want. */
+struct Probe
 {
-    BatchEnvGuard env;
-    setenv("WSEL_BATCH_WAVE", "5", 1);
-    // A nonzero request ignores the environment entirely.
-    EXPECT_EQ(resolveBatchWave(7), 7u);
-    EXPECT_EQ(resolveBatchWave(1), 1u);
-    EXPECT_EQ(resolveBatchWave(kMaxBatchCells + 1000),
-              kMaxBatchCells);
-}
-
-TEST(ResolveBatchWave, EnvResolvesWhenUnspecified)
-{
-    BatchEnvGuard env;
-    unsetenv("WSEL_BATCH_WAVE");
-    EXPECT_EQ(resolveBatchWave(0), kDefaultBatchWave);
-    setenv("WSEL_BATCH_WAVE", "5", 1);
-    EXPECT_EQ(resolveBatchWave(0), 5u);
-    setenv("WSEL_BATCH_WAVE", "999999", 1);
-    EXPECT_EQ(resolveBatchWave(0), kMaxBatchCells);
-    // Invalid values fall back to the default (with a warning).
-    setenv("WSEL_BATCH_WAVE", "abc", 1);
-    EXPECT_EQ(resolveBatchWave(0), kDefaultBatchWave);
-    setenv("WSEL_BATCH_WAVE", "0", 1);
-    EXPECT_EQ(resolveBatchWave(0), kDefaultBatchWave);
-}
-
-// -------------------------------------------------------------------
-// Gathered tag scans (tagscan::findMany*) vs the scalar reference
-// -------------------------------------------------------------------
+    const std::uint32_t *tags;
+    std::uint32_t n;
+    std::uint32_t want;
+};
 
 /** Random packed-tag arrays plus probes with ~50% hit rate. */
-struct GatherFixture
+struct TagScanFixture
 {
     std::vector<std::uint32_t> tags;
-    std::vector<tagscan::Probe> probes;
+    std::vector<Probe> probes;
 
-    explicit GatherFixture(std::size_t count, std::uint32_t ways,
+    explicit TagScanFixture(std::size_t count, std::uint32_t ways,
                            std::uint64_t seed)
     {
         std::mt19937_64 rng(seed);
@@ -153,77 +122,47 @@ struct GatherFixture
                 static_cast<std::uint32_t>(rng() % 24);
             t = (rng() % 4 == 0) ? 0u : ((v << 1) | 1u);
         }
-        probes.reserve(count);
+        probes.reserve(2 * count);
         for (std::size_t i = 0; i < count; ++i) {
             const std::uint32_t v =
                 static_cast<std::uint32_t>(rng() % 24);
             probes.push_back({tags.data() + i * ways, ways,
                               (v << 1) | 1u});
+            // The fill path's invalid-way search: every kernel
+            // must pick the lowest empty way.
+            probes.push_back({tags.data() + i * ways, ways, 0u});
         }
     }
 };
 
-/** Scalar per-probe reference for any gathered kernel. */
-std::vector<std::uint32_t>
-scalarReference(const std::vector<tagscan::Probe> &probes)
-{
-    std::vector<std::uint32_t> want(probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i)
-        want[i] = tagscan::findScalar(probes[i].tags, probes[i].n,
-                                      probes[i].want);
-    return want;
-}
-
 TEST(GatheredTagScan, AllKernelsMatchScalarReference)
 {
-    // Sweep counts across the AVX2 pair/tail boundaries (0, 1, odd,
-    // even) and both 16-way (SIMD fast path) and oddball ways
-    // (per-probe fallback inside the gathered kernels).
-    for (std::uint32_t ways : {4u, 8u, 16u}) {
+    // Set counts across the SIMD chunk boundaries: 4-way (one SSE2
+    // compare, scalar tail on AVX2), 8-way, 16-way (the Table II
+    // LLC) and an odd way count that leaves a scalar tail on
+    // every path.
+    for (std::uint32_t ways : {4u, 8u, 13u, 16u, 32u}) {
         for (std::size_t count :
-             {std::size_t{0}, std::size_t{1}, std::size_t{2},
-              std::size_t{5}, std::size_t{16}, std::size_t{33}}) {
-            const GatherFixture fx(count, ways,
+             {std::size_t{1}, std::size_t{5}, std::size_t{33}}) {
+            const TagScanFixture fx(count, ways,
                                    0x9e3779b9u + ways * 131 + count);
-            const auto want = scalarReference(fx.probes);
-
-            std::vector<std::uint32_t> got(count + 1, 0xdeadbeefu);
-            tagscan::findManyScalar(fx.probes.data(), count,
-                                    got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
-                    << "scalar ways " << ways << " probe " << i;
-
-            std::fill(got.begin(), got.end(), 0xdeadbeefu);
-            tagscan::findManySwar(fx.probes.data(), count,
-                                  got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
-                    << "swar ways " << ways << " probe " << i;
-
+            for (std::size_t i = 0; i < fx.probes.size(); ++i) {
+                const Probe &p = fx.probes[i];
+                const std::uint32_t want =
+                    tagscan::findScalar(p.tags, p.n, p.want);
 #if defined(__x86_64__) || defined(_M_X64)
-            std::fill(got.begin(), got.end(), 0xdeadbeefu);
-            tagscan::findManySse2(fx.probes.data(), count,
-                                  got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
+                EXPECT_EQ(tagscan::findSse2(p.tags, p.n, p.want),
+                          want)
                     << "sse2 ways " << ways << " probe " << i;
-
-            if (__builtin_cpu_supports("avx2")) {
-                std::fill(got.begin(), got.end(), 0xdeadbeefu);
-                tagscan::findManyAvx2(fx.probes.data(), count,
-                                      got.data());
-                for (std::size_t i = 0; i < count; ++i)
-                    EXPECT_EQ(got[i], want[i])
+                if (__builtin_cpu_supports("avx2")) {
+                    EXPECT_EQ(
+                        tagscan::findAvx2(p.tags, p.n, p.want), want)
                         << "avx2 ways " << ways << " probe " << i;
-            }
+                }
 #endif
-
-            std::fill(got.begin(), got.end(), 0xdeadbeefu);
-            tagscan::findMany(fx.probes.data(), count, got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
+                EXPECT_EQ(tagscan::find(p.tags, p.n, p.want), want)
                     << "dispatch ways " << ways << " probe " << i;
+            }
         }
     }
 }
@@ -268,16 +207,16 @@ TEST(BatchEngine, AutoFlushMatchesSerialRunner)
 
     // Capacity 1: every add() runs one cell (the serial shape).
     BadcoBatchRunner one({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                         models, 1, 1, 1);
+                         models, 1, std::size_t{1});
     // Capacity 2: add() must auto-flush on the third cell.
     BadcoBatchRunner two({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                         models, 2, 1, 1);
+                         models, 2, std::size_t{1});
     EXPECT_EQ(two.capacity(), 2u);
     // Two cells per thread at three jobs: one 6-cell flush spread
     // over three threads.
     std::vector<double> threaded(kCells * 4);
     BadcoBatchRunner wide({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                          models, 2, 1, 3);
+                          models, 2, std::size_t{3});
     EXPECT_EQ(wide.threads(), 3u);
     EXPECT_EQ(wide.capacity(), 6u);
 
@@ -332,75 +271,23 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
         EXPECT_EQ(serial_done.load(), cells);
         // Jobs spread each flush over threads: at jobs 7 a shard
         // of 8 cells leaves most threads idle in some flushes (one
-        // cell at batch 1, two wave-4 groups), which must not
-        // matter either.
+        // cell at batch 1), which must not matter either.
         for (std::size_t jobs : {1u, 2u, 4u, 7u}) {
             for (std::uint32_t batch : {1u, 3u, 7u, 32u}) {
-                // Wave 1 is cell-major; larger waves interleave
-                // lanes across resident uncores. All must be
-                // bit-identical.
-                for (std::uint32_t wave : {1u, 2u, 3u, 4u, 32u}) {
-                    std::vector<double> batched;
-                    std::atomic<std::uint64_t> done{0};
-                    simulatePopulationShardBatched(
-                        m, pop, ucfgs, models, 1, s, batch, wave,
-                        jobs, batched, &done);
-                    ASSERT_EQ(batched.size(), serial.size());
-                    EXPECT_EQ(done.load(), cells);
-                    for (std::size_t i = 0; i < serial.size(); ++i)
-                        EXPECT_EQ(serial[i], batched[i])
-                            << "shard " << s << " jobs " << jobs
-                            << " batch " << batch << " wave "
-                            << wave << " lane " << i;
-                }
+                std::vector<double> batched;
+                std::atomic<std::uint64_t> done{0};
+                simulatePopulationShardBatched(m, pop, ucfgs, models,
+                                               1, s, batch, jobs,
+                                               batched, &done);
+                ASSERT_EQ(batched.size(), serial.size());
+                EXPECT_EQ(done.load(), cells);
+                for (std::size_t i = 0; i < serial.size(); ++i)
+                    EXPECT_EQ(serial[i], batched[i])
+                        << "shard " << s << " jobs " << jobs
+                        << " batch " << batch << " lane " << i;
             }
         }
     }
-}
-
-TEST(BatchEngine, WaveClampsToBatchAndMemoryBudget)
-{
-    BatchEnvGuard env;
-    const auto suite = testSuite();
-    BadcoModelStore store(CoreConfig{}, kUops, 5);
-    const auto models = store.getSuite(suite);
-    std::vector<UncoreConfig> ucfgs;
-    for (PolicyKind p : kPolicies)
-        ucfgs.push_back(UncoreConfig::forCores(4, p));
-    const std::span<const UncoreConfig> cfgs{ucfgs.data(),
-                                             ucfgs.size()};
-
-    // A wave wider than the batch is useless: clamp to the batch.
-    BadcoBatchRunner narrow(cfgs, 4, kUops, models, 4, 32);
-    EXPECT_EQ(narrow.wave(), 4u);
-
-    // One resident uncore costs well over a (conservative) page,
-    // so a tiny WSEL_WAVE_MEM budget forces the wave down...
-    const std::size_t per = estimateUncoreFootprint(ucfgs[0], 4);
-    EXPECT_GT(per, std::size_t{64} * 1024);
-    setenv("WSEL_WAVE_MEM", "1", 1); // 1 MiB
-    BadcoBatchRunner tight(cfgs, 4, kUops, models, 64, 64);
-    EXPECT_LE(tight.wave() * per,
-              std::size_t{1} * 1024 * 1024 + per); // >= 1 kept
-    EXPECT_GE(tight.wave(), 1u);
-    EXPECT_LT(tight.wave(), 64u);
-
-    // ...and a roomy budget leaves the request alone.
-    setenv("WSEL_WAVE_MEM", "65536", 1); // 64 GiB
-    BadcoBatchRunner roomy(cfgs, 4, kUops, models, 64, 64);
-    EXPECT_EQ(roomy.wave(), 64u);
-
-    // Clamped runners still produce serial-identical lanes.
-    const WorkloadPopulation pop(3, 4);
-    std::vector<double> serial(4), waved(4);
-    BadcoBatchRunner one(cfgs, 4, kUops, models, 1, 1);
-    const Workload w = pop.unrank(3);
-    one.add(77, 1, {w.benchmarks().data(), 4}, serial.data());
-    tight.add(77, 1, {w.benchmarks().data(), 4}, waved.data());
-    one.run();
-    tight.run();
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(serial[i], waved[i]) << "lane " << i;
 }
 
 // -------------------------------------------------------------------
@@ -423,8 +310,6 @@ class BatchCampaign : public ::testing::Test
         fs::create_directories(dir_);
         unsetenv("WSEL_JOBS");
         unsetenv("WSEL_BATCH_CELLS");
-        unsetenv("WSEL_BATCH_WAVE");
-        unsetenv("WSEL_WAVE_MEM");
     }
 
     void
@@ -442,13 +327,12 @@ class BatchCampaign : public ::testing::Test
     /**
      * 2 policies x the full 4-core population over 3 benchmarks
      * (15 workloads), 8 cells per shard -> 4 shards unless
-     * @p shard_cells says otherwise, run with explicit batch and
-     * wave sizes (wave 1 = cell-major).
+     * @p shard_cells says otherwise, run with an explicit batch
+     * size.
      */
     PopulationResult
     run(const std::string &out, std::size_t jobs,
-        std::uint32_t batch, std::uint32_t wave = 1,
-        std::size_t shard_cells = 8)
+        std::uint32_t batch, std::size_t shard_cells = 8)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(
@@ -458,7 +342,6 @@ class BatchCampaign : public ::testing::Test
         opts.jobs = jobs;
         opts.shardCells = shard_cells;
         opts.batchCells = batch;
-        opts.batchWave = wave;
         return runBadcoPopulationCampaign(pop, kPolicies, kUops,
                                           store, suite, {}, out,
                                           opts);
@@ -503,80 +386,6 @@ TEST_F(BatchCampaign, ShardsBitwiseIdenticalAcrossBatchAndJobs)
     }
 }
 
-TEST_F(BatchCampaign, ShardsBitwiseIdenticalAcrossWaveBatchJobs)
-{
-    const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1, 1);
-    const auto want = shardBytes(ref, rr.manifest.shardCount());
-    for (const std::string &b : want)
-        ASSERT_FALSE(b.empty());
-
-    for (std::uint32_t wave : {2u, 8u}) {
-        for (std::uint32_t batch : {7u, 32u}) {
-            for (std::size_t jobs :
-                 {std::size_t{1}, std::size_t{8}}) {
-                const std::string out =
-                    path("w" + std::to_string(wave) + "b" +
-                         std::to_string(batch) + "j" +
-                         std::to_string(jobs));
-                const PopulationResult r =
-                    run(out, jobs, batch, wave);
-                ASSERT_EQ(r.manifest.shardCount(),
-                          rr.manifest.shardCount());
-                const auto got =
-                    shardBytes(out, r.manifest.shardCount());
-                for (std::size_t s = 0; s < want.size(); ++s)
-                    EXPECT_EQ(want[s], got[s])
-                        << "shard " << s << " wave " << wave
-                        << " batch " << batch << " jobs " << jobs;
-            }
-        }
-    }
-}
-
-TEST_F(BatchCampaign, KillMidWaveResumesAtDifferentWaveSize)
-{
-    // Reference: serial cell-major at batch 1.
-    const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1, 1);
-    const auto want = shardBytes(ref, rr.manifest.shardCount());
-
-    // Kill at the 13th appended cell of a wave-4 batch-32 run: the
-    // whole shard is one pending batch whose lanes advance in
-    // waves of four resident uncores, so the kill lands with a
-    // partially-assembled batch that is abandoned unwritten.
-    const std::string out = path("v3");
-    {
-        test::FaultInjector fi("population.cell", 13);
-        EXPECT_THROW(run(out, 1, 32, 4), test::InjectedFault);
-    }
-    EXPECT_FALSE(persist::isV3CampaignDir(out));
-
-    // Resume at a *different* wave (and batch) size: resume
-    // semantics are shard-granular and the payload is invariant to
-    // both knobs, so the artifact must be byte-identical.
-    const PopulationResult r2 = run(out, 1, 1, 1);
-    EXPECT_GE(r2.shardsResumed, 1u);
-    EXPECT_EQ(r2.cellsSimulated + r2.cellsResumed,
-              15u * kPolicies.size());
-    const auto got = shardBytes(out, r2.manifest.shardCount());
-    for (std::size_t s = 0; s < want.size(); ++s)
-        EXPECT_EQ(want[s], got[s]) << "shard " << s;
-    EXPECT_TRUE(persist::isV3CampaignDir(out));
-
-    // And the mirror image: kill a cell-major run, resume waved.
-    const std::string out2 = path("v3b");
-    {
-        test::FaultInjector fi("population.cell", 13);
-        EXPECT_THROW(run(out2, 1, 32, 1), test::InjectedFault);
-    }
-    const PopulationResult r3 = run(out2, 1, 32, 8);
-    EXPECT_GE(r3.shardsResumed, 1u);
-    const auto got2 = shardBytes(out2, r3.manifest.shardCount());
-    for (std::size_t s = 0; s < want.size(); ++s)
-        EXPECT_EQ(want[s], got2[s]) << "shard " << s;
-}
-
 TEST_F(BatchCampaign, KillMidBatchResumesToIdenticalArtifact)
 {
     const std::string ref = path("ref");
@@ -615,18 +424,16 @@ TEST_F(BatchCampaign, OneShardAtJobsFourMatchesSerialBatchOne)
     // shard loop, spreads the cells.
     constexpr std::size_t kDefaultShard = 64 * 1024;
     const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1, 1, kDefaultShard);
+    const PopulationResult rr = run(ref, 1, 1, kDefaultShard);
     ASSERT_EQ(rr.manifest.shardCount(), 1u);
     const auto want = shardBytes(ref, 1);
     ASSERT_FALSE(want[0].empty());
 
-    for (std::uint32_t wave : {1u, 4u}) {
-        const std::string out = path("j4w" + std::to_string(wave));
-        const PopulationResult r = run(out, 4, 0, wave, kDefaultShard);
-        ASSERT_EQ(r.manifest.shardCount(), 1u);
-        EXPECT_EQ(r.cellsSimulated, 15u * kPolicies.size());
-        EXPECT_EQ(want, shardBytes(out, 1)) << "wave " << wave;
-    }
+    const std::string out = path("j4");
+    const PopulationResult r = run(out, 4, 0, kDefaultShard);
+    ASSERT_EQ(r.manifest.shardCount(), 1u);
+    EXPECT_EQ(r.cellsSimulated, 15u * kPolicies.size());
+    EXPECT_EQ(want, shardBytes(out, 1));
 }
 
 TEST_F(BatchCampaign, KillMidFlushAtJobsFourResumesAtJobsOne)

@@ -253,7 +253,7 @@ TEST(BadcoGolden, BatchRunnerCellsBitwise)
         // Two cells per thread: at four threads the ten cells run
         // as one flush, at one thread as five.
         BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                                kGoldenUops, models, 2, 1, jobs);
+                                kGoldenUops, models, 2, jobs);
         std::vector<double> ipc(kBadcoCellBits.size() * 4);
         for (std::size_t p = 0; p < policies.size(); ++p) {
             for (std::size_t w = 0; w < kBadcoWorkloads.size(); ++w)

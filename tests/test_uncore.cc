@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/tagscan.hh"
 #include "mem/uncore.hh"
 #include "stats/logging.hh"
 
@@ -170,88 +169,6 @@ TEST(Uncore, LlcPrefetcherGeneratesFills)
         t += 1000;
     }
     EXPECT_GT(u.llcStats().prefetchAccesses, 0u);
-}
-
-TEST(Uncore, GatheredPrefetchProbesMatchScalar)
-{
-    // The prefetcher's proposal sweep probes the LLC either one
-    // set at a time (scalar) or as one gathered findMany sweep
-    // with conservative re-probes on set conflicts; the two must
-    // be indistinguishable in every completion and counter.
-    UncoreConfig cfg =
-        UncoreConfig::forCores(4, PolicyKind::LRU); // both pf on
-    cfg.prefetchDegree = 4; // multi-line proposals per observe
-    Uncore a(cfg, 2, 7);
-    Uncore b(cfg, 2, 7);
-    b.setGatheredPrefetchProbes(false);
-
-    std::uint64_t t = 0;
-    for (int i = 0; i < 3000; ++i) {
-        const auto core = static_cast<std::uint32_t>(i % 2);
-        const auto j = static_cast<std::uint64_t>(i / 2);
-        std::uint64_t vaddr, pc;
-        if (j % 2 == 0) {
-            // Unit-stride line stream at one PC: trains both the
-            // stream and ip-stride prefetchers, so one observe
-            // proposes several lines — the gathered sweep shape.
-            vaddr = (core ? 0x8000000 : 0x4000000) + (j / 2) * 64;
-            pc = 0x1110 + core * 8;
-        } else {
-            // 3-line stride at another PC: ip-stride only.
-            vaddr = (core ? 0xc000000 : 0x2000000) + (j / 2) * 192;
-            pc = 0x2220 + core * 8;
-        }
-        const std::uint64_t ca =
-            a.access(t, core, vaddr, false, pc);
-        const std::uint64_t cb =
-            b.access(t, core, vaddr, false, pc);
-        ASSERT_EQ(ca, cb) << "request " << i;
-        t += 400;
-    }
-    EXPECT_GT(a.llcStats().prefetchAccesses, 0u);
-    EXPECT_EQ(a.llcStats().prefetchAccesses,
-              b.llcStats().prefetchAccesses);
-    EXPECT_EQ(a.llcStats().prefetchMisses,
-              b.llcStats().prefetchMisses);
-    EXPECT_EQ(a.coreStats(0).demandMisses,
-              b.coreStats(0).demandMisses);
-    EXPECT_EQ(a.coreStats(1).demandMisses,
-              b.coreStats(1).demandMisses);
-    EXPECT_EQ(a.fsbBusyCycles(), b.fsbBusyCycles());
-}
-
-TEST(Uncore, SplitAccessCompositionMatchesAccess)
-{
-    // accessBegin + llcProbe/findMany + accessFinish (the wavefront
-    // engine's park/resume path) must equal the one-shot access().
-    const UncoreConfig cfg =
-        UncoreConfig::forCores(4, PolicyKind::DIP);
-    Uncore a(cfg, 2, 3);
-    Uncore b(cfg, 2, 3);
-
-    std::uint64_t t = 0;
-    for (int i = 0; i < 1500; ++i) {
-        const auto core = static_cast<std::uint32_t>(i % 2);
-        const std::uint64_t vaddr =
-            0x8000 + (static_cast<std::uint64_t>(i) * 1037) % 65536;
-        const std::uint64_t pc = 0x2000 + (i % 11) * 4;
-        const bool write = (i % 4) == 0;
-        const bool pf = (i % 13) == 0;
-        const std::uint64_t ca =
-            a.access(t, core, vaddr, write, pc, pf);
-
-        const Uncore::PendingAccess pend =
-            b.accessBegin(t, core, vaddr, write, pc, pf);
-        const tagscan::Probe probe = b.llcProbe(pend);
-        std::uint32_t way = 0;
-        tagscan::findMany(&probe, 1, &way);
-        const std::uint64_t cb = b.accessFinish(pend, way);
-        ASSERT_EQ(ca, cb) << "request " << i;
-        t += 2;
-    }
-    EXPECT_EQ(a.llcStats().demandHits, b.llcStats().demandHits);
-    EXPECT_EQ(a.coreStats(0).reads, b.coreStats(0).reads);
-    EXPECT_EQ(a.coreStats(1).writes, b.coreStats(1).writes);
 }
 
 TEST(Uncore, WritebackMarksOrAllocates)

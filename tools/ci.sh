@@ -19,21 +19,16 @@
 # (old-vs-streamed cells/sec and the 8-core streamed run, docs/
 # PERFORMANCE.md "Population campaigns") to
 # build-release/BENCH_population.json, and the batched-cell-engine
-# sweep plus the wavefront (jobs x batch x wave) matrix
-# (docs/PERFORMANCE.md "Batched execution" and "Wavefront
-# interleaving") to build-release/BENCH_batch.json, which doubles
-# as a throughput floor check: batch=32 must not run slower than
-# batch=1, the campaign wave matrix must not collapse below 0.5x
-# cell-major, and BM_WaveStep must hold >= 0.95x BM_BatchStep on
-# the load-heavy cells the gathered tag-scan sweeps target.
+# sweep (docs/PERFORMANCE.md "Batched execution") to
+# build-release/BENCH_batch.json, which doubles as a throughput
+# floor check: batch=32 must not run slower than batch=1.
 #
 # Every sanitizer preset also runs a capped `wsel_cli population`
 # smoke, exercising the streamed campaign_v3 writer, the batch
 # runner's thread spread, and the one-pass statistics under
-# asan/ubsan and tsan — three times at 80-cell shards, at
-# --batch-cells 1, --batch-cells 8, and --batch-cells 8
-# --batch-wave 4 (wavefront interleaving with gathered tag scans),
-# and twice more at the default (one-shard) size, --jobs 1
+# asan/ubsan and tsan — twice at 80-cell shards, at
+# --batch-cells 1 and --batch-cells 8, and twice more at the
+# default (one-shard) size, --jobs 1
 # --batch-cells 1 against --jobs 4, with a byte-compare of the
 # shards (the sim/batch.hh identity contract under the sanitizer)
 # — plus a
@@ -94,17 +89,8 @@ for preset in $presets; do
             --insns 5000 --limit 64 --shard-size 80 --jobs 4 \
             --batch-cells 8
         test -s "$popdir/pop-batched.v3/manifest.bin"
-        # Wavefront twin: 4 resident uncores per batch, gathered
-        # tag-scan sweeps — same bytes, under the sanitizer.
-        WSEL_CACHE_DIR="$popdir/cache" \
-            "./$bindir/tools/wsel_cli" population \
-            --out "$popdir/pop-wave.v3" \
-            --insns 5000 --limit 64 --shard-size 80 --jobs 4 \
-            --batch-cells 8 --batch-wave 4
-        test -s "$popdir/pop-wave.v3/manifest.bin"
         for shard in "$popdir"/pop.v3/shard-*.bin; do
             cmp "$shard" "$popdir/pop-batched.v3/${shard##*/}"
-            cmp "$shard" "$popdir/pop-wave.v3/${shard##*/}"
         done
         # One-shard twin at the default shard size: the whole
         # campaign is a single shard, so the four threads work
@@ -123,7 +109,7 @@ for preset in $presets; do
         cmp "$popdir/pop-one.v3/shard-000000.bin" \
             "$popdir/pop-one-j4.v3/shard-000000.bin"
         rm -rf "$popdir"
-        echo "==> population smoke (serial + batched + wave + one-shard threads) passed under $preset"
+        echo "==> population smoke (serial + batched + one-shard threads) passed under $preset"
 
         # Adaptive sequential campaign smoke (docs/SAMPLING.md):
         # live stopping rule, batch artifacts and a resume of the
@@ -289,58 +275,6 @@ print(f"batch floor: batch=32 {batched:.0f} vs "
       f"batch=1 {serial:.0f} cells/sec")
 if batched < 0.9 * serial:
     sys.exit("batched engine slower than batch=1: regression")
-# Wavefront campaign backstop: on the mixed fig5 population most
-# cells are compute-bound, so per-load park/resume overhead makes
-# wave mode measurably slower than cell-major on a single-thread
-# host (~0.8x at wave=8, docs/PERFORMANCE.md "Wavefront
-# interleaving" has the honest matrix). The backstop only catches
-# a catastrophic regression in the wave path itself; the 0.95x
-# wave-vs-cell-major floor is enforced below on the load-heavy
-# wave microbench, the workload the gathered sweeps are built for.
-waves = {(p["jobs"], p["batch"], p["wave"]): p["cells_per_sec"]
-         for p in doc["wave_points"]}
-for (jobs, batch, wave), cps in sorted(waves.items()):
-    if wave == 1:
-        continue
-    base = waves.get((jobs, batch, 1))
-    if base is None:
-        continue
-    print(f"wave backstop: jobs={jobs} batch={batch} wave={wave} "
-          f"{cps:.0f} vs cell-major {base:.0f} cells/sec")
-    if cps < 0.5 * base:
-        sys.exit(f"wavefront collapsed at jobs={jobs} "
-                 f"batch={batch} wave={wave}: regression")
-EOF
-
-        # Wavefront floor (wave >= 0.95x cell-major): measured on
-        # BM_WaveStep vs BM_BatchStep — load-heavy mcf/povray cells
-        # where LLC tag scans dominate and the gathered SIMD sweeps
-        # are designed to pay (measured ~1.4x at W=8/32, so 0.95
-        # leaves real head-room). Archived into BENCH_batch.json
-        # beside the campaign wave matrix.
-        echo "==> wavefront microbench floor: $preset"
-        ./build-release/bench/microbench \
-            --benchmark_filter='BM_(Batch|Wave)Step/(8|32)$' \
-            --benchmark_min_time=0.4 \
-            --benchmark_out="$smoke/wave_microbench.json" \
-            --benchmark_out_format=json
-        python3 - "$smoke/wave_microbench.json" \
-            build-release/BENCH_batch.json <<'EOF'
-import json, sys
-mb = json.load(open(sys.argv[1]))
-rate = {b["name"]: b["items_per_second"]
-        for b in mb["benchmarks"]}
-doc = json.load(open(sys.argv[2]))
-doc["wave_microbench"] = rate
-json.dump(doc, open(sys.argv[2], "w"), indent=1)
-for w in (8, 32):
-    base = rate[f"BM_BatchStep/{w}"]
-    wave = rate[f"BM_WaveStep/{w}"]
-    print(f"wave floor: W={w} wave {wave:.0f} vs "
-          f"cell-major {base:.0f} cells/sec")
-    if wave < 0.95 * base:
-        sys.exit(f"wavefront slower than cell-major on "
-                 f"load-heavy cells at W={w}: regression")
 EOF
         rm -rf "$smoke/cache"
         echo "==> benches archived in build-release/BENCH_population.json and BENCH_batch.json"

@@ -63,7 +63,7 @@
  *       [--quantile Q] [--budget-frac F] [--threshold T]
  *       [--batch-rows W] [--profile FILE] [--calibrate W]
  *       [--resume 0|1] [--seed S] [--batch-cells B]
- *       [--batch-wave W] [--verbose 1]
+ *       [--verbose 1]
  *       error-bounded mixed-fidelity campaign (docs/FIDELITY.md):
  *       BADCO sweep, then cells whose d(w) error interval
  *       straddles --threshold escalate to the detailed simulator
@@ -602,8 +602,6 @@ cmdAdaptive(const Args &args)
     opts.verbose = args.getU64("verbose", 0) != 0;
     opts.batchCells =
         static_cast<std::uint32_t>(args.getU64("batch-cells", 0));
-    opts.batchWave =
-        static_cast<std::uint32_t>(args.getU64("batch-wave", 0));
 
     const UncoreConfig ucfg =
         UncoreConfig::forCores(cores, PolicyKind::LRU);
@@ -715,8 +713,6 @@ cmdHybrid(const Args &args)
     opts.batchRows = args.getU64("batch-rows", 64);
     opts.batchCells =
         static_cast<std::uint32_t>(args.getU64("batch-cells", 0));
-    opts.batchWave =
-        static_cast<std::uint32_t>(args.getU64("batch-wave", 0));
 
     const std::string profile_path = args.get(
         "profile", fidelity::errorProfilePath(defaultCacheDir()));
@@ -839,8 +835,6 @@ cmdPopulation(const Args &args)
     opts.verbose = args.getU64("verbose", 0) != 0;
     opts.batchCells =
         static_cast<std::uint32_t>(args.getU64("batch-cells", 0));
-    opts.batchWave =
-        static_cast<std::uint32_t>(args.getU64("batch-wave", 0));
 
     // Every ordered policy pair i<j, oriented "i outperforms j".
     std::vector<PopulationPairSpec> pairs;
@@ -1237,8 +1231,7 @@ usage()
         "      [--jobs N] [--first R] [--last R|--limit N]\n"
         "      [--resume 0|1] [--metric IPCT|WSU|HSU|GSU]\n"
         "      [--seed S] [--distributed N] [--sequential 1]\n"
-        "      [--hybrid 1] [--batch-cells B] [--batch-wave W]\n"
-        "      [--verbose 1]\n"
+        "      [--hybrid 1] [--batch-cells B] [--verbose 1]\n"
         "      full-population campaign into a sharded campaign_v3\n"
         "      dir; --distributed N leases shards to N spawned\n"
         "      wsel_worker processes with --out as the result-store\n"
@@ -1251,8 +1244,7 @@ usage()
         "      [--min W] [--batch W] [--jobs N]\n"
         "      [--method random|ranked-set] [--set-size M]\n"
         "      [--redraws N] [--wall-clock SECS] [--resume 0|1]\n"
-        "      [--seed S] [--batch-cells B] [--batch-wave W]\n"
-        "      [--verbose 1]\n"
+        "      [--seed S] [--batch-cells B] [--verbose 1]\n"
         "      sequential campaign that stops at target confidence\n"
         "      (docs/SAMPLING.md); resumable bitwise-identically\n"
         "  hybrid --out DIR [--x POL --y POL|--policies Y,X]\n"
@@ -1261,7 +1253,7 @@ usage()
         "      [--quantile Q] [--budget-frac F] [--threshold T]\n"
         "      [--batch-rows W] [--profile FILE] [--calibrate W]\n"
         "      [--jobs N] [--resume 0|1] [--seed S]\n"
-        "      [--batch-cells B] [--batch-wave W] [--verbose 1]\n"
+        "      [--batch-cells B] [--verbose 1]\n"
         "      error-bounded mixed-fidelity campaign: BADCO sweep,\n"
         "      then suspect cells escalate to the detailed\n"
         "      simulator, at most --budget-frac of the population;\n"
@@ -1291,16 +1283,10 @@ usage()
         "  --metrics-out FILE, --trace-out FILE, --trace-mem MIB,\n"
         "  --batch-cells B (cells per batched-engine group; 0 =\n"
         "  $WSEL_BATCH_CELLS else 32, 1 = serial, max 4096; bitwise\n"
-        "  identical at every value),\n"
-        "  --batch-wave W (resident cells advanced in lockstep per\n"
-        "  group; 0 = $WSEL_BATCH_WAVE else 1 = cell-major; clamped\n"
-        "  so W uncores fit $WSEL_WAVE_MEM MiB, default 256;\n"
-        "  bitwise identical at every value)\n"
+        "  identical at every value)\n"
         "environment: WSEL_JOBS, WSEL_METRICS, WSEL_TRACE,\n"
         "  WSEL_TRACE_MEM, WSEL_CACHE_DIR, WSEL_BATCH_CELLS,\n"
-        "  WSEL_BATCH_WAVE, WSEL_WAVE_MEM, WSEL_NUMA\n"
-        "  (firsttouch|interleave|off),\n"
-        "  WSEL_SIMD (scalar|swar|sse2|avx2), WSEL_TRACE_HUGEPAGES;\n"
+        "  WSEL_SIMD (scalar|sse2|avx2);\n"
         "  bench binaries write a machine-readable summary to\n"
         "  $WSEL_BENCH_JSON\n"
         "see the file header of tools/wsel_cli.cc for details\n");
