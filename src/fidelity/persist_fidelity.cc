@@ -1,12 +1,7 @@
 #include "fidelity/persist_fidelity.hh"
 
-#include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "stats/logging.hh"
 #include "stats/persist.hh"
@@ -17,7 +12,8 @@ namespace wsel::fidelity
 namespace
 {
 
-using persist::CacheInvalid;
+using persist::Reader;
+using persist::Writer;
 
 constexpr char kProfileMagic[8] = {'W', 'S', 'E', 'L',
                                    'E', 'P', 'R', 'O'};
@@ -35,192 +31,31 @@ constexpr std::uint64_t kMaxRows = 1ULL << 48;
 constexpr std::uint64_t kMaxBatchRows = 1u << 20;
 
 void
-appendU8(std::string &out, std::uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendF64(std::string &out, double v)
-{
-    appendU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendU32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-}
-
-void
-appendChecksum(std::string &out)
-{
-    const std::uint64_t sum = persist::fnv1a(out);
-    appendU64(out, sum);
-}
-
-/** Bounds-checked little-endian reader over a loaded file. */
-class Reader
-{
-  public:
-    Reader(std::string_view data, const std::string &what)
-        : data_(data), what_(what)
-    {
-    }
-
-    void
-    expectMagic(const char (&magic)[8])
-    {
-        char got[8];
-        bytes(got, 8);
-        if (std::memcmp(got, magic, 8) != 0)
-            throw CacheInvalid(what_ + ": bad magic");
-    }
-
-    std::uint8_t
-    u8()
-    {
-        unsigned char b;
-        bytes(&b, 1);
-        return b;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        unsigned char b[4];
-        bytes(b, 4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        unsigned char b[8];
-        bytes(b, 8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    std::string
-    str()
-    {
-        const std::uint32_t n = u32();
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated string");
-        std::string s(data_.substr(pos_, n));
-        pos_ += n;
-        return s;
-    }
-
-    std::size_t remaining() const { return data_.size() - pos_; }
-
-    void
-    bytes(void *out, std::size_t n)
-    {
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated");
-        std::memcpy(out, data_.data() + pos_, n);
-        pos_ += n;
-    }
-
-  private:
-    std::string_view data_;
-    std::string what_;
-    std::size_t pos_ = 0;
-};
-
-std::string
-slurp(const std::string &path, const std::string &what)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw CacheInvalid(what + ": cannot open " + path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        throw CacheInvalid(what + ": read error on " + path);
-    return data;
-}
-
-/** Split off and verify the trailing checksum; returns the body. */
-std::string_view
-checkedBody(const std::string &data, const std::string &what)
-{
-    if (data.size() < 8)
-        throw CacheInvalid(what + ": too short for a checksum");
-    const std::string_view body(data.data(), data.size() - 8);
-    Reader tail(
-        std::string_view(data.data() + body.size(), 8), what);
-    const std::uint64_t want = tail.u64();
-    if (persist::fnv1a(body) != want)
-        throw CacheInvalid(what + ": checksum mismatch");
-    return body;
-}
-
-void
-checkCount(std::uint64_t v, std::uint64_t max, const char *field,
-           const std::string &what)
-{
-    if (v > max)
-        throw CacheInvalid(what + ": implausible " +
-                           std::string(field) + " " +
-                           std::to_string(v) + " (max " +
-                           std::to_string(max) + ")");
-}
-
-void
-appendIntervalStats(std::string &out, const IntervalStats &s)
+writeIntervalStats(Writer &w, const IntervalStats &s)
 {
     const Welford &life = s.lifetime();
-    appendU64(out, life.n);
-    appendF64(out, life.mean);
-    appendF64(out, life.m2);
+    w.u64(life.n);
+    w.f64(life.mean);
+    w.f64(life.m2);
     const std::vector<double> win = s.windowValues();
-    appendU32(out, static_cast<std::uint32_t>(win.size()));
-    for (double v : win)
-        appendF64(out, v);
+    w.u32(static_cast<std::uint32_t>(win.size()));
+    w.f64s(win);
 }
 
 void
 readIntervalStats(Reader &r, std::size_t capacity,
-                  IntervalStats &into, const std::string &what)
+                  IntervalStats &into)
 {
     Welford life;
     life.n = r.u64();
     life.mean = r.f64();
     life.m2 = r.f64();
-    const std::uint32_t fill = r.u32();
-    checkCount(fill, capacity, "window fill", what);
+    const std::uint32_t fill =
+        r.count(r.u32(), capacity, "window fill");
     if (fill > life.n)
-        throw CacheInvalid(what +
-                           ": window larger than sample count");
-    std::vector<double> win;
-    win.reserve(fill);
-    for (std::uint32_t i = 0; i < fill; ++i)
-        win.push_back(r.f64());
+        r.fail("window larger than sample count");
+    std::vector<double> win(fill);
+    r.f64s(win);
     into.restore(life, win);
 }
 
@@ -262,51 +97,39 @@ hybridReportPath(const std::string &dir)
 void
 writeErrorProfile(const std::string &path, const ErrorProfile &p)
 {
-    std::string out;
-    out.reserve(256 + 64 * p.numBenchmarks());
-    out.append(kProfileMagic, 8);
-    appendU32(out, kFidelityVersion);
-    appendU64(out, p.suiteHash());
-    appendU32(out, static_cast<std::uint32_t>(
-                       p.globalStats().windowCapacity()));
+    Writer w(kProfileMagic, kFidelityVersion,
+             256 + 64 * p.numBenchmarks());
+    w.u64(p.suiteHash());
+    w.u32(static_cast<std::uint32_t>(
+        p.globalStats().windowCapacity()));
     const std::size_t nb = p.numBenchmarks();
-    appendU32(out, static_cast<std::uint32_t>(nb));
+    w.u32(static_cast<std::uint32_t>(nb));
     for (std::size_t i = 0; i < nb; ++i) {
-        appendString(out, p.benchmarkNames()[i]);
-        appendU8(out,
-                 static_cast<std::uint8_t>(p.benchClass(i)));
-        appendIntervalStats(out, p.benchStats(i));
+        w.str(p.benchmarkNames()[i]);
+        w.u8(static_cast<std::uint8_t>(p.benchClass(i)));
+        writeIntervalStats(w, p.benchStats(i));
     }
     for (std::size_t c = 0; c < ErrorProfile::kNumClasses; ++c)
-        appendIntervalStats(out, p.classStats(c));
-    appendIntervalStats(out, p.globalStats());
-    appendU32(out,
-              static_cast<std::uint32_t>(p.appliedIds().size()));
+        writeIntervalStats(w, p.classStats(c));
+    writeIntervalStats(w, p.globalStats());
+    w.u32(static_cast<std::uint32_t>(p.appliedIds().size()));
     for (std::uint64_t id : p.appliedIds())
-        appendU64(out, id);
-    appendChecksum(out);
-    persist::atomicWriteFile(path, out);
+        w.u64(id);
+    w.seal(path);
 }
 
 ErrorProfile
 readErrorProfile(const std::string &path)
 {
-    const std::string what = "error profile";
-    const std::string data = slurp(path, what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kProfileMagic);
-    const std::uint32_t version = r.u32();
-    if (version != kFidelityVersion)
-        throw CacheInvalid(what + ": unsupported version " +
-                           std::to_string(version));
+    Reader r = Reader::open(path, kProfileMagic, kFidelityVersion,
+                            "error profile");
     const std::uint64_t suite_hash = r.u64();
-    const std::uint32_t window = r.u32();
-    checkCount(window, kMaxWindow, "window capacity", what);
+    const std::uint32_t window =
+        r.count(r.u32(), kMaxWindow, "window capacity");
     if (window == 0)
-        throw CacheInvalid(what + ": zero window capacity");
-    const std::uint32_t nb = r.u32();
-    checkCount(nb, kMaxBenchmarks, "benchmark count", what);
+        r.fail("zero window capacity");
+    const std::uint32_t nb =
+        r.count(r.u32(), kMaxBenchmarks, "benchmark count");
     std::vector<std::string> names;
     std::vector<MpkiClass> classes;
     names.reserve(nb);
@@ -315,32 +138,28 @@ readErrorProfile(const std::string &path)
                                            IntervalStats(window));
     for (std::uint32_t i = 0; i < nb; ++i) {
         names.push_back(r.str());
-        checkCount(names.back().size(), kMaxNameLen,
-                   "benchmark-name length", what);
-        const std::uint8_t cls = r.u8();
-        if (cls >= ErrorProfile::kNumClasses)
-            throw CacheInvalid(what + ": implausible MPKI class " +
-                               std::to_string(cls));
+        r.count(names.back().size(), kMaxNameLen,
+                "benchmark-name length");
+        const std::uint8_t cls = r.count(
+            r.u8(), ErrorProfile::kNumClasses - 1, "MPKI class");
         classes.push_back(static_cast<MpkiClass>(cls));
-        readIntervalStats(r, window, bench_stats[i], what);
+        readIntervalStats(r, window, bench_stats[i]);
     }
     ErrorProfile p(suite_hash, std::move(names),
                    std::move(classes), window);
     for (std::uint32_t i = 0; i < nb; ++i)
         p.benchStatsMut(i) = std::move(bench_stats[i]);
     for (std::size_t c = 0; c < ErrorProfile::kNumClasses; ++c)
-        readIntervalStats(r, window, p.classStatsMut(c), what);
-    readIntervalStats(r, window, p.globalStatsMut(), what);
-    const std::uint32_t na = r.u32();
-    checkCount(na, ErrorProfile::kMaxApplied, "applied-id count",
-               what);
+        readIntervalStats(r, window, p.classStatsMut(c));
+    readIntervalStats(r, window, p.globalStatsMut());
+    const std::uint32_t na = r.count(
+        r.u32(), ErrorProfile::kMaxApplied, "applied-id count");
     std::vector<std::uint64_t> applied;
     applied.reserve(na);
     for (std::uint32_t i = 0; i < na; ++i)
         applied.push_back(r.u64());
     p.restoreApplied(std::move(applied));
-    if (r.remaining() != 0)
-        throw CacheInvalid(what + ": trailing bytes");
+    r.expectEnd();
     return p;
 }
 
@@ -382,26 +201,22 @@ writeEscalationRecord(const std::string &dir,
         WSEL_FATAL("escalation record bitmap has "
                    << rec.bitmap.size() << " bytes for "
                    << rec.rows() << " rows");
-    std::string out;
-    out.reserve(256 + rec.bitmap.size());
-    out.append(kEscalationMagic, 8);
-    appendU32(out, kFidelityVersion);
-    appendU64(out, rec.badcoFingerprint);
-    appendU64(out, rec.detailedFingerprint);
-    appendU64(out, rec.seed);
-    appendString(out, rec.metric);
-    appendString(out, rec.policyX);
-    appendString(out, rec.policyY);
-    appendF64(out, rec.quantile);
-    appendF64(out, rec.budgetFraction);
-    appendF64(out, rec.threshold);
-    appendU64(out, rec.firstRank);
-    appendU64(out, rec.lastRank);
-    appendU64(out, rec.escalatedCount);
-    out.append(reinterpret_cast<const char *>(rec.bitmap.data()),
-               rec.bitmap.size());
-    appendChecksum(out);
-    persist::atomicWriteFile(escalationRecordPath(dir), out);
+    Writer w(kEscalationMagic, kFidelityVersion,
+             256 + rec.bitmap.size());
+    w.u64(rec.badcoFingerprint);
+    w.u64(rec.detailedFingerprint);
+    w.u64(rec.seed);
+    w.str(rec.metric);
+    w.str(rec.policyX);
+    w.str(rec.policyY);
+    w.f64(rec.quantile);
+    w.f64(rec.budgetFraction);
+    w.f64(rec.threshold);
+    w.u64(rec.firstRank);
+    w.u64(rec.lastRank);
+    w.u64(rec.escalatedCount);
+    w.bytes(rec.bitmap.data(), rec.bitmap.size());
+    w.seal(escalationRecordPath(dir));
 }
 
 bool
@@ -415,26 +230,19 @@ hasEscalationRecord(const std::string &dir)
 EscalationRecord
 readEscalationRecord(const std::string &dir)
 {
-    const std::string what = "fidelity bitmap";
-    const std::string data =
-        slurp(escalationRecordPath(dir), what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kEscalationMagic);
-    if (r.u32() != kFidelityVersion)
-        throw CacheInvalid(what + ": unsupported version");
+    Reader r = Reader::open(escalationRecordPath(dir),
+                            kEscalationMagic, kFidelityVersion,
+                            "fidelity bitmap");
     EscalationRecord rec;
     rec.badcoFingerprint = r.u64();
     rec.detailedFingerprint = r.u64();
     rec.seed = r.u64();
     rec.metric = r.str();
-    checkCount(rec.metric.size(), 64, "metric-name length", what);
+    r.count(rec.metric.size(), 64, "metric-name length");
     rec.policyX = r.str();
-    checkCount(rec.policyX.size(), kMaxNameLen,
-               "policy-name length", what);
+    r.count(rec.policyX.size(), kMaxNameLen, "policy-name length");
     rec.policyY = r.str();
-    checkCount(rec.policyY.size(), kMaxNameLen,
-               "policy-name length", what);
+    r.count(rec.policyY.size(), kMaxNameLen, "policy-name length");
     rec.quantile = r.f64();
     rec.budgetFraction = r.f64();
     rec.threshold = r.f64();
@@ -442,36 +250,31 @@ readEscalationRecord(const std::string &dir)
     rec.lastRank = r.u64();
     rec.escalatedCount = r.u64();
     if (rec.lastRank < rec.firstRank)
-        throw CacheInvalid(what + ": inverted rank range");
-    checkCount(rec.rows(), kMaxRows, "row count", what);
+        r.fail("inverted rank range");
+    r.count(rec.rows(), kMaxRows, "row count");
     if (rec.escalatedCount > rec.rows())
-        throw CacheInvalid(what + ": escalated count " +
-                           std::to_string(rec.escalatedCount) +
-                           " exceeds " +
-                           std::to_string(rec.rows()) + " rows");
+        r.fail("escalated count " +
+               std::to_string(rec.escalatedCount) + " exceeds " +
+               std::to_string(rec.rows()) + " rows");
     const std::uint64_t bytes = (rec.rows() + 7) / 8;
     if (r.remaining() != bytes)
-        throw CacheInvalid(what + ": bitmap size mismatch");
+        r.fail("bitmap size mismatch");
     rec.bitmap.resize(static_cast<std::size_t>(bytes));
-    if (bytes > 0)
-        r.bytes(rec.bitmap.data(),
-                static_cast<std::size_t>(bytes));
+    r.bytes(rec.bitmap.data(), rec.bitmap.size());
     // Stray bits past the last row and a lying count are both
     // damage: the popcount must equal escalatedCount exactly.
     std::uint64_t pop = 0;
     for (std::uint64_t row = 0; row < rec.rows(); ++row)
         pop += rec.escalated(row) ? 1 : 0;
     if (pop != rec.escalatedCount)
-        throw CacheInvalid(what + ": bitmap popcount " +
-                           std::to_string(pop) +
-                           " does not match escalated count " +
-                           std::to_string(rec.escalatedCount));
+        r.fail("bitmap popcount " + std::to_string(pop) +
+               " does not match escalated count " +
+               std::to_string(rec.escalatedCount));
     if (bytes > 0 && rec.rows() % 8 != 0) {
         const std::uint8_t tail = rec.bitmap.back();
         const unsigned used = rec.rows() % 8;
         if (tail >> used)
-            throw CacheInvalid(what +
-                               ": stray bits past the last row");
+            r.fail("stray bits past the last row");
     }
     return rec;
 }
@@ -487,63 +290,50 @@ writeFidelityBatch(const std::string &dir, const FidelityBatch &b)
     if (b.ipc.size() != want)
         WSEL_FATAL("fidelity batch " << b.index << " has "
                    << b.ipc.size() << " cells, expected " << want);
-    std::string out;
-    out.reserve(64 + rows * 8 + b.ipc.size() * 8);
-    out.append(kBatchMagic, 8);
-    appendU32(out, kFidelityVersion);
-    appendU32(out, static_cast<std::uint32_t>(b.index));
-    appendU64(out, b.detailedFingerprint);
-    appendU32(out, b.cores);
-    appendU32(out, b.numPolicies);
-    appendU64(out, b.firstOrdinal);
-    appendU32(out, static_cast<std::uint32_t>(rows));
+    Writer w(kBatchMagic, kFidelityVersion,
+             32 + rows * 8 + b.ipc.size() * 8);
+    w.u32(static_cast<std::uint32_t>(b.index));
+    w.u64(b.detailedFingerprint);
+    w.u32(b.cores);
+    w.u32(b.numPolicies);
+    w.u64(b.firstOrdinal);
+    w.u32(static_cast<std::uint32_t>(rows));
     for (std::uint64_t rank : b.ranks)
-        appendU64(out, rank);
-    for (double v : b.ipc)
-        appendF64(out, v);
-    appendChecksum(out);
-    persist::atomicWriteFile(fidelityBatchPath(dir, b.index), out);
+        w.u64(rank);
+    w.f64s(b.ipc);
+    w.seal(fidelityBatchPath(dir, b.index));
 }
 
 FidelityBatch
 readFidelityBatch(const std::string &dir,
                   std::uint64_t fingerprint, std::uint64_t index)
 {
-    const std::string what =
-        "fidelity " + fidelityBatchName(index);
-    const std::string data =
-        slurp(fidelityBatchPath(dir, index), what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kBatchMagic);
-    if (r.u32() != kFidelityVersion)
-        throw CacheInvalid(what + ": unsupported version");
+    Reader r = Reader::open(fidelityBatchPath(dir, index),
+                            kBatchMagic, kFidelityVersion,
+                            "fidelity " + fidelityBatchName(index));
     FidelityBatch b;
     b.index = r.u32();
     if (b.index != index)
-        throw CacheInvalid(what + ": wrong batch index");
+        r.fail("wrong batch index");
     b.detailedFingerprint = r.u64();
     if (b.detailedFingerprint != fingerprint)
-        throw CacheInvalid(what + ": fingerprint mismatch");
-    b.cores = r.u32();
-    checkCount(b.cores, 1024, "core count", what);
-    b.numPolicies = r.u32();
-    checkCount(b.numPolicies, 4096, "policy count", what);
+        r.fail("fingerprint mismatch");
+    b.cores = r.count(r.u32(), 1024, "core count");
+    b.numPolicies = r.count(r.u32(), 4096, "policy count");
     if (b.cores == 0 || b.numPolicies == 0)
-        throw CacheInvalid(what + ": degenerate shape");
+        r.fail("degenerate shape");
     b.firstOrdinal = r.u64();
-    const std::uint32_t rows = r.u32();
-    checkCount(rows, kMaxBatchRows, "row count", what);
+    const std::uint32_t rows =
+        r.count(r.u32(), kMaxBatchRows, "row count");
     const std::uint64_t cells =
         static_cast<std::uint64_t>(rows) * b.numPolicies * b.cores;
     if (r.remaining() != rows * 8 + cells * 8)
-        throw CacheInvalid(what + ": payload size mismatch");
+        r.fail("payload size mismatch");
     b.ranks.reserve(rows);
     for (std::uint32_t i = 0; i < rows; ++i)
         b.ranks.push_back(r.u64());
-    b.ipc.reserve(static_cast<std::size_t>(cells));
-    for (std::uint64_t i = 0; i < cells; ++i)
-        b.ipc.push_back(r.f64());
+    b.ipc.resize(static_cast<std::size_t>(cells));
+    r.f64s(b.ipc);
     return b;
 }
 
@@ -551,30 +341,26 @@ void
 writeHybridReport(const std::string &dir,
                   const HybridReportRecord &rep)
 {
-    std::string out;
-    out.reserve(256);
-    out.append(kReportMagic, 8);
-    appendU32(out, kFidelityVersion);
-    appendU64(out, rep.badcoFingerprint);
-    appendU64(out, rep.detailedFingerprint);
-    appendString(out, rep.metric);
-    appendString(out, rep.policyX);
-    appendString(out, rep.policyY);
-    appendU64(out, rep.workloads);
-    appendU64(out, rep.escalated);
-    appendF64(out, rep.escalationFraction);
-    appendF64(out, rep.meanD);
-    appendF64(out, rep.sigma);
-    appendF64(out, rep.se);
-    appendF64(out, rep.cv);
-    appendF64(out, rep.confidence);
-    appendF64(out, rep.modelLo);
-    appendF64(out, rep.modelHi);
-    appendF64(out, rep.comboLo);
-    appendF64(out, rep.comboHi);
-    appendU8(out, rep.yWins);
-    appendChecksum(out);
-    persist::atomicWriteFile(hybridReportPath(dir), out);
+    Writer w(kReportMagic, kFidelityVersion, 256);
+    w.u64(rep.badcoFingerprint);
+    w.u64(rep.detailedFingerprint);
+    w.str(rep.metric);
+    w.str(rep.policyX);
+    w.str(rep.policyY);
+    w.u64(rep.workloads);
+    w.u64(rep.escalated);
+    w.f64(rep.escalationFraction);
+    w.f64(rep.meanD);
+    w.f64(rep.sigma);
+    w.f64(rep.se);
+    w.f64(rep.cv);
+    w.f64(rep.confidence);
+    w.f64(rep.modelLo);
+    w.f64(rep.modelHi);
+    w.f64(rep.comboLo);
+    w.f64(rep.comboHi);
+    w.u8(rep.yWins);
+    w.seal(hybridReportPath(dir));
 }
 
 bool
@@ -588,30 +374,21 @@ hasHybridReport(const std::string &dir)
 HybridReportRecord
 readHybridReport(const std::string &dir)
 {
-    const std::string what = "hybrid report";
-    const std::string data = slurp(hybridReportPath(dir), what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kReportMagic);
-    if (r.u32() != kFidelityVersion)
-        throw CacheInvalid(what + ": unsupported version");
+    Reader r = Reader::open(hybridReportPath(dir), kReportMagic,
+                            kFidelityVersion, "hybrid report");
     HybridReportRecord rep;
     rep.badcoFingerprint = r.u64();
     rep.detailedFingerprint = r.u64();
     rep.metric = r.str();
-    checkCount(rep.metric.size(), 64, "metric-name length", what);
+    r.count(rep.metric.size(), 64, "metric-name length");
     rep.policyX = r.str();
-    checkCount(rep.policyX.size(), kMaxNameLen,
-               "policy-name length", what);
+    r.count(rep.policyX.size(), kMaxNameLen, "policy-name length");
     rep.policyY = r.str();
-    checkCount(rep.policyY.size(), kMaxNameLen,
-               "policy-name length", what);
-    rep.workloads = r.u64();
-    checkCount(rep.workloads, kMaxRows, "workload count", what);
+    r.count(rep.policyY.size(), kMaxNameLen, "policy-name length");
+    rep.workloads = r.count(r.u64(), kMaxRows, "workload count");
     rep.escalated = r.u64();
     if (rep.escalated > rep.workloads)
-        throw CacheInvalid(what + ": escalated count exceeds "
-                                  "workload count");
+        r.fail("escalated count exceeds workload count");
     rep.escalationFraction = r.f64();
     rep.meanD = r.f64();
     rep.sigma = r.f64();
@@ -624,9 +401,8 @@ readHybridReport(const std::string &dir)
     rep.comboHi = r.f64();
     rep.yWins = r.u8();
     if (rep.yWins > 1)
-        throw CacheInvalid(what + ": non-boolean verdict");
-    if (r.remaining() != 0)
-        throw CacheInvalid(what + ": trailing bytes");
+        r.fail("non-boolean verdict");
+    r.expectEnd();
     return rep;
 }
 

@@ -2,10 +2,8 @@
  * @file
  * On-disk formats of the mixed-fidelity layer (docs/FIDELITY.md).
  *
- * Four artifacts, all following the campaign_v3 conventions
- * (little-endian, a trailing 64-bit FNV-1a of all preceding bytes,
- * written via persist::atomicWriteFile, validated on read with
- * persist::CacheInvalid on any damage, no timing content):
+ * Four artifacts, all sealed files (persist::Writer in
+ * stats/persist.hh describes the frame) with no timing content:
  *
  *     <cache>/error_profile.bin   the calibrated ErrorProfile,
  *                                 beside the model store
@@ -26,12 +24,6 @@
  *                                 batched for resume granularity
  *     <dir>/hybrid.bin            the confidence report — written
  *                                 last, the commit point
- *
- * Every reader treats its input as hostile: each count is
- * bounds-checked before it drives an allocation or a
- * multiplication (tests/test_fidelity_persist.cc mirrors
- * test_manifest_validation.cc's truncation / bit-flip /
- * resealed-checksum coverage).
  */
 
 #ifndef WSEL_FIDELITY_PERSIST_FIDELITY_HH

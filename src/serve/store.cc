@@ -60,10 +60,8 @@ ResultStore::hasShard(const std::string &dir,
         (void)persist::readV3Shard(dir, m, shard);
         return true;
     } catch (const persist::CacheInvalid &e) {
-        const std::string moved = persist::quarantineFile(path);
-        warn("corrupt result-store shard " + path + " (" +
-             e.what() + ")" +
-             (moved.empty() ? "" : "; quarantined to " + moved));
+        persist::quarantineArtifact(path, "corrupt result-store shard",
+                                    e.what(), "recomputing");
         return false;
     }
 }

@@ -222,8 +222,6 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
         persist::AdaptiveBatch batch;
         bool resumed = false;
         if (opts.resume) {
-            const std::string path =
-                persist::adaptiveBatchPath(out_dir, batch_index);
             try {
                 batch = persist::readAdaptiveBatch(out_dir, fp,
                                                    batch_index);
@@ -234,16 +232,10 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
                         "budget changed?)");
                 resumed = true;
             } catch (const persist::CacheInvalid &e) {
-                if (fs::exists(path)) {
-                    const std::string moved =
-                        persist::quarantineFile(path);
-                    warn("corrupt adaptive batch " + path + " (" +
-                         e.what() + ")" +
-                         (moved.empty()
-                              ? ""
-                              : "; quarantined to " + moved) +
-                         "; re-simulating");
-                }
+                persist::quarantineArtifact(
+                    persist::adaptiveBatchPath(out_dir, batch_index),
+                    "corrupt adaptive batch", e.what(),
+                    "re-simulating");
             }
         }
 

@@ -113,17 +113,6 @@ parseDoubleList(const std::string &s, const char *what,
     return out;
 }
 
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw persist::CacheInvalid("cannot open for reading");
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
 /** Sequential line reader tracking 1-based line numbers. */
 class LineReader
 {
@@ -293,7 +282,7 @@ parseCampaignBody(const std::string &body, int version)
 Campaign
 loadImpl(const std::string &path)
 {
-    const std::string text = slurpFile(path);
+    const std::string text = persist::readFile(path);
     const std::size_t eol = text.find('\n');
     const std::string first =
         text.substr(0, eol == std::string::npos ? text.size() : eol);
@@ -564,7 +553,7 @@ class CampaignJournal
             return;
         std::string text;
         try {
-            text = slurpFile(path_);
+            text = persist::readFile(path_);
         } catch (const persist::CacheInvalid &) {
             return;
         }
@@ -572,11 +561,10 @@ class CampaignJournal
             return;
         const std::string header = headerLine();
         if (text.rfind(header, 0) != 0) {
-            const std::string moved = persist::quarantineFile(path_);
-            warn("campaign journal " + path_ +
-                 " does not match this campaign's configuration" +
-                 (moved.empty() ? "" : "; quarantined to " + moved) +
-                 "; restarting from scratch");
+            persist::quarantineArtifact(
+                path_, "stale campaign journal",
+                "does not match this campaign's configuration",
+                "restarting from scratch");
             return;
         }
         std::size_t good_end = header.size();
@@ -983,11 +971,8 @@ Campaign::load(const std::string &path, LoadMode mode)
     } catch (const persist::CacheInvalid &e) {
         if (mode == LoadMode::Strict)
             WSEL_FATAL("campaign file " << path << ": " << e.what());
-        const std::string moved = persist::quarantineFile(path);
-        warn("corrupt campaign cache at " + path + " (" + e.what() +
-             ")" +
-             (moved.empty() ? "" : "; quarantined to " + moved) +
-             "; re-simulating");
+        persist::quarantineArtifact(path, "corrupt campaign cache",
+                                    e.what(), "re-simulating");
         throw;
     }
 }

@@ -492,13 +492,12 @@ cachedCampaign(const std::string &cache_key,
                 obs::counter("persist.cache_hit").inc();
                 return c;
             }
-            const std::string moved = persist::quarantineFile(path);
-            warn("stale campaign cache at " + path +
-                 (c.formatVersion < 2
-                      ? " (old format version)"
-                      : " (configuration fingerprint changed)") +
-                 (moved.empty() ? "" : "; quarantined to " + moved) +
-                 "; re-simulating");
+            persist::quarantineArtifact(
+                path, "stale campaign cache",
+                c.formatVersion < 2
+                    ? "old format version"
+                    : "configuration fingerprint changed",
+                "re-simulating");
         } catch (const persist::CacheInvalid &) {
             // load() already quarantined the file and warned.
         }

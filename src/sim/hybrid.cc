@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <sstream>
 
 #include "core/confidence/confidence.hh"
@@ -23,8 +22,6 @@ namespace wsel
 
 namespace
 {
-
-namespace fs = std::filesystem;
 
 /** Combined-bound z: two-sided ~95% on the sampling term. */
 constexpr double kComboZ = 1.959963984540054;
@@ -183,15 +180,10 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                 logLine("  [hybrid] escalation sidecar is for "
                         "different knobs; recomputing the set");
         } catch (const persist::CacheInvalid &e) {
-            const std::string path =
-                fidelity::escalationRecordPath(out_dir);
-            const std::string moved =
-                persist::quarantineFile(path);
-            warn("corrupt fidelity bitmap " + path + " (" +
-                 e.what() + ")" +
-                 (moved.empty() ? ""
-                                : "; quarantined to " + moved) +
-                 "; recomputing the escalation set");
+            persist::quarantineArtifact(
+                fidelity::escalationRecordPath(out_dir),
+                "corrupt fidelity bitmap", e.what(),
+                "recomputing the escalation set");
         }
     }
     if (!have_record) {
@@ -303,20 +295,13 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                     }
                     // A well-formed batch for a different
                     // escalation set is stale, not corrupt.
-                    persist::quarantineFile(path);
-                    warn("stale fidelity batch " + path +
-                         "; re-simulating");
+                    persist::quarantineArtifact(
+                        path, "stale fidelity batch",
+                        "another escalation set", "re-simulating");
                 } catch (const persist::CacheInvalid &e) {
-                    if (fs::exists(path)) {
-                        const std::string moved =
-                            persist::quarantineFile(path);
-                        warn("corrupt fidelity batch " + path +
-                             " (" + e.what() + ")" +
-                             (moved.empty()
-                                  ? ""
-                                  : "; quarantined to " + moved) +
-                             "; re-simulating");
-                    }
+                    persist::quarantineArtifact(
+                        path, "corrupt fidelity batch", e.what(),
+                        "re-simulating");
                 }
             }
             cells_left[b].store(count * np, std::memory_order_relaxed);

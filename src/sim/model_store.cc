@@ -67,13 +67,9 @@ BadcoModelStore::loadOrBuild(const BenchmarkProfile &profile,
             } catch (const FatalError &e) {
                 // A damaged model cache must never abort a run:
                 // quarantine it for inspection and rebuild.
-                const std::string moved =
-                    persist::quarantineFile(path);
-                warn("corrupt BADCO model cache at " + path + " (" +
-                     e.what() + ")" +
-                     (moved.empty() ? ""
-                                    : "; quarantined to " + moved) +
-                     "; rebuilding");
+                persist::quarantineArtifact(
+                    path, "corrupt BADCO model cache", e.what(),
+                    "rebuilding");
             }
         }
     }

@@ -315,16 +315,9 @@ runBadcoPopulationCampaign(
                 part.resumed = true;
                 return part;
             } catch (const persist::CacheInvalid &e) {
-                if (fs::exists(shard_path)) {
-                    const std::string moved =
-                        persist::quarantineFile(shard_path);
-                    warn("corrupt campaign shard " + shard_path +
-                         " (" + e.what() + ")" +
-                         (moved.empty()
-                              ? ""
-                              : "; quarantined to " + moved) +
-                         "; re-simulating");
-                }
+                persist::quarantineArtifact(shard_path,
+                                            "corrupt campaign shard",
+                                            e.what(), "re-simulating");
             }
         }
 

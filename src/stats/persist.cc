@@ -38,26 +38,21 @@ parentDir(const std::string &path)
                                     : path.substr(0, pos);
 }
 
-#ifdef WSEL_HAVE_POSIX_IO
-void
-writeAll(int fd, const char *data, std::size_t n,
-         const std::string &what)
+/** readFile(), with @p prefix at the start of every error. */
+std::string
+slurp(const std::string &path, const std::string &prefix)
 {
-    std::size_t off = 0;
-    while (off < n) {
-        const ssize_t w = ::write(fd, data + off, n - off);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            const int e = errno;
-            ::close(fd);
-            WSEL_FATAL("write to '" << what
-                                    << "' failed: " << strerror(e));
-        }
-        off += static_cast<std::size_t>(w);
-    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        throw CacheInvalid(prefix + "cannot open " + path);
+    std::string data;
+    char buf[1 << 16];
+    while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
+        data.append(buf, static_cast<std::size_t>(in.gcount()));
+    if (in.bad())
+        throw CacheInvalid(prefix + "read error on " + path);
+    return data;
 }
-#endif
 
 } // namespace
 
@@ -110,12 +105,26 @@ atomicWriteFile(const std::string &path, std::string_view contents)
     if (fd < 0)
         WSEL_FATAL("cannot open '" << tmp << "' for writing: "
                                    << strerror(errno));
-    writeAll(fd, contents.data(), contents.size(), tmp);
-    if (::fsync(fd) != 0) {
+    // A failed write or fsync (ENOSPC, EFBIG, EIO) must not leave
+    // the partial temporary file behind.
+    const auto fail = [&](const char *op) {
         const int e = errno;
         ::close(fd);
-        WSEL_FATAL("fsync '" << tmp << "' failed: " << strerror(e));
+        ::unlink(tmp.c_str());
+        WSEL_FATAL(op << " '" << tmp << "' failed: " << strerror(e));
+    };
+    for (std::size_t off = 0; off < contents.size();) {
+        const ssize_t w = ::write(fd, contents.data() + off,
+                                  contents.size() - off);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            fail("write to");
+        }
+        off += static_cast<std::size_t>(w);
     }
+    if (::fsync(fd) != 0)
+        fail("fsync");
     ::close(fd);
     faultPoint("atomic.before-rename");
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -164,6 +173,60 @@ quarantineFile(const std::string &path)
     if (!ec)
         obs::counter("persist.cache_quarantine").inc();
     return ec ? std::string() : target;
+}
+
+std::string
+quarantineArtifact(const std::string &path, std::string_view what,
+                   std::string_view why, std::string_view then)
+{
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec))
+        return {};
+    const std::string moved = quarantineFile(path);
+    std::string msg = std::string(what) + " " + path;
+    if (!why.empty())
+        msg += " (" + std::string(why) + ")";
+    if (!moved.empty())
+        msg += "; quarantined to " + moved;
+    warn(msg + "; " + std::string(then));
+    return moved;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    return slurp(path, "");
+}
+
+void
+Writer::seal(const std::string &path)
+{
+    u64(fnv1a(out_));
+    atomicWriteFile(path, out_);
+}
+
+Reader
+Reader::open(const std::string &path, const char (&magic)[8],
+             std::uint32_t version, std::string what)
+{
+    std::string data = slurp(path, what + ": ");
+    Reader r(std::move(data), std::move(what));
+    if (r.data_.size() < 8)
+        r.fail("too short for a checksum");
+    // Decode the trailing checksum, then confine reads to the body.
+    r.pos_ = r.data_.size() - 8;
+    r.end_ = r.data_.size();
+    const std::uint64_t want = r.u64();
+    r.end_ = r.data_.size() - 8;
+    r.pos_ = 0;
+    if (fnv1a(std::string_view(r.data_.data(), r.end_)) != want)
+        r.fail("checksum mismatch");
+    if (std::memcmp(r.take(8), magic, 8) != 0)
+        r.fail("bad magic");
+    const std::uint32_t got = r.u32();
+    if (got != version)
+        r.fail("unsupported version " + std::to_string(got));
+    return r;
 }
 
 void

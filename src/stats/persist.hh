@@ -3,8 +3,9 @@
  * Crash-safe persistence primitives shared by every on-disk cache
  * writer (campaign CSVs, BADCO model binaries, campaign journals):
  * atomic file replacement, advisory file locking, a streaming
- * checksum, corrupt-artifact quarantine, and test-only fault
- * injection kill-points.
+ * checksum, the sealed-file codec of the binary artifacts,
+ * corrupt-artifact quarantine, and test-only fault injection
+ * kill-points.
  *
  * The design goal (see docs/ROBUSTNESS.md) is that a reader never
  * observes a half-written cache file: writers prepare the full
@@ -18,9 +19,12 @@
 #ifndef WSEL_STATS_PERSIST_HH
 #define WSEL_STATS_PERSIST_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -96,7 +100,7 @@ bool parseHex(std::string_view s, std::uint64_t &out);
  * file in the same directory, fsync it, and rename it over the
  * destination (then fsync the directory).  A crash at any point
  * leaves either the old file or the new file, never a mix.
- * WSEL_FATAL on I/O errors.
+ * WSEL_FATAL on I/O errors, after removing the temporary file.
  *
  * Kill-points: "atomic.begin", "atomic.before-rename",
  * "atomic.after-rename".
@@ -111,6 +115,218 @@ void atomicWriteFile(const std::string &path,
  * @return The new path, or "" when the rename failed.
  */
 std::string quarantineFile(const std::string &path);
+
+/**
+ * Quarantine a damaged or stale artifact and log the one standard
+ * warning, "<what> <path> (<why>); quarantined to <new>; <then>"
+ * (the parenthesis is left out when @p why is empty).  A path that
+ * does not exist is not damage: nothing is moved or logged.
+ *
+ * @return The new path, or "" when nothing was moved.
+ */
+std::string quarantineArtifact(const std::string &path,
+                               std::string_view what,
+                               std::string_view why,
+                               std::string_view then);
+
+/**
+ * The whole contents of @p path.  Throws CacheInvalid naming the
+ * path when it cannot be opened or read.
+ */
+std::string readFile(const std::string &path);
+
+/**
+ * Sealed files: the one frame shared by every checksummed binary
+ * artifact (the campaign_v3 manifest and shards, the adaptive
+ * batches and decision, and the error profile, escalation record,
+ * fidelity batches and hybrid report):
+ *
+ *     magic[8] | version u32 | body | FNV-1a u64 of all before it
+ *
+ * Integers are little-endian, a double is its IEEE-754 bit pattern
+ * as a u64, and a string is a u32 byte length followed by the
+ * bytes.  A format is then only its schema: the magic, the version
+ * and the order of body fields.
+ *
+ * Writer builds the file in memory and seal() publishes it with
+ * atomicWriteFile.  Reader::open() loads a file and checks the
+ * checksum, then the magic, then the version, before any body
+ * field is decoded; every body read is bounds-checked.  A sealed
+ * file is untrusted disk input (truncation, bit rot, a hostile
+ * write), so every damage a reader can detect surfaces as
+ * CacheInvalid, and callers quarantine and regenerate.
+ */
+class Writer
+{
+  public:
+    /** Start a file; @p body_bytes is a capacity hint. */
+    Writer(const char (&magic)[8], std::uint32_t version,
+           std::size_t body_bytes = 0)
+    {
+        out_.reserve(8 + 4 + body_bytes + 8);
+        out_.append(magic, 8);
+        u32(version);
+    }
+
+    void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+    void u32(std::uint32_t v) { le(v, 4); }
+    void u64(std::uint64_t v) { le(v, 8); }
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+    void
+    str(std::string_view s)
+    {
+        u32(static_cast<std::uint32_t>(s.size()));
+        out_.append(s);
+    }
+
+    /** Raw bytes, no length prefix. */
+    void
+    bytes(const void *data, std::size_t n)
+    {
+        out_.append(static_cast<const char *>(data), n);
+    }
+
+    /** A run of doubles, no length prefix (one memcpy on LE hosts). */
+    void
+    f64s(std::span<const double> v)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            bytes(v.data(), v.size_bytes());
+        } else {
+            for (double d : v)
+                f64(d);
+        }
+    }
+
+    /** Append the checksum and atomically write @p path.  Once. */
+    void seal(const std::string &path);
+
+  private:
+    void
+    le(std::uint64_t v, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            out_.push_back(static_cast<char>(v >> (8 * i)));
+    }
+
+    std::string out_;
+};
+
+/** Bounds-checked decoder of one sealed file (see Writer). */
+class Reader
+{
+  public:
+    /**
+     * Load @p path and check its checksum, magic and version.
+     * @p what names the artifact at the start of every error
+     * message ("campaign_v3 manifest").
+     */
+    static Reader open(const std::string &path,
+                       const char (&magic)[8], std::uint32_t version,
+                       std::string what);
+
+    std::uint8_t u8() { return static_cast<std::uint8_t>(*take(1)); }
+    std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+    std::uint64_t u64() { return le(8); }
+    double f64() { return std::bit_cast<double>(u64()); }
+
+    std::string
+    str()
+    {
+        const std::uint32_t n = u32();
+        if (n > remaining())
+            fail("truncated string");
+        return std::string(take(n), n);
+    }
+
+    /** Raw bytes, no length prefix. */
+    void
+    bytes(void *out, std::size_t n)
+    {
+        const char *p = take(n);
+        if (n != 0) // an empty vector's data() may be null
+            std::memcpy(out, p, n);
+    }
+
+    /** A run of doubles, no length prefix (one memcpy on LE hosts). */
+    void
+    f64s(std::span<double> out)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            bytes(out.data(), out.size_bytes());
+        } else {
+            for (double &d : out)
+                d = f64();
+        }
+    }
+
+    /**
+     * @p v, after checking it is at most @p max.  Bound every
+     * count read from disk this way before it drives an allocation
+     * or a multiplication, so a damaged count is CacheInvalid, not
+     * a giant reserve() or an overflowed size.
+     */
+    template <class T>
+    T
+    count(T v, std::uint64_t max, const char *field) const
+    {
+        if (static_cast<std::uint64_t>(v) > max)
+            fail(std::string("implausible ") + field + " " +
+                 std::to_string(v) + " (max " + std::to_string(max) +
+                 ")");
+        return v;
+    }
+
+    /** Body bytes not yet decoded. */
+    std::size_t remaining() const { return end_ - pos_; }
+
+    /** CacheInvalid unless the body was decoded exactly. */
+    void
+    expectEnd() const
+    {
+        if (pos_ != end_)
+            fail("trailing bytes");
+    }
+
+    /** Throw CacheInvalid("<what>: <why>"). */
+    [[noreturn]] void
+    fail(const std::string &why) const
+    {
+        throw CacheInvalid(what_ + ": " + why);
+    }
+
+  private:
+    Reader(std::string data, std::string what)
+        : data_(std::move(data)), what_(std::move(what))
+    {}
+
+    const char *
+    take(std::size_t n)
+    {
+        if (n > remaining())
+            fail("truncated");
+        const char *p = data_.data() + pos_;
+        pos_ += n;
+        return p;
+    }
+
+    std::uint64_t
+    le(int n)
+    {
+        const auto *b =
+            reinterpret_cast<const unsigned char *>(take(n));
+        std::uint64_t v = 0;
+        for (int i = 0; i < n; ++i)
+            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+        return v;
+    }
+
+    std::string data_;
+    std::string what_;
+    std::size_t pos_ = 0;
+    std::size_t end_ = 0; ///< start of the checksum
+};
 
 /**
  * Create @p dir and every missing parent, tolerating concurrent

@@ -1,11 +1,7 @@
 #include "stats/persist_adaptive.hh"
 
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "stats/logging.hh"
 #include "stats/persist.hh"
@@ -24,137 +20,6 @@ constexpr char kDecisionMagic[8] = {'W', 'S', 'A', 'D',
 /** Rows per batch / trajectory entries an artifact may claim. */
 constexpr std::uint64_t kMaxBatchRows = 1ULL << 26;
 constexpr std::uint64_t kMaxTrajectory = 1ULL << 24;
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendF64(std::string &out, double v)
-{
-    appendU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendU32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-}
-
-void
-appendChecksum(std::string &out)
-{
-    const std::uint64_t sum = fnv1a(out);
-    appendU64(out, sum);
-}
-
-/** Bounds-checked little-endian reader (persist_v3 style). */
-class Reader
-{
-  public:
-    Reader(std::string_view data, const std::string &what)
-        : data_(data), what_(what)
-    {
-    }
-
-    void
-    expectMagic(const char (&magic)[8])
-    {
-        char got[8];
-        bytes(got, 8);
-        if (std::memcmp(got, magic, 8) != 0)
-            throw CacheInvalid(what_ + ": bad magic");
-    }
-
-    std::uint32_t
-    u32()
-    {
-        unsigned char b[4];
-        bytes(b, 4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        unsigned char b[8];
-        bytes(b, 8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    std::string
-    str()
-    {
-        const std::uint32_t n = u32();
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated string");
-        std::string s(data_.substr(pos_, n));
-        pos_ += n;
-        return s;
-    }
-
-    std::size_t remaining() const { return data_.size() - pos_; }
-
-    void
-    bytes(void *out, std::size_t n)
-    {
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated");
-        std::memcpy(out, data_.data() + pos_, n);
-        pos_ += n;
-    }
-
-  private:
-    std::string_view data_;
-    std::string what_;
-    std::size_t pos_ = 0;
-};
-
-std::string
-slurp(const std::string &path, const std::string &what)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw CacheInvalid(what + ": cannot open " + path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        throw CacheInvalid(what + ": read error on " + path);
-    return data;
-}
-
-std::string_view
-checkedBody(const std::string &data, const std::string &what)
-{
-    if (data.size() < 8)
-        throw CacheInvalid(what + ": too short for a checksum");
-    const std::string_view body(data.data(), data.size() - 8);
-    Reader tail(std::string_view(data.data() + body.size(), 8),
-                what);
-    const std::uint64_t want = tail.u64();
-    if (fnv1a(body) != want)
-        throw CacheInvalid(what + ": checksum mismatch");
-    return body;
-}
 
 } // namespace
 
@@ -188,54 +53,44 @@ writeAdaptiveBatch(const std::string &dir, const AdaptiveBatch &b)
                    << " d values");
     if (b.ranks.empty())
         WSEL_FATAL("adaptive batch " << b.index << " is empty");
-    std::string out;
-    out.reserve(52 + b.ranks.size() * 16 + 8);
-    out.append(kBatchMagic, 8);
-    appendU32(out, kAdaptiveVersion);
-    appendU64(out, b.fingerprint);
-    appendU64(out, b.index);
-    appendU64(out, b.firstPosition);
-    appendU64(out, b.ranks.size());
+    Writer w(kBatchMagic, kAdaptiveVersion,
+             32 + b.ranks.size() * 16);
+    w.u64(b.fingerprint);
+    w.u64(b.index);
+    w.u64(b.firstPosition);
+    w.u64(b.ranks.size());
     for (std::uint64_t r : b.ranks)
-        appendU64(out, r);
-    for (double v : b.d)
-        appendF64(out, v);
-    appendChecksum(out);
-    atomicWriteFile(adaptiveBatchPath(dir, b.index), out);
+        w.u64(r);
+    w.f64s(b.d);
+    w.seal(adaptiveBatchPath(dir, b.index));
 }
 
 AdaptiveBatch
 readAdaptiveBatch(const std::string &dir, std::uint64_t fingerprint,
                   std::uint64_t index)
 {
-    const std::string what = "adaptive " + adaptiveBatchName(index);
-    const std::string data =
-        slurp(adaptiveBatchPath(dir, index), what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kBatchMagic);
-    if (r.u32() != kAdaptiveVersion)
-        throw CacheInvalid(what + ": unsupported version");
+    Reader r = Reader::open(adaptiveBatchPath(dir, index),
+                            kBatchMagic, kAdaptiveVersion,
+                            "adaptive " + adaptiveBatchName(index));
     AdaptiveBatch b;
     b.fingerprint = r.u64();
     if (b.fingerprint != fingerprint)
-        throw CacheInvalid(what + ": fingerprint mismatch");
+        r.fail("fingerprint mismatch");
     b.index = r.u64();
     if (b.index != index)
-        throw CacheInvalid(what + ": wrong batch index");
+        r.fail("wrong batch index");
     b.firstPosition = r.u64();
-    const std::uint64_t rows = r.u64();
-    if (rows == 0 || rows > kMaxBatchRows)
-        throw CacheInvalid(what + ": implausible row count " +
-                           std::to_string(rows));
+    const std::uint64_t rows =
+        r.count(r.u64(), kMaxBatchRows, "row count");
+    if (rows == 0)
+        r.fail("empty batch");
     if (r.remaining() != rows * 16)
-        throw CacheInvalid(what + ": payload size mismatch");
+        r.fail("payload size mismatch");
     b.ranks.reserve(rows);
     for (std::uint64_t i = 0; i < rows; ++i)
         b.ranks.push_back(r.u64());
-    b.d.reserve(rows);
-    for (std::uint64_t i = 0; i < rows; ++i)
-        b.d.push_back(r.f64());
+    b.d.resize(rows);
+    r.f64s(b.d);
     return b;
 }
 
@@ -243,24 +98,20 @@ void
 writeAdaptiveDecision(const std::string &dir,
                       const AdaptiveDecisionRecord &d)
 {
-    std::string out;
-    out.reserve(128 + d.trajectory.size() * 8);
-    out.append(kDecisionMagic, 8);
-    appendU32(out, kAdaptiveVersion);
-    appendU64(out, d.fingerprint);
-    out.push_back(static_cast<char>(d.reason));
-    out.push_back(static_cast<char>(d.yWins));
-    appendString(out, d.method);
-    appendU64(out, d.batches);
-    appendU64(out, d.workloads);
-    appendF64(out, d.confidence);
-    appendF64(out, d.cv);
-    appendF64(out, d.target);
-    appendU32(out, static_cast<std::uint32_t>(d.trajectory.size()));
-    for (double c : d.trajectory)
-        appendF64(out, c);
-    appendChecksum(out);
-    atomicWriteFile(adaptiveDecisionPath(dir), out);
+    Writer w(kDecisionMagic, kAdaptiveVersion,
+             64 + d.method.size() + d.trajectory.size() * 8);
+    w.u64(d.fingerprint);
+    w.u8(d.reason);
+    w.u8(d.yWins);
+    w.str(d.method);
+    w.u64(d.batches);
+    w.u64(d.workloads);
+    w.f64(d.confidence);
+    w.f64(d.cv);
+    w.f64(d.target);
+    w.u32(static_cast<std::uint32_t>(d.trajectory.size()));
+    w.f64s(d.trajectory);
+    w.seal(adaptiveDecisionPath(dir));
 }
 
 bool
@@ -274,36 +125,26 @@ hasAdaptiveDecision(const std::string &dir)
 AdaptiveDecisionRecord
 readAdaptiveDecision(const std::string &dir)
 {
-    const std::string what = "adaptive decision";
-    const std::string data = slurp(adaptiveDecisionPath(dir), what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kDecisionMagic);
-    if (r.u32() != kAdaptiveVersion)
-        throw CacheInvalid(what + ": unsupported version");
+    Reader r = Reader::open(adaptiveDecisionPath(dir),
+                            kDecisionMagic, kAdaptiveVersion,
+                            "adaptive decision");
     AdaptiveDecisionRecord d;
     d.fingerprint = r.u64();
-    std::uint8_t b = 0;
-    r.bytes(&b, 1);
-    d.reason = b;
-    r.bytes(&b, 1);
-    d.yWins = b;
+    d.reason = r.u8();
+    d.yWins = r.u8();
     d.method = r.str();
-    if (d.method.size() > 64)
-        throw CacheInvalid(what + ": implausible method name");
+    r.count(d.method.size(), 64, "method-name length");
     d.batches = r.u64();
     d.workloads = r.u64();
     d.confidence = r.f64();
     d.cv = r.f64();
     d.target = r.f64();
-    const std::uint32_t nt = r.u32();
-    if (nt > kMaxTrajectory)
-        throw CacheInvalid(what + ": implausible trajectory length");
+    const std::uint32_t nt =
+        r.count(r.u32(), kMaxTrajectory, "trajectory length");
     if (r.remaining() != static_cast<std::size_t>(nt) * 8)
-        throw CacheInvalid(what + ": payload size mismatch");
-    d.trajectory.reserve(nt);
-    for (std::uint32_t i = 0; i < nt; ++i)
-        d.trajectory.push_back(r.f64());
+        r.fail("payload size mismatch");
+    d.trajectory.resize(nt);
+    r.f64s(d.trajectory);
     return d;
 }
 

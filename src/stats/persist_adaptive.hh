@@ -11,13 +11,11 @@
  *
  * A batch file carries the population ranks its schedule positions
  * resolved to and the d(w) value of each — everything a resumed
- * run needs to replay the controller without re-simulating.  Files
- * follow the campaign_v3 conventions: little-endian, a trailing
- * 64-bit FNV-1a of all preceding bytes, written via
- * atomicWriteFile, validated on read with CacheInvalid on damage.
- * Batch files contain no timing and no job-count dependence, so a
- * resumed run's artifact is bitwise identical to an uninterrupted
- * one (tests/test_adaptive.cc).
+ * run needs to replay the controller without re-simulating.  Both
+ * kinds are sealed files (persist::Writer in stats/persist.hh
+ * describes the frame).  Batch files contain no timing and no
+ * job-count dependence, so a resumed run's artifact is bitwise
+ * identical to an uninterrupted one (tests/test_adaptive.cc).
  *
  * Unlike campaign_v3's manifest, adaptive.bin describes a
  * *stopped* campaign: which batch the stopping rule fired after,

@@ -1,12 +1,8 @@
 #include "stats/persist_v3.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "stats/logging.hh"
 #include "stats/persist.hh"
@@ -21,139 +17,6 @@ constexpr char kManifestMagic[8] = {'W', 'S', 'V', '3',
                                     'M', 'A', 'N', 'I'};
 constexpr char kShardMagic[8] = {'W', 'S', 'V', '3',
                                  'S', 'H', 'R', 'D'};
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendF64(std::string &out, double v)
-{
-    appendU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendU32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-}
-
-void
-appendChecksum(std::string &out)
-{
-    const std::uint64_t sum = fnv1a(out);
-    appendU64(out, sum);
-}
-
-/** Bounds-checked little-endian reader over a loaded file. */
-class Reader
-{
-  public:
-    Reader(std::string_view data, const std::string &what)
-        : data_(data), what_(what)
-    {
-    }
-
-    void
-    expectMagic(const char (&magic)[8])
-    {
-        char got[8];
-        bytes(got, 8);
-        if (std::memcmp(got, magic, 8) != 0)
-            throw CacheInvalid(what_ + ": bad magic");
-    }
-
-    std::uint32_t
-    u32()
-    {
-        unsigned char b[4];
-        bytes(b, 4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        unsigned char b[8];
-        bytes(b, 8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    std::string
-    str()
-    {
-        const std::uint32_t n = u32();
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated string");
-        std::string s(data_.substr(pos_, n));
-        pos_ += n;
-        return s;
-    }
-
-    std::size_t remaining() const { return data_.size() - pos_; }
-    std::size_t pos() const { return pos_; }
-
-    void
-    bytes(void *out, std::size_t n)
-    {
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated");
-        std::memcpy(out, data_.data() + pos_, n);
-        pos_ += n;
-    }
-
-  private:
-    std::string_view data_;
-    std::string what_;
-    std::size_t pos_ = 0;
-};
-
-std::string
-slurp(const std::string &path, const std::string &what)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw CacheInvalid(what + ": cannot open " + path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        throw CacheInvalid(what + ": read error on " + path);
-    return data;
-}
-
-/** Split off and verify the trailing checksum; returns the body. */
-std::string_view
-checkedBody(const std::string &data, const std::string &what)
-{
-    if (data.size() < 8)
-        throw CacheInvalid(what + ": too short for a checksum");
-    const std::string_view body(data.data(), data.size() - 8);
-    Reader tail(
-        std::string_view(data.data() + body.size(), 8), what);
-    const std::uint64_t want = tail.u64();
-    if (fnv1a(body) != want)
-        throw CacheInvalid(what + ": checksum mismatch");
-    return body;
-}
 
 } // namespace
 
@@ -214,115 +77,85 @@ writeV3Manifest(const std::string &dir, const V3Manifest &m)
         WSEL_FATAL("v3 manifest with zero shard rows");
     if (m.refIpc.size() != m.benchmarks.size())
         WSEL_FATAL("v3 manifest refIpc/benchmark size mismatch");
-    std::string out;
-    out.reserve(256 + 16 * (m.policies.size() +
-                            m.benchmarks.size()));
-    out.append(kManifestMagic, 8);
-    appendU32(out, kV3Version);
-    appendU64(out, m.fingerprint);
-    appendString(out, m.simulator);
-    appendU32(out, m.cores);
-    appendU64(out, m.targetUops);
-    appendF64(out, m.simSeconds);
-    appendU64(out, m.instructions);
-    appendU32(out, static_cast<std::uint32_t>(m.policies.size()));
+    Writer w(kManifestMagic, kV3Version,
+             256 + 16 * (m.policies.size() + m.benchmarks.size()));
+    w.u64(m.fingerprint);
+    w.str(m.simulator);
+    w.u32(m.cores);
+    w.u64(m.targetUops);
+    w.f64(m.simSeconds);
+    w.u64(m.instructions);
+    w.u32(static_cast<std::uint32_t>(m.policies.size()));
     for (const std::string &p : m.policies)
-        appendString(out, p);
-    appendU32(out, static_cast<std::uint32_t>(m.benchmarks.size()));
+        w.str(p);
+    w.u32(static_cast<std::uint32_t>(m.benchmarks.size()));
     for (const std::string &b : m.benchmarks)
-        appendString(out, b);
-    for (double r : m.refIpc)
-        appendF64(out, r);
-    appendU32(out, m.popBenchmarks);
-    appendU32(out, m.popCores);
-    appendU64(out, m.firstRank);
-    appendU64(out, m.lastRank);
-    appendU64(out, m.shardRows);
-    appendChecksum(out);
-    atomicWriteFile(v3ManifestPath(dir), out);
+        w.str(b);
+    w.f64s(m.refIpc);
+    w.u32(m.popBenchmarks);
+    w.u32(m.popCores);
+    w.u64(m.firstRank);
+    w.u64(m.lastRank);
+    w.u64(m.shardRows);
+    w.seal(v3ManifestPath(dir));
 }
 
 V3Manifest
 readV3Manifest(const std::string &dir)
 {
-    const std::string what = "campaign_v3 manifest";
-    const std::string data = slurp(v3ManifestPath(dir), what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kManifestMagic);
-    const std::uint32_t version = r.u32();
-    if (version != kV3Version)
-        throw CacheInvalid(what + ": unsupported version " +
-                           std::to_string(version));
-    // Every size below is bounds-checked *before* it drives an
-    // allocation or a multiplication: a manifest is untrusted disk
-    // input (truncation, bit rot, a hostile write), so a damaged
-    // count must surface as CacheInvalid — quarantine and
-    // regenerate — never as a giant reserve() or an overflowed
-    // payload-size computation.
-    const auto checkCount = [&](std::uint64_t v, std::uint64_t max,
-                                const char *field) {
-        if (v > max)
-            throw CacheInvalid(
-                what + ": implausible " + field + " " +
-                std::to_string(v) + " (max " + std::to_string(max) +
-                ")");
-    };
+    Reader r = Reader::open(v3ManifestPath(dir), kManifestMagic,
+                            kV3Version, "campaign_v3 manifest");
+    // Every size below is bounded (Reader::count) before it drives
+    // an allocation or a multiplication.
     V3Manifest m;
     m.fingerprint = r.u64();
     m.simulator = r.str();
-    checkCount(m.simulator.size(), 64, "simulator-name length");
-    m.cores = r.u32();
-    checkCount(m.cores, 1024, "core count");
+    r.count(m.simulator.size(), 64, "simulator-name length");
+    m.cores = r.count(r.u32(), 1024, "core count");
     m.targetUops = r.u64();
     m.simSeconds = r.f64();
     m.instructions = r.u64();
-    const std::uint32_t np = r.u32();
-    checkCount(np, 4096, "policy count");
+    const std::uint32_t np = r.count(r.u32(), 4096, "policy count");
     m.policies.reserve(np);
     for (std::uint32_t i = 0; i < np; ++i) {
         m.policies.push_back(r.str());
-        checkCount(m.policies.back().size(), 256,
-                   "policy-name length");
+        r.count(m.policies.back().size(), 256, "policy-name length");
     }
-    const std::uint32_t nb = r.u32();
-    checkCount(nb, 1u << 20, "benchmark count");
+    const std::uint32_t nb =
+        r.count(r.u32(), 1u << 20, "benchmark count");
     m.benchmarks.reserve(nb);
     for (std::uint32_t i = 0; i < nb; ++i) {
         m.benchmarks.push_back(r.str());
-        checkCount(m.benchmarks.back().size(), 256,
-                   "benchmark-name length");
+        r.count(m.benchmarks.back().size(), 256,
+                "benchmark-name length");
     }
-    m.refIpc.reserve(nb);
-    for (std::uint32_t i = 0; i < nb; ++i)
-        m.refIpc.push_back(r.f64());
+    m.refIpc.resize(nb);
+    r.f64s(m.refIpc);
     m.popBenchmarks = r.u32();
     m.popCores = r.u32();
     m.firstRank = r.u64();
     m.lastRank = r.u64();
     m.shardRows = r.u64();
-    if (r.remaining() != 0)
-        throw CacheInvalid(what + ": trailing bytes");
+    r.expectEnd();
     if (m.lastRank < m.firstRank || m.shardRows == 0 ||
         m.policies.empty() || m.cores == 0)
-        throw CacheInvalid(what + ": inconsistent geometry");
-    checkCount(m.popBenchmarks, 1u << 20, "population benchmarks");
-    checkCount(m.popCores, 1024, "population cores");
+        r.fail("inconsistent geometry");
+    r.count(m.popBenchmarks, 1u << 20, "population benchmarks");
+    r.count(m.popCores, 1024, "population cores");
     // Rank range and shard geometry: cap so rows() and every
     // rows-per-shard x policies x cores product fits comfortably
     // in 64 bits (and a single shard's payload in size_t).
     constexpr std::uint64_t kMaxRows = 1ULL << 48;
-    checkCount(m.rows(), kMaxRows, "row count");
-    checkCount(m.shardRows, kMaxRows, "shard rows");
+    r.count(m.rows(), kMaxRows, "row count");
+    r.count(m.shardRows, kMaxRows, "shard rows");
     const std::uint64_t cells_per_row =
         static_cast<std::uint64_t>(np) * m.cores;
     if (m.shardRows > (1ULL << 32) / std::max<std::uint64_t>(
                                          1, cells_per_row))
-        throw CacheInvalid(what +
-                           ": shard payload would overflow (" +
-                           std::to_string(m.shardRows) + " rows x " +
-                           std::to_string(np) + " policies x " +
-                           std::to_string(m.cores) + " cores)");
+        r.fail("shard payload would overflow (" +
+               std::to_string(m.shardRows) + " rows x " +
+               std::to_string(np) + " policies x " +
+               std::to_string(m.cores) + " cores)");
     return m;
 }
 
@@ -337,63 +170,42 @@ writeV3Shard(const std::string &dir, const V3Manifest &m,
         WSEL_FATAL("shard " << shard << " payload has "
                             << payload.size() << " cells, expected "
                             << want);
-    std::string out;
-    out.reserve(44 + payload.size() * 8 + 8);
-    out.append(kShardMagic, 8);
-    appendU32(out, kV3Version);
-    appendU32(out, static_cast<std::uint32_t>(shard));
-    appendU64(out, m.fingerprint);
-    appendU32(out, m.cores);
-    appendU32(out, static_cast<std::uint32_t>(m.policies.size()));
-    appendU64(out, m.shardFirstRank(shard));
-    appendU32(out, static_cast<std::uint32_t>(rows));
-    if constexpr (std::endian::native == std::endian::little) {
-        const std::size_t off = out.size();
-        out.resize(off + payload.size() * 8);
-        std::memcpy(out.data() + off, payload.data(),
-                    payload.size() * 8);
-    } else {
-        for (double v : payload)
-            appendF64(out, v);
-    }
-    appendChecksum(out);
-    atomicWriteFile(v3ShardPath(dir, shard), out);
+    Writer w(kShardMagic, kV3Version, 32 + payload.size_bytes());
+    w.u32(static_cast<std::uint32_t>(shard));
+    w.u64(m.fingerprint);
+    w.u32(m.cores);
+    w.u32(static_cast<std::uint32_t>(m.policies.size()));
+    w.u64(m.shardFirstRank(shard));
+    w.u32(static_cast<std::uint32_t>(rows));
+    w.f64s(payload);
+    w.seal(v3ShardPath(dir, shard));
 }
 
 std::vector<double>
 readV3Shard(const std::string &dir, const V3Manifest &m,
             std::uint64_t shard)
 {
-    const std::string what = "campaign_v3 " + v3ShardName(shard);
-    const std::string data = slurp(v3ShardPath(dir, shard), what);
-    const std::string_view body = checkedBody(data, what);
-    Reader r(body, what);
-    r.expectMagic(kShardMagic);
-    if (r.u32() != kV3Version)
-        throw CacheInvalid(what + ": unsupported version");
+    Reader r = Reader::open(v3ShardPath(dir, shard), kShardMagic,
+                            kV3Version,
+                            "campaign_v3 " + v3ShardName(shard));
     if (r.u32() != shard)
-        throw CacheInvalid(what + ": wrong shard index");
+        r.fail("wrong shard index");
     if (r.u64() != m.fingerprint)
-        throw CacheInvalid(what + ": fingerprint mismatch");
+        r.fail("fingerprint mismatch");
     if (r.u32() != m.cores ||
         r.u32() != static_cast<std::uint32_t>(m.policies.size()))
-        throw CacheInvalid(what + ": shape mismatch");
+        r.fail("shape mismatch");
     if (r.u64() != m.shardFirstRank(shard))
-        throw CacheInvalid(what + ": rank-range mismatch");
+        r.fail("rank-range mismatch");
     const std::uint64_t rows = r.u32();
     if (rows != m.rowsInShard(shard))
-        throw CacheInvalid(what + ": row-count mismatch");
+        r.fail("row-count mismatch");
     const std::size_t cells = static_cast<std::size_t>(rows) *
                               m.policies.size() * m.cores;
     if (r.remaining() != cells * 8)
-        throw CacheInvalid(what + ": payload size mismatch");
+        r.fail("payload size mismatch");
     std::vector<double> payload(cells);
-    if constexpr (std::endian::native == std::endian::little) {
-        r.bytes(payload.data(), cells * 8);
-    } else {
-        for (std::size_t i = 0; i < cells; ++i)
-            payload[i] = r.f64();
-    }
+    r.f64s(payload);
     return payload;
 }
 

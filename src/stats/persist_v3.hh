@@ -11,11 +11,11 @@
  *     <dir>/shard-000001.bin
  *     ...
  *
- * Every file is little-endian with a trailing 64-bit FNV-1a of all
- * preceding bytes and is written via atomicWriteFile, so PR 1's
- * checkpoint/resume semantics hold at shard granularity: a crash
- * leaves each shard either absent, complete, or quarantinable, and
- * a resumed run regenerates exactly the missing/invalid shards.
+ * Every file is a sealed file (persist::Writer in stats/persist.hh
+ * describes the frame), so checkpoint/resume holds at shard
+ * granularity: a crash leaves each shard either absent, complete,
+ * or quarantinable, and a resumed run regenerates exactly the
+ * missing/invalid shards.
  *
  * Shard s covers workload ranks
  * [firstRank + s*shardRows, firstRank + min((s+1)*shardRows, rows))

@@ -14,6 +14,8 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <csignal>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #define WSEL_TEST_HAVE_FORK 1
@@ -523,6 +525,48 @@ TEST_F(Resilience, AtomicWriteKilledBeforeRenameKeepsOldContents)
     persist::atomicWriteFile(file, "generation-2");
     EXPECT_EQ(test::readFile(file), "generation-2");
 }
+
+#ifdef WSEL_TEST_HAVE_FORK
+TEST_F(Resilience, AtomicWriteFailureRemovesTempFile)
+{
+    // A write that fails part-way (here EFBIG from RLIMIT_FSIZE,
+    // standing in for ENOSPC) must leave the destination untouched
+    // and remove the partial temporary file.  The limit is set in a
+    // child so the test process keeps its own.
+    const std::string file = path("limited.bin");
+    persist::atomicWriteFile(file, "generation-1");
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::signal(SIGXFSZ, SIG_IGN);
+        rlimit lim{};
+        ::getrlimit(RLIMIT_FSIZE, &lim);
+        lim.rlim_cur = 4096;
+        if (::setrlimit(RLIMIT_FSIZE, &lim) != 0)
+            ::_exit(3);
+        try {
+            persist::atomicWriteFile(file,
+                                     std::string(1 << 20, 'x'));
+        } catch (const FatalError &) {
+            ::_exit(0);
+        } catch (...) {
+            ::_exit(2);
+        }
+        ::_exit(1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: the oversized write succeeded; 2: it threw something "
+           "other than FatalError; 3: setrlimit failed";
+    EXPECT_EQ(test::readFile(file), "generation-1");
+    for (const auto &e : fs::directory_iterator(dir_))
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << "leftover temporary file " << e.path();
+}
+#endif
 
 TEST_F(Resilience, QuarantineRenamesWithoutDeleting)
 {

@@ -8,6 +8,11 @@
  * bytes, so any change to an encoder that alters a file (field
  * order, width, endianness, checksum) fails here before it can
  * invalidate caches and result stores written by earlier builds.
+ *
+ * SealedFileDamage runs the same rows through the damage every
+ * reader must refuse: every prefix truncation, every single-bit
+ * flip, trailing bytes under a re-sealed checksum, and a missing
+ * file must each raise CacheInvalid.
  */
 
 #include <cstdint>
@@ -268,6 +273,24 @@ readBytes(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Replace the trailing FNV-1a with the checksum of what precedes it. */
+std::string
+reseal(std::string bytes)
+{
+    bytes.resize(bytes.size() - 8);
+    const std::uint64_t sum = persist::fnv1a(bytes);
+    for (int i = 0; i < 8; ++i)
+        bytes.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+    return bytes;
+}
+
 class PersistGolden : public ::testing::Test
 {
   protected:
@@ -329,6 +352,58 @@ TEST_F(PersistGolden, EveryArtifactRoundTrips)
         SCOPED_TRACE(a.name);
         a.write(dir_);
         EXPECT_NO_THROW(a.read(dir_));
+    }
+}
+
+class SealedFileDamage : public PersistGolden
+{};
+
+TEST_F(SealedFileDamage, EveryArtifactRejectsEveryDamage)
+{
+    for (const Artifact &a : artifacts()) {
+        SCOPED_TRACE(a.name);
+        const std::string path = a.write(dir_);
+        const std::string full = readBytes(path);
+        ASSERT_GT(full.size(), 20u);
+        const auto rejected = [&](const std::string &bytes) {
+            writeBytes(path, bytes);
+            try {
+                a.read(dir_);
+            } catch (const persist::CacheInvalid &) {
+                return true;
+            }
+            return false;
+        };
+
+        for (std::size_t len = 0; len < full.size(); ++len)
+            EXPECT_TRUE(rejected(full.substr(0, len)))
+                << "accepted a file truncated to " << len << " of "
+                << full.size() << " bytes";
+        // The checksum covers every byte before it and is itself
+        // compared, so any single flipped bit must be caught.
+        for (std::size_t byte = 0; byte < full.size(); ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::string damaged = full;
+                damaged[byte] =
+                    static_cast<char>(damaged[byte] ^ (1 << bit));
+                EXPECT_TRUE(rejected(damaged))
+                    << "byte " << byte << " bit " << bit;
+            }
+        }
+        // Bytes appended to the body, with a checksum that matches
+        // them: only the schema's own end check can refuse these.
+        for (const std::size_t extra : {1u, 8u}) {
+            std::string longer = full;
+            longer.insert(full.size() - 8, std::string(extra, '\0'));
+            EXPECT_TRUE(rejected(reseal(longer)))
+                << extra << " trailing bytes";
+        }
+
+        writeBytes(path, full);
+        EXPECT_NO_THROW(a.read(dir_));
+        fs::remove(path);
+        EXPECT_THROW(a.read(dir_), persist::CacheInvalid)
+            << "missing file";
     }
 }
 

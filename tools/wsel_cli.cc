@@ -729,12 +729,9 @@ cmdHybrid(const Args &args)
                             "suite; re-calibrating\n",
                             profile_path.c_str());
         } catch (const persist::CacheInvalid &e) {
-            const std::string moved =
-                persist::quarantineFile(profile_path);
-            warn("corrupt error profile " + profile_path + " (" +
-                 e.what() + ")" +
-                 (moved.empty() ? "" : "; quarantined to " + moved) +
-                 "; re-calibrating");
+            persist::quarantineArtifact(profile_path,
+                                        "corrupt error profile",
+                                        e.what(), "re-calibrating");
         }
     }
     if (!have_profile) {
