@@ -14,10 +14,12 @@
  * restarts at the end of the model, like the paper's multiprogram
  * protocol.
  *
- * runBadcoLane() is the one implementation of that node walk. A
- * BadcoMachine runs it against any UncoreIf; the batched cell engine
- * (sim/batch.hh) runs it against a concrete, final Uncore, so its
- * uncore calls are devirtualized.
+ * runBadcoLane() is the one implementation of that node walk, and
+ * runBadcoQuanta() the one schedule that interleaves the cores of a
+ * cell. A BadcoMachine walks against any UncoreIf; the multicore
+ * simulator (sim/multicore.hh) and the batched cell engine
+ * (sim/batch.hh) run the schedule against a concrete, final Uncore,
+ * so their uncore calls are devirtualized.
  */
 
 #ifndef WSEL_BADCO_BADCO_MACHINE_HH
@@ -228,6 +230,43 @@ runBadcoLane(BadcoLane &lane, U &uncore, std::uint64_t until)
     lane.requests = reqs;
 }
 
+/**
+ * Run the @p cores lanes of one cell, sharing @p uncore, until every
+ * lane has reached its target. Time advances in quanta; in each
+ * quantum every lane walks to the quantum's end, starting one core
+ * later each quantum so no core always reaches the uncore first. A
+ * lane whose clock already passed the boundary (a long stall can
+ * overshoot many quanta) is skipped: its walk would return without
+ * stepping, so the uncore request interleaving, and therefore the
+ * result, is untouched. @p lane(k) returns core k's lane; @p U is as
+ * for runBadcoLane().
+ */
+template <class U, class LaneAt>
+inline void
+runBadcoQuanta(std::uint32_t cores, LaneAt &&lane, U &uncore,
+               std::uint64_t quantum)
+{
+    std::uint64_t t = 0;
+    std::uint32_t first = 0;
+    for (;;) {
+        bool all_done = true;
+        for (std::uint32_t k = 0; k < cores; ++k)
+            all_done = all_done && lane(k).cyclesToTarget != 0;
+        if (all_done)
+            return;
+        t += quantum;
+        for (std::uint32_t i = 0; i < cores; ++i) {
+            std::uint32_t k = first + i;
+            if (k >= cores)
+                k -= cores;
+            BadcoLane &l = lane(k);
+            if (l.clock < t)
+                runBadcoLane(l, uncore, t);
+        }
+        first = first + 1 == cores ? 0 : first + 1;
+    }
+}
+
 /** Counters exposed by a BadcoMachine. */
 struct BadcoMachineStats
 {
@@ -296,6 +335,9 @@ class BadcoMachine
     }
 
     std::uint32_t coreId() const { return lane_.core; }
+
+    /** The walk state, for runBadcoQuanta(). */
+    BadcoLane &lane() { return lane_; }
 
   private:
     UncoreIf &uncore_;

@@ -173,8 +173,8 @@ void
 BadcoBatchRunner::runCell(Worker &w, std::size_t b)
 {
     // The cell runs to completion under the rotating-quantum
-    // schedule of BadcoMulticoreSim::run, which keeps one uncore's
-    // working set hot per thread.
+    // schedule (runBadcoQuanta), which keeps one uncore's working
+    // set hot per thread.
     if (w.loadComp.size() < cellLoads_[b])
         w.loadComp.resize(cellLoads_[b]);
     w.uncore.emplace(ucfgs_[cellPolicy_[b]], cores_, cellSeed_[b]);
@@ -185,24 +185,9 @@ BadcoBatchRunner::runCell(Worker &w, std::size_t b)
         lanes[k].loadComp = lcomp;
         lcomp += lanes[k].model->loadCount;
     }
-    std::uint64_t t = 0;
-    std::uint32_t first = 0;
-    for (;;) {
-        bool all_done = true;
-        for (std::uint32_t k = 0; k < cores_; ++k)
-            all_done = all_done && lanes[k].cyclesToTarget != 0;
-        if (all_done)
-            break;
-        t += kQuantum;
-        for (std::uint32_t i = 0; i < cores_; ++i) {
-            std::uint32_t k = first + i;
-            if (k >= cores_)
-                k -= cores_;
-            if (lanes[k].clock < t)
-                runBadcoLane(lanes[k], unc, t);
-        }
-        first = first + 1 == cores_ ? 0 : first + 1;
-    }
+    runBadcoQuanta(
+        cores_, [&](std::uint32_t k) -> BadcoLane & { return lanes[k]; },
+        unc, kQuantum);
     double *out = cellOut_[b];
     for (std::uint32_t k = 0; k < cores_; ++k)
         out[k] = static_cast<double>(targetUops_) /

@@ -187,34 +187,12 @@ BadcoMulticoreSim::run(
         machines.back()->stopAtTarget(!restartThreads_);
     }
 
-    // Round-robin quanta with rotating start for fairness. A
-    // machine whose clock already passed the quantum boundary
-    // would return from run() without stepping (a long stall can
-    // overshoot many quanta), so the call is skipped — the uncore
-    // request interleaving, and therefore the result, is untouched.
-    std::vector<BadcoMachine *> mview;
-    mview.reserve(cores_);
-    for (const auto &m : machines)
-        mview.push_back(m.get());
-    std::uint64_t t = 0;
-    std::uint32_t first = 0;
-    while (true) {
-        bool all_done = true;
-        for (const BadcoMachine *m : mview)
-            all_done = all_done && m->reachedTarget();
-        if (all_done)
-            break;
-        t += quantum_;
-        for (std::uint32_t i = 0; i < cores_; ++i) {
-            std::uint32_t k = first + i;
-            if (k >= cores_)
-                k -= cores_;
-            BadcoMachine &m = *mview[k];
-            if (m.localClock() < t)
-                m.run(t);
-        }
-        first = first + 1 == cores_ ? 0 : first + 1;
-    }
+    runBadcoQuanta(
+        cores_,
+        [&](std::uint32_t k) -> BadcoLane & {
+            return machines[k]->lane();
+        },
+        uncore, quantum_);
 
     SimResult res;
     res.ipc.reserve(cores_);
@@ -254,8 +232,9 @@ BadcoMulticoreSim::referenceIpcs(
         Uncore uncore(ref_cfg, 1, seed_);
         BadcoMachine machine(*m, uncore, 0, targetUops_, window_,
                              maxOutstanding_);
-        while (!machine.reachedTarget())
-            machine.run(machine.localClock() + quantum_);
+        runBadcoQuanta(
+            1, [&](std::uint32_t) -> BadcoLane & { return machine.lane(); },
+            uncore, quantum_);
         refs.push_back(machine.ipc());
     }
     return refs;
