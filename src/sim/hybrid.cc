@@ -297,7 +297,8 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                     // escalation set is stale, not corrupt.
                     persist::quarantineArtifact(
                         path, "stale fidelity batch",
-                        "another escalation set", "re-simulating");
+                        "written for another escalation set",
+                        "re-simulating");
                 } catch (const persist::CacheInvalid &e) {
                     persist::quarantineArtifact(
                         path, "corrupt fidelity batch", e.what(),

@@ -346,15 +346,6 @@ TEST_F(PersistGolden, EveryArtifactBytesPinned)
     }
 }
 
-TEST_F(PersistGolden, EveryArtifactRoundTrips)
-{
-    for (const Artifact &a : artifacts()) {
-        SCOPED_TRACE(a.name);
-        a.write(dir_);
-        EXPECT_NO_THROW(a.read(dir_));
-    }
-}
-
 class SealedFileDamage : public PersistGolden
 {};
 
