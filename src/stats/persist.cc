@@ -175,21 +175,19 @@ quarantineFile(const std::string &path)
     return ec ? std::string() : target;
 }
 
-std::string
+void
 quarantineArtifact(const std::string &path, std::string_view what,
                    std::string_view why, std::string_view then)
 {
     std::error_code ec;
     if (!std::filesystem::exists(path, ec))
-        return {};
+        return;
     const std::string moved = quarantineFile(path);
-    std::string msg = std::string(what) + " " + path;
-    if (!why.empty())
-        msg += " (" + std::string(why) + ")";
+    std::string msg = std::string(what) + " " + path + " (" +
+                      std::string(why) + ")";
     if (!moved.empty())
         msg += "; quarantined to " + moved;
     warn(msg + "; " + std::string(then));
-    return moved;
 }
 
 std::string

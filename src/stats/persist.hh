@@ -118,16 +118,12 @@ std::string quarantineFile(const std::string &path);
 
 /**
  * Quarantine a damaged or stale artifact and log the one standard
- * warning, "<what> <path> (<why>); quarantined to <new>; <then>"
- * (the parenthesis is left out when @p why is empty).  A path that
- * does not exist is not damage: nothing is moved or logged.
- *
- * @return The new path, or "" when nothing was moved.
+ * warning, "<what> <path> (<why>); quarantined to <new>; <then>".
+ * A path that does not exist is not damage: nothing is moved or
+ * logged.
  */
-std::string quarantineArtifact(const std::string &path,
-                               std::string_view what,
-                               std::string_view why,
-                               std::string_view then);
+void quarantineArtifact(const std::string &path, std::string_view what,
+                        std::string_view why, std::string_view then);
 
 /**
  * The whole contents of @p path.  Throws CacheInvalid naming the
