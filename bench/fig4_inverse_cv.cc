@@ -38,9 +38,9 @@ main()
     const std::uint64_t fp = campaignFingerprint(
         "badco", cores, target, det.policies, suite);
     const Campaign bad_sample = cachedCampaign(
-        key, fp, [&](const std::string &journal) {
+        key, fp, [&](const std::string &checkpoint) {
             CampaignOptions opts;
-            opts.journalPath = journal;
+            opts.checkpointDir = checkpoint;
             return runBadcoCampaign(det.workloads, det.policies,
                                     cores, target, store, suite,
                                     opts);

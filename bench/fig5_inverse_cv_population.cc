@@ -9,25 +9,21 @@
  * Two population-engine sections extend the figure
  * (docs/PERFORMANCE.md, "Population campaigns"):
  *
- *  - a 4-core cells/sec comparison of the pre-existing campaign
- *    path (per-cell journal + in-memory matrix + campaign_v2 text
- *    save) against the streamed population runner (campaign_v3
- *    shards + streaming statistics) over the same rank range at
- *    --jobs 8 (WSEL_POP_BENCH_ROWS sizes it, default 600 rows);
  *  - an 8-core streamed run (WSEL_POP8_ROWS rows, default 1500;
  *    0 = the full 4.3M-workload population) reporting per-pair
  *    1/cv from the one-pass Welford statistics, cells/sec, and
  *    peak RSS — the paper's Figure 5 point that 8-core populations
  *    are only approachable with bounded-memory streaming;
  *  - a batched-cell-engine sweep (sim/batch.hh) over
- *    --batch-cells {1, 8, 16, 32, 64} on the same 4-core rank
- *    range, reporting cells/sec and peak RSS per batch size
+ *    --batch-cells {1, 8, 16, 32, 64} on a 4-core rank range at
+ *    --jobs 8 (WSEL_POP_BENCH_ROWS sizes it, default 600 rows),
+ *    reporting cells/sec and peak RSS per batch size
  *    (docs/PERFORMANCE.md, "Batched execution"). Peak RSS is the
  *    process high-water mark, so later sweep points can only
  *    inherit earlier peaks — flat numbers across the sweep mean
  *    batching added nothing.
  *
- * When WSEL_BENCH_JSON names a file, the engine sections are
+ * When WSEL_BENCH_JSON names a file, the 8-core section is
  * archived there as JSON (tools/ci.sh stores it as
  * BENCH_population.json); WSEL_BENCH_JSON_BATCH does the same for
  * the batch sweep (BENCH_batch.json), which tools/ci.sh also uses
@@ -127,10 +123,6 @@ main()
                 "(paper example: RND-FIFO needs 32 with HSU,\n"
                 "50 with IPCT).\n");
 
-    // --------------------------------------------------------------
-    // Population-engine comparison: old campaign path vs streamed
-    // runner on the same 4-core rank range, both at 8 jobs.
-    // --------------------------------------------------------------
     const std::uint64_t target = targetUops();
     const auto &suite = spec2006Suite();
     const std::uint32_t b =
@@ -152,61 +144,10 @@ main()
 
     const double cells4 =
         static_cast<double>(bench_rows) * static_cast<double>(np);
-    std::printf("\nPOPULATION ENGINE (badco, 4 cores, %llu "
-                "workloads x %zu policies, jobs=8)\n\n",
-                static_cast<unsigned long long>(bench_rows), np);
-    std::printf("%-28s %10s %12s\n", "path", "seconds", "cells/sec");
-
-    double old_cps = 0.0;
-    {
-        const std::string journal = scratch + "/old_path.partial";
-        const std::string out = scratch + "/old_path.campaign";
-        std::error_code ec;
-        fs::remove(journal, ec);
-        CampaignOptions opts;
-        opts.jobs = 8;
-        opts.journalPath = journal;
-        const auto t0 = std::chrono::steady_clock::now();
-        const Campaign oc = runBadcoCampaign(
-            WorkloadSet::populationRange(pop4, 0, bench_rows),
-            policies, 4, target, store, suite, opts);
-        oc.save(out);
-        const double sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        old_cps = cells4 / sec;
-        std::printf("%-28s %10.2f %12.0f\n",
-                    "journal + v2 text save", sec, old_cps);
-    }
-
-    double new_cps = 0.0;
-    {
-        const std::string out = scratch + "/new_path.v3";
-        PopulationOptions opts;
-        opts.jobs = 8;
-        opts.lastRank = bench_rows;
-        opts.resume = false;
-        const auto t0 = std::chrono::steady_clock::now();
-        const PopulationResult r = runBadcoPopulationCampaign(
-            pop4, policies, target, store, suite,
-            paperPairSpecs(policies, ThroughputMetric::IPCT), out,
-            opts);
-        const double sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        new_cps = cells4 / sec;
-        std::printf("%-28s %10.2f %12.0f\n",
-                    "streamed v3 shards", sec, new_cps);
-        (void)r;
-    }
-    const double speedup = old_cps > 0.0 ? new_cps / old_cps : 0.0;
-    std::printf("%-28s %10s %11.2fx\n", "speedup", "", speedup);
 
     // --------------------------------------------------------------
-    // Batched cell engine: cells/sec vs batch size B on the same
-    // 4-core rank range. batch=1 is the serial engine shape; the
+    // Batched cell engine: cells/sec vs batch size B on a 4-core
+    // rank range. batch=1 is the serial engine shape; the
     // artifact bytes are identical at every B (tests/test_batch.cc),
     // so this sweep measures pure execution efficiency.
     // --------------------------------------------------------------
@@ -336,13 +277,6 @@ main()
             "{\n"
             "  \"bench\": \"population\",\n"
             "  \"target_uops\": %llu,\n"
-            "  \"bench4\": {\n"
-            "    \"workloads\": %llu,\n"
-            "    \"policies\": %zu,\n"
-            "    \"cells_per_sec_old\": %.2f,\n"
-            "    \"cells_per_sec_new\": %.2f,\n"
-            "    \"speedup\": %.3f\n"
-            "  },\n"
             "  \"pop8\": {\n"
             "    \"workloads\": %llu,\n"
             "    \"population\": %llu,\n"
@@ -353,8 +287,6 @@ main()
             "  }\n"
             "}\n",
             static_cast<unsigned long long>(target),
-            static_cast<unsigned long long>(bench_rows), np,
-            old_cps, new_cps, speedup,
             static_cast<unsigned long long>(rows8),
             static_cast<unsigned long long>(pop8.size()),
             static_cast<unsigned long long>(r8.cellsSimulated),

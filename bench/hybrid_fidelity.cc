@@ -73,9 +73,9 @@ main()
         campaignFingerprint("badco", cores, target, {x, y}, suite);
     const Campaign bad = cachedCampaign(
         "hybrid_bench_badco_" + tag, fpb,
-        [&](const std::string &journal) {
+        [&](const std::string &checkpoint) {
             CampaignOptions o = copts;
-            o.journalPath = journal;
+            o.checkpointDir = checkpoint;
             return runBadcoCampaign(WorkloadSet::fullPopulation(pop),
                                     {x, y}, cores, target, store,
                                     suite, o);
@@ -84,9 +84,9 @@ main()
         "detailed", cores, target, {x, y}, suite);
     const Campaign det = cachedCampaign(
         "hybrid_bench_detailed_" + tag, fpd,
-        [&](const std::string &journal) {
+        [&](const std::string &checkpoint) {
             CampaignOptions o = copts;
-            o.journalPath = journal;
+            o.checkpointDir = checkpoint;
             std::fprintf(stderr, "[wsel] detailed ground truth "
                                  "(%llu rows x 2 policies)...\n",
                          static_cast<unsigned long long>(

@@ -38,8 +38,8 @@ main()
         "example_metric_study_k2_u" + std::to_string(target),
         campaignFingerprint("badco", cores, target,
                             paperPolicies(), suite),
-        [&](const std::string &journal) {
-            opts.journalPath = journal;
+        [&](const std::string &checkpoint) {
+            opts.checkpointDir = checkpoint;
             return runBadcoCampaign(pop.enumerateAll(),
                                     paperPolicies(), cores, target,
                                     store, suite, opts);

@@ -79,8 +79,8 @@ main(int argc, char **argv)
         "example_selection_k4_u" + std::to_string(target),
         campaignFingerprint("badco", cores, target,
                             paperPolicies(), suite),
-        [&](const std::string &journal) {
-            opts.journalPath = journal;
+        [&](const std::string &checkpoint) {
+            opts.checkpointDir = checkpoint;
             return runBadcoCampaign(workloads, paperPolicies(),
                                     cores, target, store, suite,
                                     opts);

@@ -121,11 +121,6 @@ constexpr CatalogEntry kCatalog[] = {
     {"scheduler.queue_depth", 'g'},
     {"scheduler.queue_ns", 'h'},
     {"scheduler.run_ns", 'h'},
-    {"campaign.cells", 'c'},
-    {"campaign.cells_resumed", 'c'},
-    {"campaign.cells_per_sec", 'g'},
-    {"campaign.cell_ns", 'h'},
-    {"campaign.journal_flush_ns", 'h'},
     {"persist.cache_hit", 'c'},
     {"persist.cache_miss", 'c'},
     {"persist.cache_quarantine", 'c'},
@@ -145,6 +140,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"trace_store.resident_bytes", 'g'},
     {"trace_store.build_ns", 'h'},
     {"population.cells", 'c'},
+    {"population.cells_resumed", 'c'},
     {"population.shards_written", 'c'},
     {"population.bytes", 'c'},
     {"population.cells_per_sec", 'g'},

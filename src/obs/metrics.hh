@@ -22,7 +22,7 @@
  * (bench/microbench.cc measures it).  Instruments live forever
  * once created; cache the reference at the call site:
  *
- *     static obs::Counter &cells = obs::counter("campaign.cells");
+ *     static obs::Counter &cells = obs::counter("population.cells");
  *     cells.inc();
  *
  * snapshot() renders every registered instrument to JSON

@@ -85,7 +85,7 @@ std::size_t spanDepth();
  * the span (string literals).  Build @p args only when
  * tracingEnabled() to keep disabled call sites free:
  *
- *     obs::Span span("campaign.cell",
+ *     obs::Span span("population.shard",
  *                    obs::tracingEnabled() ? makeArgs() : "");
  */
 class Span

@@ -174,14 +174,15 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
             // changes shard bytes, so mixed worker fleets stay
             // coherent.
             simulatePopulationShardBatched(
-                m, ctx.population(), ctx.uncores(), ctx.models(),
-                ctx.seed(), lease.shard, 0, opts.jobs, payload,
-                &cells_done);
+                m, WorkloadSet::fullPopulation(ctx.population()),
+                ctx.uncores(), ctx.models(), ctx.seed(), lease.shard,
+                0, opts.jobs, payload, &cells_done);
         else
             simulateDetailedPopulationShard(
-                m, ctx.population(), ctx.coreConfig(),
-                ctx.uncores(), ctx.suite(), ctx.seed(),
-                lease.shard, payload, &cells_done);
+                m, WorkloadSet::fullPopulation(ctx.population()),
+                ctx.coreConfig(), ctx.uncores(), ctx.suite(),
+                ctx.seed(), lease.shard, opts.jobs, payload,
+                &cells_done);
     } catch (const std::exception &e) {
         g_current_shard.store(-1, std::memory_order_relaxed);
         error = std::string("shard simulation failed: ") + e.what();

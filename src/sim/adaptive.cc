@@ -71,32 +71,34 @@ approxPerBenchmarkIpcs(const WorkloadPopulation &pop,
     for (PolicyKind p : policies)
         ucfgs.push_back(UncoreConfig::forCores(k, p));
 
+    // Row-major (policy, benchmark) cells of k IPCs each.
+    std::vector<double> cells(np * nb * k, 0.0);
+    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
+                            target_uops, models, resolveBatchCells(0),
+                            jobs);
+    std::vector<std::uint32_t> benches(k);
+    for (std::size_t p = 0; p < np; ++p) {
+        for (std::size_t b = 0; b < nb; ++b) {
+            std::fill(benches.begin(), benches.end(),
+                      static_cast<std::uint32_t>(b));
+            runner.add(campaignCellSeed(fp, seed, p, b),
+                       static_cast<std::uint32_t>(p),
+                       {benches.data(), benches.size()},
+                       cells.data() + (p * nb + b) * k);
+        }
+    }
+    runner.run();
+
     std::vector<std::vector<double>> ipc(
         np, std::vector<double>(nb, 0.0));
-    auto run_cell = [&](std::size_t i) {
-        const std::size_t p = i / nb;
-        const std::size_t b = i % nb;
-        const std::vector<std::uint32_t> benches(
-            k, static_cast<std::uint32_t>(b));
-        const BadcoMulticoreSim sim(
-            ucfgs[p], k, target_uops,
-            campaignCellSeed(fp, seed, p, b));
-        const SimResult res = sim.run(benches, models);
-        double sum = 0.0;
-        for (double v : res.ipc)
-            sum += v;
-        ipc[p][b] = sum / static_cast<double>(k);
-    };
-
-    const std::size_t cells = np * nb;
-    const std::size_t workers = std::min<std::size_t>(
-        exec::resolveJobs(jobs), cells);
-    if (workers > 1) {
-        exec::ThreadPool pool(workers);
-        exec::parallel_for(pool, std::size_t{0}, cells, run_cell);
-    } else {
-        for (std::size_t i = 0; i < cells; ++i)
-            run_cell(i);
+    for (std::size_t p = 0; p < np; ++p) {
+        for (std::size_t b = 0; b < nb; ++b) {
+            const double *cell = cells.data() + (p * nb + b) * k;
+            double sum = 0.0;
+            for (std::uint32_t c = 0; c < k; ++c)
+                sum += cell[c];
+            ipc[p][b] = sum / static_cast<double>(k);
+        }
     }
     return ipc;
 }
@@ -202,6 +204,9 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
 
     const std::vector<UncoreConfig> ucfgs{
         UncoreConfig::forCores(k, x), UncoreConfig::forCores(k, y)};
+    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
+                            target_uops, models,
+                            resolveBatchCells(opts.batchCells), jobs);
 
     SequentialController ctl(opts.stop, pop.size());
     result.budgetWorkloads = ctl.budgetWorkloads();
@@ -260,71 +265,37 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
                            : adaptiveScheduleRank(fp, opts.seed, p,
                                                   pop.size());
             }
+            // Every cell of the batch goes through the one runner,
+            // spread over the jobs threads. Each cell is an
+            // independent computation, so neither the thread count
+            // nor the batch size can change any d value.
+            std::vector<double> ipc(
+                static_cast<std::size_t>(rows) * 2 * k, 0.0);
+            std::vector<std::uint32_t> benches;
+            for (std::uint64_t r = 0; r < rows; ++r) {
+                const std::uint64_t rank = batch.ranks[r];
+                pop.unrankInto(rank, benches);
+                for (std::size_t p = 0; p < 2; ++p) {
+                    persist::faultPoint("adaptive.cell");
+                    runner.add(campaignCellSeed(fp, opts.seed, p, rank),
+                               static_cast<std::uint32_t>(p),
+                               {benches.data(), benches.size()},
+                               ipc.data() + (r * 2 + p) * k);
+                }
+            }
+            runner.run();
             batch.d.assign(rows, 0.0);
-            // Rows run through the batched engine in groups of
-            // batch_cells/2 rows (2 cells per row); groups are the
-            // parallel_for grain. Each cell is an independent
-            // computation, so the grouping — like the old per-row
-            // grain — cannot change any d value.
-            const std::uint32_t batch_cells =
-                resolveBatchCells(opts.batchCells);
-            const std::uint64_t group_rows =
-                std::max<std::uint64_t>(1, batch_cells / 2);
-            const std::uint64_t groups =
-                (rows + group_rows - 1) / group_rows;
-            auto run_group = [&](std::size_t g) {
-                const std::uint64_t r0 = g * group_rows;
-                const std::uint64_t r1 = std::min<std::uint64_t>(
-                    rows, r0 + group_rows);
-                std::vector<double> ipc(
-                    static_cast<std::size_t>(r1 - r0) * 2 * k, 0.0);
-                // One thread per runner: the row groups are
-                // already the parallel_for grain.
-                BadcoBatchRunner runner(
-                    {ucfgs.data(), ucfgs.size()}, k, target_uops,
-                    models, batch_cells, std::size_t{1});
-                std::vector<std::uint32_t> benches;
-                for (std::uint64_t r = r0; r < r1; ++r) {
-                    const std::uint64_t rank = batch.ranks[r];
-                    pop.unrankInto(rank, benches);
-                    for (std::size_t p = 0; p < 2; ++p) {
-                        persist::faultPoint("adaptive.cell");
-                        runner.add(
-                            campaignCellSeed(fp, opts.seed, p,
-                                             rank),
-                            static_cast<std::uint32_t>(p),
-                            {benches.data(), benches.size()},
-                            ipc.data() +
-                                ((r - r0) * 2 + p) * k);
-                    }
-                }
-                runner.run();
-                std::vector<double> refs(k, 1.0);
-                for (std::uint64_t r = r0; r < r1; ++r) {
-                    pop.unrankInto(batch.ranks[r], benches);
-                    for (std::uint32_t c = 0; c < k; ++c)
-                        refs[c] = ref_ipc[benches[c]];
-                    double t[2] = {0.0, 0.0};
-                    for (std::size_t p = 0; p < 2; ++p)
-                        t[p] = perWorkloadThroughput(
-                            metric,
-                            {ipc.data() + ((r - r0) * 2 + p) * k,
-                             k},
-                            refs);
-                    batch.d[r] = perWorkloadDifference(metric, t[0],
-                                                       t[1]);
-                }
-            };
-            const std::size_t workers = std::min<std::size_t>(
-                jobs, static_cast<std::size_t>(groups));
-            if (workers > 1) {
-                exec::ThreadPool pool(workers);
-                exec::parallel_for(pool, std::size_t{0},
-                                   static_cast<std::size_t>(groups),
-                                   run_group);
-            } else {
-                for (std::uint64_t g = 0; g < groups; ++g)
-                    run_group(static_cast<std::size_t>(g));
+            std::vector<double> refs(k, 1.0);
+            for (std::uint64_t r = 0; r < rows; ++r) {
+                pop.unrankInto(batch.ranks[r], benches);
+                for (std::uint32_t c = 0; c < k; ++c)
+                    refs[c] = ref_ipc[benches[c]];
+                double t[2] = {0.0, 0.0};
+                for (std::size_t p = 0; p < 2; ++p)
+                    t[p] = perWorkloadThroughput(
+                        metric, {ipc.data() + (r * 2 + p) * k, k},
+                        refs);
+                batch.d[r] = perWorkloadDifference(metric, t[0], t[1]);
             }
             persist::writeAdaptiveBatch(out_dir, batch);
         }

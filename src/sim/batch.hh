@@ -110,7 +110,7 @@ resolveBatchWave(std::uint32_t)
 
 /**
  * Executes batches of BADCO cells against lane state. One runner is
- * built per shard (or per adaptive row-group) and reused across its
+ * built per shard (or per adaptive campaign) and reused across its
  * batches; add() cells until full() (or done), then run() — results
  * are written straight into each cell's caller buffer. add() on a
  * full runner flushes automatically.

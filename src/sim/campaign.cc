@@ -1,29 +1,14 @@
 #include "sim/campaign.hh"
 
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "exec/scheduler.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "sim/population.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
 #include "stats/persist_v3.hh"
-#include "trace/trace_store.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define WSEL_HAVE_POSIX_IO 1
-#endif
 
 namespace wsel
 {
@@ -46,19 +31,6 @@ splitOn(const std::string &s, char sep)
     }
     out.push_back(cur);
     return out;
-}
-
-void
-progress(const CampaignOptions &opts, const std::string &what,
-         std::size_t done, std::size_t total)
-{
-    if (!opts.verbose || opts.progressEvery == 0)
-        return;
-    if (done % opts.progressEvery == 0 || done == total) {
-        std::ostringstream os;
-        os << "  [" << what << "] " << done << "/" << total;
-        logLine(os.str());
-    }
 }
 
 /**
@@ -392,438 +364,119 @@ loadV3Impl(const std::string &path)
     for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
         const std::vector<double> payload =
             persist::readV3Shard(path, m, s);
-        // Shards are row-major (workload, policy, core); the
-        // matrix is policy-major, so scatter by cell.
-        const std::size_t rows =
-            static_cast<std::size_t>(m.rowsInShard(s));
-        const std::size_t base_w =
-            static_cast<std::size_t>(s * m.shardRows);
-        const double *src = payload.data();
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t p = 0; p < np; ++p) {
-                c.ipc.setCell(p, base_w + r, {src, c.cores});
-                src += c.cores;
-            }
-        }
+        c.ipc.scatterRows(static_cast<std::size_t>(s * m.shardRows),
+                          {payload.data(), payload.size()});
     }
     return c;
 }
 
-/**
- * Append-only checkpoint journal for a running campaign: one
- * self-checksummed line per completed (policy, workload) cell, so
- * a killed campaign loses at most the unflushed batch (batch size
- * 1, the serial default, fsyncs every cell before the next
- * starts).  Appends are serialized by a mutex, so the parallel
- * campaign runners may call append from any worker.  A journal
- * left by a previous run is replayed when the header (fingerprint
- * and shape) matches; a mismatched or damaged header quarantines
- * the journal and starts fresh; a damaged tail (the record being
- * written at the kill) is dropped and truncated away.
- */
-class CampaignJournal
+/** The header fields both front ends fill the same way. */
+Campaign
+newCampaign(const std::string &simulator, const WorkloadSet &workloads,
+            const std::vector<PolicyKind> &policies,
+            std::uint32_t cores, std::uint64_t target_uops,
+            const std::vector<BenchmarkProfile> &suite)
 {
-  public:
-    CampaignJournal(std::string path, std::uint64_t fingerprint,
-                    std::size_t npolicies, std::size_t nworkloads,
-                    std::size_t batch = 1)
-        : path_(std::move(path)), fingerprint_(fingerprint),
-          np_(npolicies), nw_(nworkloads),
-          batch_(batch ? batch : 1), done_(np_ * nw_, 0),
-          cells_(np_ * nw_)
-    {
-        replay();
-        openAppend();
-    }
-
-    ~CampaignJournal()
-    {
-        try {
-            std::lock_guard<std::mutex> g(mu_);
-            flushLocked();
-        } catch (...) {
-            // Best-effort: a record lost here is simply
-            // re-simulated on resume.
-        }
-#ifdef WSEL_HAVE_POSIX_IO
-        if (fd_ >= 0)
-            ::close(fd_);
-#else
-        os_.close();
-#endif
-    }
-
-    CampaignJournal(const CampaignJournal &) = delete;
-    CampaignJournal &operator=(const CampaignJournal &) = delete;
-
-    bool
-    done(std::size_t p, std::size_t w) const
-    {
-        return done_[p * nw_ + w] != 0;
-    }
-
-    const std::vector<double> &
-    cell(std::size_t p, std::size_t w) const
-    {
-        return cells_[p * nw_ + w];
-    }
-
-    std::size_t replayedCount() const { return replayed_; }
-    double replayedSeconds() const { return replayedSeconds_; }
-
-    std::uint64_t
-    replayedInstructions() const
-    {
-        return replayedInstructions_;
-    }
-
-    /**
-     * Record a completed cell.  Durable once the batch it belongs
-     * to is flushed: immediately at batch size 1, otherwise by the
-     * flush when the batch fills, by flush(), or by the
-     * destructor.  Thread-safe.
-     */
-    void
-    append(std::size_t p, std::size_t w, const SimResult &r)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        persist::faultPoint("journal.before-append");
-        std::ostringstream os;
-        os.precision(17);
-        os << "r," << p << "," << w << ",";
-        for (std::size_t k = 0; k < r.ipc.size(); ++k)
-            os << (k ? ";" : "") << r.ipc[k];
-        os << "," << r.wallSeconds << "," << r.instructions;
-        const std::string prefix = os.str();
-        buffer_.push_back(prefix + "," +
-                          persist::toHex(persist::fnv1a(prefix)) +
-                          "\n");
-        if (buffer_.size() >= batch_)
-            flushLocked();
-    }
-
-    /** Write and fsync every buffered record.  Thread-safe. */
-    void
-    flush()
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        flushLocked();
-    }
-
-  private:
-    /**
-     * Flush the buffer with one write and one fsync.  The
-     * journal.append fault point fires once per record after the
-     * fsync, preserving the serial contract ("killed after the
-     * nth durable record") that the resilience tests count on.
-     */
-    void
-    flushLocked()
-    {
-        if (buffer_.empty())
-            return;
-        std::string block;
-        for (const std::string &line : buffer_)
-            block += line;
-        const std::size_t n = buffer_.size();
-        buffer_.clear();
-        {
-            static obs::LatencyHistogram &flushNs =
-                obs::histogram("campaign.journal_flush_ns");
-            obs::LatencyHistogram::Timer t(flushNs);
-            writeLine(block);
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            persist::faultPoint("journal.append");
-    }
-
-    std::string
-    headerLine() const
-    {
-        return "wsel-journal,v2," + persist::toHex(fingerprint_) +
-               "," + std::to_string(np_) + "," +
-               std::to_string(nw_) + "\n";
-    }
-
-    void
-    replay()
-    {
-        std::error_code ec;
-        if (!std::filesystem::exists(path_, ec))
-            return;
-        std::string text;
-        try {
-            text = persist::readFile(path_);
-        } catch (const persist::CacheInvalid &) {
-            return;
-        }
-        if (text.empty())
-            return;
-        const std::string header = headerLine();
-        if (text.rfind(header, 0) != 0) {
-            persist::quarantineArtifact(
-                path_, "stale campaign journal",
-                "does not match this campaign's configuration",
-                "restarting from scratch");
-            return;
-        }
-        std::size_t good_end = header.size();
-        std::size_t at = header.size();
-        bool damaged = false;
-        while (at < text.size()) {
-            const std::size_t nl = text.find('\n', at);
-            if (nl == std::string::npos)
-                break; // record in flight at the kill; drop it
-            if (!replayRecord(text.substr(at, nl - at))) {
-                damaged = true;
-                break;
-            }
-            at = nl + 1;
-            good_end = at;
-        }
-        if (damaged)
-            warn("campaign journal " + path_ +
-                 " has a damaged record; dropping it and every "
-                 "later record");
-        if (good_end < text.size())
-            std::filesystem::resize_file(path_, good_end, ec);
-    }
-
-    bool
-    replayRecord(const std::string &line)
-    {
-        const std::size_t crc_at = line.find_last_of(',');
-        if (crc_at == std::string::npos)
-            return false;
-        std::uint64_t want = 0;
-        if (!persist::parseHex(line.substr(crc_at + 1), want) ||
-            persist::fnv1a(line.substr(0, crc_at)) != want)
-            return false;
-        const auto f = splitOn(line, ',');
-        if (f.size() != 7 || f[0] != "r")
-            return false;
-        try {
-            const std::size_t p =
-                static_cast<std::size_t>(parseU64(f[1], "p", 0));
-            const std::size_t w =
-                static_cast<std::size_t>(parseU64(f[2], "w", 0));
-            if (p >= np_ || w >= nw_)
-                return false;
-            std::vector<double> ipcs =
-                parseDoubleList(f[3], "ipc", 0);
-            const double wall = parseDouble(f[4], "wall", 0);
-            const std::uint64_t insns = parseU64(f[5], "insns", 0);
-            const std::size_t idx = p * nw_ + w;
-            if (done_[idx])
-                return true; // duplicate; first record wins
-            done_[idx] = 1;
-            cells_[idx] = std::move(ipcs);
-            ++replayed_;
-            replayedSeconds_ += wall;
-            replayedInstructions_ += insns;
-            return true;
-        } catch (const persist::CacheInvalid &) {
-            return false;
-        }
-    }
-
-    void
-    openAppend()
-    {
-#ifdef WSEL_HAVE_POSIX_IO
-        fd_ = ::open(path_.c_str(),
-                     O_WRONLY | O_CREAT | O_APPEND, 0644);
-        if (fd_ < 0)
-            WSEL_FATAL("cannot open campaign journal '"
-                       << path_ << "': " << strerror(errno));
-        if (::lseek(fd_, 0, SEEK_END) == 0)
-            writeLine(headerLine());
-#else
-        const bool fresh = !std::filesystem::exists(path_) ||
-                           std::filesystem::file_size(path_) == 0;
-        os_.open(path_, std::ios::binary | std::ios::app);
-        if (!os_)
-            WSEL_FATAL("cannot open campaign journal '" << path_
-                                                        << "'");
-        if (fresh)
-            writeLine(headerLine());
-#endif
-    }
-
-    void
-    writeLine(const std::string &line)
-    {
-#ifdef WSEL_HAVE_POSIX_IO
-        std::size_t off = 0;
-        while (off < line.size()) {
-            const ssize_t n =
-                ::write(fd_, line.data() + off, line.size() - off);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                WSEL_FATAL("write to campaign journal '"
-                           << path_
-                           << "' failed: " << strerror(errno));
-            }
-            off += static_cast<std::size_t>(n);
-        }
-        if (::fsync(fd_) != 0)
-            WSEL_FATAL("fsync of campaign journal '"
-                       << path_ << "' failed: " << strerror(errno));
-#else
-        os_ << line;
-        os_.flush();
-        if (!os_)
-            WSEL_FATAL("write to campaign journal '" << path_
-                                                     << "' failed");
-#endif
-    }
-
-    std::string path_;
-    std::uint64_t fingerprint_;
-    std::size_t np_, nw_;
-    std::size_t batch_;
-    std::mutex mu_;
-    std::vector<std::string> buffer_;
-    std::vector<char> done_;
-    std::vector<std::vector<double>> cells_;
-    std::size_t replayed_ = 0;
-    double replayedSeconds_ = 0.0;
-    std::uint64_t replayedInstructions_ = 0;
-#ifdef WSEL_HAVE_POSIX_IO
-    int fd_ = -1;
-#else
-    std::ofstream os_;
-#endif
-};
-
-/** Open the journal configured in @p opts (null when disabled). */
-std::unique_ptr<CampaignJournal>
-openJournal(const CampaignOptions &opts, Campaign &c,
-            std::size_t npolicies, std::size_t nworkloads)
-{
-    if (opts.journalPath.empty())
-        return nullptr;
-    std::size_t batch = opts.journalBatch;
-    if (batch == 0)
-        batch = exec::resolveJobs(opts.jobs) > 1 ? 16 : 1;
-    auto j = std::make_unique<CampaignJournal>(
-        opts.journalPath, c.fingerprint, npolicies, nworkloads,
-        batch);
-    if (j->replayedCount() > 0) {
-        c.simSeconds += j->replayedSeconds();
-        c.instructions += j->replayedInstructions();
-        logLine("  [campaign] resuming from journal: " +
-                std::to_string(j->replayedCount()) + "/" +
-                std::to_string(npolicies * nworkloads) +
-                " cells already simulated");
-    }
-    return j;
+    if (workloads.empty() || policies.empty())
+        WSEL_FATAL("campaign needs workloads and policies");
+    Campaign c;
+    c.simulator = simulator;
+    c.cores = cores;
+    c.targetUops = target_uops;
+    c.policies = policies;
+    for (const BenchmarkProfile &p : suite)
+        c.benchmarks.push_back(p.name);
+    c.workloads = workloads;
+    c.fingerprint = campaignFingerprint(simulator, cores, target_uops,
+                                        policies, suite);
+    return c;
 }
 
 /**
- * Shared cell-execution engine behind the campaign runners.
- * Resolves journaled cells, runs the rest via @p run_cell — a
- * plain row-major loop when the resolved job count is 1 (the
- * legacy serial semantics the resilience tests rely on), a
- * work-stealing pool otherwise — and accumulates simSeconds and
- * instructions per cell in index order, so the totals (and the
- * IPC matrix) are bitwise independent of the thread count and of
- * task completion order.
+ * Identity of one campaign's checkpoint shards: the configuration
+ * fingerprint, the base seed and every workload of the list.  A
+ * shard left by any other campaign then fails readV3Shard's
+ * fingerprint check and is quarantined, never replayed.
+ */
+std::uint64_t
+checkpointKey(const Campaign &c, std::uint64_t seed)
+{
+    persist::Fnv1a h;
+    h.update("wsel-checkpoint-1");
+    h.updateU64(c.fingerprint).updateU64(seed);
+    h.updateU64(c.workloads.size());
+    c.workloads.forEach(
+        [&](std::size_t, std::span<const std::uint32_t> benches) {
+            for (std::uint32_t b : benches)
+                h.updateU64(b);
+        });
+    return h.digest();
+}
+
+/** Simulates one shard of the explicit-list manifest. */
+using ShardFn = std::function<void(const persist::V3Manifest &,
+                                   std::uint64_t,
+                                   std::vector<double> &)>;
+
+/**
+ * Fill c.ipc through the population engine's shard loop
+ * (sim/population.hh).  Manifest row r is position r of
+ * c.workloads, so cell seeds stay
+ * campaignCellSeed(fingerprint, seed, policy, position).  With a
+ * checkpoint directory, shards are written there under
+ * checkpointKey and intact ones are reused.
  */
 void
-runCells(Campaign &c, const CampaignOptions &opts,
-         CampaignJournal *journal, const std::string &sim_name,
-         const std::function<SimResult(std::size_t, std::size_t,
-                                       std::uint64_t)> &run_cell)
+runExplicitShards(Campaign &c, const CampaignOptions &opts,
+                  const ShardFn &simulate)
 {
+    const std::size_t np = c.policies.size();
     const std::size_t nw = c.workloads.size();
-    const std::size_t total = c.policies.size() * nw;
-    const std::size_t jobs = exec::resolveJobs(opts.jobs);
-    std::vector<double> wall(total, 0.0);
-    std::vector<std::uint64_t> insns(total, 0);
-    std::atomic<std::size_t> done{0};
-    auto label = [&](std::size_t p) {
-        return sim_name + " " + toString(c.policies[p]);
-    };
-    auto cell = [&](std::size_t idx) {
-        const std::size_t p = idx / nw;
-        const std::size_t w = idx % nw;
-        if (journal && journal->done(p, w)) {
-            static obs::Counter &resumed =
-                obs::counter("campaign.cells_resumed");
-            resumed.inc();
-            const std::vector<double> &jc = journal->cell(p, w);
-            c.ipc.setCell(p, w, {jc.data(), jc.size()});
-            progress(opts, label(p) + " (resumed)",
-                     done.fetch_add(1) + 1, total);
-            return;
-        }
-        std::string tag;
-        if (obs::tracingEnabled()) {
-            tag = "policy=" + toString(c.policies[p]) +
-                  ",workload=";
-            c.workloads.keyInto(w, tag);
-        }
-        obs::Span span("campaign.cell", tag);
-        static obs::Counter &cells = obs::counter("campaign.cells");
-        static obs::LatencyHistogram &cellNs =
-            obs::histogram("campaign.cell_ns");
-        obs::LatencyHistogram::Timer timer(cellNs);
-        const SimResult r = run_cell(
-            p, w, campaignCellSeed(c.fingerprint, opts.seed, p, w));
-        cells.inc();
-        c.ipc.setCell(p, w, {r.ipc.data(), r.ipc.size()});
-        wall[idx] = r.wallSeconds;
-        insns[idx] = r.instructions;
-        if (journal)
-            journal->append(p, w, r);
-        progress(opts, label(p), done.fetch_add(1) + 1, total);
-    };
-    const auto t0 = std::chrono::steady_clock::now();
-    if (jobs <= 1) {
-        for (std::size_t idx = 0; idx < total; ++idx)
-            cell(idx);
-    } else {
-        exec::ThreadPool pool(jobs);
-        exec::parallel_for(pool, std::size_t{0}, total, cell);
-        if (opts.verbose) {
-            if (obs::metricsEnabled()) {
-                // Scheduler behavior now lives in the metrics
-                // registry; print that section instead of the old
-                // ad-hoc SchedulerStats dump.
-                std::ostringstream os;
-                os << "  [" << sim_name << "] " << jobs
-                   << " jobs; scheduler metrics:\n"
-                   << obs::metricsSnapshot().toTable("scheduler.");
-                logLine(os.str());
-            } else {
-                const exec::SchedulerStats st = pool.stats();
-                std::ostringstream os;
-                os << "  [" << sim_name << "] " << st.threads
-                   << " jobs, " << st.tasksRun << " tasks, "
-                   << st.tasksStolen << " stolen, "
-                   << st.tasksHelped << " helped";
-                logLine(os.str());
-            }
-        }
+    persist::V3Manifest m;
+    m.fingerprint = c.fingerprint;
+    m.simulator = c.simulator;
+    m.cores = c.cores;
+    m.targetUops = c.targetUops;
+    for (PolicyKind p : c.policies)
+        m.policies.push_back(toString(p));
+    m.lastRank = nw;
+    m.shardRows = std::max<std::uint64_t>(1, opts.shardCells / np);
+    persist::V3Manifest key = m;
+    key.fingerprint = checkpointKey(c, opts.seed);
+
+    const std::string &dir = opts.checkpointDir;
+    if (!dir.empty()) {
+        namespace fs = std::filesystem;
+        std::error_code ec;
+        if (fs::exists(dir, ec) && !fs::is_directory(dir, ec))
+            persist::quarantineArtifact(
+                dir, "campaign checkpoint", "a resume journal from an "
+                "older build, not a shard directory", "re-simulating");
+        fs::create_directories(dir, ec);
+        if (ec)
+            WSEL_FATAL("cannot create checkpoint directory "
+                       << dir << ": " << ec.message());
     }
-    if (obs::metricsEnabled()) {
-        const double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        if (elapsed > 0.0) {
-            obs::gauge("campaign.cells_per_sec")
-                .set(static_cast<double>(total) / elapsed);
-        }
-    }
-    if (journal)
-        journal->flush();
-    for (std::size_t idx = 0; idx < total; ++idx) {
-        c.simSeconds += wall[idx];
-        c.instructions += insns[idx];
-    }
+
+    c.ipc.reshape(np, nw, c.cores);
+    const ShardLoopStats st = runShardLoop(
+        key, dir, true,
+        [&](std::uint64_t s, std::vector<double> &payload) {
+            simulate(m, s, payload);
+        },
+        [&](std::uint64_t s, std::span<const double> payload) {
+            c.ipc.scatterRows(static_cast<std::size_t>(s * m.shardRows),
+                              payload);
+        },
+        opts.verbose, c.simulator);
+    if (st.cellsResumed > 0)
+        logLine("  [campaign] resumed " +
+                std::to_string(st.cellsResumed) + "/" +
+                std::to_string(np * nw) + " cells from checkpoint " +
+                dir);
+    c.simSeconds = st.simSeconds;
+    c.instructions = static_cast<std::uint64_t>(np * nw) * c.cores *
+                     c.targetUops;
 }
 
 } // namespace
@@ -985,45 +638,27 @@ runBadcoCampaign(const WorkloadSet &workloads,
                  const std::vector<BenchmarkProfile> &suite,
                  const CampaignOptions &opts)
 {
-    if (workloads.empty() || policies.empty())
-        WSEL_FATAL("campaign needs workloads and policies");
-    Campaign c;
-    c.simulator = "badco";
-    c.cores = cores;
-    c.targetUops = target_uops;
-    c.policies = policies;
-    for (const BenchmarkProfile &p : suite)
-        c.benchmarks.push_back(p.name);
-    c.workloads = workloads;
-    c.fingerprint = campaignFingerprint(c.simulator, cores,
-                                        target_uops, policies,
-                                        suite);
-
+    Campaign c = newCampaign("badco", workloads, policies, cores,
+                             target_uops, suite);
+    const std::size_t jobs = exec::resolveJobs(opts.jobs);
     const std::vector<const BadcoModel *> models =
-        store.getSuite(suite, exec::resolveJobs(opts.jobs));
-
+        store.getSuite(suite, jobs);
     {
         UncoreConfig ref =
             UncoreConfig::forCores(cores, PolicyKind::LRU);
         BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
         c.refIpc = ref_sim.referenceIpcs(models);
     }
-
-    c.ipc.reshape(policies.size(), workloads.size(), cores);
-    auto journal =
-        openJournal(opts, c, policies.size(), workloads.size());
     std::vector<UncoreConfig> ucfgs;
-    ucfgs.reserve(policies.size());
     for (PolicyKind p : policies)
         ucfgs.push_back(UncoreConfig::forCores(cores, p));
-    runCells(c, opts, journal.get(), "badco",
-             [&](std::size_t p, std::size_t w,
-                 std::uint64_t seed) -> SimResult {
-                 const BadcoMulticoreSim sim(ucfgs[p], cores,
-                                             target_uops, seed);
-                 const Workload wl = workloads[w];
-                 return sim.run(wl, models);
-             });
+    runExplicitShards(c, opts,
+                      [&](const persist::V3Manifest &m,
+                          std::uint64_t s, std::vector<double> &out) {
+                          simulatePopulationShardBatched(
+                              m, workloads, ucfgs, models, opts.seed,
+                              s, 0, jobs, out);
+                      });
     return c;
 }
 
@@ -1035,42 +670,10 @@ runDetailedCampaign(const WorkloadSet &workloads,
                     const std::vector<BenchmarkProfile> &suite,
                     const CampaignOptions &opts)
 {
-    if (workloads.empty() || policies.empty())
-        WSEL_FATAL("campaign needs workloads and policies");
-    Campaign c;
-    c.simulator = "detailed";
-    c.cores = cores;
-    c.targetUops = target_uops;
-    c.policies = policies;
-    for (const BenchmarkProfile &p : suite)
-        c.benchmarks.push_back(p.name);
-    c.workloads = workloads;
-    c.fingerprint = campaignFingerprint(c.simulator, cores,
-                                        target_uops, policies,
-                                        suite);
-
-    // Materialize each benchmark's trace chunks once, up front:
-    // every cell's cursors then stream from the shared store instead
-    // of re-generating the µop stream cores x cells times
-    // (docs/PERFORMANCE.md).  Chunk content is a pure function of
-    // the profile, so the build order across the suite is free.
-    {
-        TraceStore &ts = TraceStore::global();
-        const unsigned jobs = exec::resolveJobs(opts.jobs);
-        if (jobs <= 1 || suite.size() <= 1) {
-            for (const BenchmarkProfile &p : suite)
-                ts.ensureBuilt(p, target_uops);
-        } else {
-            exec::ThreadPool pool(std::min<std::size_t>(
-                jobs, suite.size()));
-            exec::parallel_for(pool, 0, suite.size(),
-                               [&](std::size_t i) {
-                                   ts.ensureBuilt(suite[i],
-                                                  target_uops);
-                               });
-        }
-    }
-
+    Campaign c = newCampaign("detailed", workloads, policies, cores,
+                             target_uops, suite);
+    const std::size_t jobs = exec::resolveJobs(opts.jobs);
+    prebuildSuiteTraces(suite, target_uops, jobs);
     {
         UncoreConfig ref =
             UncoreConfig::forCores(cores, PolicyKind::LRU);
@@ -1078,23 +681,16 @@ runDetailedCampaign(const WorkloadSet &workloads,
                                      opts.seed);
         c.refIpc = ref_sim.referenceIpcs(suite);
     }
-
-    c.ipc.reshape(policies.size(), workloads.size(), cores);
-    auto journal =
-        openJournal(opts, c, policies.size(), workloads.size());
     std::vector<UncoreConfig> ucfgs;
-    ucfgs.reserve(policies.size());
     for (PolicyKind p : policies)
         ucfgs.push_back(UncoreConfig::forCores(cores, p));
-    runCells(c, opts, journal.get(), "detailed",
-             [&](std::size_t p, std::size_t w,
-                 std::uint64_t seed) -> SimResult {
-                 const DetailedMulticoreSim sim(core_cfg, ucfgs[p],
-                                                cores, target_uops,
-                                                seed);
-                 const Workload wl = workloads[w];
-                 return sim.run(wl, suite);
-             });
+    runExplicitShards(c, opts,
+                      [&](const persist::V3Manifest &m,
+                          std::uint64_t s, std::vector<double> &out) {
+                          simulateDetailedPopulationShard(
+                              m, workloads, core_cfg, ucfgs, suite,
+                              opts.seed, s, jobs, out);
+                      });
     return c;
 }
 

@@ -10,17 +10,19 @@
  * Campaigns are durable, validated artifacts (docs/ROBUSTNESS.md):
  * the on-disk `campaign_v2` format carries a configuration
  * fingerprint and an integrity footer, files are replaced
- * atomically, long runs checkpoint each completed (policy,
- * workload) cell to a journal and resume after a crash, and a
- * corrupt or stale cache file is quarantined and regenerated
- * instead of aborting the run.  Population-scale runs persist to
- * the sharded binary `campaign_v3` directory format
+ * atomically, and a corrupt or stale cache file is quarantined and
+ * regenerated instead of aborting the run.  Population-scale runs
+ * persist to the sharded binary `campaign_v3` directory format
  * (src/stats/persist_v3.hh); Campaign::load reads both.
  *
- * The policy x workload matrix is embarrassingly parallel: with
- * CampaignOptions::jobs > 1 the cells run on the exec/ work-stealing
- * pool, each seeded independently by campaignCellSeed, and the
- * resulting IPC matrix is bitwise identical to a serial run
+ * The runners here are front ends over the population engine's
+ * shard loop (sim/population.hh): shard rows are positions in the
+ * campaign's WorkloadSet, BADCO cells run on the batch runner and
+ * detailed cells on simulateDetailedPopulationShard, and a long run
+ * checkpoints each finished shard as a sealed campaign_v3 shard so
+ * it resumes after a crash.  Each cell is seeded independently by
+ * campaignCellSeed from its position in the set, so the IPC matrix
+ * is bitwise identical at any CampaignOptions::jobs
  * (docs/PARALLELISM.md).
  */
 
@@ -230,6 +232,30 @@ class IpcMatrix
                   data_.data() + (p * nw_ + w) * k_);
     }
 
+    /**
+     * Scatter row-major (workload, policy, core) rows, the
+     * campaign_v3 shard layout, into this policy-major matrix,
+     * starting at workload @p first.
+     */
+    void
+    scatterRows(std::size_t first, std::span<const double> rows)
+    {
+        const std::size_t row = np_ * k_;
+        if (row == 0 || rows.size() % row != 0 ||
+            first + rows.size() / row > nw_)
+            WSEL_FATAL("cannot scatter " << rows.size()
+                       << " values as rows from workload " << first
+                       << " into a " << np_ << "x" << nw_ << "x"
+                       << k_ << " matrix");
+        const double *src = rows.data();
+        for (std::size_t w = first; src != rows.data() + rows.size();
+             ++w) {
+            for (std::size_t p = 0; p < np_; ++p, src += k_)
+                std::copy(src, src + k_,
+                          data_.data() + (p * nw_ + w) * k_);
+        }
+    }
+
     const std::vector<double> &data() const { return data_; }
 
     class iterator
@@ -295,7 +321,10 @@ struct Campaign
     /** ipc[policy][workload][core], stored contiguously. */
     IpcMatrix ipc;
 
-    /** Host seconds spent simulating. */
+    /**
+     * Host wall seconds this run spent simulating and writing
+     * shards (resumed shards add none).
+     */
     double simSeconds = 0.0;
 
     /** Total µops simulated (for MIPS reporting). */
@@ -358,7 +387,7 @@ struct Campaign
  * Fingerprint of everything that determines a campaign's numbers:
  * simulator kind, core count, slice length, policy list, and the
  * suite (benchmark names and parameter hashes).  Stored in v2
- * headers and journals; compared by cachedCampaign so a stale
+ * headers and v3 shards; compared by cachedCampaign so a stale
  * cache is detected even when the filename key did not change
  * (e.g. a edited benchmark profile or policy list).
  */
@@ -386,38 +415,36 @@ std::uint64_t campaignCellSeed(std::uint64_t fingerprint,
 struct CampaignOptions
 {
     std::uint64_t seed = 1;
-    bool verbose = false;      ///< progress lines on stderr
-    std::size_t progressEvery = 500;
+    bool verbose = false; ///< one progress line per shard on stderr
 
     /**
-     * Worker threads simulating (policy, workload) cells.  1 (the
-     * default) runs the cells serially on the calling thread in
-     * row-major order; 0 asks for exec::defaultJobs() ($WSEL_JOBS,
-     * else the hardware concurrency); N > 1 uses a work-stealing
-     * pool of N threads.  The IPC matrix is bitwise independent of
-     * this setting (docs/PARALLELISM.md).
+     * Threads simulating each shard's cells.  1 (the default) runs
+     * them on the calling thread; 0 asks for exec::defaultJobs()
+     * ($WSEL_JOBS, else the hardware concurrency).  The IPC matrix
+     * is bitwise independent of this setting (docs/PARALLELISM.md).
      */
     std::size_t jobs = 1;
 
     /**
-     * Journal records buffered per fsync.  0 (the default) picks
-     * automatically: 1 when running serially (every cell durable
-     * before the next starts, the PR-1 contract), a small batch
-     * when jobs > 1 so concurrent completions amortize the fsync.
-     * A kill loses at most the unflushed batch; completed batches
-     * and the final artifact are always durable.
+     * Cells (workloads x policies) per shard, the unit of durable
+     * checkpoint writes: the row count is shardCells / policies,
+     * floored, min 1, as in PopulationOptions.  A kill loses at
+     * most the shard in flight.  It does not depend on jobs, so a
+     * checkpoint written at one job count resumes at any other.
      */
-    std::size_t journalBatch = 0;
+    std::size_t shardCells = 256;
 
     /**
-     * When non-empty, each completed (policy, workload) cell is
-     * appended (and fsynced, see journalBatch) to this journal
-     * file, and a journal left behind by a killed run is replayed
-     * on start so the campaign resumes from the first missing
-     * cell.  The caller removes the journal once the final
-     * artifact is saved.
+     * When non-empty, a directory of sealed campaign_v3 shards
+     * (src/stats/persist_v3.hh): each finished shard is written
+     * there, and the intact shards a killed run left are reused, so
+     * the campaign resumes at its first missing shard.  Shards are
+     * keyed on the configuration fingerprint, the base seed and the
+     * workload list; one from any other campaign is quarantined,
+     * never replayed.  The caller removes the directory once the
+     * final artifact is saved.
      */
-    std::string journalPath;
+    std::string checkpointDir;
 };
 
 /**
@@ -457,10 +484,11 @@ Campaign runDetailedCampaign(
  *    version-skewed, or (when @p expected_fingerprint is nonzero)
  *    fingerprint-mismatched is quarantined to `*.corrupt` with a
  *    warning and the campaign is regenerated.
- *  - @p produce may accept a journal path argument; the runners
- *    checkpoint into it and resume from it, so a killed process
- *    loses at most one workload of work.  The journal is removed
- *    after the final artifact is saved.
+ *  - @p produce may accept a checkpoint path argument
+ *    (`<file>.partial`, CampaignOptions::checkpointDir); the runners
+ *    checkpoint shards into it and resume from it, so a killed
+ *    process loses at most one shard of work.  The directory is
+ *    removed after the final artifact is saved.
  */
 template <typename ProduceFn>
 Campaign
@@ -468,12 +496,12 @@ cachedCampaign(const std::string &cache_key,
                std::uint64_t expected_fingerprint,
                ProduceFn &&produce)
 {
-    auto invoke = [&](const std::string &journal) -> Campaign {
+    auto invoke = [&](const std::string &checkpoint) -> Campaign {
         if constexpr (std::is_invocable_v<ProduceFn &,
                                           const std::string &>) {
-            return produce(journal);
+            return produce(checkpoint);
         } else {
-            (void)journal;
+            (void)checkpoint;
             return produce();
         }
     };
@@ -506,7 +534,7 @@ cachedCampaign(const std::string &cache_key,
     Campaign c = invoke(path + ".partial");
     c.save(path);
     std::error_code ec;
-    std::filesystem::remove(path + ".partial", ec);
+    std::filesystem::remove_all(path + ".partial", ec);
     return c;
 }
 

@@ -15,7 +15,6 @@
 #include "sim/multicore.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
-#include "trace/trace_store.hh"
 
 namespace wsel
 {
@@ -228,19 +227,7 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
 
     if (esc_n > 0) {
         obs::Span dspan("fidelity.detailed");
-        TraceStore &ts = TraceStore::global();
-        if (jobs <= 1 || suite.size() <= 1) {
-            for (const BenchmarkProfile &p : suite)
-                ts.ensureBuilt(p, target_uops);
-        } else {
-            exec::ThreadPool pool(
-                std::min<std::size_t>(jobs, suite.size()));
-            exec::parallel_for(pool, std::size_t{0}, suite.size(),
-                               [&](std::size_t i) {
-                                   ts.ensureBuilt(suite[i],
-                                                  target_uops);
-                               });
-        }
+        prebuildSuiteTraces(suite, target_uops, jobs);
         std::vector<UncoreConfig> ucfgs;
         ucfgs.reserve(np);
         for (PolicyKind p : policies)

@@ -1,8 +1,8 @@
 #include "sim/population.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -23,22 +23,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/**
- * Per-shard statistics partial: one accumulator triple per pair,
- * filled while the shard's payload is in cache and merged into the
- * campaign totals right after, in shard order, so the merged
- * result does not depend on the job count.
- */
-struct ShardPartial
-{
-    std::vector<PopulationPairSummary> pairs;
-    std::uint64_t cellsSimulated = 0;
-    std::uint64_t cellsResumed = 0;
-    bool written = false;
-    bool resumed = false;
-    double simWall = 0.0;
-};
 
 std::vector<PopulationPairSummary>
 makeAccumulators(const std::vector<PopulationPairSpec> &pairs,
@@ -63,7 +47,7 @@ accumulateShard(const persist::V3Manifest &m,
                 const WorkloadPopulation &pop, std::uint64_t shard,
                 std::span<const double> payload,
                 const std::vector<double> &ref_ipc,
-                ShardPartial &part)
+                std::vector<PopulationPairSummary> &acc)
 {
     const std::size_t np = m.policies.size();
     const std::size_t k = m.cores;
@@ -77,7 +61,7 @@ accumulateShard(const persist::V3Manifest &m,
         for (std::size_t c = 0; c < k; ++c)
             refs[c] = ref_ipc[benches[c]];
         const double *row = payload.data() + r * np * k;
-        for (PopulationPairSummary &a : part.pairs) {
+        for (PopulationPairSummary &a : acc) {
             const std::size_t px = a.spec.x;
             const std::size_t py = a.spec.y;
             const double tx = perWorkloadThroughput(
@@ -97,7 +81,7 @@ accumulateShard(const persist::V3Manifest &m,
 
 void
 simulatePopulationShard(const persist::V3Manifest &m,
-                        const WorkloadPopulation &pop,
+                        const WorkloadSet &set,
                         const std::vector<UncoreConfig> &ucfgs,
                         const std::vector<const BadcoModel *> &models,
                         std::uint64_t base_seed, std::uint64_t shard,
@@ -109,30 +93,30 @@ simulatePopulationShard(const persist::V3Manifest &m,
         WSEL_FATAL("shard simulation got " << ucfgs.size()
                    << " uncore configs for " << np << " policies");
     const std::uint32_t k = m.cores;
-    const std::uint64_t rows = m.rowsInShard(shard);
-    payload.assign(static_cast<std::size_t>(rows) * np * k, 0.0);
-    WorkloadCursor cur(pop, m.shardFirstRank(shard));
-    for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
-        const std::uint64_t rank = cur.rank();
-        double *row = payload.data() + r * np * k;
+    const std::size_t first = m.shardFirstRank(shard);
+    const std::size_t rows = m.rowsInShard(shard);
+    payload.assign(rows * np * k, 0.0);
+    set.forEach(first, first + rows,
+                [&](std::size_t row,
+                    std::span<const std::uint32_t> benches) {
+        double *out = payload.data() + (row - first) * np * k;
         for (std::size_t p = 0; p < np; ++p) {
             persist::faultPoint("population.cell");
             const BadcoMulticoreSim sim(
                 ucfgs[p], k, m.targetUops,
-                campaignCellSeed(m.fingerprint, base_seed, p,
-                                 rank));
-            const SimResult res = sim.run(cur.benchmarks(), models);
+                campaignCellSeed(m.fingerprint, base_seed, p, row));
+            const SimResult res = sim.run(benches, models);
             for (std::uint32_t c = 0; c < k; ++c)
-                row[p * k + c] = res.ipc[c];
+                out[p * k + c] = res.ipc[c];
             if (cells_done)
                 cells_done->fetch_add(1, std::memory_order_relaxed);
         }
-    }
+    });
 }
 
 void
 simulatePopulationShardBatched(
-    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const persist::V3Manifest &m, const WorkloadSet &set,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
@@ -145,34 +129,35 @@ simulatePopulationShardBatched(
         WSEL_FATAL("shard simulation got " << ucfgs.size()
                    << " uncore configs for " << np << " policies");
     const std::uint32_t k = m.cores;
-    const std::uint64_t rows = m.rowsInShard(shard);
-    payload.assign(static_cast<std::size_t>(rows) * np * k, 0.0);
+    const std::size_t first = m.shardFirstRank(shard);
+    const std::size_t rows = m.rowsInShard(shard);
+    payload.assign(rows * np * k, 0.0);
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
                             m.targetUops, models,
                             resolveBatchCells(batch_cells), jobs,
                             cells_done);
-    WorkloadCursor cur(pop, m.shardFirstRank(shard));
-    for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
-        const std::uint64_t rank = cur.rank();
-        double *row = payload.data() + r * np * k;
+    set.forEach(first, first + rows,
+                [&](std::size_t row,
+                    std::span<const std::uint32_t> benches) {
+        double *out = payload.data() + (row - first) * np * k;
         for (std::size_t p = 0; p < np; ++p) {
             persist::faultPoint("population.cell");
-            runner.add(campaignCellSeed(m.fingerprint, base_seed,
-                                        p, rank),
-                       static_cast<std::uint32_t>(p),
-                       cur.benchmarks(), row + p * k);
+            runner.add(campaignCellSeed(m.fingerprint, base_seed, p,
+                                        row),
+                       static_cast<std::uint32_t>(p), benches,
+                       out + p * k);
         }
-    }
+    });
     runner.run();
 }
 
 void
 simulateDetailedPopulationShard(
-    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const persist::V3Manifest &m, const WorkloadSet &set,
     const CoreConfig &core_cfg,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<BenchmarkProfile> &suite,
-    std::uint64_t base_seed, std::uint64_t shard,
+    std::uint64_t base_seed, std::uint64_t shard, std::size_t jobs,
     std::vector<double> &payload,
     std::atomic<std::uint64_t> *cells_done)
 {
@@ -181,13 +166,12 @@ simulateDetailedPopulationShard(
         WSEL_FATAL("shard simulation got " << ucfgs.size()
                    << " uncore configs for " << np << " policies");
     const std::uint32_t k = m.cores;
-    const std::uint64_t rows = m.rowsInShard(shard);
-    payload.assign(static_cast<std::size_t>(rows) * np * k, 0.0);
-    WorkloadCursor cur(pop, m.shardFirstRank(shard));
-    for (std::uint64_t r = 0; r < rows; ++r, cur.next()) {
-        const std::uint64_t rank = cur.rank();
-        const Workload w{std::vector<std::uint32_t>(
-            cur.benchmarks().begin(), cur.benchmarks().end())};
+    const std::size_t first = m.shardFirstRank(shard);
+    const std::size_t rows = m.rowsInShard(shard);
+    payload.assign(rows * np * k, 0.0);
+    auto run_row = [&](std::size_t r) {
+        const std::size_t row = first + r;
+        const Workload w = set[row];
         // Pin the row's trace chunks once: all np x k cursors of
         // this row read the same <= k benchmarks, so one pin per
         // row keeps a tight WSEL_TRACE_MEM budget from thrashing a
@@ -199,20 +183,129 @@ simulateDetailedPopulationShard(
                 pin.pin(TraceStore::global(), suite[bench],
                         m.targetUops);
         }
-        double *row = payload.data() + r * np * k;
+        double *out = payload.data() + r * np * k;
         for (std::size_t p = 0; p < np; ++p) {
             persist::faultPoint("fidelity.escalate");
             const DetailedMulticoreSim sim(
                 core_cfg, ucfgs[p], k, m.targetUops,
-                campaignCellSeed(m.fingerprint, base_seed, p,
-                                 rank));
+                campaignCellSeed(m.fingerprint, base_seed, p, row));
             const SimResult res = sim.run(w, suite);
             for (std::uint32_t c = 0; c < k; ++c)
-                row[p * k + c] = res.ipc[c];
+                out[p * k + c] = res.ipc[c];
             if (cells_done)
                 cells_done->fetch_add(1, std::memory_order_relaxed);
         }
+    };
+    // Rows are independent cells, each writing its own payload
+    // slice, so spreading them over threads cannot change a byte.
+    const std::size_t workers =
+        std::min<std::size_t>(exec::resolveJobs(jobs), rows);
+    if (workers > 1) {
+        exec::ThreadPool pool(workers);
+        exec::parallel_for(pool, std::size_t{0}, rows, run_row);
+    } else {
+        for (std::size_t r = 0; r < rows; ++r)
+            run_row(r);
     }
+}
+
+void
+prebuildSuiteTraces(const std::vector<BenchmarkProfile> &suite,
+                    std::uint64_t uops, std::size_t jobs)
+{
+    TraceStore &ts = TraceStore::global();
+    const std::size_t workers =
+        std::min<std::size_t>(exec::resolveJobs(jobs), suite.size());
+    if (workers > 1) {
+        exec::ThreadPool pool(workers);
+        exec::parallel_for(pool, std::size_t{0}, suite.size(),
+                           [&](std::size_t i) {
+                               ts.ensureBuilt(suite[i], uops);
+                           });
+    } else {
+        for (const BenchmarkProfile &p : suite)
+            ts.ensureBuilt(p, uops);
+    }
+}
+
+ShardLoopStats
+runShardLoop(
+    const persist::V3Manifest &m, const std::string &dir,
+    bool resume,
+    const std::function<void(std::uint64_t, std::vector<double> &)>
+        &simulate,
+    const std::function<void(std::uint64_t, std::span<const double>)>
+        &consume,
+    bool verbose, const std::string &label)
+{
+    ShardLoopStats st;
+    const std::uint64_t shards = m.shardCount();
+    std::vector<double> payload;
+    for (std::uint64_t s = 0; s < shards; ++s) {
+        const std::uint64_t cells = m.rowsInShard(s) * m.policies.size();
+        if (resume && !dir.empty()) {
+            try {
+                payload = persist::readV3Shard(dir, m, s);
+                if (obs::metricsEnabled()) {
+                    static obs::Counter &resumedC =
+                        obs::counter("population.cells_resumed");
+                    resumedC.inc(cells);
+                }
+                consume(s, {payload.data(), payload.size()});
+                st.cellsResumed += cells;
+                ++st.shardsResumed;
+                continue;
+            } catch (const persist::CacheInvalid &e) {
+                persist::quarantineArtifact(
+                    persist::v3ShardPath(dir, s),
+                    "corrupt campaign shard", e.what(),
+                    "re-simulating");
+            }
+        }
+
+        obs::Span sspan("population.shard",
+                        "shard=" + std::to_string(s));
+        const auto s0 = std::chrono::steady_clock::now();
+        simulate(s, payload);
+        if (!dir.empty()) {
+            const auto w0 = std::chrono::steady_clock::now();
+            persist::writeV3Shard(dir, m, s,
+                                  {payload.data(), payload.size()});
+            const auto write_ns = static_cast<std::uint64_t>(
+                std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - w0)
+                    .count());
+            if (obs::metricsEnabled()) {
+                static obs::Counter &shardsC =
+                    obs::counter("population.shards_written");
+                static obs::Counter &bytesC =
+                    obs::counter("population.bytes");
+                static obs::LatencyHistogram &writeNs =
+                    obs::histogram("population.shard_write_ns");
+                shardsC.inc();
+                bytesC.inc(payload.size() * sizeof(double));
+                writeNs.recordNs(write_ns);
+            }
+            ++st.shardsWritten;
+        }
+        st.simSeconds += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - s0)
+                             .count();
+        if (obs::metricsEnabled()) {
+            static obs::Counter &cellsC =
+                obs::counter("population.cells");
+            cellsC.inc(cells);
+        }
+        consume(s, {payload.data(), payload.size()});
+        st.cellsSimulated += cells;
+        if (verbose) {
+            std::ostringstream os;
+            os << "  [" << label << "] shard " << (s + 1) << "/"
+               << shards << " (" << cells << " cells)";
+            logLine(os.str());
+        }
+    }
+    return st;
 }
 
 PopulationResult
@@ -294,107 +387,41 @@ runBadcoPopulationCampaign(
     for (PolicyKind p : policies)
         ucfgs.push_back(UncoreConfig::forCores(k, p));
 
-    const std::uint64_t shards = m.shardCount();
     const std::uint32_t batch_cells =
         resolveBatchCells(opts.batchCells);
+    const WorkloadSet all = WorkloadSet::fullPopulation(pop);
 
-    auto run_shard = [&](std::size_t s) {
-        ShardPartial part;
-        part.pairs = makeAccumulators(pairs, opts);
-        const std::uint64_t rows = m.rowsInShard(s);
-        const std::uint64_t cells = rows * np;
-        const std::string shard_path =
-            persist::v3ShardPath(out_dir, s);
-
-        if (opts.resume) {
-            try {
-                const std::vector<double> payload =
-                    persist::readV3Shard(out_dir, m, s);
-                accumulateShard(m, pop, s, payload, m.refIpc, part);
-                part.cellsResumed = cells;
-                part.resumed = true;
-                return part;
-            } catch (const persist::CacheInvalid &e) {
-                persist::quarantineArtifact(shard_path,
-                                            "corrupt campaign shard",
-                                            e.what(), "re-simulating");
-            }
-        }
-
-        obs::Span sspan("population.shard",
-                        "shard=" + std::to_string(s));
-        const auto s0 = std::chrono::steady_clock::now();
-        std::vector<double> payload;
-        simulatePopulationShardBatched(m, pop, ucfgs, models,
-                                       opts.seed, s, batch_cells,
-                                       jobs, payload);
-        {
-            std::uint64_t write_ns = 0;
-            {
-                const auto w0 = std::chrono::steady_clock::now();
-                persist::writeV3Shard(out_dir, m, s,
-                                      {payload.data(),
-                                       payload.size()});
-                write_ns = static_cast<std::uint64_t>(
-                    std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - w0)
-                        .count());
-            }
-            if (obs::metricsEnabled()) {
-                static obs::Counter &cellsC =
-                    obs::counter("population.cells");
-                static obs::Counter &shardsC =
-                    obs::counter("population.shards_written");
-                static obs::Counter &bytesC =
-                    obs::counter("population.bytes");
-                static obs::LatencyHistogram &writeNs =
-                    obs::histogram("population.shard_write_ns");
-                cellsC.inc(cells);
-                shardsC.inc();
-                bytesC.inc(payload.size() * sizeof(double));
-                writeNs.recordNs(write_ns);
-            }
-        }
-        accumulateShard(m, pop, s, {payload.data(), payload.size()},
-                        m.refIpc, part);
-        part.cellsSimulated = cells;
-        part.written = true;
-        part.simWall = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - s0)
-                           .count();
-        if (opts.verbose) {
-            std::ostringstream os;
-            os << "  [population] shard " << (s + 1) << "/"
-               << shards << " (" << cells << " cells)";
-            logLine(os.str());
-        }
-        return part;
-    };
-
-    // Shards run one after another in rank order, so at most one
-    // shard's payload is live; the batch runner spreads each
-    // shard's cells over the jobs threads (sim/batch.hh). The
-    // Welford, histogram and sketch merges are order-insensitive in
-    // value, but merging in shard order keeps the floating-point
+    // Each shard's cells are spread over the jobs threads by the
+    // batch runner (sim/batch.hh). The Welford, histogram and
+    // sketch merges are order-insensitive in value, but merging one
+    // partial per shard in shard order keeps the floating-point
     // result reproducible.
     PopulationResult result;
     result.dir = out_dir;
     result.pairs = makeAccumulators(pairs, opts);
-    double sim_seconds = 0.0;
-    for (std::uint64_t s = 0; s < shards; ++s) {
-        const ShardPartial part = run_shard(s);
-        for (std::size_t i = 0; i < result.pairs.size(); ++i) {
-            result.pairs[i].d.merge(part.pairs[i].d);
-            result.pairs[i].hist.merge(part.pairs[i].hist);
-            result.pairs[i].sketch.merge(part.pairs[i].sketch);
-        }
-        result.cellsSimulated += part.cellsSimulated;
-        result.cellsResumed += part.cellsResumed;
-        result.shardsWritten += part.written ? 1 : 0;
-        result.shardsResumed += part.resumed ? 1 : 0;
-        sim_seconds += part.simWall;
-    }
-    m.simSeconds += sim_seconds;
+    const ShardLoopStats st = runShardLoop(
+        m, out_dir, opts.resume,
+        [&](std::uint64_t s, std::vector<double> &payload) {
+            simulatePopulationShardBatched(m, all, ucfgs, models,
+                                           opts.seed, s, batch_cells,
+                                           jobs, payload);
+        },
+        [&](std::uint64_t s, std::span<const double> payload) {
+            std::vector<PopulationPairSummary> part =
+                makeAccumulators(pairs, opts);
+            accumulateShard(m, pop, s, payload, m.refIpc, part);
+            for (std::size_t i = 0; i < result.pairs.size(); ++i) {
+                result.pairs[i].d.merge(part[i].d);
+                result.pairs[i].hist.merge(part[i].hist);
+                result.pairs[i].sketch.merge(part[i].sketch);
+            }
+        },
+        opts.verbose, "population");
+    result.cellsSimulated = st.cellsSimulated;
+    result.cellsResumed = st.cellsResumed;
+    result.shardsWritten = st.shardsWritten;
+    result.shardsResumed = st.shardsResumed;
+    m.simSeconds += st.simSeconds;
     // Instructions describe the whole artifact (resumed shards
     // included); simSeconds is this run's simulation wall only.
     m.instructions = m.rows() * np * k * target_uops;

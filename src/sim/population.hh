@@ -16,12 +16,16 @@
  *    feeds workload-stratum construction (core/sampling) without
  *    ever holding a population-sized vector.
  *
+ * The shard loop here (runShardLoop) is the one campaign engine:
+ * explicit-list campaigns (sim/campaign.hh) run through it too,
+ * with shard rows that are positions in their WorkloadSet.
  * Per-cell seeds come from campaignCellSeed(fingerprint, seed,
- * policy, absolute rank), identical to an explicit-list campaign
- * over the same ranks, and shard files carry no timing, so serial
- * and --jobs N runs produce bitwise-identical artifacts and the
- * per-shard statistics merge deterministically in shard order
- * (docs/PARALLELISM.md contract extended to shards).
+ * policy, row): the absolute rank for population ranges, the
+ * position in the set for explicit lists.  Shard files carry no
+ * timing, so serial and --jobs N runs produce bitwise-identical
+ * artifacts and the per-shard statistics merge deterministically
+ * in shard order (docs/PARALLELISM.md contract extended to
+ * shards).
  */
 
 #ifndef WSEL_SIM_POPULATION_HH
@@ -29,6 +33,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,12 +165,17 @@ struct PopulationResult
 /**
  * Simulate one campaign_v3 shard's cells into @p payload (resized
  * to rowsInShard(shard) x policies x cores, row-major: workload,
- * policy, core).  This is the unit of work shared by the
- * in-process population runner and the `wsel_worker` processes of
- * the distributed campaign service (src/serve/): per-cell seeds
- * come from campaignCellSeed(m.fingerprint, base_seed, policy,
- * absolute rank), so any process producing a given shard produces
- * bitwise-identical bytes.
+ * policy, core).  This is the unit of work shared by every campaign
+ * runner and by the `wsel_worker` processes of the distributed
+ * campaign service (src/serve/).
+ *
+ * Manifest row r is element r of @p set: a population campaign
+ * passes WorkloadSet::fullPopulation(pop), so rows are absolute
+ * ranks; an explicit-list campaign passes its own set with
+ * firstRank 0, so rows are positions in it.  Per-cell seeds come
+ * from campaignCellSeed(m.fingerprint, base_seed, policy, row), so
+ * any process producing a given shard produces bitwise-identical
+ * bytes.
  *
  * @p ucfgs must hold one UncoreConfig per manifest policy (in
  * order) and @p models one BADCO model per suite benchmark.
@@ -174,9 +185,12 @@ struct PopulationResult
  * "population.cell" fault point fires once per simulated cell
  * (tests/fault_injection.hh; the worker binary can arm it to
  * SIGKILL itself mid-shard).
+ *
+ * This serial engine builds one BadcoMulticoreSim per cell; it is
+ * the reference the batched engine is tested against.
  */
 void simulatePopulationShard(
-    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const persist::V3Manifest &m, const WorkloadSet &set,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
@@ -189,17 +203,16 @@ void simulatePopulationShard(
  * BadcoBatchRunner (sim/batch.hh) in groups of @p batch_cells per
  * thread (resolved via resolveBatchCells; 1 at one job behaves
  * like the serial engine), spread over @p jobs threads (0 =
- * $WSEL_JOBS else hardware; the in-process runner and the
- * distributed worker both pass their --jobs). @p cells_done
- * gains one per cell as each finishes inside a flush. The
- * "population.cell" fault point still fires once per cell, at
- * batch-append time on the calling thread — a fault or SIGKILL
- * mid-batch abandons the whole (unwritten) shard exactly as the
- * serial engine's mid-shard fault does, so resume semantics are
- * unchanged at any batch size or job count.
+ * $WSEL_JOBS else hardware). @p cells_done gains one per cell as
+ * each finishes inside a flush. The "population.cell" fault point
+ * still fires once per cell, at batch-append time on the calling
+ * thread — a fault or SIGKILL mid-batch abandons the whole
+ * (unwritten) shard exactly as the serial engine's mid-shard fault
+ * does, so resume semantics are unchanged at any batch size or job
+ * count.
  */
 void simulatePopulationShardBatched(
-    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const persist::V3Manifest &m, const WorkloadSet &set,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
@@ -212,19 +225,64 @@ void simulatePopulationShardBatched(
  * shard geometry, row layout and campaignCellSeed contract, but
  * every cell runs on the cycle-level DetailedMulticoreSim (so the
  * manifest's fingerprint must be a "detailed" one).  The unit of
- * work behind escalated shards in mixed-fidelity campaigns
- * (docs/FIDELITY.md); its kill point is "fidelity.escalate", fired
- * once per cell.  Cells run serially on the calling thread;
- * @p cells_done gains one after each.
+ * work behind detailed campaigns and escalated shards in
+ * mixed-fidelity campaigns (docs/FIDELITY.md); its kill point is
+ * "fidelity.escalate", fired once per cell.  Rows are spread over
+ * @p jobs threads (0 = $WSEL_JOBS else hardware; 1 runs them on the
+ * calling thread); each row pins its trace chunks while its cells
+ * run.  @p cells_done gains one after each cell.
  */
 void simulateDetailedPopulationShard(
-    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const persist::V3Manifest &m, const WorkloadSet &set,
     const CoreConfig &core_cfg,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<BenchmarkProfile> &suite,
-    std::uint64_t base_seed, std::uint64_t shard,
+    std::uint64_t base_seed, std::uint64_t shard, std::size_t jobs,
     std::vector<double> &payload,
     std::atomic<std::uint64_t> *cells_done = nullptr);
+
+/**
+ * Build every suite benchmark's trace chunks for @p uops up front,
+ * one benchmark per task on @p jobs threads, so the detailed cells
+ * that follow stream from the shared store instead of each
+ * generating the µop stream (docs/PERFORMANCE.md).  Chunk content
+ * is a pure function of the profile, so the build order is free.
+ */
+void prebuildSuiteTraces(const std::vector<BenchmarkProfile> &suite,
+                         std::uint64_t uops, std::size_t jobs);
+
+/** What one pass of runShardLoop did. */
+struct ShardLoopStats
+{
+    std::uint64_t cellsSimulated = 0;
+    std::uint64_t cellsResumed = 0;
+    std::uint64_t shardsWritten = 0;
+    std::uint64_t shardsResumed = 0;
+    /** Wall seconds spent simulating and writing shards. */
+    double simSeconds = 0.0;
+};
+
+/**
+ * The shard loop behind every campaign runner: population
+ * campaigns and explicit-list campaigns alike.  Shards of @p m run
+ * one after another, in order, so at most one payload is live.  For
+ * each shard, an intact file in @p dir is reused when @p resume is
+ * set, and a damaged or foreign one (readV3Shard validates the
+ * fingerprint and geometry) is quarantined to `*.corrupt`.  Missing
+ * shards are filled by @p simulate and written with writeV3Shard.
+ * @p consume then sees every shard's payload, resumed or
+ * simulated, in shard order.  An empty @p dir writes nothing and
+ * resumes nothing.  @p verbose logs one "[label] shard i/n" line
+ * per simulated shard.
+ */
+ShardLoopStats runShardLoop(
+    const persist::V3Manifest &m, const std::string &dir,
+    bool resume,
+    const std::function<void(std::uint64_t, std::vector<double> &)>
+        &simulate,
+    const std::function<void(std::uint64_t, std::span<const double>)>
+        &consume,
+    bool verbose, const std::string &label);
 
 /**
  * Run (or resume) a BADCO population campaign over ranks

@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-safe persistence primitives shared by every on-disk cache
- * writer (campaign CSVs, BADCO model binaries, campaign journals):
+ * writer (campaign CSVs, BADCO model binaries, campaign shards):
  * atomic file replacement, advisory file locking, a streaming
  * checksum, the sealed-file codec of the binary artifacts,
  * corrupt-artifact quarantine, and test-only fault injection

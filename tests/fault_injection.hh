@@ -3,8 +3,8 @@
  * Deterministic fault injection for the persistence layer.
  *
  * The production code in stats/persist.hh calls
- * persist::faultPoint("name") at each kill-point (journal record
- * appended, atomic write about to rename, ...).  Tests install a
+ * persist::faultPoint("name") at each kill-point (atomic write
+ * about to rename, population cell about to run, ...).  Tests install a
  * hook that throws InjectedFault at a chosen point and hit count,
  * simulating a process killed exactly there: the stack unwinds
  * without running any of the persistence code that would have
@@ -13,24 +13,23 @@
  * byte K, flip a bit) complete the harness.
  *
  * Kill-points currently emitted by the production code:
- *  - "journal.before-append": about to record a completed cell
- *    (killing here loses that cell's work);
- *  - "journal.append": cell durably recorded (killing here loses
- *    nothing);
  *  - "atomic.begin" / "atomic.before-rename" /
  *    "atomic.after-rename": around atomicWriteFile's
- *    write-tmp-then-rename sequence;
- *  - "population.cell": one (row, policy) cell of a population
- *    shard simulated (src/sim/population.cc);
+ *    write-tmp-then-rename sequence (for a campaign shard:
+ *    simulated but not yet written / durable);
+ *  - "population.cell": one (row, policy) BADCO cell of a shard
+ *    about to run, in population and explicit-list campaigns alike
+ *    (src/sim/population.cc);
  *  - "adaptive.cell": one (workload, policy) cell of a sequential
  *    adaptive batch simulated (src/sim/adaptive.cc);
  *  - "serve.shard-start" / "serve.shard-committed": a worker
  *    process accepted a shard lease / durably committed the shard
  *    to the result store (src/serve/worker.cc);
- *  - "fidelity.escalate": one escalated cell about to run on the
- *    detailed simulator in a mixed-fidelity campaign
- *    (src/sim/hybrid.cc and, for distributed escalation,
- *    src/sim/population.cc's detailed shard twin).
+ *  - "fidelity.escalate": one detailed cell about to run: an
+ *    escalated cell of a mixed-fidelity campaign
+ *    (src/sim/hybrid.cc), or a cell of a detailed shard
+ *    (src/sim/population.cc: detailed campaigns and distributed
+ *    escalation).
  *
  * The serve tests escalate from exceptions to real SIGKILL:
  * wsel_worker arms these same points from WSEL_KILL_POINT=
@@ -69,7 +68,7 @@ class InjectedFault : public std::runtime_error
  * object and disarms (and resets hit counters) on destruction.
  * With nth == 0 the point never fires but hits are still counted,
  * which lets tests observe how often the persistence layer passed
- * a point (e.g. how many journal appends a resumed run performed).
+ * a point (e.g. how many cells a resumed run simulated).
  */
 class FaultInjector
 {

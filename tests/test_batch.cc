@@ -252,7 +252,8 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
 {
     const auto suite = testSuite();
     const persist::V3Manifest m = engineManifest();
-    const WorkloadPopulation pop(3, 4);
+    const WorkloadSet all =
+        WorkloadSet::fullPopulation(WorkloadPopulation(3, 4));
     BadcoModelStore store(CoreConfig{}, kUops, 5);
     const auto models = store.getSuite(suite);
     std::vector<UncoreConfig> ucfgs;
@@ -262,7 +263,7 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
     for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
         std::vector<double> serial;
         std::atomic<std::uint64_t> serial_done{0};
-        simulatePopulationShard(m, pop, ucfgs, models, 1, s,
+        simulatePopulationShard(m, all, ucfgs, models, 1, s,
                                 serial, &serial_done);
         ASSERT_FALSE(serial.empty());
         // Every engine counts each finished cell exactly once.
@@ -276,7 +277,7 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
             for (std::uint32_t batch : {1u, 3u, 7u, 32u}) {
                 std::vector<double> batched;
                 std::atomic<std::uint64_t> done{0};
-                simulatePopulationShardBatched(m, pop, ucfgs, models,
+                simulatePopulationShardBatched(m, all, ucfgs, models,
                                                1, s, batch, jobs,
                                                batched, &done);
                 ASSERT_EQ(batched.size(), serial.size());
@@ -566,7 +567,8 @@ TEST(BatchPinBudget, TinyBudgetKeepsDetailedShardIdentical)
     std::vector<BenchmarkProfile> suite;
     suite.push_back(test::lightProfile(7));
     suite.push_back(test::heavyProfile(11));
-    const WorkloadPopulation pop(2, 2);
+    const WorkloadSet all =
+        WorkloadSet::fullPopulation(WorkloadPopulation(2, 2));
     std::vector<UncoreConfig> ucfgs;
     for (PolicyKind p : kPolicies)
         ucfgs.push_back(UncoreConfig::forCores(2, p));
@@ -589,8 +591,8 @@ TEST(BatchPinBudget, TinyBudgetKeepsDetailedShardIdentical)
     g.clear();
     std::vector<double> plenty;
     std::atomic<std::uint64_t> done{0};
-    simulateDetailedPopulationShard(m, pop, CoreConfig{}, ucfgs,
-                                    suite, 1, 0, plenty, &done);
+    simulateDetailedPopulationShard(m, all, CoreConfig{}, ucfgs,
+                                    suite, 1, 0, 1, plenty, &done);
     ASSERT_EQ(plenty.size(), 3u * 2u * 2u);
     EXPECT_EQ(done.load(), 3u * 2u); // one per (row, policy) cell
 
@@ -599,8 +601,8 @@ TEST(BatchPinBudget, TinyBudgetKeepsDetailedShardIdentical)
     g.setBudgetBytes(24 * 1024);
     const std::uint64_t ev0 = g.evictions();
     std::vector<double> tight;
-    simulateDetailedPopulationShard(m, pop, CoreConfig{}, ucfgs,
-                                    suite, 1, 0, tight);
+    simulateDetailedPopulationShard(m, all, CoreConfig{}, ucfgs,
+                                    suite, 1, 0, 1, tight);
     EXPECT_GT(g.evictions(), ev0);
 
     ASSERT_EQ(tight.size(), plenty.size());

@@ -3,9 +3,10 @@
  * Determinism tests for parallel campaign execution: the IPC
  * matrix must be bitwise identical for any --jobs count, a
  * campaign killed mid-run under parallel jobs must resume from its
- * journal to the exact uninterrupted matrix (for both per-cell and
- * batched journal fsync), and the per-cell seed derivation must be
- * stable and collision-free across the matrix.
+ * checkpoint shards to the exact uninterrupted matrix (for one-row
+ * shards and for a single shard holding the whole run), and the
+ * per-cell seed derivation must be stable and collision-free
+ * across the matrix.
  */
 
 #include <algorithm>
@@ -68,7 +69,7 @@ expectSameResults(const Campaign &a, const Campaign &b)
     }
 }
 
-/** Per-test scratch directory for models and journals. */
+/** Per-test scratch directory for models and checkpoints. */
 class CampaignParallel : public ::testing::Test
 {
   protected:
@@ -105,8 +106,8 @@ class CampaignParallel : public ::testing::Test
      */
     Campaign
     runParallel(std::uint32_t cores, std::size_t jobs,
-                const std::string &journal = "",
-                std::size_t batch = 0)
+                const std::string &checkpoint = "",
+                std::size_t shard_cells = 256)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(2, cores);
@@ -114,8 +115,8 @@ class CampaignParallel : public ::testing::Test
                               path("models"));
         CampaignOptions opts;
         opts.jobs = jobs;
-        opts.journalBatch = batch;
-        opts.journalPath = journal;
+        opts.shardCells = shard_cells;
+        opts.checkpointDir = checkpoint;
         return runBadcoCampaign(pop.enumerateAll(), kPolicies,
                                 cores, kUops, store, suite, opts);
     }
@@ -150,60 +151,70 @@ TEST_F(CampaignParallel, KillAndResumeUnderParallelJobs)
         base.policies.size() * base.workloads.size();
     ASSERT_EQ(total, 10u);
 
-    // batch 1: every completed cell is durable individually;
-    // batch 0 (auto, 16 when parallel): the whole run fits one
-    // batch, so the kill lands in the final flush instead.
+    // 2 cells: one workload row per shard, so every finished row is
+    // durable; 256 cells: the whole run is one shard, so a kill
+    // anywhere loses all of it.
     int variant = 0;
-    for (const std::size_t batch : {1, 0}) {
+    for (const std::size_t shard_cells : {2, 256}) {
+        const std::size_t per_shard = std::min(shard_cells, total);
         for (const std::size_t n : {std::size_t{2}, total - 1}) {
-            const std::string journal =
+            const std::string ckpt =
                 path("kill" + std::to_string(variant++) +
                      ".partial");
             {
-                test::FaultInjector kill("journal.append", n);
-                EXPECT_THROW(runParallel(4, 8, journal, batch),
+                test::FaultInjector kill("population.cell", n);
+                EXPECT_THROW(runParallel(4, 8, ckpt, shard_cells),
                              test::InjectedFault)
-                    << "batch " << batch << " kill " << n;
+                    << "shard " << shard_cells << " kill " << n;
             }
-            ASSERT_TRUE(fs::exists(journal));
+            ASSERT_TRUE(fs::is_directory(ckpt));
+            test::FaultInjector counting;
             const Campaign resumed =
-                runParallel(4, 8, journal, batch);
+                runParallel(4, 8, ckpt, shard_cells);
             expectSameResults(base, resumed);
+            // Cell n was never simulated, so its shard and every
+            // later one run again; earlier shards are reused.
+            EXPECT_EQ(counting.hits("population.cell"),
+                      total - (n - 1) / per_shard * per_shard)
+                << "shard " << shard_cells << " kill " << n;
         }
     }
 }
 
-TEST_F(CampaignParallel, ResumedJournalSkipsSimulatedCells)
+TEST_F(CampaignParallel, ResumedCheckpointSkipsSimulatedCells)
 {
-    const std::string journal = path("skip.partial");
-    const Campaign full = runParallel(4, 8, journal, 5);
-    // The journal holds all 10 records, so a rerun replays them
-    // and never appends (or simulates) anything.
+    const std::string ckpt = path("skip.partial");
+    const Campaign full = runParallel(4, 8, ckpt, 4);
+    // The checkpoint holds all 3 shards, so a rerun reuses them and
+    // never simulates (or writes) anything.
     test::FaultInjector counting;
-    const Campaign rerun = runParallel(4, 8, journal, 5);
-    EXPECT_EQ(counting.hits("journal.append"), 0u);
-    EXPECT_EQ(counting.hits("journal.before-append"), 0u);
+    const Campaign rerun = runParallel(4, 8, ckpt, 4);
+    EXPECT_EQ(counting.hits("population.cell"), 0u);
+    EXPECT_EQ(counting.hits("atomic.begin"), 0u);
     expectSameResults(full, rerun);
 }
 
-TEST_F(CampaignParallel, SerialAndParallelJournalsInterchange)
+TEST_F(CampaignParallel, SerialAndParallelCheckpointsInterchange)
 {
-    // A journal written by a parallel run must resume a serial run
-    // and vice versa: the record format and the per-cell seeds do
-    // not depend on the job count.
+    // A checkpoint written by a parallel run must resume a serial
+    // run and vice versa: the shard geometry and the per-cell seeds
+    // do not depend on the job count.
     const Campaign base = runParallel(2, 1);
     for (const std::size_t writer_jobs : {std::size_t{1}, std::size_t{8}}) {
-        const std::string journal =
+        const std::string ckpt =
             path("x" + std::to_string(writer_jobs) + ".partial");
         {
-            test::FaultInjector kill("journal.append", 2);
-            EXPECT_THROW(runParallel(2, writer_jobs, journal, 1),
+            // Killed at cell 3: the first one-row shard is durable.
+            test::FaultInjector kill("population.cell", 3);
+            EXPECT_THROW(runParallel(2, writer_jobs, ckpt, 2),
                          test::InjectedFault);
         }
         const std::size_t reader_jobs = writer_jobs == 1 ? 8 : 1;
+        test::FaultInjector counting;
         const Campaign resumed =
-            runParallel(2, reader_jobs, journal, 1);
+            runParallel(2, reader_jobs, ckpt, 2);
         expectSameResults(base, resumed);
+        EXPECT_EQ(counting.hits("population.cell"), 4u); // 6 - 2
     }
 }
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * Fault-tolerance tests for campaign persistence: checkpoint/resume
- * via the journal under injected kill-points, integrity validation
+ * via campaign_v3 checkpoint shards under injected kill-points, integrity validation
  * (truncation, bit flips, version skew, fingerprint drift) with
  * quarantine-and-regenerate semantics, atomic file replacement, and
  * advisory locking across processes.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -53,21 +54,30 @@ const std::vector<PolicyKind> kPolicies = {PolicyKind::LRU,
 
 /**
  * Run the 2-policy x 3-workload x 2-core BADCO campaign used
- * throughout these tests, journaling to @p journal when non-empty.
- * @p model_dir (when non-empty) persists BADCO models so repeated
- * runs in one test skip rebuilding them.
+ * throughout these tests, checkpointing to @p checkpoint when
+ * non-empty.  Shards hold one workload row (2 cells), so the
+ * campaign is 3 shards.  @p model_dir (when non-empty) persists
+ * BADCO models so repeated runs in one test skip rebuilding them.
+ * @p seed and @p reversed (the same 3 workloads in reverse order)
+ * make a different campaign of the same size.
  */
 Campaign
-runTiny(const std::string &journal = "",
-        const std::string &model_dir = "")
+runTiny(const std::string &checkpoint = "",
+        const std::string &model_dir = "", std::uint64_t seed = 1,
+        bool reversed = false)
 {
     const auto suite = testSuite();
     const WorkloadPopulation pop(2, 2); // 3 workloads
     BadcoModelStore store(CoreConfig{}, kUops, 5, model_dir);
+    std::vector<Workload> workloads = pop.enumerateAll();
+    if (reversed)
+        std::reverse(workloads.begin(), workloads.end());
     CampaignOptions opts;
-    opts.journalPath = journal;
-    return runBadcoCampaign(pop.enumerateAll(), kPolicies, 2, kUops,
-                            store, suite, opts);
+    opts.seed = seed;
+    opts.shardCells = 2;
+    opts.checkpointDir = checkpoint;
+    return runBadcoCampaign(workloads, kPolicies, 2, kUops, store,
+                            suite, opts);
 }
 
 void
@@ -120,12 +130,17 @@ class Resilience : public ::testing::Test
         return dir_ + "/" + name;
     }
 
-    /** Files in the scratch dir whose name contains @p needle. */
+    /**
+     * Files in the scratch dir (or its subdirectory @p sub) whose
+     * name contains @p needle.
+     */
     std::size_t
-    countContaining(const std::string &needle) const
+    countContaining(const std::string &needle,
+                    const std::string &sub = "") const
     {
         std::size_t n = 0;
-        for (const auto &e : fs::directory_iterator(dir_))
+        for (const auto &e :
+             fs::directory_iterator(sub.empty() ? dir_ : path(sub)))
             if (e.path().filename().string().find(needle) !=
                 std::string::npos)
                 ++n;
@@ -387,33 +402,47 @@ TEST_F(Resilience, ResumeAfterKillAtEveryPointMatchesUninterrupted)
     const std::size_t total =
         base.policies.size() * base.workloads.size();
     ASSERT_EQ(total, 6u);
+    constexpr std::size_t kShards = 3; // one row (2 cells) each
 
-    for (const char *point :
-         {"journal.append", "journal.before-append"}) {
-        for (std::size_t n = 1; n <= total; ++n) {
-            const std::string journal =
-                path(std::string("j_") + (point[8] == 'a' ? "a" : "b") +
-                     std::to_string(n) + ".partial");
+    // The only atomic writes of a run with cached models are its
+    // shard writes: "atomic.begin" #n kills with shard n simulated
+    // but not written, "atomic.after-rename" #n right after shard n
+    // is durable, and "population.cell" #n before cell n runs.
+    struct Point
+    {
+        const char *name;
+        std::size_t hits;
+        std::size_t (*shardsDone)(std::size_t);
+    };
+    const Point points[] = {
+        {"atomic.begin", kShards,
+         [](std::size_t n) { return n - 1; }},
+        {"atomic.after-rename", kShards,
+         [](std::size_t n) { return n; }},
+        {"population.cell", total,
+         [](std::size_t n) { return (n - 1) / 2; }},
+    };
+    for (const Point &point : points) {
+        for (std::size_t n = 1; n <= point.hits; ++n) {
+            const std::string ckpt = path(
+                std::string("k_") + point.name + std::to_string(n) +
+                ".partial");
             {
-                test::FaultInjector kill(point, n);
-                EXPECT_THROW(runTiny(journal, models),
+                test::FaultInjector kill(point.name, n);
+                EXPECT_THROW(runTiny(ckpt, models),
                              test::InjectedFault)
-                    << point << " #" << n;
+                    << point.name << " #" << n;
             }
-            ASSERT_TRUE(fs::exists(journal));
+            ASSERT_TRUE(fs::is_directory(ckpt));
             // The resumed run must reproduce the uninterrupted
             // campaign bit for bit, and must only simulate the
-            // cells the killed run had not completed.
+            // cells of the shards the killed run had not written.
             test::FaultInjector counting;
-            const Campaign resumed = runTiny(journal, models);
+            const Campaign resumed = runTiny(ckpt, models);
             expectSameResults(base, resumed);
-            const std::size_t completed_before_kill =
-                std::string(point) == "journal.append"
-                    ? n          // killed after the nth record
-                    : n - 1;     // killed before writing the nth
-            EXPECT_EQ(counting.hits("journal.append"),
-                      total - completed_before_kill)
-                << point << " #" << n;
+            EXPECT_EQ(counting.hits("population.cell"),
+                      total - 2 * point.shardsDone(n))
+                << point.name << " #" << n;
         }
     }
 }
@@ -423,58 +452,99 @@ TEST_F(Resilience, DetailedCampaignResumesToo)
     const auto suite = testSuite();
     const WorkloadPopulation pop(2, 2);
     CampaignOptions opts;
+    opts.shardCells = 1; // 3 shards of one cell
     const Campaign base =
         runDetailedCampaign(pop.enumerateAll(), {PolicyKind::LRU},
                             2, kUops, CoreConfig{}, suite, opts);
-    const std::string journal = path("det.partial");
-    opts.journalPath = journal;
+    opts.checkpointDir = path("det.partial");
     {
-        test::FaultInjector kill("journal.append", 1);
+        // Killed before the second cell: shard 0 is durable.
+        test::FaultInjector kill("fidelity.escalate", 2);
         EXPECT_THROW(runDetailedCampaign(pop.enumerateAll(),
                                          {PolicyKind::LRU}, 2,
                                          kUops, CoreConfig{}, suite,
                                          opts),
                      test::InjectedFault);
     }
+    test::FaultInjector counting;
     const Campaign resumed = runDetailedCampaign(
         pop.enumerateAll(), {PolicyKind::LRU}, 2, kUops,
         CoreConfig{}, suite, opts);
     expectSameResults(base, resumed);
+    EXPECT_EQ(counting.hits("fidelity.escalate"), 2u);
 }
 
 TEST_F(Resilience, MismatchedJournalIsQuarantinedAndIgnored)
 {
+    // A text journal left by an older build sits where the
+    // checkpoint directory belongs: it is quarantined with a
+    // warning, neither fatal nor silently deleted, and the
+    // campaign runs from scratch.
     const std::string models = path("models");
     const Campaign base = runTiny("", models);
-    const std::string journal = path("stale.partial");
+    const std::string ckpt = path("stale.partial");
     {
-        std::ofstream os(journal, std::ios::binary);
+        std::ofstream os(ckpt, std::ios::binary);
         os << "wsel-journal,v2,00000000deadbeef,9,9\n"
            << "r,0,0,1.0;1.0,0.1,1000,0123456789abcdef\n";
     }
-    const Campaign c = runTiny(journal, models);
+    test::FaultInjector counting;
+    const Campaign c = runTiny(ckpt, models);
     expectSameResults(base, c);
+    EXPECT_EQ(counting.hits("population.cell"), 6u);
     EXPECT_EQ(countContaining("stale.partial.corrupt"), 1u);
+    EXPECT_TRUE(fs::is_directory(ckpt));
 }
 
-TEST_F(Resilience, DamagedJournalTailIsDroppedOnResume)
+TEST_F(Resilience, CheckpointOfAnotherCampaignIsNotReplayed)
+{
+    // Run A is killed after two of its three shards; runs B (the
+    // same workloads in another order) and C (another seed) have
+    // the same size and reuse A's checkpoint path.  Each must equal
+    // its own uninterrupted run, simulating every cell.
+    const std::string models = path("models");
+    const Campaign other_list = runTiny("", models, 1, true);
+    const Campaign other_seed = runTiny("", models, 2);
+    ASSERT_FALSE(other_list.ipc == runTiny("", models).ipc);
+    int variant = 0;
+    for (const Campaign *want : {&other_list, &other_seed}) {
+        const std::string ckpt =
+            path("a" + std::to_string(variant++) + ".partial");
+        {
+            test::FaultInjector kill("atomic.after-rename", 2);
+            EXPECT_THROW(runTiny(ckpt, models), test::InjectedFault);
+        }
+        test::FaultInjector counting;
+        const Campaign got =
+            want == &other_list ? runTiny(ckpt, models, 1, true)
+                                : runTiny(ckpt, models, 2);
+        expectSameResults(*want, got);
+        EXPECT_EQ(counting.hits("population.cell"), 6u);
+        // A's two shards were quarantined, not replayed.
+        EXPECT_EQ(countContaining(".corrupt",
+                                  fs::path(ckpt).filename().string()),
+                  2u);
+    }
+}
+
+TEST_F(Resilience, DamagedCheckpointShardIsReSimulated)
 {
     const std::string models = path("models");
     const Campaign base = runTiny("", models);
-    const std::string journal = path("tail.partial");
+    const std::string ckpt = path("tail.partial");
     {
-        test::FaultInjector kill("journal.append", 3);
-        EXPECT_THROW(runTiny(journal, models), test::InjectedFault);
+        test::FaultInjector kill("atomic.after-rename", 2);
+        EXPECT_THROW(runTiny(ckpt, models), test::InjectedFault);
     }
-    // Simulate a record half-written at the kill: valid prefix,
-    // garbage tail (no trailing checksum, no newline).
-    {
-        std::ofstream os(journal,
-                         std::ios::binary | std::ios::app);
-        os << "r,1,2,0.73";
-    }
-    const Campaign resumed = runTiny(journal, models);
+    // Cut the tail off the second durable shard.
+    const std::string shard = ckpt + "/shard-000001.bin";
+    test::truncateFile(shard, test::fileSize(shard) - 5);
+    test::FaultInjector counting;
+    const Campaign resumed = runTiny(ckpt, models);
     expectSameResults(base, resumed);
+    // Shard 0 is reused; shards 1 (damaged) and 2 (missing) rerun.
+    EXPECT_EQ(counting.hits("population.cell"), 4u);
+    EXPECT_EQ(countContaining(".corrupt", "tail.partial"), 1u);
 }
 
 TEST_F(Resilience, CachedCampaignResumesAcrossCalls)
@@ -482,23 +552,23 @@ TEST_F(Resilience, CachedCampaignResumesAcrossCalls)
     const std::string models = path("models");
     const Campaign base = runTiny("", models);
     int produced = 0;
-    auto produce = [&](const std::string &journal) {
+    auto produce = [&](const std::string &checkpoint) {
         ++produced;
-        return runTiny(journal, models);
+        return runTiny(checkpoint, models);
     };
     {
-        test::FaultInjector kill("journal.append", 2);
+        test::FaultInjector kill("population.cell", 3);
         EXPECT_THROW(cachedCampaign("resume", 0, produce),
                      test::InjectedFault);
     }
     EXPECT_TRUE(
-        fs::exists(path("campaign_v2_resume.csv.partial")));
+        fs::is_directory(path("campaign_v2_resume.csv.partial")));
     test::FaultInjector counting;
     const Campaign c = cachedCampaign("resume", 0, produce);
     EXPECT_EQ(produced, 2);
     expectSameResults(base, c);
-    EXPECT_EQ(counting.hits("journal.append"), 4u); // 6 cells - 2
-    // Final artifact present, journal cleaned up.
+    EXPECT_EQ(counting.hits("population.cell"), 4u); // 6 cells - 2
+    // Final artifact present, checkpoint directory cleaned up.
     EXPECT_TRUE(fs::exists(path("campaign_v2_resume.csv")));
     EXPECT_FALSE(
         fs::exists(path("campaign_v2_resume.csv.partial")));

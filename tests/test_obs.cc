@@ -195,12 +195,12 @@ TEST(ObsSnapshot, CatalogPreRegisteredOnEnable)
         return false;
     };
     // The acceptance contract: a snapshot always lists the
-    // scheduler, campaign, and persist-cache instruments, even when
-    // their code paths never ran.
+    // scheduler, campaign shard, and persist-cache instruments, even
+    // when their code paths never ran.
     EXPECT_TRUE(has("scheduler.tasks_run"));
     EXPECT_TRUE(has("scheduler.queue_ns"));
-    EXPECT_TRUE(has("campaign.cells"));
-    EXPECT_TRUE(has("campaign.journal_flush_ns"));
+    EXPECT_TRUE(has("population.cells"));
+    EXPECT_TRUE(has("population.shard_write_ns"));
     EXPECT_TRUE(has("persist.cache_hit"));
     EXPECT_TRUE(has("persist.cache_miss"));
     EXPECT_TRUE(has("persist.cache_quarantine"));

@@ -182,7 +182,7 @@ TEST(IpcMatrix, ViewsOverContiguousStorage)
     EXPECT_EQ(m.cell(1, 2)[1], 2.5);
     EXPECT_EQ(m[0][0][0], 0.0); // reshape zero-fills
 
-    // CellView compares against vectors (the journal idiom).
+    // CellView compares against vectors.
     EXPECT_TRUE(m[1][2] == cell);
 
     IpcMatrix n;

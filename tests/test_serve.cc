@@ -780,9 +780,9 @@ class ServeDistributedTest : public ::testing::Test
         persist::ensureDirTree(dir);
         std::vector<double> payload;
         for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
-            simulatePopulationShard(m, ctx.population(),
-                                    ctx.uncores(), ctx.models(),
-                                    ctx.seed(), s, payload);
+            simulatePopulationShard(
+                m, WorkloadSet::fullPopulation(ctx.population()),
+                ctx.uncores(), ctx.models(), ctx.seed(), s, payload);
             serve::ResultStore::commitShard(
                 dir, m, s, {payload.data(), payload.size()});
         }
@@ -1030,8 +1030,9 @@ TEST_F(ServeDistributedTest, EscalationReleasesSuspectShardsDetailed)
         if (!fs::exists(persist::v3ShardPath(st.dir, s)))
             continue;
         simulateDetailedPopulationShard(
-            dm, dctx.population(), dctx.coreConfig(),
-            dctx.uncores(), dctx.suite(), dctx.seed(), s, payload);
+            dm, WorkloadSet::fullPopulation(dctx.population()),
+            dctx.coreConfig(), dctx.uncores(), dctx.suite(),
+            dctx.seed(), s, 1, payload);
         serve::ResultStore::commitShard(
             dir_ + "/detref", dm, s,
             {payload.data(), payload.size()});

@@ -318,21 +318,20 @@ cmdCampaign(const Args &args)
     opts.verbose = true;
     // 0 = auto: $WSEL_JOBS when set, else all hardware threads.
     opts.jobs = static_cast<std::size_t>(args.getU64("jobs", 0));
-    // Checkpoint each completed (policy, workload) cell so a killed
-    // campaign can pick up where it left off (--resume 0 restarts).
+    // Checkpoint each finished shard so a killed campaign can pick
+    // up where it left off (--resume 0 restarts).
     const std::string out = args.get("out", "");
-    const std::string journal = out + ".partial";
+    opts.checkpointDir = out + ".partial";
     if (args.getU64("resume", 1) == 0) {
         std::error_code ec;
-        std::filesystem::remove(journal, ec);
+        std::filesystem::remove_all(opts.checkpointDir, ec);
     }
-    opts.journalPath = journal;
     const Campaign c = runBadcoCampaign(workloads, policies, cores,
                                         insns, store, suite, opts);
     c.save(out);
     {
         std::error_code ec;
-        std::filesystem::remove(journal, ec);
+        std::filesystem::remove_all(opts.checkpointDir, ec);
     }
     std::printf("saved %zu workloads x %zu policies to %s "
                 "(%.1f MIPS)\n",
@@ -904,7 +903,7 @@ cmdCache(int argc, char **argv)
         WSEL_FATAL("no cache directory configured "
                    "(WSEL_CACHE_DIR is empty)");
     const bool quarantine = args.getU64("quarantine", 0) != 0;
-    std::size_t ok = 0, corrupt = 0, journals = 0;
+    std::size_t ok = 0, corrupt = 0, checkpoints = 0;
     std::vector<std::filesystem::path> entries;
     std::error_code ec;
     for (std::filesystem::directory_iterator it(dir, ec), end;
@@ -924,8 +923,8 @@ cmdCache(int argc, char **argv)
             continue;
         if (name.size() >= 8 &&
             name.compare(name.size() - 8, 8, ".partial") == 0) {
-            ++journals;
-            std::printf("JOURNAL %s (interrupted campaign; will "
+            ++checkpoints;
+            std::printf("CHECKPOINT %s (interrupted campaign; will "
                         "resume on next run)\n",
                         p.c_str());
             continue;
@@ -973,8 +972,8 @@ cmdCache(int argc, char **argv)
                         why.c_str());
         }
     }
-    std::printf("%zu ok, %zu corrupt, %zu resumable journal%s\n",
-                ok, corrupt, journals, journals == 1 ? "" : "s");
+    std::printf("%zu ok, %zu corrupt, %zu resumable checkpoint%s\n",
+                ok, corrupt, checkpoints, checkpoints == 1 ? "" : "s");
     return corrupt == 0 ? 0 : 1;
 }
 
