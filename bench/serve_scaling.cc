@@ -8,9 +8,15 @@
  * (every host thread inside one process), against the in-process
  * population runner at --jobs 8 on the same rank range.  The
  * distributed path pays for process isolation (socket round-trips
- * per lease, per-worker model loads and reference-IPC computation,
- * shard files through the kernel) and this bench quantifies that
- * overhead.
+ * per lease, per-worker model loads, shard files through the
+ * kernel) and this bench quantifies that overhead.
+ *
+ * A last row measures the fixed cost of one campaign: 20
+ * back-to-back one-shard campaigns of 40 cells on one daemon and
+ * one worker (default --jobs), each on its own rank window so none
+ * dedups.  A campaign's submit-to-Done wall minus the in-process
+ * time of its shard, at the same thread count, is latency that is
+ * not simulation.
  *
  * Environment knobs (beyond bench_util.hh's):
  *  - WSEL_SERVE_ROWS: population rows in the campaign
@@ -22,6 +28,7 @@
  * there as JSON (tools/ci.sh stores it as BENCH_serve.json).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +39,7 @@
 
 #include "bench_util.hh"
 #include "cache/replacement.hh"
+#include "exec/scheduler.hh"
 #include "serve/context.hh"
 #include "serve/coordinator.hh"
 #include "serve/protocol.hh"
@@ -136,6 +144,77 @@ runDistributed(const serve::CampaignSpec &spec,
     return r;
 }
 
+struct Overhead
+{
+    double campaignMs = 0.0;   ///< median submit-to-Done wall
+    double simulationMs = 0.0; ///< median in-process shard time
+    double overheadMs = 0.0;   ///< median of their differences
+};
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/** The fixed-overhead row (see the file comment). */
+Overhead
+runFixedOverhead(std::size_t campaigns, std::uint64_t rows,
+                 std::uint64_t target, const std::string &scratch,
+                 const std::string &cache)
+{
+    const std::string dir = scratch + "/overhead";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    serve::CoordinatorOptions opts;
+    opts.socketPath = dir + "/serve.sock";
+    opts.storeRoot = dir + "/store";
+    opts.cacheDir = cache;
+    serve::Coordinator coordinator(opts);
+    std::thread loop([&] { coordinator.run(); });
+    const pid_t worker = serve::spawnProcess(
+        {serve::findWorkerBinary(), "--socket", opts.socketPath,
+         "--cache-dir", cache});
+
+    const std::size_t jobs = exec::resolveJobs(0);
+    std::vector<double> wall, sim, overhead;
+    {
+        serve::Client client(opts.socketPath);
+        for (std::size_t i = 0; i < campaigns; ++i) {
+            serve::CampaignSpec spec = benchSpec(rows, rows, target);
+            spec.firstRank = i * rows;
+            spec.lastRank = spec.firstRank + rows;
+
+            const auto t0 = std::chrono::steady_clock::now();
+            const serve::StatusMsg st =
+                client.waitFinished(client.submit(spec));
+            wall.push_back(1e3 * secondsSince(t0));
+            if (st.state != serve::CampaignState::Done)
+                WSEL_FATAL("overhead bench campaign failed: "
+                           << st.message);
+
+            const serve::CampaignContext ctx(spec, cache, jobs);
+            std::vector<double> payload;
+            const auto s0 = std::chrono::steady_clock::now();
+            simulatePopulationShardBatched(
+                ctx.manifest(),
+                WorkloadSet::fullPopulation(ctx.population()),
+                ctx.uncores(), ctx.models(), ctx.seed(), 0, 0, jobs,
+                payload);
+            sim.push_back(1e3 * secondsSince(s0));
+            overhead.push_back(wall.back() - sim.back());
+        }
+    }
+
+    coordinator.requestStop();
+    loop.join();
+    (void)serve::waitProcess(worker);
+    fs::remove_all(dir);
+    return {median(wall), median(sim), median(overhead)};
+}
+
 } // namespace
 
 int
@@ -217,6 +296,18 @@ main()
                     r.workers, r.seconds, r.cellsPerSec);
     }
 
+    constexpr std::size_t kCampaigns = 20;
+    constexpr std::uint64_t kRows = 8; // x 5 policies = 40 cells
+    const Overhead oh =
+        runFixedOverhead(kCampaigns, kRows, target, scratch, cache);
+    std::printf("\n%zu one-shard campaigns of %llu cells, medians: "
+                "campaign %.1f ms, in-process shard %.1f ms, "
+                "fixed overhead %.1f ms\n",
+                kCampaigns,
+                static_cast<unsigned long long>(
+                    kRows * spec.policies.size()),
+                oh.campaignMs, oh.simulationMs, oh.overheadMs);
+
     if (const char *json = std::getenv("WSEL_BENCH_JSON");
         json && *json) {
         FILE *f = std::fopen(json, "w");
@@ -250,7 +341,17 @@ main()
                 runs[i].workers, runs[i].jobs, runs[i].seconds,
                 runs[i].cellsPerSec,
                 i + 1 < runs.size() ? "," : "");
-        std::fprintf(f, "  ]\n}\n");
+        std::fprintf(
+            f,
+            "  ],\n"
+            "  \"fixed_overhead\": {\"campaigns\": %zu, "
+            "\"cells_each\": %llu, \"median_campaign_ms\": %.2f, "
+            "\"median_simulation_ms\": %.2f, "
+            "\"median_overhead_ms\": %.2f}\n}\n",
+            kCampaigns,
+            static_cast<unsigned long long>(
+                kRows * spec.policies.size()),
+            oh.campaignMs, oh.simulationMs, oh.overheadMs);
         std::fclose(f);
     }
 

@@ -25,6 +25,7 @@
 #ifndef WSEL_EXEC_SCHEDULER_HH
 #define WSEL_EXEC_SCHEDULER_HH
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -296,6 +297,27 @@ parallel_for(ThreadPool &pool, std::size_t begin, std::size_t end,
         });
     }
     group.wait();
+}
+
+/**
+ * Apply @p fn to every index in [0, @p n) on min(@p jobs, @p n)
+ * threads of a pool made for this call; inline, in index order,
+ * when that is at most one thread.  @p jobs is a thread count, not
+ * a request: resolve 0 with resolveJobs() first.  Same contract on
+ * @p fn as parallel_for.
+ */
+template <typename Fn>
+void
+forEachIndex(std::size_t jobs, std::size_t n, Fn &&fn)
+{
+    const std::size_t workers = std::min(jobs, n);
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    ThreadPool pool(workers);
+    parallel_for(pool, std::size_t{0}, n, fn);
 }
 
 } // namespace wsel::exec

@@ -154,6 +154,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"serve.dedup_hits", 'c'},
     {"serve.duplicate_completions", 'c'},
     {"serve.campaigns_stopped", 'c'},
+    {"serve.accept_errors", 'c'},
     {"serve.workers_active", 'g'},
     {"serve.lease_ns", 'h'},
     {"adaptive.batches", 'c'},

@@ -72,27 +72,37 @@ CampaignContext::CampaignContext(const CampaignSpec &spec,
     for (PolicyKind p : policies)
         ucfgs_.push_back(UncoreConfig::forCores(spec.cores, p));
 
-    const UncoreConfig ref =
-        UncoreConfig::forCores(spec.cores, PolicyKind::LRU);
     if (fidelity_ == 0) {
         store_ = std::make_unique<BadcoModelStore>(
-            CoreConfig{}, spec.targetUops, ref.llcHitLatency,
+            CoreConfig{}, spec.targetUops,
+            UncoreConfig::forCores(spec.cores, PolicyKind::LRU)
+                .llcHitLatency,
             cache_dir);
         models_ = store_->getSuite(suite_, jobs);
-        const BadcoMulticoreSim ref_sim(ref, 1, spec.targetUops,
-                                        seed_);
-        m_.refIpc = ref_sim.referenceIpcs(models_);
-    } else {
-        // Detailed fidelity: no models; references come from the
-        // cycle-level simulator (as runDetailedCampaign does).
-        const DetailedMulticoreSim ref_sim(coreCfg_, ref, 1,
-                                           spec.targetUops, seed_);
-        m_.refIpc = ref_sim.referenceIpcs(suite_);
     }
 
     geomHash_ =
         campaignGeometryHash(seed_, m_.firstRank, m_.lastRank,
                              m_.shardRows, fidelity_);
+}
+
+void
+CampaignContext::computeReferenceIpcs(std::size_t jobs)
+{
+    if (!m_.refIpc.empty())
+        return;
+    const UncoreConfig ref =
+        UncoreConfig::forCores(m_.cores, PolicyKind::LRU);
+    if (fidelity_ == 0) {
+        const BadcoMulticoreSim ref_sim(ref, 1, m_.targetUops, seed_);
+        m_.refIpc = ref_sim.referenceIpcs(models_, jobs);
+    } else {
+        // Detailed fidelity: no models; references come from the
+        // cycle-level simulator (as runDetailedCampaign does).
+        const DetailedMulticoreSim ref_sim(coreCfg_, ref, 1,
+                                           m_.targetUops, seed_);
+        m_.refIpc = ref_sim.referenceIpcs(suite_, jobs);
+    }
 }
 
 } // namespace wsel::serve

@@ -43,9 +43,9 @@ class CampaignContext
   public:
     /**
      * Resolve and validate @p spec (WSEL_FATAL on unknown
-     * benchmark/policy names, bad rank range, zero geometry) and
-     * build the models with @p jobs threads through the cache at
-     * @p cache_dir.
+     * benchmark/policy names, bad rank range, zero geometry) and,
+     * for a BADCO campaign, build the models with @p jobs threads
+     * through the cache at @p cache_dir.
      */
     CampaignContext(const CampaignSpec &spec,
                     const std::string &cache_dir,
@@ -54,8 +54,21 @@ class CampaignContext
     CampaignContext(const CampaignContext &) = delete;
     CampaignContext &operator=(const CampaignContext &) = delete;
 
-    /** Complete manifest (refIpc included; simSeconds zero). */
+    /**
+     * The campaign's manifest (simSeconds zero).  refIpc stays
+     * empty until computeReferenceIpcs(): shards do not carry the
+     * references, so only the process that commits the manifest
+     * computes them.
+     */
     const persist::V3Manifest &manifest() const { return m_; }
+
+    /**
+     * Fill manifest().refIpc with the single-core reference IPCs
+     * (BADCO or detailed, by fidelity), spread over @p jobs
+     * threads.  A no-op once filled.
+     */
+    void computeReferenceIpcs(std::size_t jobs);
+
     const WorkloadPopulation &population() const { return pop_; }
     const std::vector<UncoreConfig> &uncores() const
     {

@@ -29,6 +29,12 @@ ttlMillis(const LeaseOptions &l)
     return static_cast<std::uint64_t>(l.ttl.count());
 }
 
+/**
+ * How long the listener is left out of poll() after accept() ran
+ * out of file descriptors, unless a connection closes first.
+ */
+constexpr std::chrono::milliseconds kAcceptPause{100};
+
 } // namespace
 
 Coordinator::Coordinator(const CoordinatorOptions &opts)
@@ -306,6 +312,7 @@ Coordinator::finalize(std::uint64_t id, Campaign &c)
 {
     if (c.table->succeeded()) {
         if (c.phase == 0) {
+            c.ctx->computeReferenceIpcs(opts_.jobs);
             ResultStore::commitManifest(c.dir, c.ctx->manifest());
             if (c.spec.fidelity == 0 &&
                 c.spec.escalateBudget > 0.0 &&
@@ -364,39 +371,75 @@ Coordinator::statusOf(std::uint64_t id) const
     return s;
 }
 
-void
-Coordinator::grantOrPark(Conn &conn)
+/**
+ * Answer @p conn's lease request with Shutdown while draining or
+ * with a Lease; false (nothing sent) when no shard is grantable.
+ */
+bool
+Coordinator::answerLease(Conn &conn)
 {
     if (draining_) {
         (void)sendFrame(conn.fd.get(), MsgType::Shutdown, {});
-        return;
+        return true;
     }
     Campaign *c = active();
-    if (c && c->table) {
-        const auto now = LeaseClock::now();
-        if (std::optional<LeaseGrant> g = c->table->acquire(
-                now, static_cast<std::int64_t>(conn.workerPid))) {
-            LeaseMsg lm;
-            lm.leaseId = g->leaseId;
-            lm.campaignId = activeId_;
-            lm.shard = g->shard;
-            lm.ttlMs = ttlMillis(opts_.lease);
-            lm.fingerprint = c->ctx->manifest().fingerprint;
-            lm.dir = c->dir;
-            lm.spec = c->spec;
-            conn.leases.push_back(g->leaseId);
-            inflight_[g->leaseId] =
-                LeaseInflight{activeId_, now};
-            obs::counter("serve.leases_granted").inc();
-            if (!sendFrame(conn.fd.get(), MsgType::Lease,
-                           encodeLease(lm)))
-                dropConnection(conn);
-            return;
+    if (!c || !c->table)
+        return false;
+    const auto now = LeaseClock::now();
+    const std::optional<LeaseGrant> g = c->table->acquire(
+        now, static_cast<std::int64_t>(conn.workerPid));
+    if (!g)
+        return false;
+    LeaseMsg lm;
+    lm.leaseId = g->leaseId;
+    lm.campaignId = activeId_;
+    lm.shard = g->shard;
+    lm.ttlMs = ttlMillis(opts_.lease);
+    lm.fingerprint = c->ctx->manifest().fingerprint;
+    lm.dir = c->dir;
+    lm.spec = c->spec;
+    conn.leases.push_back(g->leaseId);
+    inflight_[g->leaseId] = LeaseInflight{activeId_, now};
+    obs::counter("serve.leases_granted").inc();
+    if (!sendFrame(conn.fd.get(), MsgType::Lease, encodeLease(lm)))
+        dropConnection(conn);
+    return true;
+}
+
+/**
+ * Answer every parked request that can be answered now: a lease
+ * request once a shard is grantable or the daemon drains, a wait
+ * once its campaign is final; either with the current state after
+ * kParkBound.  Runs at the end of every loop iteration, after
+ * every state change the iteration made.
+ */
+void
+Coordinator::serveParked(LeaseClock::time_point now)
+{
+    for (auto &cp : conns_) {
+        Conn &conn = *cp;
+        if (conn.leaseParkedAt && conn.fd.valid()) {
+            if (answerLease(conn)) {
+                conn.leaseParkedAt.reset();
+            } else if (now - *conn.leaseParkedAt >= kParkBound) {
+                conn.leaseParkedAt.reset();
+                WireWriter w;
+                w.u8(0);
+                (void)sendFrame(conn.fd.get(), MsgType::NoWork,
+                                w.bytes());
+            }
+        }
+        if (conn.waitParkedAt && conn.fd.valid()) {
+            const StatusMsg st = statusOf(conn.waitCampaign);
+            if (!inProgress(st.state) ||
+                now - *conn.waitParkedAt >= kParkBound) {
+                conn.waitParkedAt.reset();
+                if (!sendFrame(conn.fd.get(), MsgType::StatusReply,
+                               encodeStatus(st)))
+                    dropConnection(conn);
+            }
         }
     }
-    WireWriter w;
-    w.u8(0);
-    (void)sendFrame(conn.fd.get(), MsgType::NoWork, w.bytes());
 }
 
 void
@@ -434,7 +477,8 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
         sawClient_ = true;
         return true;
     case MsgType::RequestLease:
-        grantOrPark(conn);
+        if (!answerLease(conn))
+            conn.leaseParkedAt = LeaseClock::now();
         return true;
     case MsgType::Heartbeat: {
         WireReader r(f.body);
@@ -537,12 +581,16 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
         return sendFrame(conn.fd.get(), MsgType::SubmitReply,
                          w.bytes());
     }
-    case MsgType::StatusReq: {
-        WireReader r(f.body);
-        const std::uint64_t id = r.u64();
+    case MsgType::StatusReq:
         return sendFrame(conn.fd.get(), MsgType::StatusReply,
-                         encodeStatus(statusOf(id)));
-    }
+                         encodeStatus(statusOf(
+                             decodeCampaignId(f.body))));
+    case MsgType::WaitReq:
+        // Answered by serveParked, in this iteration when the
+        // campaign is already final.
+        conn.waitCampaign = decodeCampaignId(f.body);
+        conn.waitParkedAt = LeaseClock::now();
+        return true;
     case MsgType::MetricsReq: {
         WireWriter w;
         w.str(obs::metricsSnapshot().toJson());
@@ -550,9 +598,7 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
                          w.bytes());
     }
     case MsgType::StopReq: {
-        WireReader r(f.body);
-        const std::uint64_t cid = r.u64();
-        r.expectEnd();
+        const std::uint64_t cid = decodeCampaignId(f.body);
         WireWriter w;
         auto it = campaigns_.find(cid);
         if (it == campaigns_.end()) {
@@ -627,15 +673,24 @@ Coordinator::dropConnection(Conn &conn)
         obs::gauge("serve.workers_active").add(-1.0);
     conn.kind = Conn::Kind::Unknown;
     conn.fd.reset();
+    acceptPausedUntil_ = {}; // a descriptor is free again
 }
 
 void
 Coordinator::acceptConnection()
 {
-    const int fd = ::accept(listenFd_.get(), nullptr, nullptr);
-    if (fd < 0)
+    const int fd =
+        ::accept4(listenFd_.get(), nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+        // The connection stays queued, so the listener would poll
+        // readable again at once: a spin, until a descriptor frees.
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+            obs::counter("serve.accept_errors").inc();
+            acceptPausedUntil_ = LeaseClock::now() + kAcceptPause;
+        }
         return;
-    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+    }
     auto conn = std::make_unique<Conn>();
     conn->fd = Fd(fd);
     conns_.push_back(std::move(conn));
@@ -647,14 +702,29 @@ Coordinator::run()
     auto lastLoop = LeaseClock::now();
     for (;;) {
         std::vector<pollfd> pfds;
-        pfds.push_back({listenFd_.get(), POLLIN, 0});
+        // poll() skips a negative fd: the paused listener.
+        pfds.push_back({LeaseClock::now() < acceptPausedUntil_
+                            ? -1
+                            : listenFd_.get(),
+                        POLLIN, 0});
         pfds.push_back({wakePipe_[0], POLLIN, 0});
         for (const auto &c : conns_)
             pfds.push_back({c->fd.get(), POLLIN, 0});
 
-        int timeout_ms = 100;
-        if (Campaign *c = active(); c && c->table) {
-            if (auto next = c->table->nextEvent()) {
+        // Only a committed manifest stores reference IPCs (finalize
+        // computes them if still missing).  Once leases are out
+        // they are due, and wait for a poll that finds nothing to
+        // read, so no request waits behind them.
+        Campaign *a = active();
+        const bool refs_due = a && a->phase == 0 &&
+                              a->table->activeLeases() > 0 &&
+                              a->ctx->manifest().refIpc.empty();
+
+        // At most 100 ms, which also bounds how late a kParkBound
+        // answer or the end of an accept pause is noticed.
+        int timeout_ms = refs_due ? 0 : 100;
+        if (a && !refs_due) {
+            if (auto next = a->table->nextEvent()) {
                 const auto d = std::chrono::duration_cast<
                     std::chrono::milliseconds>(*next -
                                                LeaseClock::now());
@@ -753,6 +823,9 @@ Coordinator::run()
         }
 
         activateNext();
+        serveParked(LeaseClock::now());
+        if (refs_due && pr == 0 && active() == a)
+            a->ctx->computeReferenceIpcs(opts_.jobs);
 
         if (draining_ && inflight_.empty()) {
             shutDown();

@@ -29,6 +29,16 @@
  *    loop measures its own gap and extends every outstanding
  *    deadline by it, so workers are not expired for the
  *    coordinator's pause.
+ *  - fd exhaustion: a failed accept() leaves the connection
+ *    queued, so the listener is left out of poll() until a
+ *    connection closes or a short pause passes, instead of
+ *    spinning on it.
+ *
+ * Nothing polls: a RequestLease that finds no grantable shard is
+ * parked and answered as soon as one becomes grantable
+ * (activation, requeue, end of a backoff), with Shutdown on drain,
+ * or with NoWork after kParkBound.  A client's WaitReq is parked
+ * likewise until its campaign is final, or kParkBound passes.
  *
  * Admission control is a bounded queue: at most maxQueued
  * campaigns queued or running; beyond that Submit is rejected
@@ -46,6 +56,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +81,10 @@ struct CoordinatorOptions
     /** Max campaigns queued or running (admission bound). */
     std::size_t maxQueued = 8;
 
-    /** Threads for model building at admission. */
+    /**
+     * Threads for model building at admission and for the
+     * reference IPCs of a committed manifest.
+     */
     std::size_t jobs = 1;
 
     LeaseOptions lease;
@@ -142,6 +156,13 @@ class Coordinator
             Kind::Unknown;
         std::uint64_t workerPid = 0;
         std::vector<std::uint64_t> leases; ///< held by this worker
+
+        /** When an unanswered RequestLease arrived (parked). */
+        std::optional<LeaseClock::time_point> leaseParkedAt;
+
+        /** When an unanswered WaitReq for waitCampaign arrived. */
+        std::optional<LeaseClock::time_point> waitParkedAt;
+        std::uint64_t waitCampaign = 0;
     };
 
     struct LeaseInflight
@@ -156,7 +177,8 @@ class Coordinator
     void activateNext();
     void finalize(std::uint64_t id, Campaign &c);
     bool beginEscalation(std::uint64_t id, Campaign &c);
-    void grantOrPark(Conn &conn);
+    bool answerLease(Conn &conn);
+    void serveParked(LeaseClock::time_point now);
     void noteLeaseClosed(std::uint64_t leaseId, Conn *conn);
     StatusMsg statusOf(std::uint64_t id) const;
     Campaign *active();
@@ -177,6 +199,9 @@ class Coordinator
     std::uint64_t activeId_ = 0;      ///< 0 = none
     std::uint64_t nextCampaignId_ = 1;
     std::map<std::uint64_t, LeaseInflight> inflight_;
+    /** accept() ran out of fds: the listener is not polled until
+     *  a connection closes or this passes. */
+    LeaseClock::time_point acceptPausedUntil_{};
     bool draining_ = false;
     bool sawClient_ = false; ///< exitWhenIdle arms after first one
 };

@@ -309,6 +309,23 @@ decodeStatus(std::string_view body)
     return m;
 }
 
+std::string
+encodeCampaignId(std::uint64_t id)
+{
+    WireWriter w;
+    w.u64(id);
+    return w.take();
+}
+
+std::uint64_t
+decodeCampaignId(std::string_view body)
+{
+    WireReader r(body);
+    const std::uint64_t id = r.u64();
+    r.expectEnd();
+    return id;
+}
+
 // -------------------------------------------------------------------
 // Sockets
 // -------------------------------------------------------------------
@@ -494,9 +511,7 @@ Client::submit(const CampaignSpec &spec)
 StatusMsg
 Client::status(std::uint64_t id)
 {
-    WireWriter w;
-    w.u64(id);
-    const Frame f = roundTrip(MsgType::StatusReq, w.bytes(),
+    const Frame f = roundTrip(MsgType::StatusReq, encodeCampaignId(id),
                               MsgType::StatusReply);
     return decodeStatus(f.body);
 }
@@ -515,9 +530,7 @@ Client::metricsJson()
 std::string
 Client::stop(std::uint64_t id)
 {
-    WireWriter w;
-    w.u64(id);
-    const Frame f = roundTrip(MsgType::StopReq, w.bytes(),
+    const Frame f = roundTrip(MsgType::StopReq, encodeCampaignId(id),
                               MsgType::StopReply);
     WireReader r(f.body);
     const bool ok = r.u8() != 0;
@@ -530,25 +543,24 @@ Client::stop(std::uint64_t id)
 }
 
 StatusMsg
-Client::waitFinished(std::uint64_t id, int poll_ms, int timeout_ms)
+Client::waitFinished(std::uint64_t id, int timeout_ms)
 {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
     for (;;) {
-        const StatusMsg s = status(id);
-        if (s.state == CampaignState::Done ||
-            s.state == CampaignState::Failed ||
-            s.state == CampaignState::Stopped)
-            return s;
+        const StatusMsg s = decodeStatus(
+            roundTrip(MsgType::WaitReq, encodeCampaignId(id),
+                      MsgType::StatusReply)
+                .body);
         if (s.state == CampaignState::Unknown)
             WSEL_FATAL("campaign " << id
                        << " unknown to the daemon");
+        if (!inProgress(s.state))
+            return s;
         if (std::chrono::steady_clock::now() >= deadline)
             WSEL_FATAL("campaign " << id << " still "
                        << toString(s.state) << " after "
                        << timeout_ms << " ms");
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(poll_ms));
     }
 }
 

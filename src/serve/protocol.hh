@@ -30,6 +30,7 @@
 #ifndef WSEL_SERVE_PROTOCOL_HH
 #define WSEL_SERVE_PROTOCOL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -64,7 +65,7 @@ enum class MsgType : std::uint8_t
 
     // coordinator -> worker
     Lease = 16, ///< LeaseMsg
-    NoWork,     ///< {u8 drain}: nothing grantable right now
+    NoWork,     ///< {u8 drain}: nothing grantable for kParkBound
     Shutdown,   ///< {}: drain complete, exit
 
     // client <-> coordinator
@@ -77,7 +78,17 @@ enum class MsgType : std::uint8_t
     MetricsReply,     ///< {str json}
     StopReq,          ///< {u64 campaignId}: halt, keep done shards
     StopReply,        ///< {u8 ok, str message}
+    WaitReq,          ///< {u64 campaignId}: StatusReply once final
 };
+
+/**
+ * Longest the coordinator holds a RequestLease or WaitReq it cannot
+ * answer yet.  When it passes, a worker gets NoWork and a client
+ * the current status, and each asks again.  It stays far under the
+ * worker's and the client's receive timeouts, so a coordinator
+ * that answers nothing is still detected as wedged or dead.
+ */
+inline constexpr std::chrono::milliseconds kParkBound{1000};
 
 /**
  * Everything that identifies a population campaign's numbers and
@@ -140,6 +151,13 @@ enum class CampaignState : std::uint8_t
 };
 
 const char *toString(CampaignState s);
+
+/** Queued or Running: a WaitReq for it stays parked. */
+inline bool
+inProgress(CampaignState s)
+{
+    return s == CampaignState::Queued || s == CampaignState::Running;
+}
 
 /** Status of one campaign (StatusReply body). */
 struct StatusMsg
@@ -228,6 +246,10 @@ LeaseMsg decodeLease(std::string_view body);
 
 std::string encodeStatus(const StatusMsg &m);
 StatusMsg decodeStatus(std::string_view body);
+
+/** Body of StatusReq, StopReq and WaitReq: {u64 campaignId}. */
+std::string encodeCampaignId(std::uint64_t id);
+std::uint64_t decodeCampaignId(std::string_view body);
 
 // -------------------------------------------------------------------
 // Sockets
@@ -340,11 +362,12 @@ class Client
     std::string stop(std::uint64_t id);
 
     /**
-     * Poll status until Done, Failed or Stopped (or @p timeout_ms
-     * elapses: FatalError).  Returns the final status.
+     * Block until campaign @p id is Done, Failed or Stopped (or
+     * @p timeout_ms elapses: FatalError).  A long poll: each
+     * WaitReq is answered when the campaign finishes, or with its
+     * current status after kParkBound.  Returns the final status.
      */
-    StatusMsg waitFinished(std::uint64_t id, int poll_ms = 50,
-                           int timeout_ms = 600000);
+    StatusMsg waitFinished(std::uint64_t id, int timeout_ms = 600000);
 
   private:
     Frame roundTrip(MsgType type, std::string_view body,

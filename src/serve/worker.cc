@@ -234,19 +234,19 @@ runWorker(const WorkerOptions &opts)
     for (;;) {
         if (!sendFrame(fd.get(), MsgType::RequestLease, {}))
             return exitAfterLostSend(fd.get(), fb);
+        // The coordinator parks the request until a shard is
+        // grantable but answers within kParkBound, so silence for
+        // this long means it died or wedged.
         std::optional<Frame> f = recvFrame(fd.get(), fb, 60000);
         if (!f)
-            return 1; // coordinator died or wedged
+            return 1;
         switch (f->type) {
         case MsgType::Shutdown:
             return 0;
-        case MsgType::NoWork: {
-            // Backoff before asking again; leases may free up when
-            // another worker dies or a backoff gate opens.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
+        case MsgType::NoWork:
+            // The coordinator's keepalive for a parked request (it
+            // answers as soon as a shard is grantable): ask again.
             continue;
-        }
         case MsgType::Lease: {
             LeaseMsg lease;
             try {

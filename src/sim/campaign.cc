@@ -647,7 +647,7 @@ runBadcoCampaign(const WorkloadSet &workloads,
         UncoreConfig ref =
             UncoreConfig::forCores(cores, PolicyKind::LRU);
         BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        c.refIpc = ref_sim.referenceIpcs(models);
+        c.refIpc = ref_sim.referenceIpcs(models, jobs);
     }
     std::vector<UncoreConfig> ucfgs;
     for (PolicyKind p : policies)
@@ -679,7 +679,7 @@ runDetailedCampaign(const WorkloadSet &workloads,
             UncoreConfig::forCores(cores, PolicyKind::LRU);
         DetailedMulticoreSim ref_sim(core_cfg, ref, 1, target_uops,
                                      opts.seed);
-        c.refIpc = ref_sim.referenceIpcs(suite);
+        c.refIpc = ref_sim.referenceIpcs(suite, jobs);
     }
     std::vector<UncoreConfig> ucfgs;
     for (PolicyKind p : policies)

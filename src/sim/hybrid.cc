@@ -157,15 +157,7 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                                     {row + k, k});
             }
         };
-        if (jobs <= 1 || shards <= 1) {
-            for (std::uint64_t s = 0; s < shards; ++s)
-                scan_shard(s);
-        } else {
-            exec::ThreadPool pool(
-                std::min<std::size_t>(jobs, shards));
-            exec::parallel_for(pool, std::size_t{0}, shards,
-                               scan_shard);
-        }
+        exec::forEachIndex(jobs, shards, scan_shard);
     }
 
     fidelity::EscalationRecord rec;
@@ -345,13 +337,7 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                 write_batch(cell.batch);
         };
         const std::size_t n = pending.size();
-        if (jobs <= 1 || n <= 1) {
-            for (std::size_t i = 0; i < n; ++i)
-                run_cell(i);
-        } else {
-            exec::ThreadPool pool(std::min<std::size_t>(jobs, n));
-            exec::parallel_for(pool, std::size_t{0}, n, run_cell);
-        }
+        exec::forEachIndex(jobs, n, run_cell);
         result.detailedCellsSimulated += n;
     }
 

@@ -6,6 +6,7 @@
 
 #include "cpu/detailed_core.hh"
 #include "badco/badco_machine.hh"
+#include "exec/scheduler.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "stats/logging.hh"
@@ -111,21 +112,22 @@ DetailedMulticoreSim::run(
 
 std::vector<double>
 DetailedMulticoreSim::referenceIpcs(
-    const std::vector<BenchmarkProfile> &suite) const
+    const std::vector<BenchmarkProfile> &suite,
+    std::size_t jobs) const
 {
     // The reference machine: the same uncore with the baseline LRU
     // policy, running the benchmark alone.
     UncoreConfig ref_cfg = uncoreCfg_;
     ref_cfg.policy = PolicyKind::LRU;
-    std::vector<double> refs;
-    refs.reserve(suite.size());
-    for (const BenchmarkProfile &p : suite) {
+    std::vector<double> refs(suite.size());
+    exec::forEachIndex(jobs, suite.size(), [&](std::size_t i) {
         Uncore uncore(ref_cfg, 1, seed_);
-        DetailedCore core(coreCfg_, TraceStore::global().cursor(p),
+        DetailedCore core(coreCfg_,
+                          TraceStore::global().cursor(suite[i]),
                           uncore, 0, targetUops_, seed_ + 0x51);
         runToTarget(core);
-        refs.push_back(core.ipc());
-    }
+        refs[i] = core.ipc();
+    });
     return refs;
 }
 
@@ -220,23 +222,24 @@ BadcoMulticoreSim::run(
 
 std::vector<double>
 BadcoMulticoreSim::referenceIpcs(
-    const std::vector<const BadcoModel *> &models) const
+    const std::vector<const BadcoModel *> &models,
+    std::size_t jobs) const
 {
     UncoreConfig ref_cfg = uncoreCfg_;
     ref_cfg.policy = PolicyKind::LRU;
-    std::vector<double> refs;
-    refs.reserve(models.size());
-    for (const BadcoModel *m : models) {
+    for (const BadcoModel *m : models)
         if (m == nullptr)
             WSEL_FATAL("missing BADCO model");
+    std::vector<double> refs(models.size());
+    exec::forEachIndex(jobs, models.size(), [&](std::size_t i) {
         Uncore uncore(ref_cfg, 1, seed_);
-        BadcoMachine machine(*m, uncore, 0, targetUops_, window_,
-                             maxOutstanding_);
+        BadcoMachine machine(*models[i], uncore, 0, targetUops_,
+                             window_, maxOutstanding_);
         runBadcoQuanta(
             1, [&](std::uint32_t) -> BadcoLane & { return machine.lane(); },
             uncore, quantum_);
-        refs.push_back(machine.ipc());
-    }
+        refs[i] = machine.ipc();
+    });
     return refs;
 }
 

@@ -13,6 +13,7 @@
 #ifndef WSEL_SIM_MULTICORE_HH
 #define WSEL_SIM_MULTICORE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -76,10 +77,13 @@ class DetailedMulticoreSim
 
     /**
      * Single-thread reference IPC for each suite benchmark running
-     * alone on this machine (used by speedup metrics).
+     * alone on this machine (used by speedup metrics).  The
+     * benchmarks are independent cells spread over @p jobs threads;
+     * results are in suite order and do not depend on @p jobs.
      */
     std::vector<double> referenceIpcs(
-        const std::vector<BenchmarkProfile> &suite) const;
+        const std::vector<BenchmarkProfile> &suite,
+        std::size_t jobs = 1) const;
 
     std::uint32_t cores() const { return cores_; }
     std::uint64_t targetUops() const { return targetUops_; }
@@ -147,9 +151,13 @@ class BadcoMulticoreSim
         restartThreads_ = restart;
     }
 
-    /** Single-machine reference IPCs from the models. */
+    /**
+     * Single-machine reference IPCs from the models, spread over
+     * @p jobs threads; in model order, independent of @p jobs.
+     */
     std::vector<double> referenceIpcs(
-        const std::vector<const BadcoModel *> &models) const;
+        const std::vector<const BadcoModel *> &models,
+        std::size_t jobs = 1) const;
 
     std::uint32_t cores() const { return cores_; }
     std::uint64_t targetUops() const { return targetUops_; }

@@ -198,15 +198,7 @@ simulateDetailedPopulationShard(
     };
     // Rows are independent cells, each writing its own payload
     // slice, so spreading them over threads cannot change a byte.
-    const std::size_t workers =
-        std::min<std::size_t>(exec::resolveJobs(jobs), rows);
-    if (workers > 1) {
-        exec::ThreadPool pool(workers);
-        exec::parallel_for(pool, std::size_t{0}, rows, run_row);
-    } else {
-        for (std::size_t r = 0; r < rows; ++r)
-            run_row(r);
-    }
+    exec::forEachIndex(exec::resolveJobs(jobs), rows, run_row);
 }
 
 void
@@ -214,18 +206,10 @@ prebuildSuiteTraces(const std::vector<BenchmarkProfile> &suite,
                     std::uint64_t uops, std::size_t jobs)
 {
     TraceStore &ts = TraceStore::global();
-    const std::size_t workers =
-        std::min<std::size_t>(exec::resolveJobs(jobs), suite.size());
-    if (workers > 1) {
-        exec::ThreadPool pool(workers);
-        exec::parallel_for(pool, std::size_t{0}, suite.size(),
-                           [&](std::size_t i) {
-                               ts.ensureBuilt(suite[i], uops);
-                           });
-    } else {
-        for (const BenchmarkProfile &p : suite)
-            ts.ensureBuilt(p, uops);
-    }
+    exec::forEachIndex(exec::resolveJobs(jobs), suite.size(),
+                       [&](std::size_t i) {
+                           ts.ensureBuilt(suite[i], uops);
+                       });
 }
 
 ShardLoopStats
@@ -365,7 +349,7 @@ runBadcoPopulationCampaign(
     {
         UncoreConfig ref = UncoreConfig::forCores(k, PolicyKind::LRU);
         BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        m.refIpc = ref_sim.referenceIpcs(models);
+        m.refIpc = ref_sim.referenceIpcs(models, jobs);
     }
 
     std::error_code ec;

@@ -130,6 +130,8 @@ TEST(DetailedGolden, ReferenceIpcsBitwise)
     for (std::uint64_t b : got)
         os << std::hex << "0x" << b << "ull, ";
     EXPECT_EQ(got, want) << os.str();
+    // Spread over threads, the cells land in suite order.
+    EXPECT_EQ(ipcBits(sim.referenceIpcs(suite, 3)), want);
 }
 
 TEST(DetailedGolden, BadcoModelBytes)
@@ -285,6 +287,8 @@ TEST(BadcoGolden, ReferenceIpcsBitwise)
     };
     const auto got = ipcBits(sim.referenceIpcs(badcoModels()));
     EXPECT_EQ(got, want) << hexBits(got);
+    const auto threaded = ipcBits(sim.referenceIpcs(badcoModels(), 4));
+    EXPECT_EQ(threaded, want) << hexBits(threaded);
 }
 
 TEST(BadcoGolden, MachineKnobsBitwise)

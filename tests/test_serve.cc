@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -22,8 +23,11 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -37,6 +41,7 @@
 #include "serve/protocol.hh"
 #include "serve/spawn.hh"
 #include "serve/store.hh"
+#include "sim/model_store.hh"
 #include "sim/population.hh"
 #include "stats/persist.hh"
 #include "stats/persist_v3.hh"
@@ -364,6 +369,22 @@ TEST(ServeProtocolTest, StatusRoundTrips)
     EXPECT_EQ(back.message, m.message);
 }
 
+TEST(ServeProtocolTest, CampaignIdBodyRoundTrips)
+{
+    // StatusReq, StopReq and WaitReq all carry one campaign id.
+    for (const std::uint64_t id : {0ull, 7ull, ~0ull})
+        EXPECT_EQ(serve::decodeCampaignId(serve::encodeCampaignId(id)),
+                  id);
+    const std::string frame = serve::encodeFrame(
+        serve::MsgType::WaitReq, serve::encodeCampaignId(42));
+    serve::FrameBuffer fb;
+    fb.feed(frame.data(), frame.size());
+    const auto f = fb.next();
+    ASSERT_TRUE(f);
+    EXPECT_EQ(f->type, serve::MsgType::WaitReq);
+    EXPECT_EQ(serve::decodeCampaignId(f->body), 42u);
+}
+
 TEST(ServeProtocolTest, FrameBufferReassemblesByteByByte)
 {
     serve::WireWriter w;
@@ -439,6 +460,12 @@ TEST(ServeProtocolTest, TruncatedBodiesThrowEverywhere)
                          std::string_view(lease_full).substr(0, len)),
                      serve::ProtocolError)
             << "prefix length " << len;
+    const std::string id_full = serve::encodeCampaignId(9);
+    for (std::size_t len = 0; len < id_full.size(); ++len)
+        EXPECT_THROW(serve::decodeCampaignId(
+                         std::string_view(id_full).substr(0, len)),
+                     serve::ProtocolError)
+            << "prefix length " << len;
 }
 
 TEST(ServeProtocolTest, TrailingGarbageRejected)
@@ -448,6 +475,9 @@ TEST(ServeProtocolTest, TrailingGarbageRejected)
     std::string body = serve::encodeStatus(m);
     body.push_back('\0');
     EXPECT_THROW(serve::decodeStatus(body), serve::ProtocolError);
+    EXPECT_THROW(
+        serve::decodeCampaignId(serve::encodeCampaignId(1) + '\0'),
+        serve::ProtocolError);
 }
 
 // -------------------------------------------------------------------
@@ -651,6 +681,9 @@ class Service
 
     ~Service() { stop(); }
 
+    /** Begin the drain without waiting for it. */
+    void requestStop() { coordinator_.requestStop(); }
+
     void
     stop()
     {
@@ -667,6 +700,120 @@ class Service
     int rc_ = -1;
     std::thread thread_;
 };
+
+/**
+ * One raw protocol connection to the coordinator, so a test can
+ * count the frames a worker or client is sent.
+ */
+class RawPeer
+{
+  public:
+    explicit RawPeer(const std::string &socket)
+        : fd_(serve::connectUnix(socket))
+    {
+        EXPECT_TRUE(fd_.valid()) << socket;
+    }
+
+    void
+    send(serve::MsgType type, std::string_view body = {})
+    {
+        EXPECT_TRUE(serve::sendFrame(fd_.get(), type, body));
+    }
+
+    void
+    helloWorker()
+    {
+        serve::WireWriter w;
+        w.u64(static_cast<std::uint64_t>(::getpid()));
+        send(serve::MsgType::HelloWorker, w.bytes());
+    }
+
+    /** The next frame; a test failure (and type 0) after 30 s. */
+    serve::Frame
+    next()
+    {
+        if (std::optional<serve::Frame> f =
+                serve::recvFrame(fd_.get(), fb_, 30000))
+            return std::move(*f);
+        ADD_FAILURE() << "no frame within 30 s";
+        return {static_cast<serve::MsgType>(0), {}};
+    }
+
+    /**
+     * The answer to the pending RequestLease, asking again after
+     * each NoWork keepalive; a test failure after 30 of them.
+     */
+    serve::Frame
+    awaitLeaseReply()
+    {
+        for (int keepalives = 0; keepalives < 30; ++keepalives) {
+            serve::Frame f = next();
+            if (f.type != serve::MsgType::NoWork)
+                return f;
+            send(serve::MsgType::RequestLease);
+        }
+        ADD_FAILURE() << "only NoWork keepalives for 30 bounds";
+        return {serve::MsgType::NoWork, {}};
+    }
+
+    /**
+     * Expect no earlier request of this connection to have been
+     * answered: the coordinator handles one connection's frames in
+     * order, so the reply to a MetricsReq sent now comes after any
+     * such answer.
+     */
+    void
+    expectNoReplyPending()
+    {
+        send(serve::MsgType::MetricsReq);
+        EXPECT_EQ(next().type, serve::MsgType::MetricsReply);
+    }
+
+  private:
+    serve::Fd fd_;
+    serve::FrameBuffer fb_;
+};
+
+/** Done body a worker sends for @p lease. */
+std::string
+doneBody(const serve::LeaseMsg &lease)
+{
+    serve::WireWriter w;
+    w.u64(lease.leaseId);
+    w.u64(lease.campaignId);
+    w.u64(lease.shard);
+    w.u8(1); // dedup: no shard file is written
+    return w.take();
+}
+
+/**
+ * Lower this process's soft RLIMIT_NOFILE so that exactly @p room
+ * descriptors are free below it.
+ */
+void
+limitFreeDescriptors(int room)
+{
+    int limit = 0;
+    for (int free_fds = 0; free_fds < room; ++limit)
+        if (::fcntl(limit, F_GETFD) == -1 && errno == EBADF)
+            ++free_fds;
+    rlimit rl{};
+    if (::getrlimit(RLIMIT_NOFILE, &rl) != 0)
+        ::_exit(3);
+    rl.rlim_cur = static_cast<rlim_t>(limit);
+    if (::setrlimit(RLIMIT_NOFILE, &rl) != 0)
+        ::_exit(3);
+}
+
+/** CPU time @p clock has used, in seconds. */
+double
+cpuSeconds(clockid_t clock)
+{
+    timespec ts{};
+    ::clock_gettime(clock, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 class ServeDistributedTest : public ::testing::Test
 {
@@ -776,6 +923,7 @@ class ServeDistributedTest : public ::testing::Test
                    const std::string &dir)
     {
         serve::CampaignContext ctx(spec, cacheDir_);
+        ctx.computeReferenceIpcs(1);
         const persist::V3Manifest &m = ctx.manifest();
         persist::ensureDirTree(dir);
         std::vector<double> payload;
@@ -1369,6 +1517,259 @@ TEST_F(ServeDistributedTest, LateWorkerExitsPromptly)
     }
     EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 1)
         << serve::describeExit(*status);
+}
+
+TEST_F(ServeDistributedTest, ParkedLeaseRequestIsAnsweredBySubmit)
+{
+    const serve::CampaignSpec spec = tinySpec();
+    { serve::CampaignContext warm(spec, cacheDir_); } // model build
+    Service service(coordinatorOptions());
+
+    // Nothing to lease yet: the request is parked, not refused.
+    RawPeer worker(socket_);
+    worker.helloWorker();
+    worker.send(serve::MsgType::RequestLease);
+    worker.expectNoReplyPending();
+
+    // Activation answers it.
+    serve::Client client(socket_);
+    const std::uint64_t id = client.submit(spec);
+    const serve::Frame f = worker.awaitLeaseReply();
+    ASSERT_EQ(f.type, serve::MsgType::Lease);
+    const serve::LeaseMsg lease = serve::decodeLease(f.body);
+    EXPECT_EQ(lease.campaignId, id);
+    EXPECT_EQ(lease.shard, 0u);
+}
+
+TEST_F(ServeDistributedTest, DrainSendsShutdownToParkedWorkerAtOnce)
+{
+    serve::CampaignSpec spec = tinySpec();
+    spec.shardRows = 10; // the whole population in one shard
+    { serve::CampaignContext warm(spec, cacheDir_); }
+    serve::CoordinatorOptions opts = coordinatorOptions();
+    opts.lease.ttl = std::chrono::milliseconds(60000); // never expires
+    Service service(opts);
+    serve::Client client(socket_);
+    (void)client.submit(spec);
+
+    // One worker holds the only shard; the other is parked.
+    RawPeer holder(socket_);
+    holder.helloWorker();
+    holder.send(serve::MsgType::RequestLease);
+    const serve::Frame f = holder.awaitLeaseReply();
+    ASSERT_EQ(f.type, serve::MsgType::Lease);
+    RawPeer parked(socket_);
+    parked.helloWorker();
+    parked.send(serve::MsgType::RequestLease);
+    parked.expectNoReplyPending();
+
+    // The drain answers the parked request while the holder's
+    // lease, and so the drain, is still open.
+    service.requestStop();
+    EXPECT_EQ(parked.awaitLeaseReply().type, serve::MsgType::Shutdown);
+    holder.expectNoReplyPending();
+
+    // Closing the last lease ends the drain.
+    holder.send(serve::MsgType::Done,
+                doneBody(serve::decodeLease(f.body)));
+    EXPECT_EQ(holder.next().type, serve::MsgType::Shutdown);
+    service.stop();
+    EXPECT_EQ(service.exitCode(), 0);
+}
+
+TEST_F(ServeDistributedTest, ParkedWorkerOutlivesKeepalivesAndTakesLease)
+{
+    const serve::CampaignSpec spec = tinySpec();
+    { serve::CampaignContext warm(spec, cacheDir_); }
+    Service service(coordinatorOptions());
+
+    // With no campaign, each request is parked and answered with a
+    // NoWork keepalive after kParkBound; the worker asks again.
+    RawPeer worker(socket_);
+    worker.helloWorker();
+    for (int i = 0; i < 2; ++i) {
+        worker.send(serve::MsgType::RequestLease);
+        EXPECT_EQ(worker.next().type, serve::MsgType::NoWork)
+            << "keepalive " << i;
+    }
+
+    // Past two keepalive bounds, the same connection takes a lease.
+    worker.send(serve::MsgType::RequestLease);
+    serve::Client client(socket_);
+    (void)client.submit(spec);
+    EXPECT_EQ(worker.awaitLeaseReply().type, serve::MsgType::Lease);
+}
+
+TEST_F(ServeDistributedTest, WaitIsAnsweredOnceAtCompletion)
+{
+    serve::CampaignSpec spec = tinySpec();
+    spec.shardRows = 10; // one shard, held by the test's worker
+    { serve::CampaignContext warm(spec, cacheDir_); }
+    Service service(coordinatorOptions());
+
+    RawPeer client(socket_);
+    client.send(serve::MsgType::HelloClient);
+    serve::WireWriter w;
+    serve::encodeSpec(w, spec);
+    client.send(serve::MsgType::Submit, w.bytes());
+    const serve::Frame sub = client.next();
+    ASSERT_EQ(sub.type, serve::MsgType::SubmitReply);
+    serve::WireReader r(sub.body);
+    ASSERT_EQ(r.u8(), 1);
+    const std::uint64_t id = r.u64();
+    client.send(serve::MsgType::WaitReq, serve::encodeCampaignId(id));
+
+    RawPeer worker(socket_);
+    worker.helloWorker();
+    worker.send(serve::MsgType::RequestLease);
+    const serve::Frame f = worker.awaitLeaseReply();
+    ASSERT_EQ(f.type, serve::MsgType::Lease);
+
+    // The campaign runs for at least 300 ms, long enough for six
+    // replies to a 50 ms status poll; the long poll sends none.
+    std::this_thread::sleep_for(300ms);
+    client.expectNoReplyPending();
+
+    // Once the worker's barrier returns, the coordinator has
+    // handled Done, so the client's next request is read in a later
+    // loop iteration than Done: the answer to the wait, sent in
+    // Done's iteration, must come first.
+    worker.send(serve::MsgType::Done, doneBody(serve::decodeLease(f.body)));
+    worker.expectNoReplyPending();
+    client.send(serve::MsgType::MetricsReq);
+    const serve::Frame reply = client.next();
+    ASSERT_EQ(reply.type, serve::MsgType::StatusReply);
+    EXPECT_EQ(serve::decodeStatus(reply.body).state,
+              serve::CampaignState::Done);
+    EXPECT_EQ(client.next().type, serve::MsgType::MetricsReply);
+    client.expectNoReplyPending(); // exactly one reply
+}
+
+TEST_F(ServeDistributedTest, ManifestMatchesInProcessCampaign)
+{
+    // Only the coordinator computes reference IPCs; its committed
+    // manifest must equal the in-process engine's.
+    const serve::CampaignSpec spec = tinySpec();
+    Service service(coordinatorOptions());
+    serve::Client client(socket_);
+    const pid_t w = spawnWorker();
+    const serve::StatusMsg st =
+        client.waitFinished(client.submit(spec));
+    ASSERT_EQ(st.state, serve::CampaignState::Done) << st.message;
+    service.stop();
+    expectClean(w);
+
+    std::vector<BenchmarkProfile> suite;
+    for (const std::string &name : spec.benchmarks)
+        suite.push_back(findProfile(name));
+    std::vector<PolicyKind> policies;
+    for (const std::string &p : spec.policies)
+        policies.push_back(parsePolicyKind(p));
+    BadcoModelStore store(
+        CoreConfig{}, spec.targetUops,
+        UncoreConfig::forCores(spec.cores, PolicyKind::LRU)
+            .llcHitLatency,
+        cacheDir_);
+    PopulationOptions opts;
+    opts.seed = spec.seed;
+    opts.shardCells = spec.shardRows * policies.size();
+    opts.resume = false;
+    (void)runBadcoPopulationCampaign(
+        WorkloadPopulation(static_cast<std::uint32_t>(suite.size()),
+                           spec.cores),
+        policies, spec.targetUops, store, suite, {},
+        dir_ + "/inproc", opts);
+
+    const persist::V3Manifest got = persist::readV3Manifest(st.dir);
+    const persist::V3Manifest want =
+        persist::readV3Manifest(dir_ + "/inproc");
+    ASSERT_EQ(got.refIpc.size(), want.refIpc.size());
+    for (std::size_t i = 0; i < want.refIpc.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.refIpc[i]),
+                  std::bit_cast<std::uint64_t>(want.refIpc[i]))
+            << spec.benchmarks[i];
+    EXPECT_EQ(got.fingerprint, want.fingerprint);
+    EXPECT_EQ(got.simulator, want.simulator);
+    EXPECT_EQ(got.cores, want.cores);
+    EXPECT_EQ(got.targetUops, want.targetUops);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.policies, want.policies);
+    EXPECT_EQ(got.benchmarks, want.benchmarks);
+    EXPECT_EQ(got.popBenchmarks, want.popBenchmarks);
+    EXPECT_EQ(got.popCores, want.popCores);
+    EXPECT_EQ(got.firstRank, want.firstRank);
+    EXPECT_EQ(got.lastRank, want.lastRank);
+    EXPECT_EQ(got.shardRows, want.shardRows);
+}
+
+TEST_F(ServeDistributedTest, FdExhaustionPausesAcceptAndRecovers)
+{
+    // The failure matrix's fd-exhaustion row.  The coordinator runs
+    // in a child process whose descriptor limit leaves kRoom free:
+    // one for the client, the rest for its store writes, or for
+    // the extra connections that use them up.  accept() then fails
+    // with EMFILE and leaves the connection queued.
+    constexpr int kRoom = 6;
+    constexpr int kExtra = 8;
+    const serve::CampaignSpec spec = tinySpec();
+    const persist::V3Manifest m =
+        writeReference(spec, dir_ + "/reference");
+
+    const pid_t coord = ::fork();
+    ASSERT_GE(coord, 0);
+    if (coord == 0) {
+        int rc = 2;
+        try {
+            serve::CoordinatorOptions o = coordinatorOptions();
+            o.exitWhenIdle = true;
+            serve::Coordinator c(o);
+            limitFreeDescriptors(kRoom);
+            rc = c.run();
+        } catch (...) {
+        }
+        ::_exit(rc);
+    }
+
+    std::optional<serve::StatusMsg> st;
+    std::vector<pid_t> workers;
+    {
+        serve::Client client(socket_);
+        const std::uint64_t id = client.submit(spec);
+        // Activation reads the model cache: let it finish first.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (client.status(id).state == serve::CampaignState::Queued &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+        std::vector<serve::Fd> extra;
+        for (int i = 0; i < kExtra; ++i)
+            extra.push_back(serve::connectUnix(socket_));
+        EXPECT_GE(awaitCounter(client, "serve.accept_errors", 1.0), 1.0);
+
+        // Exhausted, the coordinator must idle, not spin on the
+        // listener.
+        clockid_t clock{};
+        EXPECT_EQ(::clock_getcpuclockid(coord, &clock), 0);
+        const double cpu0 = cpuSeconds(clock);
+        std::this_thread::sleep_for(200ms);
+        const double cpu = cpuSeconds(clock) - cpu0;
+        EXPECT_LT(cpu, 0.05) << "coordinator CPU over 200 ms";
+
+        // Workers queue behind the extras; closing those frees the
+        // descriptors and the campaign completes.
+        workers.push_back(spawnWorker());
+        workers.push_back(spawnWorker());
+        extra.clear();
+        st = client.waitFinished(id);
+    }
+    // The idle coordinator shuts the workers down and exits.
+    EXPECT_TRUE(serve::exitedCleanly(serve::waitProcess(coord)));
+    for (const pid_t pid : workers)
+        expectClean(pid);
+    ASSERT_TRUE(st);
+    EXPECT_EQ(st->state, serve::CampaignState::Done) << st->message;
+    expectShardsMatch(st->dir, m, dir_ + "/reference");
 }
 
 } // namespace
