@@ -184,7 +184,8 @@ badcoPopulationCampaign(std::uint32_t cores, std::size_t limit,
     const auto &suite = spec2006Suite();
     const std::uint64_t fp = campaignFingerprint(
         "badco", cores, target, paperPolicies(), suite);
-    return cachedCampaign(key, fp, [&](const std::string &checkpoint) {
+    return cachedCampaign(
+        defaultCacheDir(), key, fp, [&](const std::string &checkpoint) {
         const WorkloadPopulation pop(
             static_cast<std::uint32_t>(suite.size()), cores);
         const auto workloads = subsamplePopulation(pop, limit);
@@ -250,7 +251,8 @@ detailedSampleCampaign(std::uint32_t cores, bool verbose = true)
     const auto &suite = spec2006Suite();
     const std::uint64_t fp = campaignFingerprint(
         "detailed", cores, target, paperPolicies(), suite);
-    return cachedCampaign(key, fp, [&](const std::string &checkpoint) {
+    return cachedCampaign(
+        defaultCacheDir(), key, fp, [&](const std::string &checkpoint) {
         const WorkloadPopulation pop(
             static_cast<std::uint32_t>(suite.size()), cores);
         const auto workloads = subsamplePopulation(pop, n);

@@ -48,7 +48,7 @@ main()
         const std::uint64_t fp = campaignFingerprint(
             "badco", cores, target, det.policies, suite);
         const Campaign bad = cachedCampaign(
-            key, fp, [&](const std::string &checkpoint) {
+            defaultCacheDir(), key, fp, [&](const std::string &checkpoint) {
                 opts.checkpointDir = checkpoint;
                 return runBadcoCampaign(det.workloads, det.policies,
                                         cores, target, store, suite,

@@ -38,7 +38,7 @@ main()
     const std::uint64_t fp = campaignFingerprint(
         "badco", cores, target, det.policies, suite);
     const Campaign bad_sample = cachedCampaign(
-        key, fp, [&](const std::string &checkpoint) {
+        defaultCacheDir(), key, fp, [&](const std::string &checkpoint) {
             CampaignOptions opts;
             opts.checkpointDir = checkpoint;
             return runBadcoCampaign(det.workloads, det.policies,

@@ -72,7 +72,7 @@ main()
     const std::uint64_t fpb =
         campaignFingerprint("badco", cores, target, {x, y}, suite);
     const Campaign bad = cachedCampaign(
-        "hybrid_bench_badco_" + tag, fpb,
+        defaultCacheDir(), "hybrid_bench_badco_" + tag, fpb,
         [&](const std::string &checkpoint) {
             CampaignOptions o = copts;
             o.checkpointDir = checkpoint;
@@ -83,7 +83,7 @@ main()
     const std::uint64_t fpd = campaignFingerprint(
         "detailed", cores, target, {x, y}, suite);
     const Campaign det = cachedCampaign(
-        "hybrid_bench_detailed_" + tag, fpd,
+        defaultCacheDir(), "hybrid_bench_detailed_" + tag, fpd,
         [&](const std::string &checkpoint) {
             CampaignOptions o = copts;
             o.checkpointDir = checkpoint;

@@ -35,7 +35,7 @@ main()
                 "population with BADCO...\n",
                 static_cast<unsigned long long>(pop.size()));
     const Campaign c = cachedCampaign(
-        "example_metric_study_k2_u" + std::to_string(target),
+        defaultCacheDir(), "example_metric_study_k2_u" + std::to_string(target),
         campaignFingerprint("badco", cores, target,
                             paperPolicies(), suite),
         [&](const std::string &checkpoint) {

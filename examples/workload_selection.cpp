@@ -76,7 +76,7 @@ main(int argc, char **argv)
     CampaignOptions opts;
     opts.verbose = true;
     const Campaign c = cachedCampaign(
-        "example_selection_k4_u" + std::to_string(target),
+        defaultCacheDir(), "example_selection_k4_u" + std::to_string(target),
         campaignFingerprint("badco", cores, target,
                             paperPolicies(), suite),
         [&](const std::string &checkpoint) {

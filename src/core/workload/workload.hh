@@ -202,8 +202,9 @@ WorkloadPopulation::forEach(std::uint64_t first, std::uint64_t last,
 
 /**
  * A campaign's workload list: either an explicit list of Workload
- * objects (sampled campaigns, campaign_v2 files) or a rank range /
- * rank list over a population shape (population campaigns), which
+ * objects (hand-picked sets) or a rank range / rank list over a
+ * population shape (population campaigns, subsamples, and every
+ * sampled campaign loaded from its campaign_v3 manifest), which
  * costs O(1) / O(n ranks) memory instead of O(n·K) Workloads.
  *
  * Implicitly constructible from std::vector<Workload> so the

@@ -120,7 +120,7 @@ runCalibrationCampaigns(std::uint32_t cores,
         const std::uint64_t fp = campaignFingerprint(
             "detailed", cores, target_uops, policies, suite);
         out.detailed = cachedCampaign(
-            "detailed_" + shape, fp,
+            cache_dir, "detailed_" + shape, fp,
             [&](const std::string &checkpoint) {
                 CampaignOptions opts;
                 opts.seed = seed;
@@ -145,7 +145,7 @@ runCalibrationCampaigns(std::uint32_t cores,
         const std::uint64_t fp = campaignFingerprint(
             "badco", cores, target_uops, policies, suite);
         out.badco = cachedCampaign(
-            "badco_" + shape, fp,
+            cache_dir, "badco_" + shape, fp,
             [&](const std::string &checkpoint) {
                 CampaignOptions opts;
                 opts.seed = seed;

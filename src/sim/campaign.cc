@@ -1,8 +1,8 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
-#include <sstream>
 
 #include "exec/scheduler.hh"
 #include "sim/population.hh"
@@ -16,302 +16,20 @@ namespace wsel
 namespace
 {
 
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == sep) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    out.push_back(cur);
-    return out;
-}
-
 /**
- * Strict unsigned parse: digits only, fully consumed.  Unlike raw
- * std::stoull this rejects "-1" and "12x" and never leaks
- * std::invalid_argument/std::out_of_range to the caller.
- */
-std::uint64_t
-parseU64(const std::string &s, const char *what,
-         std::size_t line_no)
-{
-    if (s.empty() || s.size() > 20)
-        throw persist::CacheInvalid(
-            std::string("malformed ") + what + " '" + s +
-            "' at line " + std::to_string(line_no));
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            throw persist::CacheInvalid(
-                std::string("malformed ") + what + " '" + s +
-                "' at line " + std::to_string(line_no));
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
-}
-
-/** Strict double parse; CacheInvalid instead of raw std exceptions. */
-double
-parseDouble(const std::string &s, const char *what,
-            std::size_t line_no)
-{
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(s, &pos);
-        if (pos != s.size())
-            throw std::invalid_argument("trailing garbage");
-        return v;
-    } catch (const std::exception &) {
-        throw persist::CacheInvalid(
-            std::string("malformed ") + what + " '" + s +
-            "' at line " + std::to_string(line_no));
-    }
-}
-
-std::vector<double>
-parseDoubleList(const std::string &s, const char *what,
-                std::size_t line_no)
-{
-    std::vector<double> out;
-    for (const std::string &v : splitOn(s, ';'))
-        out.push_back(parseDouble(v, what, line_no));
-    return out;
-}
-
-/** Sequential line reader tracking 1-based line numbers. */
-class LineReader
-{
-  public:
-    explicit LineReader(const std::string &text) : is_(text) {}
-
-    bool
-    next(std::string &line)
-    {
-        if (!std::getline(is_, line))
-            return false;
-        ++lineNo_;
-        return true;
-    }
-
-    std::size_t lineNo() const { return lineNo_; }
-
-  private:
-    std::istringstream is_;
-    std::size_t lineNo_ = 0;
-};
-
-/**
- * Parse a v1/v2 campaign body (footer already stripped and
- * verified for v2).  Throws persist::CacheInvalid on any problem.
- */
-Campaign
-parseCampaignBody(const std::string &body, int version)
-{
-    Campaign c;
-    c.formatVersion = version;
-    LineReader reader(body);
-    std::string line;
-    auto next = [&](const char *tag) -> std::string {
-        if (!reader.next(line))
-            throw persist::CacheInvalid(
-                std::string("truncated: missing '") + tag +
-                "' line");
-        const auto f = splitOn(line, ',');
-        if (f.size() < 2 || f[0] != tag)
-            throw persist::CacheInvalid(
-                std::string("expected '") + tag + "' at line " +
-                std::to_string(reader.lineNo()) + ", got '" + line +
-                "'");
-        return f[1];
-    };
-    next("wsel-campaign"); // already validated by the caller
-    if (version >= 2) {
-        if (!persist::parseHex(next("fingerprint"), c.fingerprint))
-            throw persist::CacheInvalid(
-                "malformed fingerprint at line " +
-                std::to_string(reader.lineNo()));
-    }
-    c.simulator = next("simulator");
-    c.cores = static_cast<std::uint32_t>(
-        parseU64(next("cores"), "core count", reader.lineNo()));
-    if (c.cores == 0 || c.cores > 1024)
-        throw persist::CacheInvalid(
-            "implausible core count " + std::to_string(c.cores));
-    c.targetUops =
-        parseU64(next("target"), "target uops", reader.lineNo());
-    c.simSeconds = parseDouble(next("simseconds"), "simseconds",
-                               reader.lineNo());
-    c.instructions = parseU64(next("instructions"), "instructions",
-                              reader.lineNo());
-    try {
-        for (const std::string &p : splitOn(next("policies"), ';'))
-            c.policies.push_back(parsePolicyKind(p));
-    } catch (const FatalError &e) {
-        throw persist::CacheInvalid(
-            std::string("unknown policy at line ") +
-            std::to_string(reader.lineNo()) + ": " + e.what());
-    }
-    if (c.policies.empty())
-        throw persist::CacheInvalid("empty policy list");
-    for (const std::string &b : splitOn(next("benchmarks"), ';'))
-        c.benchmarks.push_back(b);
-    c.refIpc = parseDoubleList(next("refipc"), "reference IPC",
-                               reader.lineNo());
-    if (c.refIpc.size() != c.benchmarks.size())
-        throw persist::CacheInvalid(
-            "refipc count " + std::to_string(c.refIpc.size()) +
-            " does not match " + std::to_string(c.benchmarks.size()) +
-            " benchmarks");
-    const std::uint64_t nw64 = parseU64(
-        next("nworkloads"), "workload count", reader.lineNo());
-    if (nw64 > 50'000'000)
-        throw persist::CacheInvalid(
-            "implausible workload count " + std::to_string(nw64));
-    const std::size_t nw = static_cast<std::size_t>(nw64);
-    std::vector<Workload> wls;
-    wls.reserve(nw);
-    for (std::size_t w = 0; w < nw; ++w) {
-        if (!reader.next(line))
-            throw persist::CacheInvalid("truncated workload list");
-        const auto f = splitOn(line, ',');
-        if (f.size() != 2 || f[0] != "w")
-            throw persist::CacheInvalid(
-                "bad workload line '" + line + "' at line " +
-                std::to_string(reader.lineNo()));
-        std::vector<std::uint32_t> benches;
-        for (const std::string &b : splitOn(f[1], ';')) {
-            const std::uint64_t idx = parseU64(
-                b, "benchmark index", reader.lineNo());
-            if (idx >= c.benchmarks.size())
-                throw persist::CacheInvalid(
-                    "benchmark index " + std::to_string(idx) +
-                    " out of range at line " +
-                    std::to_string(reader.lineNo()));
-            benches.push_back(static_cast<std::uint32_t>(idx));
-        }
-        if (benches.size() != c.cores)
-            throw persist::CacheInvalid(
-                "workload at line " +
-                std::to_string(reader.lineNo()) + " has " +
-                std::to_string(benches.size()) + " slots, campaign "
-                "has " + std::to_string(c.cores) + " cores");
-        wls.push_back(Workload(std::move(benches)));
-    }
-    c.workloads = WorkloadSet(std::move(wls));
-    c.ipc.reshape(c.policies.size(), nw, c.cores);
-    // The contiguous matrix is zero-initialized, so duplicate
-    // detection needs its own bitmap (a zero cell is legal).
-    std::vector<char> seen(c.policies.size() * nw, 0);
-    std::size_t rows = 0;
-    while (reader.next(line)) {
-        if (line.empty())
-            continue;
-        const auto f = splitOn(line, ',');
-        if (f.size() != 4 || f[0] != "i")
-            throw persist::CacheInvalid(
-                "bad ipc line '" + line + "' at line " +
-                std::to_string(reader.lineNo()));
-        const std::size_t p = static_cast<std::size_t>(
-            parseU64(f[1], "policy index", reader.lineNo()));
-        const std::size_t w = static_cast<std::size_t>(
-            parseU64(f[2], "workload index", reader.lineNo()));
-        if (p >= c.policies.size() || w >= nw)
-            throw persist::CacheInvalid(
-                "ipc line out of range at line " +
-                std::to_string(reader.lineNo()));
-        if (seen[p * nw + w])
-            throw persist::CacheInvalid(
-                "duplicate ipc cell (" + std::to_string(p) + "," +
-                std::to_string(w) + ") at line " +
-                std::to_string(reader.lineNo()));
-        std::vector<double> ipcs =
-            parseDoubleList(f[3], "IPC value", reader.lineNo());
-        if (ipcs.size() != c.cores)
-            throw persist::CacheInvalid(
-                "ipc cell at line " +
-                std::to_string(reader.lineNo()) + " has " +
-                std::to_string(ipcs.size()) + " values, expected " +
-                std::to_string(c.cores));
-        c.ipc.setCell(p, w, {ipcs.data(), ipcs.size()});
-        seen[p * nw + w] = 1;
-        ++rows;
-    }
-    if (rows != c.policies.size() * nw)
-        throw persist::CacheInvalid(
-            "has " + std::to_string(rows) + " ipc rows, expected " +
-            std::to_string(c.policies.size() * nw));
-    return c;
-}
-
-/** Full validated load; throws persist::CacheInvalid on problems. */
-Campaign
-loadImpl(const std::string &path)
-{
-    const std::string text = persist::readFile(path);
-    const std::size_t eol = text.find('\n');
-    const std::string first =
-        text.substr(0, eol == std::string::npos ? text.size() : eol);
-    int version = 0;
-    if (first == "wsel-campaign,v1")
-        version = 1;
-    else if (first == "wsel-campaign,v2")
-        version = 2;
-    else
-        throw persist::CacheInvalid(
-            "not a wsel campaign file (first line '" + first + "')");
-    std::string body = text;
-    if (version >= 2) {
-        // The footer must be the last line:
-        //   footer,<ipc-row-count>,<fnv1a of all preceding bytes>
-        const std::size_t pos = text.rfind("\nfooter,");
-        if (pos == std::string::npos)
-            throw persist::CacheInvalid(
-                "truncated: missing integrity footer");
-        body = text.substr(0, pos + 1);
-        std::string footer = text.substr(pos + 1);
-        if (!footer.empty() && footer.back() == '\n')
-            footer.pop_back();
-        else
-            throw persist::CacheInvalid(
-                "truncated: unterminated integrity footer");
-        const auto f = splitOn(footer, ',');
-        std::uint64_t want = 0;
-        if (f.size() != 3 || !persist::parseHex(f[2], want))
-            throw persist::CacheInvalid(
-                "malformed integrity footer '" + footer + "'");
-        const std::uint64_t rows = parseU64(f[1], "footer row count",
-                                            0);
-        if (persist::fnv1a(body) != want)
-            throw persist::CacheInvalid(
-                "checksum mismatch (file damaged or edited)");
-        Campaign c = parseCampaignBody(body, version);
-        if (rows != c.policies.size() * c.workloads.size())
-            throw persist::CacheInvalid(
-                "footer row count " + std::to_string(rows) +
-                " does not match body");
-        return c;
-    }
-    return parseCampaignBody(body, version);
-}
-
-/**
- * Load a sharded binary campaign_v3 directory (population
- * campaigns, src/stats/persist_v3.hh).  Throws
+ * Load a campaign_v3 directory (src/stats/persist_v3.hh).  Throws
  * persist::CacheInvalid on any validation failure.
  */
 Campaign
-loadV3Impl(const std::string &path)
+loadImpl(const std::string &path)
 {
-    const persist::V3Manifest m = persist::readV3Manifest(path);
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(path, ec))
+        throw persist::CacheInvalid(
+            "a file, not a campaign_v3 directory (campaign_v2 text "
+            "is no longer read; re-run the campaign to rewrite it)");
+    persist::V3Manifest m = persist::readV3Manifest(path);
     Campaign c;
-    c.formatVersion = 3;
     c.fingerprint = m.fingerprint;
     c.simulator = m.simulator;
     c.cores = m.cores;
@@ -333,10 +51,25 @@ loadV3Impl(const std::string &path)
         m.popBenchmarks != m.benchmarks.size())
         throw persist::CacheInvalid(
             "campaign_v3 manifest: bad population shape");
-    const WorkloadPopulation pop(m.popBenchmarks, m.popCores);
-    if (m.lastRank > pop.size() || m.firstRank > m.lastRank)
+    // A shape whose population size overflows 64 bits is damage on
+    // disk, not a program bug: quarantine it like any other.
+    const WorkloadPopulation pop = [&] {
+        try {
+            return WorkloadPopulation(m.popBenchmarks, m.popCores);
+        } catch (const FatalError &e) {
+            throw persist::CacheInvalid(
+                std::string("campaign_v3 manifest: ") + e.what());
+        }
+    }();
+    if (m.ranks.empty() && m.lastRank > pop.size())
         throw persist::CacheInvalid(
             "campaign_v3 manifest: rank range outside population");
+    for (std::uint64_t rank : m.ranks)
+        if (rank >= pop.size())
+            throw persist::CacheInvalid(
+                "campaign_v3 manifest: rank " + std::to_string(rank) +
+                " outside the population of " +
+                std::to_string(pop.size()));
     const std::size_t nw =
         static_cast<std::size_t>(m.rows());
     const std::size_t np = c.policies.size();
@@ -359,7 +92,9 @@ loadV3Impl(const std::string &path)
             std::to_string(np) + " policies x " +
             std::to_string(c.cores) + " cores)");
     c.workloads =
-        WorkloadSet::populationRange(pop, m.firstRank, m.lastRank);
+        m.ranks.empty()
+            ? WorkloadSet::populationRange(pop, m.firstRank, m.lastRank)
+            : WorkloadSet::fromRanks(pop, std::move(m.ranks));
     c.ipc.reshape(np, nw, c.cores);
     for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
         const std::vector<double> payload =
@@ -368,6 +103,38 @@ loadV3Impl(const std::string &path)
                           {payload.data(), payload.size()});
     }
     return c;
+}
+
+/**
+ * Make @p path an empty place for Campaign::save: create it, or
+ * empty a campaign directory already there.  The old manifest goes
+ * first, so a save killed part-way never leaves a readable mix of
+ * two campaigns.  A file in the way, or a directory holding
+ * anything but a campaign's files, is fatal rather than removed.
+ */
+void
+clearCampaignDir(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (fs::exists(path, ec) && !fs::is_directory(path, ec))
+        WSEL_FATAL("cannot save campaign to " << path
+                   << ": a file is in the way (campaigns are "
+                      "campaign_v3 directories)");
+    persist::ensureDirTree(path);
+    std::vector<fs::path> old;
+    for (const auto &e : fs::directory_iterator(path)) {
+        const std::string name = e.path().filename().string();
+        if (name.rfind("manifest.bin", 0) != 0 &&
+            name.rfind("shard-", 0) != 0)
+            WSEL_FATAL("cannot save campaign to "
+                       << path << ": it holds '" << name
+                       << "', which is not part of a campaign");
+        old.push_back(e.path());
+    }
+    fs::remove(persist::v3ManifestPath(path), ec);
+    for (const fs::path &p : old)
+        fs::remove(p, ec);
 }
 
 /** The header fields both front ends fill the same way. */
@@ -568,58 +335,69 @@ Campaign::mips() const
 void
 Campaign::save(const std::string &path) const
 {
-    std::ostringstream os;
-    os << "wsel-campaign,v2\n";
-    os << "fingerprint," << persist::toHex(fingerprint) << "\n";
-    os << "simulator," << simulator << "\n";
-    os << "cores," << cores << "\n";
-    os << "target," << targetUops << "\n";
-    os << "simseconds," << simSeconds << "\n";
-    os << "instructions," << instructions << "\n";
-    os << "policies,";
-    for (std::size_t i = 0; i < policies.size(); ++i)
-        os << (i ? ";" : "") << toString(policies[i]);
-    os << "\n";
-    os << "benchmarks,";
-    for (std::size_t i = 0; i < benchmarks.size(); ++i)
-        os << (i ? ";" : "") << benchmarks[i];
-    os << "\n";
-    os << "refipc,";
-    os.precision(17);
-    for (std::size_t i = 0; i < refIpc.size(); ++i)
-        os << (i ? ";" : "") << refIpc[i];
-    os << "\n";
-    os << "nworkloads," << workloads.size() << "\n";
-    workloads.forEach(
-        [&](std::size_t, std::span<const std::uint32_t> benches) {
-            os << "w,";
-            for (std::size_t k = 0; k < benches.size(); ++k)
-                os << (k ? ";" : "") << benches[k];
-            os << "\n";
-        });
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            os << "i," << p << "," << w << ",";
-            const auto cell = ipc.cell(p, w);
-            for (std::size_t k = 0; k < cell.size(); ++k)
-                os << (k ? ";" : "") << cell[k];
-            os << "\n";
-        }
+    const std::size_t np = policies.size();
+    const std::size_t nw = workloads.size();
+    if (np == 0 || nw == 0 || ipc.policies() != np ||
+        ipc.workloadCount() != nw || ipc.coresPerCell() != cores)
+        WSEL_FATAL("cannot save campaign to "
+                   << path << ": " << ipc.policies() << "x"
+                   << ipc.workloadCount() << "x" << ipc.coresPerCell()
+                   << " IPC matrix for " << np << " policies, " << nw
+                   << " workloads and " << cores << " cores");
+    persist::V3Manifest m;
+    m.fingerprint = fingerprint;
+    m.simulator = simulator;
+    m.cores = cores;
+    m.targetUops = targetUops;
+    m.simSeconds = simSeconds;
+    m.instructions = instructions;
+    for (PolicyKind p : policies)
+        m.policies.push_back(toString(p));
+    m.benchmarks = benchmarks;
+    m.refIpc = refIpc;
+    m.popBenchmarks = static_cast<std::uint32_t>(benchmarks.size());
+    m.popCores = cores;
+    const WorkloadPopulation pop(m.popBenchmarks, m.popCores);
+    if (workloads.isPopulationRange() &&
+        workloads.population().numBenchmarks() == pop.numBenchmarks() &&
+        workloads.population().cores() == pop.cores()) {
+        m.firstRank = workloads.firstRank();
+        m.lastRank = m.firstRank + nw;
+    } else {
+        // Every workload is a sorted multiset, so it has a rank.
+        m.lastRank = nw;
+        m.ranks.reserve(nw);
+        workloads.forEach(
+            [&](std::size_t, std::span<const std::uint32_t> benches) {
+                m.ranks.push_back(pop.rank(benches));
+            });
     }
-    const std::string body = os.str();
-    const std::string footer =
-        "footer," +
-        std::to_string(policies.size() * workloads.size()) + "," +
-        persist::toHex(persist::fnv1a(body)) + "\n";
-    persist::atomicWriteFile(path, body + footer);
+    m.shardRows = std::max<std::size_t>(
+        1, PopulationOptions{}.shardCells / np);
+
+    clearCampaignDir(path);
+    std::vector<double> payload;
+    for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
+        const std::size_t first =
+            static_cast<std::size_t>(s * m.shardRows);
+        const std::size_t rows =
+            static_cast<std::size_t>(m.rowsInShard(s));
+        payload.resize(rows * np * cores);
+        double *dst = payload.data();
+        for (std::size_t w = first; w < first + rows; ++w)
+            for (std::size_t p = 0; p < np; ++p, dst += cores)
+                std::ranges::copy(ipc.cell(p, w), dst);
+        persist::writeV3Shard(path, m, s, payload);
+    }
+    // The manifest is the commit point: it only exists once every
+    // shard it describes does.
+    persist::writeV3Manifest(path, m);
 }
 
 Campaign
 Campaign::load(const std::string &path, LoadMode mode)
 {
     try {
-        if (persist::isV3CampaignDir(path))
-            return loadV3Impl(path);
         return loadImpl(path);
     } catch (const persist::CacheInvalid &e) {
         if (mode == LoadMode::Strict)

@@ -8,12 +8,12 @@
  * resulting numbers).
  *
  * Campaigns are durable, validated artifacts (docs/ROBUSTNESS.md):
- * the on-disk `campaign_v2` format carries a configuration
- * fingerprint and an integrity footer, files are replaced
- * atomically, and a corrupt or stale cache file is quarantined and
- * regenerated instead of aborting the run.  Population-scale runs
- * persist to the sharded binary `campaign_v3` directory format
- * (src/stats/persist_v3.hh); Campaign::load reads both.
+ * every campaign, sampled or population-scale, is a sharded binary
+ * `campaign_v3` directory (src/stats/persist_v3.hh) of sealed files
+ * that carry the configuration fingerprint and a checksum, the
+ * manifest is written last as the commit point, and a corrupt or
+ * stale cache directory is quarantined and regenerated instead of
+ * aborting the run.
  *
  * The runners here are front ends over the population engine's
  * shard loop (sim/population.hh): shard rows are positions in the
@@ -332,17 +332,10 @@ struct Campaign
 
     /**
      * Configuration fingerprint (campaignFingerprint) persisted in
-     * the v2/v3 headers so caches detect config drift the filename
-     * key missed.  0 in campaigns loaded from v1 files.
+     * the manifest and every shard so caches detect config drift
+     * the cache key missed.
      */
     std::uint64_t fingerprint = 0;
-
-    /**
-     * Format version this campaign was loaded from (2 for new
-     * in-memory campaigns; 3 when loaded from a sharded binary
-     * campaign_v3 directory).
-     */
-    int formatVersion = 2;
 
     /** Index of @p kind in policies; fatal when absent. */
     std::size_t policyIndex(PolicyKind kind) const;
@@ -367,16 +360,18 @@ struct Campaign
     double mips() const;
 
     /**
-     * Persist in the campaign_v2 format (fingerprint header,
-     * record-count + checksum footer) via an atomic replace.
-     * Population-scale campaigns should be written as campaign_v3
-     * shards by the population runner instead (sim/population.hh).
+     * Persist as a campaign_v3 directory at @p path: shards cut
+     * from the IPC matrix, keyed on the fingerprint, then the
+     * manifest as the commit point.  A workload list that is not a
+     * population rank range is stored as the manifest's rank list.
+     * A campaign directory already at @p path is replaced; a file
+     * or any other directory there is fatal.
      */
     void save(const std::string &path) const;
 
     /**
-     * Load a persisted campaign: a campaign_v3 directory when
-     * @p path is one, else a v2 (or legacy v1) file.
+     * Load a campaign_v3 directory; a campaign_v2 or v1 text file
+     * is refused like any other damage.
      * @see LoadMode for failure semantics.
      */
     static Campaign load(const std::string &path,
@@ -386,8 +381,8 @@ struct Campaign
 /**
  * Fingerprint of everything that determines a campaign's numbers:
  * simulator kind, core count, slice length, policy list, and the
- * suite (benchmark names and parameter hashes).  Stored in v2
- * headers and v3 shards; compared by cachedCampaign so a stale
+ * suite (benchmark names and parameter hashes).  Stored in v3
+ * manifests and shards; compared by cachedCampaign so a stale
  * cache is detected even when the filename key did not change
  * (e.g. a edited benchmark profile or policy list).
  */
@@ -472,27 +467,30 @@ Campaign runDetailedCampaign(
     const CampaignOptions &opts = {});
 
 /**
- * Load the campaign cached under @p cache_key in the WSEL cache
- * directory if present; otherwise invoke @p produce and persist the
- * result.  With no cache directory configured, always produces.
+ * Load the campaign cached under @p cache_key in @p cache_dir if
+ * present; otherwise invoke @p produce and persist the result as
+ * the campaign_v3 directory `<cache_dir>/campaign_v3_<cache_key>`.
+ * An empty @p cache_dir always produces.
  *
  * Robustness semantics:
- *  - An advisory lock (`<file>.lock`) serializes concurrent
+ *  - An advisory lock (`<dir>.lock`) serializes concurrent
  *    processes on the same key; the loser of the race blocks and
  *    then loads the winner's result instead of re-simulating.
- *  - A cached file that is truncated, checksum-mismatched,
- *    version-skewed, or (when @p expected_fingerprint is nonzero)
- *    fingerprint-mismatched is quarantined to `*.corrupt` with a
- *    warning and the campaign is regenerated.
+ *  - A cached directory with no manifest (a save that was killed),
+ *    a damaged shard or manifest, a file in its place, or (when
+ *    @p expected_fingerprint is nonzero) a fingerprint mismatch is
+ *    quarantined to `*.corrupt` with a warning and the campaign is
+ *    regenerated.
  *  - @p produce may accept a checkpoint path argument
- *    (`<file>.partial`, CampaignOptions::checkpointDir); the runners
+ *    (`<dir>.partial`, CampaignOptions::checkpointDir); the runners
  *    checkpoint shards into it and resume from it, so a killed
- *    process loses at most one shard of work.  The directory is
+ *    process loses at most one shard of work.  The checkpoint is
  *    removed after the final artifact is saved.
  */
 template <typename ProduceFn>
 Campaign
-cachedCampaign(const std::string &cache_key,
+cachedCampaign(const std::string &cache_dir,
+               const std::string &cache_key,
                std::uint64_t expected_fingerprint,
                ProduceFn &&produce)
 {
@@ -505,29 +503,24 @@ cachedCampaign(const std::string &cache_key,
             return produce();
         }
     };
-    const std::string dir = defaultCacheDir();
-    if (dir.empty())
+    if (cache_dir.empty())
         return invoke("");
-    const std::string path =
-        dir + "/campaign_v2_" + cache_key + ".csv";
+    persist::ensureDirTree(cache_dir);
+    const std::string path = cache_dir + "/campaign_v3_" + cache_key;
     persist::FileLock lock(path + ".lock");
     if (std::filesystem::exists(path)) {
         try {
             Campaign c = Campaign::load(path, LoadMode::Cached);
-            if (c.formatVersion >= 2 &&
-                (expected_fingerprint == 0 ||
-                 c.fingerprint == expected_fingerprint)) {
+            if (expected_fingerprint == 0 ||
+                c.fingerprint == expected_fingerprint) {
                 obs::counter("persist.cache_hit").inc();
                 return c;
             }
             persist::quarantineArtifact(
                 path, "stale campaign cache",
-                c.formatVersion < 2
-                    ? "old format version"
-                    : "configuration fingerprint changed",
-                "re-simulating");
+                "configuration fingerprint changed", "re-simulating");
         } catch (const persist::CacheInvalid &) {
-            // load() already quarantined the file and warned.
+            // load() already quarantined the directory and warned.
         }
     }
     obs::counter("persist.cache_miss").inc();

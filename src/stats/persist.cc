@@ -72,27 +72,6 @@ toHex(std::uint64_t v)
     return s;
 }
 
-bool
-parseHex(std::string_view s, std::uint64_t &out)
-{
-    if (s.empty() || s.size() > 16)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        v <<= 4;
-        if (c >= '0' && c <= '9')
-            v |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            v |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else if (c >= 'A' && c <= 'F')
-            v |= static_cast<std::uint64_t>(c - 'A' + 10);
-        else
-            return false;
-    }
-    out = v;
-    return true;
-}
-
 void
 atomicWriteFile(const std::string &path, std::string_view contents)
 {
@@ -165,14 +144,19 @@ std::string
 quarantineFile(const std::string &path)
 {
     std::error_code ec;
-    std::string target = path + ".corrupt";
-    for (int n = 1; std::filesystem::exists(target, ec) && n < 100;
-         ++n)
-        target = path + ".corrupt." + std::to_string(n);
-    std::filesystem::rename(path, target, ec);
-    if (!ec)
+    for (int n = 0; n < 100; ++n) {
+        std::string target = path + ".corrupt";
+        if (n > 0)
+            target += '.' + std::to_string(n);
+        if (std::filesystem::exists(target, ec))
+            continue;
+        std::filesystem::rename(path, target, ec);
+        if (ec)
+            return "";
         obs::counter("persist.cache_quarantine").inc();
-    return ec ? std::string() : target;
+        return target;
+    }
+    return "";
 }
 
 void

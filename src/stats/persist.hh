@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-safe persistence primitives shared by every on-disk cache
- * writer (campaign CSVs, BADCO model binaries, campaign shards):
+ * writer (campaign_v3 directories, BADCO model binaries):
  * atomic file replacement, advisory file locking, a streaming
  * checksum, the sealed-file codec of the binary artifacts,
  * corrupt-artifact quarantine, and test-only fault injection
@@ -92,9 +92,6 @@ std::uint64_t fnv1a(std::string_view s);
 /** Lower-case hex rendering of a 64-bit value (no 0x prefix). */
 std::string toHex(std::uint64_t v);
 
-/** Parse toHex output; false on malformed input. */
-bool parseHex(std::string_view s, std::uint64_t &out);
-
 /**
  * Atomically replace @p path with @p contents: write a temporary
  * file in the same directory, fsync it, and rename it over the
@@ -109,10 +106,14 @@ void atomicWriteFile(const std::string &path,
                      std::string_view contents);
 
 /**
- * Rename a corrupt cache artifact out of the way, to
- * `<path>.corrupt` (or `.corrupt.N` when that exists).
+ * Rename a corrupt cache artifact (a file or a directory) out of
+ * the way, to the first free name of `<path>.corrupt`,
+ * `<path>.corrupt.1` ... `<path>.corrupt.99`.  An earlier
+ * quarantined copy is never replaced: when every name is taken the
+ * artifact stays where it is.
  *
- * @return The new path, or "" when the rename failed.
+ * @return The new path, or "" when no name was free or the rename
+ *         failed.
  */
 std::string quarantineFile(const std::string &path);
 

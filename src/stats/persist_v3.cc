@@ -77,8 +77,12 @@ writeV3Manifest(const std::string &dir, const V3Manifest &m)
         WSEL_FATAL("v3 manifest with zero shard rows");
     if (m.refIpc.size() != m.benchmarks.size())
         WSEL_FATAL("v3 manifest refIpc/benchmark size mismatch");
+    if (!m.ranks.empty() &&
+        (m.firstRank != 0 || m.ranks.size() != m.rows()))
+        WSEL_FATAL("v3 manifest rank list does not match its rows");
     Writer w(kManifestMagic, kV3Version,
-             256 + 16 * (m.policies.size() + m.benchmarks.size()));
+             256 + 16 * (m.policies.size() + m.benchmarks.size()) +
+                 8 * m.ranks.size());
     w.u64(m.fingerprint);
     w.str(m.simulator);
     w.u32(m.cores);
@@ -97,6 +101,11 @@ writeV3Manifest(const std::string &dir, const V3Manifest &m)
     w.u64(m.firstRank);
     w.u64(m.lastRank);
     w.u64(m.shardRows);
+    if (!m.ranks.empty()) {
+        w.u64(m.ranks.size());
+        for (std::uint64_t rank : m.ranks)
+            w.u64(rank);
+    }
     w.seal(v3ManifestPath(dir));
 }
 
@@ -136,6 +145,17 @@ readV3Manifest(const std::string &dir)
     m.firstRank = r.u64();
     m.lastRank = r.u64();
     m.shardRows = r.u64();
+    if (r.remaining() > 0) {
+        // The rank list of a sampled campaign: bounded by the bytes
+        // left before it sizes the vector.
+        const std::uint64_t n = r.u64();
+        r.count(n, r.remaining() / 8, "rank-list length");
+        if (n == 0 || m.firstRank != 0 || n != m.rows())
+            r.fail("rank list does not match the row range");
+        m.ranks.resize(static_cast<std::size_t>(n));
+        for (std::uint64_t &rank : m.ranks)
+            rank = r.u64();
+    }
     r.expectEnd();
     if (m.lastRank < m.firstRank || m.shardRows == 0 ||
         m.policies.empty() || m.cores == 0)

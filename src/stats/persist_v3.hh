@@ -17,17 +17,23 @@
  * or quarantinable, and a resumed run regenerates exactly the
  * missing/invalid shards.
  *
- * Shard s covers workload ranks
- * [firstRank + s*shardRows, firstRank + min((s+1)*shardRows, rows))
- * of the population in rank order.  Its payload is
+ * Shard s covers rows
+ * [firstRank + s*shardRows, firstRank + min((s+1)*shardRows, rows)).
+ * A population campaign's rows are those population ranks, in rank
+ * order.  A sampled campaign's workload list is no rank range, so
+ * its manifest ends with a counted list of u64 population ranks
+ * over (popBenchmarks, popCores), one per row (firstRank is then
+ * 0 and rows() the list length).  The list is written only for such
+ * campaigns, so a range manifest has no trailing section.  Its
+ * payload is
  * rowsInShard(s) x policies x cores doubles, row-major (workload,
  * then policy, then core) — the order cells are produced in, so
  * writers stream.  Shards carry no wall-clock timing (that lives in
  * the manifest), which is what makes serial and --jobs N runs
  * bitwise identical per shard.
  *
- * campaign_v2 (text, explicit workload list) remains the format for
- * sampled campaigns; Campaign::load dispatches on the path type.
+ * Every campaign is stored this way: population sweeps, the serve
+ * store, and the sampled campaigns Campaign::save writes.
  */
 
 #ifndef WSEL_STATS_PERSIST_V3_HH
@@ -60,6 +66,13 @@ struct V3Manifest
     std::uint64_t firstRank = 0;     ///< first population rank
     std::uint64_t lastRank = 0;      ///< one past the last rank
     std::uint64_t shardRows = 0;     ///< workload rows per shard
+
+    /**
+     * Population rank of each row, for a workload list that is not
+     * a rank range; empty for a range.  Non-empty means firstRank
+     * is 0 and there is one rank per row.
+     */
+    std::vector<std::uint64_t> ranks;
 
     std::uint64_t rows() const { return lastRank - firstRank; }
     std::uint64_t shardCount() const;

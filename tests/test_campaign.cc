@@ -3,14 +3,15 @@
  * Tests for campaign running, persistence and throughput extraction.
  */
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "fault_injection.hh"
 #include "sim/campaign.hh"
 #include "stats/logging.hh"
+#include "stats/persist_v3.hh"
 #include "test_util.hh"
 
 namespace wsel
@@ -90,24 +91,89 @@ TEST(Campaign, SaveLoadRoundTrip)
 {
     const Campaign c = tinyCampaign();
     const auto path = std::filesystem::temp_directory_path() /
-                      "wsel_test_campaign.csv";
+                      "wsel_test_campaign";
+    std::filesystem::remove_all(path);
     c.save(path.string());
+    EXPECT_TRUE(persist::isV3CampaignDir(path.string()));
     const Campaign r = Campaign::load(path.string());
     EXPECT_EQ(r.simulator, c.simulator);
     EXPECT_EQ(r.cores, c.cores);
     EXPECT_EQ(r.targetUops, c.targetUops);
     EXPECT_EQ(r.policies, c.policies);
     EXPECT_EQ(r.benchmarks, c.benchmarks);
-    ASSERT_EQ(r.workloads.size(), c.workloads.size());
-    for (std::size_t w = 0; w < c.workloads.size(); ++w)
-        EXPECT_EQ(r.workloads[w], c.workloads[w]);
-    for (std::size_t i = 0; i < c.refIpc.size(); ++i)
-        EXPECT_DOUBLE_EQ(r.refIpc[i], c.refIpc[i]);
-    for (std::size_t p = 0; p < c.policies.size(); ++p)
-        for (std::size_t w = 0; w < c.workloads.size(); ++w)
-            for (std::size_t k = 0; k < c.cores; ++k)
-                EXPECT_DOUBLE_EQ(r.ipc[p][w][k], c.ipc[p][w][k]);
-    std::filesystem::remove(path);
+    EXPECT_EQ(r.fingerprint, c.fingerprint);
+    EXPECT_EQ(r.instructions, c.instructions);
+    EXPECT_EQ(r.simSeconds, c.simSeconds);
+    EXPECT_EQ(r.refIpc, c.refIpc);
+    EXPECT_TRUE(r.workloads == c.workloads);
+    EXPECT_TRUE(r.ipc == c.ipc);
+    std::filesystem::remove_all(path);
+}
+
+TEST(Campaign, PopulationRangeSavesARangeManifest)
+{
+    const auto suite = testSuite();
+    const WorkloadPopulation pop(2, 2);
+    BadcoModelStore store(CoreConfig{}, 6000, 5);
+    const Campaign c = runBadcoCampaign(
+        WorkloadSet::fullPopulation(pop), {PolicyKind::LRU}, 2, 6000,
+        store, suite);
+    const auto path = std::filesystem::temp_directory_path() /
+                      "wsel_test_campaign_range";
+    std::filesystem::remove_all(path);
+    c.save(path.string());
+    const persist::V3Manifest m = persist::readV3Manifest(path.string());
+    EXPECT_TRUE(m.ranks.empty());
+    EXPECT_EQ(m.firstRank, 0u);
+    EXPECT_EQ(m.lastRank, pop.size());
+    const Campaign r = Campaign::load(path.string());
+    EXPECT_TRUE(r.workloads.isPopulationRange());
+    EXPECT_TRUE(r.ipc == c.ipc);
+
+    // The sampled tiny campaign stores its list as ranks instead.
+    tinyCampaign().save(path.string());
+    EXPECT_EQ(persist::readV3Manifest(path.string()).ranks,
+              (std::vector<std::uint64_t>{0, 1, 2}));
+    std::filesystem::remove_all(path);
+}
+
+TEST(Campaign, SaveReplacesOnlyACampaignDirectory)
+{
+    const auto root = std::filesystem::temp_directory_path() /
+                      "wsel_test_campaign_replace";
+    std::filesystem::remove_all(root);
+    std::filesystem::create_directories(root);
+    const Campaign c = tinyCampaign();
+
+    // A campaign already there is replaced, stale shards included.
+    const std::string dir = (root / "c").string();
+    c.save(dir);
+    {
+        std::ofstream os(persist::v3ShardPath(dir, 7));
+        os << "stale";
+    }
+    c.save(dir);
+    EXPECT_FALSE(std::filesystem::exists(persist::v3ShardPath(dir, 7)));
+    EXPECT_TRUE(Campaign::load(dir).ipc == c.ipc);
+
+    // A file, or a directory holding anything else, is never
+    // overwritten.
+    const std::string file = (root / "f").string();
+    {
+        std::ofstream os(file);
+        os << "keep me";
+    }
+    EXPECT_THROW(c.save(file), FatalError);
+    EXPECT_EQ(test::readFile(file), "keep me");
+    const std::string other = (root / "other").string();
+    std::filesystem::create_directories(other);
+    {
+        std::ofstream os(other + "/notes.txt");
+        os << "keep me";
+    }
+    EXPECT_THROW(c.save(other), FatalError);
+    EXPECT_EQ(test::readFile(other + "/notes.txt"), "keep me");
+    std::filesystem::remove_all(root);
 }
 
 TEST(Campaign, LoadRejectsGarbage)
@@ -120,6 +186,10 @@ TEST(Campaign, LoadRejectsGarbage)
     }
     EXPECT_THROW(Campaign::load(path.string()), FatalError);
     std::filesystem::remove(path);
+    // A directory with no manifest is no campaign either.
+    std::filesystem::create_directories(path);
+    EXPECT_THROW(Campaign::load(path.string()), FatalError);
+    std::filesystem::remove_all(path);
 }
 
 TEST(Campaign, CachedCampaignProducesOnceThenLoads)
@@ -127,18 +197,23 @@ TEST(Campaign, CachedCampaignProducesOnceThenLoads)
     const auto dir = std::filesystem::temp_directory_path() /
                      "wsel_test_campaign_cache";
     std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    setenv("WSEL_CACHE_DIR", dir.c_str(), 1);
     int produced = 0;
     auto produce = [&]() {
         ++produced;
         return tinyCampaign();
     };
-    const Campaign a = cachedCampaign("unit_test_key", 0, produce);
-    const Campaign b = cachedCampaign("unit_test_key", 0, produce);
+    const Campaign a =
+        cachedCampaign(dir.string(), "unit_test_key", 0, produce);
+    const Campaign b =
+        cachedCampaign(dir.string(), "unit_test_key", 0, produce);
     EXPECT_EQ(produced, 1);
-    EXPECT_EQ(a.workloads.size(), b.workloads.size());
-    unsetenv("WSEL_CACHE_DIR");
+    EXPECT_TRUE(persist::isV3CampaignDir(
+        (dir / "campaign_v3_unit_test_key").string()));
+    EXPECT_TRUE(a.workloads == b.workloads);
+    EXPECT_TRUE(a.ipc == b.ipc);
+    // An empty cache directory always produces.
+    cachedCampaign("", "unit_test_key", 0, produce);
+    EXPECT_EQ(produced, 2);
     std::filesystem::remove_all(dir);
 }
 

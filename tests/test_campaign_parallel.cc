@@ -234,6 +234,40 @@ TEST_F(CampaignParallel, DetailedCampaignIsJobsInvariant)
     expectSameResults(serial, parallel);
 }
 
+TEST_F(CampaignParallel, SavedSampleLoadsBitwiseAtAnyJobs)
+{
+    // A sampled list (out of rank order, one workload twice) saved
+    // as a campaign_v3 directory and loaded back equals the
+    // in-memory campaign exactly, for both simulators and any jobs.
+    const auto suite = testSuite();
+    const WorkloadPopulation pop(2, 4); // 5 workloads
+    const std::vector<Workload> sample = {pop.unrank(4), pop.unrank(0),
+                                          pop.unrank(2), pop.unrank(2)};
+    BadcoModelStore store(CoreConfig{}, kUops, 5, path("models"));
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        CampaignOptions opts;
+        opts.jobs = jobs;
+        const Campaign runs[] = {
+            runBadcoCampaign(sample, kPolicies, 4, kUops, store, suite,
+                             opts),
+            runDetailedCampaign(sample, {PolicyKind::LRU}, 4, kUops,
+                                CoreConfig{}, suite, opts)};
+        for (const Campaign &c : runs) {
+            SCOPED_TRACE(c.simulator + " jobs " + std::to_string(jobs));
+            const std::string dir =
+                path(c.simulator + std::to_string(jobs));
+            c.save(dir);
+            const Campaign r = Campaign::load(dir);
+            EXPECT_TRUE(r.ipc == c.ipc);
+            EXPECT_TRUE(r.workloads == c.workloads);
+            EXPECT_EQ(r.refIpc, c.refIpc);
+            EXPECT_EQ(r.policies, c.policies);
+            EXPECT_EQ(r.fingerprint, c.fingerprint);
+            EXPECT_EQ(r.instructions, c.instructions);
+        }
+    }
+}
+
 TEST_F(CampaignParallel, DetailedCampaignJobsInvariantUnderTraceEviction)
 {
     // Same contract as DetailedCampaignIsJobsInvariant, but with the

@@ -1,10 +1,11 @@
 /**
  * @file
  * Fault-tolerance tests for campaign persistence: checkpoint/resume
- * via campaign_v3 checkpoint shards under injected kill-points, integrity validation
- * (truncation, bit flips, version skew, fingerprint drift) with
- * quarantine-and-regenerate semantics, atomic file replacement, and
- * advisory locking across processes.
+ * via campaign_v3 checkpoint shards under injected kill-points,
+ * integrity validation of saved campaign_v3 directories (truncation,
+ * bit flips, a killed save, campaign_v2 text, fingerprint drift)
+ * with quarantine-and-regenerate semantics, atomic file
+ * replacement, and advisory locking across processes.
  */
 
 #include <algorithm>
@@ -25,9 +26,12 @@
 #include <gtest/gtest.h>
 
 #include "fault_injection.hh"
+#include "fidelity/calibrate.hh"
+#include "obs/metrics.hh"
 #include "sim/campaign.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
+#include "stats/persist_v3.hh"
 #include "test_util.hh"
 
 namespace wsel
@@ -151,154 +155,98 @@ class Resilience : public ::testing::Test
 };
 
 // ---------------------------------------------------------------
-// Format v2: round trip, integrity, strict-load error reporting.
+// Format v3: round trip, integrity, strict-load error reporting.
 // ---------------------------------------------------------------
 
-TEST_F(Resilience, SaveLoadRoundTripV2)
+TEST_F(Resilience, SaveLoadRoundTripV3)
 {
     const Campaign c = runTiny();
     EXPECT_NE(c.fingerprint, 0u);
-    const std::string file = path("roundtrip.csv");
-    c.save(file);
+    const std::string dir = path("roundtrip");
+    c.save(dir);
 
-    const std::string text = test::readFile(file);
-    EXPECT_EQ(text.rfind("wsel-campaign,v2\n", 0), 0u);
-    EXPECT_NE(text.find("\nfingerprint,"), std::string::npos);
-    EXPECT_NE(text.find("\nfooter,"), std::string::npos);
+    // One shard (6 cells) and the manifest, whose rank list holds
+    // the explicit workload list.
+    EXPECT_TRUE(fs::exists(persist::v3ShardPath(dir, 0)));
+    EXPECT_FALSE(fs::exists(persist::v3ShardPath(dir, 1)));
+    const persist::V3Manifest m = persist::readV3Manifest(dir);
+    EXPECT_EQ(m.fingerprint, c.fingerprint);
+    EXPECT_EQ(m.ranks, (std::vector<std::uint64_t>{0, 1, 2}));
 
-    const Campaign r = Campaign::load(file);
-    EXPECT_EQ(r.formatVersion, 2);
+    const Campaign r = Campaign::load(dir);
     EXPECT_EQ(r.simulator, c.simulator);
     EXPECT_EQ(r.cores, c.cores);
     EXPECT_EQ(r.targetUops, c.targetUops);
     EXPECT_EQ(r.policies, c.policies);
     EXPECT_EQ(r.benchmarks, c.benchmarks);
+    EXPECT_EQ(r.refIpc, c.refIpc);
+    EXPECT_TRUE(r.workloads == c.workloads);
     expectSameResults(r, c);
 }
 
-TEST_F(Resilience, LegacyV1StillLoadsStrict)
+TEST_F(Resilience, TextCampaignFilesAreRefused)
 {
-    const Campaign c = runTiny();
-    const std::string file = path("legacy.csv");
-    c.save(file);
-    // Down-convert the saved v2 file to v1: drop the fingerprint
-    // line and the footer, and rewrite the version tag.
-    std::string text = test::readFile(file);
-    const auto fp_at = text.find("fingerprint,");
-    const auto fp_end = text.find('\n', fp_at);
-    text.erase(fp_at, fp_end - fp_at + 1);
-    const auto foot_at = text.rfind("footer,");
-    text.erase(foot_at);
-    text.replace(text.find("v2"), 2, "v1");
-    const std::string v1 = path("legacy_v1.csv");
+    // A campaign_v2 text file from an older build is no longer
+    // read: fatal when the user names it, quarantined when it sits
+    // in a cache.
+    const std::string file = path("old.csv");
     {
-        std::ofstream os(v1, std::ios::binary);
-        os << text;
+        std::ofstream os(file, std::ios::binary);
+        os << "wsel-campaign,v2\nfingerprint,00000000deadbeef\n";
     }
-    const Campaign r = Campaign::load(v1);
-    EXPECT_EQ(r.formatVersion, 1);
-    EXPECT_EQ(r.fingerprint, 0u);
-    ASSERT_EQ(r.workloads.size(), c.workloads.size());
-    for (std::size_t p = 0; p < c.policies.size(); ++p)
-        for (std::size_t w = 0; w < c.workloads.size(); ++w)
-            EXPECT_EQ(r.ipc[p][w], c.ipc[p][w]);
-}
-
-TEST_F(Resilience, MalformedNumericFieldsAreFatalNotStdExceptions)
-{
-    // v1 has no checksum, so malformed fields reach the numeric
-    // parsers directly; each must surface as FatalError (with file
-    // and line context), never as a raw std::invalid_argument or
-    // std::out_of_range escaping std::stoull/std::stod.
-    const std::string base = "wsel-campaign,v1\n"
-                             "simulator,badco\n"
-                             "cores,2\n"
-                             "target,4000\n"
-                             "simseconds,0.5\n"
-                             "instructions,48000\n"
-                             "policies,LRU;DIP\n"
-                             "benchmarks,a;b\n"
-                             "refipc,1.0;2.0\n"
-                             "nworkloads,1\n"
-                             "w,0;1\n"
-                             "i,0,0,1.0;1.0\n"
-                             "i,1,0,1.0;1.0\n";
-    const struct
-    {
-        std::string from, to;
-    } cases[] = {
-        {"cores,2", "cores,two"},
-        {"cores,2", "cores,-2"},
-        {"target,4000", "target,40x0"},
-        {"target,4000", "target,99999999999999999999999"},
-        {"simseconds,0.5", "simseconds,fast"},
-        {"instructions,48000", "instructions,"},
-        {"refipc,1.0;2.0", "refipc,1.0;two"},
-        {"nworkloads,1", "nworkloads,one"},
-        {"w,0;1", "w,0;x"},
-        {"i,0,0,1.0;1.0", "i,zero,0,1.0;1.0"},
-        {"i,0,0,1.0;1.0", "i,0,0,1.0;oops"},
-        {"policies,LRU;DIP", "policies,LRU;BOGUS"},
-    };
-    int idx = 0;
-    for (const auto &tc : cases) {
-        std::string text = base;
-        const auto at = text.find(tc.from);
-        ASSERT_NE(at, std::string::npos) << tc.from;
-        text.replace(at, tc.from.size(), tc.to);
-        const std::string file =
-            path("malformed_" + std::to_string(idx++) + ".csv");
-        {
-            std::ofstream os(file, std::ios::binary);
-            os << text;
-        }
-        try {
-            Campaign::load(file);
-            FAIL() << "loaded malformed file: " << tc.to;
-        } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find(file),
-                      std::string::npos)
-                << "error lacks file context: " << e.what();
-        }
+    try {
+        Campaign::load(file);
+        FAIL() << "loaded a text campaign";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("campaign_v2"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(file), std::string::npos)
+            << e.what();
     }
+    EXPECT_THROW(Campaign::load(file, LoadMode::Cached),
+                 persist::CacheInvalid);
+    EXPECT_FALSE(fs::exists(file));
+    EXPECT_TRUE(fs::exists(file + ".corrupt"));
 }
 
 TEST_F(Resilience, TruncationAtEveryByteIsDetected)
 {
     const Campaign c = runTiny();
-    const std::string file = path("full.csv");
-    c.save(file);
-    const std::string text = test::readFile(file);
-    const std::string cut_file = path("cut.csv");
-    for (std::size_t cut = 0; cut < text.size(); ++cut) {
-        {
-            std::ofstream os(cut_file, std::ios::binary);
-            os.write(text.data(),
-                     static_cast<std::streamsize>(cut));
+    const std::string dir = path("full");
+    c.save(dir);
+    for (const std::string &file :
+         {persist::v3ManifestPath(dir), persist::v3ShardPath(dir, 0)}) {
+        const std::string bytes = test::readFile(file);
+        for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+            {
+                std::ofstream os(file, std::ios::binary);
+                os.write(bytes.data(),
+                         static_cast<std::streamsize>(cut));
+            }
+            EXPECT_THROW(Campaign::load(dir), FatalError)
+                << file << " truncated at byte " << cut;
         }
-        EXPECT_THROW(Campaign::load(cut_file), FatalError)
-            << "truncation at byte " << cut << " went undetected";
+        // Sanity: the untruncated file still loads.
+        {
+            std::ofstream os(file, std::ios::binary);
+            os << bytes;
+        }
+        EXPECT_NO_THROW(Campaign::load(dir));
     }
-    // Sanity: the untruncated file still loads.
-    {
-        std::ofstream os(cut_file, std::ios::binary);
-        os << text;
-    }
-    EXPECT_NO_THROW(Campaign::load(cut_file));
 }
 
 TEST_F(Resilience, BitFlipFailsChecksum)
 {
     const Campaign c = runTiny();
-    const std::string file = path("flip.csv");
-    c.save(file);
-    // Flip a low bit of a digit inside an IPC row: the value stays
-    // parseable, so only the checksum can catch it.
-    const std::string text = test::readFile(file);
-    const auto row = text.find("\ni,0,0,");
-    ASSERT_NE(row, std::string::npos);
-    test::flipBit(file, row + 8, 0); // a digit of the first value
-    EXPECT_THROW(Campaign::load(file), FatalError);
+    const std::string dir = path("flip");
+    c.save(dir);
+    // Flip the low mantissa bit of the last IPC value (the 8 bytes
+    // before the checksum): the value stays a plausible double, so
+    // only the checksum can catch it.
+    const std::string shard = persist::v3ShardPath(dir, 0);
+    test::flipBit(shard, test::fileSize(shard) - 16, 0);
+    EXPECT_THROW(Campaign::load(dir), FatalError);
 }
 
 // ---------------------------------------------------------------
@@ -312,21 +260,20 @@ TEST_F(Resilience, CorruptCacheIsQuarantinedAndRegenerated)
         ++produced;
         return runTiny();
     };
-    const Campaign a = cachedCampaign("resil", 0, produce);
+    const Campaign a = cachedCampaign(dir_, "resil", 0, produce);
     EXPECT_EQ(produced, 1);
-    const std::string file = path("campaign_v2_resil.csv");
-    ASSERT_TRUE(fs::exists(file));
+    const std::string cached = path("campaign_v3_resil");
+    ASSERT_TRUE(persist::isV3CampaignDir(cached));
 
-    const auto row = test::readFile(file).find("\ni,0,0,");
-    ASSERT_NE(row, std::string::npos);
-    test::flipBit(file, row + 8, 0);
+    const std::string shard = persist::v3ShardPath(cached, 0);
+    test::flipBit(shard, test::fileSize(shard) - 16, 0);
 
-    const Campaign b = cachedCampaign("resil", 0, produce);
+    const Campaign b = cachedCampaign(dir_, "resil", 0, produce);
     EXPECT_EQ(produced, 2);
     EXPECT_EQ(countContaining(".corrupt"), 1u);
     expectSameResults(a, b);
-    // The regenerated file is valid again.
-    EXPECT_NO_THROW(Campaign::load(file));
+    // The regenerated directory is valid again.
+    EXPECT_NO_THROW(Campaign::load(cached));
 }
 
 TEST_F(Resilience, TruncatedCacheIsQuarantinedAndRegenerated)
@@ -336,12 +283,44 @@ TEST_F(Resilience, TruncatedCacheIsQuarantinedAndRegenerated)
         ++produced;
         return runTiny();
     };
-    cachedCampaign("trunc", 0, produce);
-    const std::string file = path("campaign_v2_trunc.csv");
-    test::truncateFile(file, test::fileSize(file) / 2);
-    cachedCampaign("trunc", 0, produce);
+    cachedCampaign(dir_, "trunc", 0, produce);
+    const std::string manifest =
+        persist::v3ManifestPath(path("campaign_v3_trunc"));
+    test::truncateFile(manifest, test::fileSize(manifest) / 2);
+    cachedCampaign(dir_, "trunc", 0, produce);
     EXPECT_EQ(produced, 2);
     EXPECT_EQ(countContaining(".corrupt"), 1u);
+}
+
+TEST_F(Resilience, KilledSaveIsQuarantinedAndResumed)
+{
+    // A save killed after its shard but before its manifest leaves
+    // a directory with no commit point.  The next call quarantines
+    // it and finishes from the checkpoint, which the killed call
+    // had not yet removed, so no cell runs again.
+    const std::string models = path("models");
+    const Campaign base = runTiny("", models);
+    int produced = 0;
+    auto produce = [&](const std::string &checkpoint) {
+        ++produced;
+        return runTiny(checkpoint, models);
+    };
+    {
+        // Atomic writes: 3 checkpoint shards, then the saved shard.
+        test::FaultInjector kill("atomic.after-rename", 4);
+        EXPECT_THROW(cachedCampaign(dir_, "killed", 0, produce),
+                     test::InjectedFault);
+    }
+    const std::string cached = path("campaign_v3_killed");
+    ASSERT_TRUE(fs::exists(persist::v3ShardPath(cached, 0)));
+    ASSERT_FALSE(persist::isV3CampaignDir(cached));
+    test::FaultInjector counting;
+    const Campaign c = cachedCampaign(dir_, "killed", 0, produce);
+    EXPECT_EQ(produced, 2);
+    EXPECT_EQ(counting.hits("population.cell"), 0u);
+    EXPECT_EQ(countContaining("campaign_v3_killed.corrupt"), 1u);
+    expectSameResults(base, c);
+    EXPECT_TRUE(persist::isV3CampaignDir(cached));
 }
 
 TEST_F(Resilience, FingerprintMismatchIsQuarantinedAndRegenerated)
@@ -351,17 +330,17 @@ TEST_F(Resilience, FingerprintMismatchIsQuarantinedAndRegenerated)
         ++produced;
         return runTiny();
     };
-    const Campaign a = cachedCampaign("fpr", 0, produce);
+    const Campaign a = cachedCampaign(dir_, "fpr", 0, produce);
     EXPECT_EQ(produced, 1);
     // Same key, different expected fingerprint: the config changed
-    // in a way the filename key missed -> re-simulate.
+    // in a way the cache key missed -> re-simulate.
     const Campaign b =
-        cachedCampaign("fpr", a.fingerprint + 1, produce);
+        cachedCampaign(dir_, "fpr", a.fingerprint + 1, produce);
     EXPECT_EQ(produced, 2);
     EXPECT_EQ(countContaining(".corrupt"), 1u);
     // Matching fingerprint is served from cache.
     const Campaign d =
-        cachedCampaign("fpr", a.fingerprint, produce);
+        cachedCampaign(dir_, "fpr", a.fingerprint, produce);
     EXPECT_EQ(produced, 2);
     expectSameResults(b, d);
 }
@@ -373,22 +352,49 @@ TEST_F(Resilience, VersionSkewedCacheIsQuarantinedAndRegenerated)
         ++produced;
         return runTiny();
     };
-    const Campaign a = cachedCampaign("skew", 0, produce);
-    const std::string file = path("campaign_v2_skew.csv");
-    // Replace the cache with a valid *v1* file (old format).
-    std::string text = test::readFile(file);
-    const auto fp_at = text.find("fingerprint,");
-    text.erase(fp_at, text.find('\n', fp_at) - fp_at + 1);
-    text.erase(text.rfind("footer,"));
-    text.replace(text.find("v2"), 2, "v1");
+    const Campaign a = cachedCampaign(dir_, "skew", 0, produce);
+    // Replace the cached directory with campaign_v2 text, the
+    // format of older builds.
+    const std::string cached = path("campaign_v3_skew");
+    fs::remove_all(cached);
     {
-        std::ofstream os(file, std::ios::binary);
-        os << text;
+        std::ofstream os(cached, std::ios::binary);
+        os << "wsel-campaign,v2\nfingerprint,"
+           << persist::toHex(a.fingerprint) << "\n";
     }
-    const Campaign b = cachedCampaign("skew", 0, produce);
+    const Campaign b = cachedCampaign(dir_, "skew", 0, produce);
     EXPECT_EQ(produced, 2);
     EXPECT_EQ(countContaining(".corrupt"), 1u);
     expectSameResults(a, b);
+    EXPECT_TRUE(persist::isV3CampaignDir(cached));
+}
+
+TEST_F(Resilience, CalibrationCampaignsCacheUnderTheirCacheDir)
+{
+    // runCalibrationCampaigns caches its pair under its cache_dir
+    // argument, with $WSEL_CACHE_DIR (here: caching off) ignored,
+    // so a second call is two cache hits and simulates nothing.
+    setenv("WSEL_CACHE_DIR", "", 1);
+    const auto suite = testSuite();
+    const std::string cache = path("calib");
+    const auto calibrate = [&] {
+        return fidelity::runCalibrationCampaigns(2, kUops, 2, 1, suite,
+                                                 kPolicies, cache);
+    };
+    const fidelity::CalibrationCampaigns first = calibrate();
+    obs::enableMetrics();
+    const std::uint64_t hits0 =
+        obs::counter("persist.cache_hit").value();
+    test::FaultInjector counting;
+    const fidelity::CalibrationCampaigns second = calibrate();
+    const std::uint64_t hits =
+        obs::counter("persist.cache_hit").value() - hits0;
+    obs::enableMetrics(false);
+    EXPECT_EQ(hits, 2u);
+    EXPECT_EQ(counting.hits("population.cell"), 0u);
+    EXPECT_EQ(counting.hits("fidelity.escalate"), 0u);
+    expectSameResults(first.detailed, second.detailed);
+    expectSameResults(first.badco, second.badco);
 }
 
 // ---------------------------------------------------------------
@@ -558,22 +564,20 @@ TEST_F(Resilience, CachedCampaignResumesAcrossCalls)
     };
     {
         test::FaultInjector kill("population.cell", 3);
-        EXPECT_THROW(cachedCampaign("resume", 0, produce),
+        EXPECT_THROW(cachedCampaign(dir_, "resume", 0, produce),
                      test::InjectedFault);
     }
-    EXPECT_TRUE(
-        fs::is_directory(path("campaign_v2_resume.csv.partial")));
+    EXPECT_TRUE(fs::is_directory(path("campaign_v3_resume.partial")));
     test::FaultInjector counting;
-    const Campaign c = cachedCampaign("resume", 0, produce);
+    const Campaign c = cachedCampaign(dir_, "resume", 0, produce);
     EXPECT_EQ(produced, 2);
     expectSameResults(base, c);
     EXPECT_EQ(counting.hits("population.cell"), 4u); // 6 cells - 2
     // Final artifact present, checkpoint directory cleaned up.
-    EXPECT_TRUE(fs::exists(path("campaign_v2_resume.csv")));
-    EXPECT_FALSE(
-        fs::exists(path("campaign_v2_resume.csv.partial")));
+    EXPECT_TRUE(persist::isV3CampaignDir(path("campaign_v3_resume")));
+    EXPECT_FALSE(fs::exists(path("campaign_v3_resume.partial")));
     // A third call serves the cache without any simulation.
-    const Campaign d = cachedCampaign("resume", 0, produce);
+    const Campaign d = cachedCampaign(dir_, "resume", 0, produce);
     EXPECT_EQ(produced, 2);
     expectSameResults(c, d);
 }
@@ -650,6 +654,26 @@ TEST_F(Resilience, QuarantineRenamesWithoutDeleting)
     persist::atomicWriteFile(file, "payload2");
     const std::string moved2 = persist::quarantineFile(file);
     EXPECT_EQ(moved2, file + ".corrupt.1");
+
+    // With every name up to .corrupt.99 taken, no earlier copy is
+    // replaced: the artifact stays in place.
+    for (int n = 2; n < 100; ++n)
+        persist::atomicWriteFile(file + ".corrupt." + std::to_string(n),
+                                 "copy" + std::to_string(n));
+    persist::atomicWriteFile(file, "payload100");
+    EXPECT_EQ(persist::quarantineFile(file), "");
+    EXPECT_EQ(test::readFile(file), "payload100");
+    EXPECT_EQ(test::readFile(moved), "payload");
+    EXPECT_EQ(test::readFile(moved2), "payload2");
+    for (int n = 2; n < 100; ++n)
+        EXPECT_EQ(test::readFile(file + ".corrupt." + std::to_string(n)),
+                  "copy" + std::to_string(n));
+
+    // A campaign directory is renamed whole.
+    const std::string dir = path("campaign");
+    runTiny().save(dir);
+    EXPECT_EQ(persist::quarantineFile(dir), dir + ".corrupt");
+    EXPECT_TRUE(persist::isV3CampaignDir(dir + ".corrupt"));
 }
 
 TEST_F(Resilience, FileLockExcludesSecondHolder)

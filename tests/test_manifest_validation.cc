@@ -6,7 +6,8 @@
  * with CacheInvalid — never a crash, a giant allocation, or an
  * overflowed size computation.  Fuzz-ish coverage: every prefix
  * truncation, every single-byte bit flip, plus crafted manifests
- * whose individual fields lie about their bounds.
+ * whose individual fields (the rank list of a sampled campaign
+ * included) lie about their bounds.
  */
 
 #include <cstdint>
@@ -250,6 +251,61 @@ TEST_F(ManifestValidation, OversizedMaterializationRefusedByLoad)
     // LoadMode::Strict wraps cache damage in FatalError; the point
     // here is that it throws promptly instead of allocating.
     EXPECT_THROW(Campaign::load(dir_), FatalError);
+}
+
+TEST_F(ManifestValidation, OverflowingPopulationShapeIsCacheDamage)
+{
+    // 64 benchmarks x 64 cores is a checksum-valid shape whose
+    // population size overflows 64 bits: a cached load quarantines
+    // it instead of aborting.
+    persist::V3Manifest m = validManifest();
+    m.cores = m.popCores = 64;
+    m.popBenchmarks = 64;
+    m.benchmarks.assign(64, "b");
+    m.refIpc.assign(64, 1.0);
+    manifestBytes(m);
+    EXPECT_THROW(Campaign::load(dir_, LoadMode::Cached),
+                 persist::CacheInvalid);
+    EXPECT_TRUE(fs::exists(dir_ + ".corrupt"));
+    fs::remove_all(dir_ + ".corrupt");
+}
+
+TEST_F(ManifestValidation, RankCountPastTheEndRejected)
+{
+    // The count is bounded by the bytes left before it sizes the
+    // list, so a count that runs past the end (or a huge one) is
+    // CacheInvalid, not a giant allocation.
+    persist::V3Manifest m = validManifest();
+    m.ranks = {5, 0, 3, 3, 1, 4};
+    const std::string full = manifestBytes(m);
+    for (const std::uint64_t count : {7ULL, 1ULL << 40, ~0ULL}) {
+        // The count sits just before the 6 ranks at the body end.
+        putManifestBytes(patchTailU64(full, 8 * 7, count));
+        EXPECT_THROW(persist::readV3Manifest(dir_),
+                     persist::CacheInvalid)
+            << count;
+    }
+    // A count that disagrees with the row range is refused too.
+    putManifestBytes(patchTailU64(full, 8 * 7, 5));
+    EXPECT_THROW(persist::readV3Manifest(dir_), persist::CacheInvalid);
+}
+
+TEST_F(ManifestValidation, RankOutsidePopulationRefusedByLoad)
+{
+    // A 3-benchmark 2-core population has 6 workloads: rank 6 is
+    // checksum-valid but names no workload.
+    persist::V3Manifest m = validManifest();
+    m.ranks = {5, 0, 3, 6, 1, 4};
+    manifestBytes(m);
+    EXPECT_NO_THROW(persist::readV3Manifest(dir_));
+    try {
+        Campaign::load(dir_);
+        FAIL() << "loaded a rank outside the population";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("rank 6"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Byte-level pins of the eight checksummed binary artifacts: the
- * campaign_v3 manifest and shard, the adaptive batch and decision,
+ * campaign_v3 manifest (of a rank range and of a sampled campaign's
+ * rank list) and shard, the adaptive batch and decision,
  * and the error profile, escalation record, fidelity batch and
  * hybrid report.  Each row writes one fixed record through the
  * public writer; PersistGolden pins the size and FNV-1a of the
@@ -67,6 +68,15 @@ fixedManifest()
     m.firstRank = 0;
     m.lastRank = 6;
     m.shardRows = 4; // shard 1 is the short tail: 2 rows
+    return m;
+}
+
+/** The same campaign as a sampled list: the manifest's rank list. */
+persist::V3Manifest
+fixedRankManifest()
+{
+    persist::V3Manifest m = fixedManifest();
+    m.ranks = {5, 0, 3, 3, 1, 4};
     return m;
 }
 
@@ -199,6 +209,14 @@ artifacts()
          [](const std::string &dir) {
              (void)persist::readV3Manifest(dir);
          }},
+        {"v3-rank-manifest",
+         [](const std::string &dir) {
+             persist::writeV3Manifest(dir, fixedRankManifest());
+             return persist::v3ManifestPath(dir);
+         },
+         [](const std::string &dir) {
+             (void)persist::readV3Manifest(dir);
+         }},
         {"v3-shard",
          [](const std::string &dir) {
              persist::writeV3Shard(dir, fixedManifest(), 1,
@@ -319,10 +337,12 @@ struct Pin
 };
 
 // Recorded from the encoders before they were moved onto the shared
-// sealed-file codec.  These constants must never change: a new
-// value means files written by earlier builds no longer read back.
+// sealed-file codec (the rank-list manifest: when it was added).
+// These constants must never change: a new value means files
+// written by earlier builds no longer read back.
 constexpr Pin kPins[] = {
     {"v3-manifest", 169, 0x36c1c80c0de96c7dULL},
+    {"v3-rank-manifest", 225, 0xfb1fadcfbd1ffee9ULL},
     {"v3-shard", 116, 0xbfd629fbe994a61dULL},
     {"adaptive-batch", 116, 0x9d02418ca91271d2ULL},
     {"adaptive-decision", 120, 0x96134265ea95acb2ULL},

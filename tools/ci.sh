@@ -231,11 +231,13 @@ for preset in $presets; do
         WSEL_CACHE_DIR="$smoke/cache" \
             ./build-release/tools/wsel_cli campaign \
             --cores 2 --insns 5000 --limit 12 --jobs 2 \
-            --out "$smoke/campaign.csv" \
+            --out "$smoke/campaign" \
             --metrics-out "$smoke/metrics.json" \
             --trace-out "$smoke/trace.json"
         test -s "$smoke/metrics.json"
         test -s "$smoke/trace.json"
+        test -s "$smoke/campaign/manifest.bin"
+        ./build-release/tools/wsel_cli analyze --campaign "$smoke/campaign"
         rm -rf "$smoke/cache"
         echo "==> obs artifacts archived in $smoke"
 

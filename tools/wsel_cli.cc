@@ -6,12 +6,13 @@
  *   wsel_cli characterize [--cores K] [--insns N] [--jobs N]
  *       [--metrics-out FILE] [--trace-out FILE] [--trace-mem MIB]
  *       per-benchmark features and automatic vs Table-IV classes
- *   wsel_cli campaign --out FILE [--cores K] [--insns N]
+ *   wsel_cli campaign --out DIR [--cores K] [--insns N]
  *       [--policies LRU,DIP,...] [--limit N] [--resume 0|1]
  *       [--jobs N] [--metrics-out FILE] [--trace-out FILE]
  *       [--trace-mem MIB]
- *       run a BADCO population campaign and save it as CSV;
- *       progress checkpoints to FILE.partial and, by default, an
+ *       run a BADCO population campaign (or a --limit N sample of
+ *       it) and save it as a campaign_v3 directory;
+ *       progress checkpoints to DIR.partial and, by default, an
  *       interrupted run resumes from it (--resume 0 restarts);
  *       --jobs N simulates cells on N worker threads (default 0 =
  *       $WSEL_JOBS, else all hardware threads; the result is
@@ -86,24 +87,25 @@
  *       as JSON, and serve stop --socket PATH --id N halts a
  *       queued or running campaign (in-flight shards finish and
  *       stay in the store for dedup)
- *   wsel_cli analyze --campaign FILE --x POL --y POL
+ *   wsel_cli analyze --campaign DIR --x POL --y POL
  *       [--metric IPCT|WSU|HSU|GSU]
  *       cv, 1/cv, eq.(8) sample size, §VII regime, CI estimates
- *   wsel_cli select --campaign FILE --x POL --y POL --size W
+ *   wsel_cli select --campaign DIR --x POL --y POL --size W
  *       [--metric M] [--method random|balanced|bench|workload]
  *       emit a workload sample for a detailed simulator
- *   wsel_cli confidence --campaign FILE --x POL --y POL --size W
+ *   wsel_cli confidence --campaign DIR --x POL --y POL --size W
  *       [--metric M] [--draws D]
  *       model vs empirical confidence at the given sample size
  *   wsel_cli simulate --workload b1+b2+... [--policy LRU]
  *       [--insns N] [--detailed 1]
  *       run one multiprogram workload through the simulators
- *   wsel_cli report --campaign FILE --out FILE.md
+ *   wsel_cli report --campaign DIR --out FILE.md
  *       full pairwise markdown analysis of a saved campaign
  *   wsel_cli cache verify [--dir DIR] [--quarantine 0|1]
- *       validate every campaign and BADCO-model cache file in the
- *       cache directory; with --quarantine 1, rename damaged files
- *       to *.corrupt
+ *       validate every cached campaign directory and BADCO-model
+ *       file in the cache directory (a campaign_v2 text file left
+ *       by an older build counts as damaged); with --quarantine 1,
+ *       rename damaged ones to *.corrupt
  */
 
 #include <algorithm>
@@ -282,7 +284,7 @@ cmdCampaign(const Args &args)
 {
     setupObs(args);
     if (!args.has("out"))
-        WSEL_FATAL("campaign requires --out FILE");
+        WSEL_FATAL("campaign requires --out DIR");
     const std::uint32_t cores =
         static_cast<std::uint32_t>(args.getU64("cores", 4));
     const std::uint64_t insns = args.getU64("insns", 100000);
@@ -929,10 +931,7 @@ cmdCache(int argc, char **argv)
                         p.c_str());
             continue;
         }
-        const bool is_campaign =
-            name.rfind("campaign_", 0) == 0 &&
-            name.size() >= 4 &&
-            name.compare(name.size() - 4, 4, ".csv") == 0;
+        const bool is_campaign = name.rfind("campaign_", 0) == 0;
         const bool is_model = name.rfind("badco_", 0) == 0 &&
                               name.size() >= 4 &&
                               name.compare(name.size() - 4, 4,
@@ -944,11 +943,9 @@ cmdCache(int argc, char **argv)
             if (is_campaign) {
                 const Campaign c = Campaign::load(p);
                 std::printf("OK      %s (%s, %u cores, %zu policies "
-                            "x %zu workloads%s)\n",
+                            "x %zu workloads)\n",
                             p.c_str(), c.simulator.c_str(), c.cores,
-                            c.policies.size(), c.workloads.size(),
-                            c.formatVersion < 2 ? ", legacy v1"
-                                                : "");
+                            c.policies.size(), c.workloads.size());
             } else {
                 const BadcoModel m = BadcoModel::loadFile(p);
                 std::printf("OK      %s (model '%s', %zu nodes)\n",
@@ -988,7 +985,7 @@ PairData
 loadPair(const Args &args)
 {
     if (!args.has("campaign"))
-        WSEL_FATAL("this command requires --campaign FILE");
+        WSEL_FATAL("this command requires --campaign DIR");
     PairData p{Campaign::load(args.get("campaign", "")),
                parseMetric(args.get("metric", "IPCT")),
                {},
@@ -1187,7 +1184,7 @@ int
 cmdReport(const Args &args)
 {
     if (!args.has("campaign") || !args.has("out"))
-        WSEL_FATAL("report requires --campaign FILE --out FILE.md");
+        WSEL_FATAL("report requires --campaign DIR --out FILE.md");
     const Campaign c = Campaign::load(args.get("campaign", ""));
     ReportInput in;
     in.title = "wsel campaign report (" + c.simulator + ", " +
@@ -1217,11 +1214,11 @@ usage()
         "commands:\n"
         "  characterize [--cores K] [--insns N] [--jobs N]\n"
         "      per-benchmark features and Table-IV classes\n"
-        "  campaign --out FILE [--cores K] [--insns N]\n"
+        "  campaign --out DIR [--cores K] [--insns N]\n"
         "      [--policies LRU,DIP,...] [--limit N] [--resume 0|1]\n"
         "      [--jobs N]\n"
-        "      BADCO campaign saved as CSV, checkpointed to\n"
-        "      FILE.partial\n"
+        "      BADCO campaign saved as a campaign_v3 dir,\n"
+        "      checkpointed to DIR.partial\n"
         "  population --out DIR [--cores K] [--insns N]\n"
         "      [--policies LRU,...] [--shard-size CELLS]\n"
         "      [--jobs N] [--first R] [--last R|--limit N]\n"
@@ -1263,16 +1260,16 @@ usage()
         "      keeping finished shards in the store;\n"
         "      --escalate-budget F > 0 re-leases suspect shards at\n"
         "      detailed fidelity after the BADCO sweep commits\n"
-        "  analyze --campaign FILE --x POL --y POL [--metric M]\n"
+        "  analyze --campaign DIR --x POL --y POL [--metric M]\n"
         "      cv, 1/cv, eq. 8 sample size, regime, CI estimates\n"
-        "  select --campaign FILE --x POL --y POL --size W\n"
+        "  select --campaign DIR --x POL --y POL --size W\n"
         "      [--method random|balanced|bench|workload]\n"
         "      emit a workload sample for a detailed simulator\n"
-        "  confidence --campaign FILE --x POL --y POL --size W\n"
+        "  confidence --campaign DIR --x POL --y POL --size W\n"
         "      [--draws D]\n"
         "      model vs empirical confidence at one sample size\n"
         "  simulate --workload b1+b2+... [--policy LRU] [--insns N]\n"
-        "  report --campaign FILE --out FILE.md\n"
+        "  report --campaign DIR --out FILE.md\n"
         "  cache verify [--dir DIR] [--quarantine 0|1]\n"
         "\n"
         "common options: --jobs N (0 = $WSEL_JOBS, else hardware),\n"
