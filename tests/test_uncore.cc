@@ -131,6 +131,28 @@ TEST(Uncore, MshrCapacityStallsExtraMisses)
     EXPECT_GE(c3, c1);
 }
 
+TEST(Uncore, HitWaitsForItsMshrBehindAFilterCollision)
+{
+    // The tags fill at request time, so a hit on a line still in
+    // flight must wait for that line's MSHR. Lines one page apart
+    // have the same low six line-address bits; here B's MSHR, which
+    // shares those bits with A's, expires first, and the hit on A
+    // must still find A's.
+    Uncore u(quietConfig(), 1, 1);
+    const std::uint64_t b = 0x10000;
+    const std::uint64_t a = b + 4096;
+    const std::uint64_t cb = u.access(0, 0, b, false, 0);
+    // Queue misses on the bus so A's fill lands well after B's.
+    for (std::uint64_t i = 1; i <= 8; ++i)
+        u.access(0, 0, 0x100000 + 4096 * i + 64 * i, false, 0);
+    const std::uint64_t ca = u.access(1, 0, a, false, 0);
+    ASSERT_GT(ca, cb + 2 + u.config().llcHitLatency);
+    // A miss after B's completion expires B's MSHR, not A's.
+    u.access(cb + 1, 0, 0x200000 + 64 * 5, false, 0);
+    EXPECT_EQ(u.access(cb + 2, 0, a, false, 0), ca);
+    EXPECT_EQ(u.coreStats(0).demandMisses, 11u);
+}
+
 TEST(Uncore, DemandMissCountsPerCore)
 {
     Uncore u(quietConfig(), 2, 1);
