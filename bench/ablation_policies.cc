@@ -7,7 +7,6 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hh"
 #include "cache/cache.hh"
@@ -47,23 +46,14 @@ runTraffic(Cache &cache)
 double
 dipHitRate(const DuelingConfig &cfg)
 {
-    Cache c(kGeom,
-            [&cfg]() {
-                return makeDip(kGeom.sets(), kGeom.ways, 1, cfg);
-            },
-            "dip-ablation");
+    Cache c(kGeom, PolicyKind::DIP, 1, "dip-ablation", cfg);
     return runTraffic(c);
 }
 
 double
-drripHitRate(const DuelingConfig &cfg, std::uint32_t rrpv_bits)
+drripHitRate(const DuelingConfig &cfg)
 {
-    Cache c(kGeom,
-            [&cfg, rrpv_bits]() {
-                return makeDrrip(kGeom.sets(), kGeom.ways, 1, cfg,
-                                 rrpv_bits);
-            },
-            "drrip-ablation");
+    Cache c(kGeom, PolicyKind::DRRIP, 1, "drrip-ablation", cfg);
     return runTraffic(c);
 }
 
@@ -118,8 +108,9 @@ main()
     std::printf("\nDRRIP RRPV width:\n");
     for (std::uint32_t bits : {1u, 2u, 3u, 4u}) {
         DuelingConfig cfg;
+        cfg.rrpvBits = bits;
         std::printf("  rrpv %u bits: hit rate %.4f\n", bits,
-                    drripHitRate(cfg, bits));
+                    drripHitRate(cfg));
     }
 
     std::printf("\nexpected shape: dueling parameters are "

@@ -1,6 +1,7 @@
 /**
  * @file
- * Set-associative cache structure with pluggable replacement.
+ * Set-associative cache structure with a closed set of replacement
+ * policies.
  *
  * The Cache models tag state only (hit/miss, evictions, dirty bits);
  * timing is the responsibility of the enclosing level (the core for
@@ -13,11 +14,11 @@
 #define WSEL_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/replacement.hh"
+#include "cache/tagscan.hh"
 #include "stats/logging.hh"
 
 namespace wsel
@@ -78,30 +79,17 @@ class Cache
         Evicted evicted; ///< filled-over line (misses only)
     };
 
-    /** Builds a fresh replacement-policy instance (for reset()). */
-    using PolicyFactory =
-        std::function<std::unique_ptr<ReplacementPolicy>()>;
-
     /**
      * @param geom Cache shape (validated).
      * @param policy Replacement policy kind.
      * @param seed Seed for randomized policy state.
      * @param name Diagnostic name.
+     * @param tunables DIP/DRRIP dueling and RRIP parameters
+     *        (defaults: the papers'; ablations vary them).
      */
     Cache(const CacheGeometry &geom, PolicyKind policy,
-          std::uint64_t seed, std::string name = "cache");
-
-    /**
-     * Construct with a custom replacement policy (e.g. DIP/DRRIP
-     * with non-default dueling parameters, for ablations).
-     *
-     * @param geom Cache shape (validated).
-     * @param factory Builds the policy; must produce instances
-     *        sized for geom.sets() x geom.ways.
-     * @param name Diagnostic name.
-     */
-    Cache(const CacheGeometry &geom, PolicyFactory factory,
-          std::string name = "cache");
+          std::uint64_t seed, std::string name = "cache",
+          const DuelingConfig &tunables = {});
 
     /**
      * Look up @p byte_addr; on miss, allocate (write-allocate for
@@ -111,11 +99,23 @@ class Cache
      * @param is_write Marks the line dirty on hit/fill.
      * @param is_prefetch Accounted separately from demand traffic.
      */
-    Result access(std::uint64_t byte_addr, bool is_write,
-                  bool is_prefetch = false);
+    Result
+    access(std::uint64_t byte_addr, bool is_write,
+           bool is_prefetch = false)
+    {
+        if (accessIfHit(byte_addr, is_write, is_prefetch))
+            return Result{true, {}};
+        return missFill(byte_addr, is_write, is_prefetch);
+    }
 
     /** Tag probe without any state update. */
-    bool probe(std::uint64_t byte_addr) const;
+    bool
+    probe(std::uint64_t byte_addr) const
+    {
+        const std::uint64_t la = lineAddr(byte_addr);
+        return tagscan::find(&tags_[base(la)], geom_.ways,
+                             tagFor(la)) < geom_.ways;
+    }
 
     /**
      * Hit half of access() in one tag scan: on a hit, applies
@@ -126,8 +126,28 @@ class Cache
      * Equivalent to probe() followed by access() on the hit path,
      * without the second scan.
      */
-    bool accessIfHit(std::uint64_t byte_addr, bool is_write,
-                     bool is_prefetch = false);
+    bool
+    accessIfHit(std::uint64_t byte_addr, bool is_write,
+                bool is_prefetch = false)
+    {
+        const std::uint64_t la = lineAddr(byte_addr);
+        const std::size_t b = base(la);
+        const std::uint32_t w =
+            tagscan::find(&tags_[b], geom_.ways, tagFor(la));
+        if (w == geom_.ways)
+            return false;
+        if (is_prefetch) {
+            ++stats_.prefetchAccesses;
+            ++stats_.prefetchHits;
+        } else {
+            ++stats_.demandAccesses;
+            ++stats_.demandHits;
+        }
+        policy_.onHit(setIndex(la), w);
+        if (is_write)
+            dirty_[b + w] = 1;
+        return true;
+    }
 
     /**
      * Miss half of access() without the tag scan, for callers that
@@ -135,8 +155,21 @@ class Cache
      * intervening fill: accounts the miss and allocates the line.
      * Equivalent to access() on a known-missing address.
      */
-    Result missFill(std::uint64_t byte_addr, bool is_write,
-                    bool is_prefetch = false);
+    Result
+    missFill(std::uint64_t byte_addr, bool is_write,
+             bool is_prefetch = false)
+    {
+        const std::uint64_t la = lineAddr(byte_addr);
+        if (is_prefetch) {
+            ++stats_.prefetchAccesses;
+            ++stats_.prefetchMisses;
+        } else {
+            ++stats_.demandAccesses;
+            ++stats_.demandMisses;
+        }
+        policy_.onMiss(setIndex(la));
+        return fill(la, is_write);
+    }
 
     /**
      * Write-back from an inner level: marks the line dirty if
@@ -149,7 +182,7 @@ class Cache
 
     const CacheGeometry &geometry() const { return geom_; }
     const CacheStats &stats() const { return stats_; }
-    PolicyKind policyKind() const { return policy_->kind(); }
+    PolicyKind policyKind() const { return kind_; }
     const std::string &name() const { return name_; }
 
     /** Line address (byte address / line size). */
@@ -160,12 +193,53 @@ class Cache
     }
 
   private:
-    std::uint32_t setIndex(std::uint64_t line_addr) const;
-    Result fill(std::uint64_t line_addr, bool is_write);
+    std::uint32_t
+    setIndex(std::uint64_t line_addr) const
+    {
+        return static_cast<std::uint32_t>(line_addr) & setMask_;
+    }
+
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t
+    base(std::uint64_t line_addr) const
+    {
+        return static_cast<std::size_t>(setIndex(line_addr)) *
+               geom_.ways;
+    }
+
+    /** Allocate a known-missing line, evicting if the set is full. */
+    Result
+    fill(std::uint64_t line_addr, bool is_write)
+    {
+        const std::uint32_t set = setIndex(line_addr);
+        const std::size_t b = base(line_addr);
+        std::uint32_t *tags = &tags_[b];
+
+        // Lowest invalid way (tag 0), if any; all tagscan paths
+        // agree on the lowest-index pick, keeping replacement
+        // path-invariant.
+        std::uint32_t victim = tagscan::find(tags, geom_.ways, 0u);
+        Result res;
+        if (victim == geom_.ways) {
+            victim = policy_.selectVictim(set);
+            WSEL_ASSERT(victim < geom_.ways,
+                        "policy returned way " << victim);
+            const bool dirty = dirty_[b + victim] != 0;
+            res.evicted = Evicted{true, dirty, tags[victim] >> 1};
+            if (dirty)
+                ++stats_.writebacksOut;
+        }
+        tags[victim] = tagFor(line_addr);
+        dirty_[b + victim] = is_write ? 1 : 0;
+        policy_.onFill(set, victim);
+        return res;
+    }
 
     CacheGeometry geom_;
     std::string name_;
-    PolicyFactory factory_;
+    PolicyKind kind_;
+    std::uint64_t seed_;
+    DuelingConfig tunables_;
     std::uint32_t lineShift_;
     std::uint32_t setMask_;
 
@@ -193,7 +267,7 @@ class Cache
     std::vector<std::uint32_t> tags_;
     std::vector<std::uint8_t> dirty_;
 
-    std::unique_ptr<ReplacementPolicy> policy_;
+    ReplacementPolicy policy_;
     CacheStats stats_;
 };
 

@@ -50,175 +50,6 @@ class NextLinePrefetcher : public Prefetcher
     const std::uint32_t degree_;
 };
 
-class IpStridePrefetcher : public Prefetcher
-{
-  public:
-    IpStridePrefetcher(std::uint32_t entries, std::uint32_t degree)
-        : entries_(entries), degree_(degree), table_(entries)
-    {
-        if (entries == 0 || !std::has_single_bit(entries))
-            WSEL_FATAL("IP-stride table size " << entries
-                       << " is not a power of two");
-        if (degree == 0)
-            WSEL_FATAL("IP-stride degree cannot be zero");
-    }
-
-    void
-    observe(std::uint64_t pc, std::uint64_t line_addr, bool,
-            std::vector<std::uint64_t> &out) override
-    {
-        if (pc == 0)
-            return;
-        Entry &e = table_[hashPc(pc)];
-        if (e.pc != pc) {
-            e.pc = pc;
-            e.lastLine = line_addr;
-            e.stride = 0;
-            e.confidence = 0;
-            return;
-        }
-        const std::int64_t stride =
-            static_cast<std::int64_t>(line_addr) -
-            static_cast<std::int64_t>(e.lastLine);
-        if (stride == e.stride && stride != 0) {
-            if (e.confidence < 3)
-                ++e.confidence;
-        } else {
-            e.stride = stride;
-            e.confidence = e.confidence > 0 ? e.confidence - 1 : 0;
-        }
-        e.lastLine = line_addr;
-        if (e.confidence >= 2 && e.stride != 0) {
-            for (std::uint32_t d = 1; d <= degree_; ++d) {
-                const std::int64_t target =
-                    static_cast<std::int64_t>(line_addr) +
-                    e.stride * static_cast<std::int64_t>(d);
-                if (target > 0)
-                    out.push_back(static_cast<std::uint64_t>(target));
-            }
-        }
-    }
-
-    void
-    reset() override
-    {
-        table_.assign(entries_, Entry{});
-    }
-
-    std::string name() const override { return "ip-stride"; }
-
-  private:
-    struct Entry
-    {
-        std::uint64_t pc = 0;
-        std::uint64_t lastLine = 0;
-        std::int64_t stride = 0;
-        std::uint8_t confidence = 0;
-    };
-
-    std::size_t
-    hashPc(std::uint64_t pc) const
-    {
-        return (pc >> 2) & (entries_ - 1);
-    }
-
-    const std::uint32_t entries_;
-    const std::uint32_t degree_;
-    std::vector<Entry> table_;
-};
-
-class StreamPrefetcher : public Prefetcher
-{
-  public:
-    StreamPrefetcher(std::uint32_t streams, std::uint32_t degree)
-        : streams_(streams), degree_(degree), table_(streams)
-    {
-        if (streams == 0 || degree == 0)
-            WSEL_FATAL("stream prefetcher needs streams and degree");
-    }
-
-    void
-    observe(std::uint64_t, std::uint64_t line_addr, bool was_miss,
-            std::vector<std::uint64_t> &out) override
-    {
-        if (!was_miss)
-            return;
-        // Look for a stream this miss extends.
-        for (auto &s : table_) {
-            if (!s.live)
-                continue;
-            const std::int64_t delta =
-                static_cast<std::int64_t>(line_addr) -
-                static_cast<std::int64_t>(s.lastLine);
-            if (delta == s.dir) {
-                // Confirmed continuation: run ahead.
-                s.lastLine = line_addr;
-                ++s.confidence;
-                for (std::uint32_t d = 1; d <= degree_; ++d) {
-                    const std::int64_t target =
-                        static_cast<std::int64_t>(line_addr) +
-                        s.dir * static_cast<std::int64_t>(d);
-                    if (target > 0)
-                        out.push_back(
-                            static_cast<std::uint64_t>(target));
-                }
-                return;
-            }
-            if (delta == 2 * s.dir) {
-                // One line was skipped (e.g. already prefetched).
-                s.lastLine = line_addr;
-                return;
-            }
-        }
-        // Try to pair with a trainee.
-        for (auto &s : table_) {
-            if (!s.training)
-                continue;
-            const std::int64_t delta =
-                static_cast<std::int64_t>(line_addr) -
-                static_cast<std::int64_t>(s.lastLine);
-            if (delta == 1 || delta == -1) {
-                s.live = true;
-                s.training = false;
-                s.dir = delta;
-                s.lastLine = line_addr;
-                s.confidence = 1;
-                return;
-            }
-        }
-        // Allocate a trainee, replacing the stalest slot.
-        Slot *victim = &table_[nextVictim_];
-        nextVictim_ = (nextVictim_ + 1) % streams_;
-        *victim = Slot{};
-        victim->training = true;
-        victim->lastLine = line_addr;
-    }
-
-    void
-    reset() override
-    {
-        table_.assign(streams_, Slot{});
-        nextVictim_ = 0;
-    }
-
-    std::string name() const override { return "stream"; }
-
-  private:
-    struct Slot
-    {
-        bool live = false;
-        bool training = false;
-        std::int64_t dir = 0;
-        std::uint64_t lastLine = 0;
-        std::uint32_t confidence = 0;
-    };
-
-    const std::uint32_t streams_;
-    const std::uint32_t degree_;
-    std::vector<Slot> table_;
-    std::uint32_t nextVictim_ = 0;
-};
-
 class CompositePrefetcher : public Prefetcher
 {
   public:
@@ -258,49 +89,39 @@ class CompositePrefetcher : public Prefetcher
     std::vector<std::unique_ptr<Prefetcher>> parts_;
 };
 
-/**
- * The ip-stride + stream pair the standard uncore config enables,
- * fused into one object: identical training state and proposal
- * order to CompositePrefetcher{IpStride, Stream}, but the two
- * observe() calls dispatch statically (the members are concrete),
- * removing three virtual hops from every demand access.
- */
-class IpStrideStreamPrefetcher : public Prefetcher
-{
-  public:
-    IpStrideStreamPrefetcher(std::uint32_t table_entries,
-                             std::uint32_t streams,
-                             std::uint32_t degree)
-        : ip_(table_entries, degree), stream_(streams, degree)
-    {}
-
-    void
-    observe(std::uint64_t pc, std::uint64_t line_addr, bool was_miss,
-            std::vector<std::uint64_t> &out) override
-    {
-        ip_.observe(pc, line_addr, was_miss, out);
-        stream_.observe(pc, line_addr, was_miss, out);
-    }
-
-    void
-    reset() override
-    {
-        ip_.reset();
-        stream_.reset();
-    }
-
-    std::string
-    name() const override
-    {
-        return "composite(ip-stride+stream)";
-    }
-
-  private:
-    IpStridePrefetcher ip_;
-    StreamPrefetcher stream_;
-};
-
 } // namespace
+
+IpStridePrefetcher::IpStridePrefetcher(std::uint32_t entries,
+                                       std::uint32_t degree)
+    : entries_(entries), degree_(degree), table_(entries)
+{
+    if (entries == 0 || !std::has_single_bit(entries))
+        WSEL_FATAL("IP-stride table size " << entries
+                   << " is not a power of two");
+    if (degree == 0)
+        WSEL_FATAL("IP-stride degree cannot be zero");
+}
+
+void
+IpStridePrefetcher::reset()
+{
+    table_.assign(entries_, Entry{});
+}
+
+StreamPrefetcher::StreamPrefetcher(std::uint32_t streams,
+                                   std::uint32_t degree)
+    : streams_(streams), degree_(degree), table_(streams)
+{
+    if (streams == 0 || degree == 0)
+        WSEL_FATAL("stream prefetcher needs streams and degree");
+}
+
+void
+StreamPrefetcher::reset()
+{
+    table_.assign(streams_, Slot{});
+    nextVictim_ = 0;
+}
 
 std::unique_ptr<Prefetcher>
 makeNextLinePrefetcher(std::uint32_t degree)
@@ -319,15 +140,6 @@ std::unique_ptr<Prefetcher>
 makeStreamPrefetcher(std::uint32_t streams, std::uint32_t degree)
 {
     return std::make_unique<StreamPrefetcher>(streams, degree);
-}
-
-std::unique_ptr<Prefetcher>
-makeIpStrideStreamPrefetcher(std::uint32_t table_entries,
-                             std::uint32_t streams,
-                             std::uint32_t degree)
-{
-    return std::make_unique<IpStrideStreamPrefetcher>(
-        table_entries, streams, degree);
 }
 
 std::unique_ptr<Prefetcher>

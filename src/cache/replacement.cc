@@ -66,569 +66,97 @@ paperPolicies()
     return v;
 }
 
-namespace
+RankStack::RankStack(std::uint32_t sets, std::uint32_t ways)
+    : ways_(ways), rank_(static_cast<std::size_t>(sets) * ways)
 {
+    if (ways > 127)
+        WSEL_FATAL("rank-stack policies support at most 127 ways, "
+                   "got " << ways);
+    // Every set starts with the same 0..ways-1 stack: write it once
+    // and replicate with doubling copies (policies are constructed
+    // per campaign cell, so this runs hot).
+    for (std::uint32_t w = 0; w < ways; ++w)
+        rank_[w] = static_cast<std::uint8_t>(w);
+    const std::size_t total = rank_.size();
+    for (std::size_t filled = ways; filled < total;) {
+        const std::size_t chunk = std::min(filled, total - filled);
+        std::memcpy(&rank_[filled], rank_.data(), chunk);
+        filled += chunk;
+    }
+}
 
-/**
- * True-LRU recency stack; rank 0 is MRU, ways-1 is LRU.
- */
-class LruPolicy : public ReplacementPolicy
+PlruPolicy::PlruPolicy(std::uint32_t sets, std::uint32_t ways)
+    : ways_(ways)
 {
-  public:
-    LruPolicy(std::uint32_t sets, std::uint32_t ways)
-        : ReplacementPolicy(sets, ways), rank_(sets * ways)
-    {
-        // Every set starts with the same 0..ways-1 stack: write it
-        // once and replicate with doubling copies (policies are
-        // constructed per campaign cell, so this runs hot).
-        for (std::uint32_t w = 0; w < ways; ++w)
-            rank_[w] = static_cast<std::uint8_t>(w);
-        const std::size_t total =
-            static_cast<std::size_t>(sets) * ways;
-        for (std::size_t filled = ways; filled < total;) {
-            const std::size_t chunk =
-                std::min(filled, total - filled);
-            std::memcpy(&rank_[filled], rank_.data(), chunk);
-            filled += chunk;
-        }
-    }
+    if ((ways & (ways - 1)) != 0)
+        WSEL_FATAL("PLRU requires power-of-two associativity, got "
+                   << ways);
+    bits_.assign(static_cast<std::size_t>(sets) * (ways - 1), 0);
+}
 
-    void
-    onHit(std::uint32_t set, std::uint32_t way) override
-    {
-        touch(set, way);
-    }
-
-    void
-    onFill(std::uint32_t set, std::uint32_t way) override
-    {
-        touch(set, way);
-    }
-
-    std::uint32_t
-    selectVictim(std::uint32_t set) override
-    {
-        const std::uint8_t *r = &rank_[set * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (r[w] == ways_ - 1)
-                return w;
-        }
-        WSEL_PANIC("LRU rank state corrupted in set " << set);
-    }
-
-    PolicyKind kind() const override { return PolicyKind::LRU; }
-
-  protected:
-    /**
-     * Promote @p way to MRU.  The rank row is adjusted eight ways
-     * at a time with byte-parallel (SWAR) arithmetic: ranks are
-     * < ways_ ≤ 127, so per-byte `x + (128 - old)` sets a byte's
-     * high bit exactly when x >= old, with no inter-byte carry —
-     * the complement, shifted down, is the per-byte increment.
-     * Behaviour is identical to the scalar loop.
-     */
-    void
-    touch(std::uint32_t set, std::uint32_t way)
-    {
-        std::uint8_t *r = &rank_[set * ways_];
-        const std::uint8_t old = r[way];
-        if (old == 0)
-            return; // already MRU: nothing outranks it
-        constexpr std::uint64_t kLo = 0x0101010101010101ULL;
-        constexpr std::uint64_t kHi = 0x8080808080808080ULL;
-        const std::uint64_t bias =
-            (0x80ULL - old) * kLo;
-        std::uint32_t w = 0;
-        for (; w + 8 <= ways_; w += 8) {
-            std::uint64_t x;
-            std::memcpy(&x, r + w, 8);
-            x += (~(x + bias) & kHi) >> 7;
-            std::memcpy(r + w, &x, 8);
-        }
-        for (; w < ways_; ++w) {
-            if (r[w] < old)
-                ++r[w];
-        }
-        r[way] = 0;
-    }
-
-    /** Demote @p way to LRU (used by BIP-style insertion). */
-    void
-    demote(std::uint32_t set, std::uint32_t way)
-    {
-        std::uint8_t *r = &rank_[set * ways_];
-        const std::uint8_t old = r[way];
-        if (old == ways_ - 1)
-            return; // already LRU
-        // SWAR mirror of touch(): decrement every rank > old,
-        // i.e. every byte with x >= old + 1.
-        constexpr std::uint64_t kLo = 0x0101010101010101ULL;
-        constexpr std::uint64_t kHi = 0x8080808080808080ULL;
-        const std::uint64_t bias =
-            (0x80ULL - (old + 1ULL)) * kLo;
-        std::uint32_t w = 0;
-        for (; w + 8 <= ways_; w += 8) {
-            std::uint64_t x;
-            std::memcpy(&x, r + w, 8);
-            x -= ((x + bias) & kHi) >> 7;
-            std::memcpy(r + w, &x, 8);
-        }
-        for (; w < ways_; ++w) {
-            if (r[w] > old)
-                --r[w];
-        }
-        r[way] = static_cast<std::uint8_t>(ways_ - 1);
-    }
-
-  private:
-    std::vector<std::uint8_t> rank_;
-};
-
-/**
- * Random replacement.
- */
-class RandomPolicy : public ReplacementPolicy
+DipPolicy::DipPolicy(PolicyKind kind, std::uint32_t sets,
+                     std::uint32_t ways, std::uint64_t seed,
+                     const DuelingConfig &cfg)
+    : ranks_(sets, ways), rng_(seed), cfg_(cfg), kind_(kind),
+      pselMax_((1u << cfg.pselBits) - 1),
+      psel_(1u << (cfg.pselBits - 1))
 {
-  public:
-    RandomPolicy(std::uint32_t sets, std::uint32_t ways,
-                 std::uint64_t seed)
-        : ReplacementPolicy(sets, ways), rng_(seed)
-    {}
+    WSEL_ASSERT(kind == PolicyKind::DIP || kind == PolicyKind::BIP ||
+                    kind == PolicyKind::LIP,
+                "not a DIP-family policy: " << toString(kind));
+}
 
-    void onHit(std::uint32_t, std::uint32_t) override {}
-    void onFill(std::uint32_t, std::uint32_t) override {}
-
-    std::uint32_t
-    selectVictim(std::uint32_t) override
-    {
-        return static_cast<std::uint32_t>(rng_.nextInt(ways_));
-    }
-
-    PolicyKind kind() const override { return PolicyKind::Random; }
-
-  private:
-    Rng rng_;
-};
-
-/**
- * FIFO: evict the line that was filled first; hits do not refresh.
- */
-class FifoPolicy : public ReplacementPolicy
+RripPolicy::RripPolicy(PolicyKind kind, std::uint32_t sets,
+                       std::uint32_t ways, std::uint64_t seed,
+                       const DuelingConfig &cfg)
+    : ways_(ways), rng_(seed), cfg_(cfg), kind_(kind),
+      rrpvMax_((1u << cfg.rrpvBits) - 1),
+      rrpv_(static_cast<std::size_t>(sets) * ways,
+            static_cast<std::uint8_t>(rrpvMax_)),
+      pselMax_((1u << cfg.pselBits) - 1),
+      psel_(1u << (cfg.pselBits - 1))
 {
-  public:
-    FifoPolicy(std::uint32_t sets, std::uint32_t ways)
-        : ReplacementPolicy(sets, ways), age_(sets * ways)
-    {
-        for (std::uint32_t s = 0; s < sets; ++s)
-            for (std::uint32_t w = 0; w < ways; ++w)
-                age_[s * ways + w] = static_cast<std::uint8_t>(w);
-    }
+    WSEL_ASSERT(kind == PolicyKind::SRRIP ||
+                    kind == PolicyKind::BRRIP ||
+                    kind == PolicyKind::DRRIP,
+                "not an RRIP-family policy: " << toString(kind));
+    if (cfg.rrpvBits == 0 || cfg.rrpvBits > 8)
+        WSEL_FATAL("RRIP rrpv_bits must be in [1, 8], got "
+                   << cfg.rrpvBits);
+}
 
-    void onHit(std::uint32_t, std::uint32_t) override {}
-
-    void
-    onFill(std::uint32_t set, std::uint32_t way) override
-    {
-        std::uint8_t *a = &age_[set * ways_];
-        const std::uint8_t old = a[way];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (a[w] < old)
-                ++a[w];
-        }
-        a[way] = 0;
-    }
-
-    std::uint32_t
-    selectVictim(std::uint32_t set) override
-    {
-        const std::uint8_t *a = &age_[set * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (a[w] == ways_ - 1)
-                return w;
-        }
-        WSEL_PANIC("FIFO age state corrupted in set " << set);
-    }
-
-    PolicyKind kind() const override { return PolicyKind::FIFO; }
-
-  private:
-    std::vector<std::uint8_t> age_;
-};
-
-/**
- * NRU: one reference bit per line.
- */
-class NruPolicy : public ReplacementPolicy
-{
-  public:
-    NruPolicy(std::uint32_t sets, std::uint32_t ways)
-        : ReplacementPolicy(sets, ways), ref_(sets * ways, 0)
-    {}
-
-    void
-    onHit(std::uint32_t set, std::uint32_t way) override
-    {
-        ref_[set * ways_ + way] = 1;
-    }
-
-    void
-    onFill(std::uint32_t set, std::uint32_t way) override
-    {
-        ref_[set * ways_ + way] = 1;
-    }
-
-    std::uint32_t
-    selectVictim(std::uint32_t set) override
-    {
-        std::uint8_t *r = &ref_[set * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (r[w] == 0)
-                return w;
-        }
-        // All referenced: clear and evict way 0.
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            r[w] = 0;
-        return 0;
-    }
-
-    PolicyKind kind() const override { return PolicyKind::NRU; }
-
-  private:
-    std::vector<std::uint8_t> ref_;
-};
-
-/**
- * Tree-PLRU; associativity must be a power of two.
- */
-class PlruPolicy : public ReplacementPolicy
-{
-  public:
-    PlruPolicy(std::uint32_t sets, std::uint32_t ways)
-        : ReplacementPolicy(sets, ways), bits_(sets * (ways - 1), 0)
-    {
-        if ((ways & (ways - 1)) != 0)
-            WSEL_FATAL("PLRU requires power-of-two associativity, got "
-                       << ways);
-    }
-
-    void
-    onHit(std::uint32_t set, std::uint32_t way) override
-    {
-        touch(set, way);
-    }
-
-    void
-    onFill(std::uint32_t set, std::uint32_t way) override
-    {
-        touch(set, way);
-    }
-
-    std::uint32_t
-    selectVictim(std::uint32_t set) override
-    {
-        std::uint8_t *b = &bits_[set * (ways_ - 1)];
-        std::uint32_t node = 0;
-        while (node < ways_ - 1)
-            node = 2 * node + 1 + b[node];
-        return node - (ways_ - 1);
-    }
-
-    PolicyKind kind() const override { return PolicyKind::PLRU; }
-
-  private:
-    void
-    touch(std::uint32_t set, std::uint32_t way)
-    {
-        std::uint8_t *b = &bits_[set * (ways_ - 1)];
-        std::uint32_t node = way + (ways_ - 1);
-        while (node != 0) {
-            const std::uint32_t parent = (node - 1) / 2;
-            // Point away from the accessed child.
-            b[parent] = (node == 2 * parent + 1) ? 1 : 0;
-            node = parent;
-        }
-    }
-
-    std::vector<std::uint8_t> bits_;
-};
-
-/**
- * LRU-stack family with configurable insertion: LIP inserts at LRU,
- * BIP inserts at MRU 1-in-epsilon fills, and DIP set-duels LRU
- * insertion against BIP insertion with a PSEL counter
- * (Qureshi et al., "Adaptive insertion policies for high performance
- * caching", ISCA 2007).
- */
-class DipPolicy : public LruPolicy
-{
-  public:
-    DipPolicy(std::uint32_t sets, std::uint32_t ways,
-              std::uint64_t seed, const DuelingConfig &cfg,
-              bool always_bip, bool lip_only = false)
-        : LruPolicy(sets, ways), rng_(seed), cfg_(cfg),
-          alwaysBip_(always_bip), lipOnly_(lip_only),
-          pselMax_((1u << cfg.pselBits) - 1),
-          psel_(1u << (cfg.pselBits - 1))
-    {}
-
-    void
-    onMiss(std::uint32_t set) override
-    {
-        if (alwaysBip_)
-            return;
-        // A miss in a leader set is a strike against its team.
-        if (isLruLeader(set))
-            psel_ = std::min(psel_ + 1, pselMax_);
-        else if (isBipLeader(set))
-            psel_ = (psel_ > 0) ? psel_ - 1 : 0;
-    }
-
-    void
-    onFill(std::uint32_t set, std::uint32_t way) override
-    {
-        bool use_bip;
-        if (alwaysBip_) {
-            use_bip = true;
-        } else if (isLruLeader(set)) {
-            use_bip = false;
-        } else if (isBipLeader(set)) {
-            use_bip = true;
-        } else {
-            // Followers pick the team with fewer leader misses:
-            // PSEL high means LRU missed more, so use BIP.
-            use_bip = psel_ >= (1u << (cfg_.pselBits - 1));
-        }
-        if (!use_bip) {
-            touch(set, way); // MRU insertion (plain LRU behaviour)
-            return;
-        }
-        // BIP: MRU insertion only 1 in bimodalEpsilon fills; LIP is
-        // the epsilon -> infinity limit (never insert at MRU).
-        if (!lipOnly_ && rng_.nextInt(cfg_.bimodalEpsilon) == 0)
-            touch(set, way);
-        else
-            demote(set, way);
-    }
-
-    PolicyKind
-    kind() const override
-    {
-        if (lipOnly_)
-            return PolicyKind::LIP;
-        return alwaysBip_ ? PolicyKind::BIP : PolicyKind::DIP;
-    }
-
-    /** Current PSEL value (for tests/ablations). */
-    std::uint32_t psel() const { return psel_; }
-
-  private:
-    bool
-    isLruLeader(std::uint32_t set) const
-    {
-        return set % cfg_.leaderSpacing == 0;
-    }
-
-    bool
-    isBipLeader(std::uint32_t set) const
-    {
-        return set % cfg_.leaderSpacing == cfg_.leaderSpacing / 2;
-    }
-
-    Rng rng_;
-    const DuelingConfig cfg_;
-    const bool alwaysBip_;
-    const bool lipOnly_ = false;
-    const std::uint32_t pselMax_;
-    std::uint32_t psel_;
-};
-
-/**
- * RRIP family (Jaleel et al., "High performance cache replacement
- * using re-reference interval prediction", ISCA 2010). SRRIP inserts
- * with a long re-reference prediction, BRRIP with a distant one most
- * of the time, and DRRIP set-duels between the two.
- */
-class RripPolicy : public ReplacementPolicy
-{
-  public:
-    enum class Mode { SRRIP, BRRIP, DRRIP };
-
-    RripPolicy(std::uint32_t sets, std::uint32_t ways,
-               std::uint64_t seed, const DuelingConfig &cfg,
-               std::uint32_t rrpv_bits, Mode mode)
-        : ReplacementPolicy(sets, ways), rng_(seed), cfg_(cfg),
-          mode_(mode), rrpvMax_((1u << rrpv_bits) - 1),
-          rrpv_(sets * ways, static_cast<std::uint8_t>(rrpvMax_)),
-          pselMax_((1u << cfg.pselBits) - 1),
-          psel_(1u << (cfg.pselBits - 1))
-    {
-        if (rrpv_bits == 0 || rrpv_bits > 8)
-            WSEL_FATAL("RRIP rrpv_bits must be in [1, 8], got "
-                       << rrpv_bits);
-    }
-
-    void
-    onHit(std::uint32_t set, std::uint32_t way) override
-    {
-        // Hit promotion: predict near-immediate re-reference.
-        rrpv_[set * ways_ + way] = 0;
-    }
-
-    void
-    onMiss(std::uint32_t set) override
-    {
-        if (mode_ != Mode::DRRIP)
-            return;
-        if (isSrripLeader(set))
-            psel_ = std::min(psel_ + 1, pselMax_);
-        else if (isBrripLeader(set))
-            psel_ = (psel_ > 0) ? psel_ - 1 : 0;
-    }
-
-    void
-    onFill(std::uint32_t set, std::uint32_t way) override
-    {
-        bool use_brrip;
-        switch (mode_) {
-          case Mode::SRRIP:
-            use_brrip = false;
-            break;
-          case Mode::BRRIP:
-            use_brrip = true;
-            break;
-          case Mode::DRRIP:
-          default:
-            if (isSrripLeader(set))
-                use_brrip = false;
-            else if (isBrripLeader(set))
-                use_brrip = true;
-            else
-                use_brrip = psel_ >= (1u << (cfg_.pselBits - 1));
-            break;
-        }
-        std::uint8_t ins;
-        if (!use_brrip) {
-            // SRRIP: long re-reference interval.
-            ins = static_cast<std::uint8_t>(rrpvMax_ - 1);
-        } else {
-            // BRRIP: distant interval, long 1-in-epsilon fills.
-            ins = (rng_.nextInt(cfg_.bimodalEpsilon) == 0)
-                      ? static_cast<std::uint8_t>(rrpvMax_ - 1)
-                      : static_cast<std::uint8_t>(rrpvMax_);
-        }
-        rrpv_[set * ways_ + way] = ins;
-    }
-
-    std::uint32_t
-    selectVictim(std::uint32_t set) override
-    {
-        std::uint8_t *r = &rrpv_[set * ways_];
-        while (true) {
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                if (r[w] == rrpvMax_)
-                    return w;
-            }
-            for (std::uint32_t w = 0; w < ways_; ++w)
-                ++r[w];
-        }
-    }
-
-    PolicyKind
-    kind() const override
-    {
-        switch (mode_) {
-          case Mode::SRRIP:
-            return PolicyKind::SRRIP;
-          case Mode::BRRIP:
-            return PolicyKind::BRRIP;
-          case Mode::DRRIP:
-          default:
-            return PolicyKind::DRRIP;
-        }
-    }
-
-    /** Current PSEL value (for tests/ablations). */
-    std::uint32_t psel() const { return psel_; }
-
-  private:
-    bool
-    isSrripLeader(std::uint32_t set) const
-    {
-        return set % cfg_.leaderSpacing == 0;
-    }
-
-    bool
-    isBrripLeader(std::uint32_t set) const
-    {
-        return set % cfg_.leaderSpacing == cfg_.leaderSpacing / 2;
-    }
-
-    Rng rng_;
-    const DuelingConfig cfg_;
-    const Mode mode_;
-    const std::uint32_t rrpvMax_;
-    std::vector<std::uint8_t> rrpv_;
-    const std::uint32_t pselMax_;
-    std::uint32_t psel_;
-};
-
-} // namespace
-
-std::unique_ptr<ReplacementPolicy>
+ReplacementPolicy
 makePolicy(PolicyKind kind, std::uint32_t sets, std::uint32_t ways,
-           std::uint64_t seed)
+           std::uint64_t seed, const DuelingConfig &cfg)
 {
     if (sets == 0 || ways == 0 || ways > 255)
         WSEL_FATAL("bad cache geometry: " << sets << " sets x "
                                           << ways << " ways");
-    DuelingConfig cfg;
     switch (kind) {
       case PolicyKind::LRU:
-        return std::make_unique<LruPolicy>(sets, ways);
+        return ReplacementPolicy(LruPolicy(sets, ways));
       case PolicyKind::Random:
-        return std::make_unique<RandomPolicy>(sets, ways, seed);
+        return ReplacementPolicy(RandomPolicy(ways, seed));
       case PolicyKind::FIFO:
-        return std::make_unique<FifoPolicy>(sets, ways);
+        return ReplacementPolicy(FifoPolicy(sets, ways));
       case PolicyKind::DIP:
-        return makeDip(sets, ways, seed, cfg);
       case PolicyKind::BIP:
-        return std::make_unique<DipPolicy>(sets, ways, seed, cfg,
-                                           true);
       case PolicyKind::LIP:
-        // LRU-insertion policy (Qureshi et al.): every fill lands
-        // at the LRU position; hits promote normally.
-        return std::make_unique<DipPolicy>(sets, ways, seed, cfg,
-                                           true, true);
+        // LIP is the LRU-insertion policy (Qureshi et al.): every
+        // fill lands at the LRU position; hits promote normally.
+        return ReplacementPolicy(
+            DipPolicy(kind, sets, ways, seed, cfg));
       case PolicyKind::DRRIP:
-        return makeDrrip(sets, ways, seed, cfg);
       case PolicyKind::SRRIP:
-        return std::make_unique<RripPolicy>(sets, ways, seed, cfg, 2,
-                                            RripPolicy::Mode::SRRIP);
       case PolicyKind::BRRIP:
-        return std::make_unique<RripPolicy>(sets, ways, seed, cfg, 2,
-                                            RripPolicy::Mode::BRRIP);
+        return ReplacementPolicy(
+            RripPolicy(kind, sets, ways, seed, cfg));
       case PolicyKind::NRU:
-        return std::make_unique<NruPolicy>(sets, ways);
+        return ReplacementPolicy(NruPolicy(sets, ways));
       case PolicyKind::PLRU:
-        return std::make_unique<PlruPolicy>(sets, ways);
+        return ReplacementPolicy(PlruPolicy(sets, ways));
     }
     WSEL_PANIC("invalid PolicyKind " << static_cast<int>(kind));
-}
-
-std::unique_ptr<ReplacementPolicy>
-makeDip(std::uint32_t sets, std::uint32_t ways, std::uint64_t seed,
-        const DuelingConfig &cfg)
-{
-    return std::make_unique<DipPolicy>(sets, ways, seed, cfg, false);
-}
-
-std::unique_ptr<ReplacementPolicy>
-makeDrrip(std::uint32_t sets, std::uint32_t ways, std::uint64_t seed,
-          const DuelingConfig &cfg, std::uint32_t rrpvBits)
-{
-    return std::make_unique<RripPolicy>(sets, ways, seed, cfg,
-                                        rrpvBits,
-                                        RripPolicy::Mode::DRRIP);
 }
 
 } // namespace wsel

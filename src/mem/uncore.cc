@@ -26,27 +26,12 @@ Uncore::Uncore(const UncoreConfig &cfg, std::uint32_t num_cores,
     // Head off growth churn from first-touch allocation bursts; the
     // slot count is unobservable in results.
     pageSlots_.resize(4096);
-    for (std::uint32_t c = 0; c < num_cores; ++c) {
-        if (cfg.ipStridePrefetch && cfg.streamPrefetch) {
-            // The standard pairing gets the fused, statically
-            // dispatched implementation (identical behaviour).
-            prefetchers_.push_back(makeIpStrideStreamPrefetcher(
-                64, 8, cfg.prefetchDegree));
-            continue;
-        }
-        std::vector<std::unique_ptr<Prefetcher>> parts;
-        if (cfg.ipStridePrefetch)
-            parts.push_back(
-                makeIpStridePrefetcher(64, cfg.prefetchDegree));
-        if (cfg.streamPrefetch)
-            parts.push_back(
-                makeStreamPrefetcher(8, cfg.prefetchDegree));
-        if (parts.empty())
-            prefetchers_.push_back(makeNullPrefetcher());
-        else
-            prefetchers_.push_back(
-                makeCompositePrefetcher(std::move(parts)));
-    }
+    if (cfg.ipStridePrefetch)
+        ipStride_.assign(num_cores,
+                         IpStridePrefetcher(64, cfg.prefetchDegree));
+    if (cfg.streamPrefetch)
+        stream_.assign(num_cores,
+                       StreamPrefetcher(8, cfg.prefetchDegree));
 }
 
 std::uint32_t
@@ -144,15 +129,18 @@ Uncore::expireMshrs(std::uint64_t now)
     // Stable one-pass compaction (same surviving order as
     // erase_if) that recomputes the minimum as it goes.
     std::uint64_t min = UINT64_MAX;
+    std::uint64_t lines = 0;
     std::size_t n = 0;
     for (const Mshr &m : mshrs_) {
         if (m.completion > now) {
             mshrs_[n++] = m;
             min = std::min(min, m.completion);
+            lines |= mshrFilterBit(m.lineAddr);
         }
     }
     mshrs_.resize(n);
     mshrMin_ = min;
+    mshrLines_ = lines;
 }
 
 std::uint64_t
@@ -164,9 +152,11 @@ Uncore::missPath(std::uint64_t start, std::uint64_t paddr,
     // MSHR merge: an outstanding miss to the same line completes
     // both requests at once.
     expireMshrs(start);
-    for (const Mshr &m : mshrs_) {
-        if (m.lineAddr == line)
-            return m.completion;
+    if (mshrLines_ & mshrFilterBit(line)) {
+        for (const Mshr &m : mshrs_) {
+            if (m.lineAddr == line)
+                return m.completion;
+        }
     }
 
     // MSHR structural hazard: wait for the earliest completion
@@ -184,6 +174,7 @@ Uncore::missPath(std::uint64_t start, std::uint64_t paddr,
 
     mshrs_.push_back(Mshr{line, completion});
     mshrMin_ = std::min(mshrMin_, completion);
+    mshrLines_ |= mshrFilterBit(line);
 
     // Fill the LLC now (tag state is updated in request order).
     // Every caller observed the miss with no intervening fill, so
@@ -248,9 +239,11 @@ Uncore::access(std::uint64_t cycle, std::uint32_t core_id,
         // The tags fill at request time, so a "hit" may target a
         // line whose data is still in flight: wait for its MSHR.
         const std::uint64_t line = llc_.lineAddr(paddr);
-        for (const Mshr &m : mshrs_) {
-            if (m.lineAddr == line)
-                completion = std::max(completion, m.completion);
+        if (mshrLines_ & mshrFilterBit(line)) {
+            for (const Mshr &m : mshrs_) {
+                if (m.lineAddr == line)
+                    completion = std::max(completion, m.completion);
+            }
         }
     } else {
         if (!is_prefetch)
@@ -275,8 +268,12 @@ Uncore::maybePrefetch(std::uint64_t start, std::uint32_t core_id,
 {
     prefetchScratch_.clear();
     std::vector<std::uint64_t> &proposals = prefetchScratch_;
-    prefetchers_[core_id]->observe(pc, llc_.lineAddr(paddr), was_miss,
-                                   proposals);
+    const std::uint64_t seen = llc_.lineAddr(paddr);
+    // Ip-stride proposals first, then stream: one composite order.
+    if (!ipStride_.empty())
+        ipStride_[core_id].observe(pc, seen, was_miss, proposals);
+    if (!stream_.empty())
+        stream_[core_id].observe(pc, seen, was_miss, proposals);
 
     for (std::uint64_t line : proposals) {
         const std::uint64_t byte_addr = line * cfg_.llc.lineBytes;

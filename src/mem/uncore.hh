@@ -16,7 +16,6 @@
 #define WSEL_MEM_UNCORE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -150,6 +149,13 @@ class Uncore final : public UncoreIf
     const UncoreConfig &config() const { return cfg_; }
     std::uint32_t numCores() const { return numCores_; }
 
+    /** The bit of the MSHR line filter that @p line_addr maps to. */
+    static constexpr std::uint64_t
+    mshrFilterBit(std::uint64_t line_addr)
+    {
+        return 1ull << (line_addr & 63);
+    }
+
   private:
     /** Translate with first-touch page allocation. */
     std::uint64_t translate(std::uint32_t core_id,
@@ -229,6 +235,16 @@ class Uncore final : public UncoreIf
     std::vector<Mshr> mshrs_;
 
     /**
+     * Bit mshrFilterBit(m.lineAddr) of every entry m of mshrs_,
+     * completed-but-unexpired ones included: set when an entry is
+     * pushed, rebuilt from the survivors whenever expireMshrs()
+     * compacts. A line whose bit is clear has no entry, so the
+     * merge and hit-wait scans are skipped only when they could not
+     * match.
+     */
+    std::uint64_t mshrLines_ = 0;
+
+    /**
      * Min completion over mshrs_ (UINT64_MAX when empty): lets
      * expireMshrs() skip its scan while nothing can have completed
      * — the erased set is unchanged, since no entry's completion
@@ -239,8 +255,13 @@ class Uncore final : public UncoreIf
     /** Pending write buffer slots: completion cycles. */
     std::vector<std::uint64_t> writeBuffer_;
 
-    /** Per-core prefetchers. */
-    std::vector<std::unique_ptr<Prefetcher>> prefetchers_;
+    /**
+     * Per-core LLC prefetchers, one entry per core when
+     * UncoreConfig enables the engine and empty otherwise. Concrete
+     * final types: observe() dispatches statically.
+     */
+    std::vector<IpStridePrefetcher> ipStride_;
+    std::vector<StreamPrefetcher> stream_;
 
     /** Reused proposal buffer for maybePrefetch(). */
     std::vector<std::uint64_t> prefetchScratch_;

@@ -135,12 +135,15 @@ TEST(Uncore, HitWaitsForItsMshrBehindAFilterCollision)
 {
     // The tags fill at request time, so a hit on a line still in
     // flight must wait for that line's MSHR. Lines one page apart
-    // have the same low six line-address bits; here B's MSHR, which
-    // shares those bits with A's, expires first, and the hit on A
-    // must still find A's.
+    // share their MSHR filter bit; here B's MSHR expires first, and
+    // the hit on A must still find A's.
     Uncore u(quietConfig(), 1, 1);
     const std::uint64_t b = 0x10000;
     const std::uint64_t a = b + 4096;
+    // First-touch pages are whole, so physical lines keep their
+    // page offset.
+    EXPECT_EQ(Uncore::mshrFilterBit(b / 64),
+              Uncore::mshrFilterBit(a / 64));
     const std::uint64_t cb = u.access(0, 0, b, false, 0);
     // Queue misses on the bus so A's fill lands well after B's.
     for (std::uint64_t i = 1; i <= 8; ++i)
