@@ -106,32 +106,20 @@ loadImpl(const std::string &path)
 }
 
 /**
- * Make @p path an empty place for Campaign::save: create it, or
- * empty a campaign directory already there.  The old manifest goes
+ * Empty the campaign directory at @p path (creating it), manifest
  * first, so a save killed part-way never leaves a readable mix of
- * two campaigns.  A file in the way, or a directory holding
- * anything but a campaign's files, is fatal rather than removed.
+ * two campaigns.  checkCampaignTarget() vets @p path first.
  */
 void
 clearCampaignDir(const std::string &path)
 {
     namespace fs = std::filesystem;
-    std::error_code ec;
-    if (fs::exists(path, ec) && !fs::is_directory(path, ec))
-        WSEL_FATAL("cannot save campaign to " << path
-                   << ": a file is in the way (campaigns are "
-                      "campaign_v3 directories)");
+    checkCampaignTarget(path);
     persist::ensureDirTree(path);
     std::vector<fs::path> old;
-    for (const auto &e : fs::directory_iterator(path)) {
-        const std::string name = e.path().filename().string();
-        if (name.rfind("manifest.bin", 0) != 0 &&
-            name.rfind("shard-", 0) != 0)
-            WSEL_FATAL("cannot save campaign to "
-                       << path << ": it holds '" << name
-                       << "', which is not part of a campaign");
+    for (const auto &e : fs::directory_iterator(path))
         old.push_back(e.path());
-    }
+    std::error_code ec;
     fs::remove(persist::v3ManifestPath(path), ec);
     for (const fs::path &p : old)
         fs::remove(p, ec);
@@ -247,6 +235,27 @@ runExplicitShards(Campaign &c, const CampaignOptions &opts,
 }
 
 } // namespace
+
+void
+checkCampaignTarget(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (!fs::exists(path, ec))
+        return;
+    if (!fs::is_directory(path, ec))
+        WSEL_FATAL("cannot save campaign to " << path
+                   << ": a file is in the way (campaigns are "
+                      "campaign_v3 directories)");
+    for (const auto &e : fs::directory_iterator(path)) {
+        const std::string name = e.path().filename().string();
+        if (name.rfind("manifest.bin", 0) != 0 &&
+            name.rfind("shard-", 0) != 0)
+            WSEL_FATAL("cannot save campaign to "
+                       << path << ": it holds '" << name
+                       << "', which is not part of a campaign");
+    }
+}
 
 std::uint64_t
 campaignFingerprint(const std::string &simulator,

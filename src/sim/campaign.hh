@@ -379,6 +379,16 @@ struct Campaign
 };
 
 /**
+ * Fatal unless Campaign::save() may write at @p path: nothing is
+ * there yet, or a directory holding only a campaign's files
+ * (manifest.bin*, shard-*), which the save replaces.  A file in the
+ * way, or any other directory, is refused rather than removed.
+ * Touches nothing, so a command can check its output before it
+ * simulates.
+ */
+void checkCampaignTarget(const std::string &path);
+
+/**
  * Fingerprint of everything that determines a campaign's numbers:
  * simulator kind, core count, slice length, policy list, and the
  * suite (benchmark names and parameter hashes).  Stored in v3

@@ -1,7 +1,9 @@
 # Round trip of a saved campaign through the CLI: `campaign --out`
 # writes a campaign_v3 directory, `analyze` and `report` read it
 # back, and `cache verify` passes it when cached and reports it
-# CORRUPT (exit 1) once one of its shards is truncated.  Invoked by
+# CORRUPT (exit 1) once one of its shards is truncated.  An --out
+# that names an existing file is refused before any cell runs, so no
+# checkpoint directory appears.  Invoked by
 # the wsel_cli_campaign_roundtrip ctest entry with
 # -DCLI=<wsel_cli binary> -DWORK=<scratch directory>.
 
@@ -31,6 +33,30 @@ if(NOT EXISTS ${camp}/manifest.bin OR NOT EXISTS ${camp}/shard-000000.bin)
 endif()
 if(EXISTS ${camp}.partial)
     message(FATAL_ERROR "campaign left its checkpoint behind")
+endif()
+
+# A file in the way of --out: refused up front, nothing simulated.
+set(blocked ${WORK}/old.csv)
+file(WRITE ${blocked} "rank,policy,ipc\n")
+execute_process(COMMAND ${CLI} campaign --cores 2 --insns 5000
+                        --limit 12 --jobs 1 --out ${blocked}
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(rc EQUAL 0)
+    message(FATAL_ERROR "campaign --out over a file succeeded:\n${out}")
+endif()
+if(NOT err MATCHES "a file is in the way")
+    message(FATAL_ERROR "campaign --out over a file gave the wrong "
+                        "error:\n${err}")
+endif()
+if(EXISTS ${blocked}.partial)
+    message(FATAL_ERROR "campaign --out over a file simulated before "
+                        "refusing it (left ${blocked}.partial)")
+endif()
+file(READ ${blocked} kept)
+if(NOT kept STREQUAL "rank,policy,ipc\n")
+    message(FATAL_ERROR "campaign --out over a file changed the file")
 endif()
 
 run_cli(0 out analyze --campaign ${camp})

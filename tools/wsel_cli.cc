@@ -285,6 +285,9 @@ cmdCampaign(const Args &args)
     setupObs(args);
     if (!args.has("out"))
         WSEL_FATAL("campaign requires --out DIR");
+    const std::string out = args.get("out", "");
+    // Refuse an unusable --out before any cell runs, not after.
+    checkCampaignTarget(out);
     const std::uint32_t cores =
         static_cast<std::uint32_t>(args.getU64("cores", 4));
     const std::uint64_t insns = args.getU64("insns", 100000);
@@ -322,7 +325,6 @@ cmdCampaign(const Args &args)
     opts.jobs = static_cast<std::size_t>(args.getU64("jobs", 0));
     // Checkpoint each finished shard so a killed campaign can pick
     // up where it left off (--resume 0 restarts).
-    const std::string out = args.get("out", "");
     opts.checkpointDir = out + ".partial";
     if (args.getU64("resume", 1) == 0) {
         std::error_code ec;
