@@ -64,6 +64,19 @@ TEST(Fifo, IgnoresHits)
     EXPECT_EQ(p.selectVictim(0), 0u);
 }
 
+TEST(RankStack, RefusesWaysItsSwarBytesCannotHold)
+{
+    // Ranks of 128 and up would carry between SWAR bytes; every
+    // rank-stack policy refuses them, the others do not care.
+    for (PolicyKind k : {PolicyKind::LRU, PolicyKind::FIFO,
+                         PolicyKind::DIP, PolicyKind::BIP,
+                         PolicyKind::LIP})
+        EXPECT_THROW(makePolicy(k, 1, 128, 1), FatalError)
+            << toString(k);
+    EXPECT_NO_THROW(makePolicy(PolicyKind::LRU, 1, 127, 1));
+    EXPECT_NO_THROW(makePolicy(PolicyKind::SRRIP, 1, 128, 1));
+}
+
 TEST(Random, DeterministicPerSeedAndCoversWays)
 {
     auto a = makePolicy(PolicyKind::Random, 1, 8, 99);
