@@ -66,9 +66,10 @@ main()
     // Ground truth: the full campaign pair (cached across runs).
     CampaignOptions copts;
     copts.jobs = 0; // auto: $WSEL_JOBS, else hardware threads
-    const std::string tag = "k" + std::to_string(cores) + "_b" +
-                            std::to_string(suite.size()) + "_u" +
-                            std::to_string(target);
+    std::string tag = "k";
+    tag += std::to_string(cores) + "_b" +
+           std::to_string(suite.size()) + "_u" +
+           std::to_string(target);
     const std::uint64_t fpb =
         campaignFingerprint("badco", cores, target, {x, y}, suite);
     const Campaign bad = cachedCampaign(

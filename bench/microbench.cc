@@ -194,9 +194,6 @@ BENCHMARK(BM_DetailedCell)->Unit(benchmark::kMillisecond);
 // One tag scan over a 16-way set (the Table II LLC geometry), per
 // implementation. The hit way cycles through all 16 positions so
 // early-exit paths are not flattered by a fixed match index.
-// sse2/avx2 call the implementations directly (the dispatched
-// find() routes 16-way sets to the inlined SSE2 body even on AVX2
-// hosts — see cache/tagscan.hh).
 void
 BM_TagCompare(benchmark::State &state)
 {
@@ -223,9 +220,6 @@ BM_TagCompare(benchmark::State &state)
         std::uint32_t r = 0;
         switch (path) {
 #ifdef WSEL_TAGSCAN_X86
-          case tagscan::Path::Avx2:
-            r = tagscan::findAvx2(tags, 16, want);
-            break;
           case tagscan::Path::Sse2:
             r = tagscan::findSse2(tags, 16, want);
             break;
@@ -241,8 +235,7 @@ BM_TagCompare(benchmark::State &state)
 }
 BENCHMARK(BM_TagCompare)
     ->Arg(static_cast<int>(tagscan::Path::Scalar))
-    ->Arg(static_cast<int>(tagscan::Path::Sse2))
-    ->Arg(static_cast<int>(tagscan::Path::Avx2));
+    ->Arg(static_cast<int>(tagscan::Path::Sse2));
 
 // Models and uncore shared by the batched-engine microbenches:
 // load-heavy mcf/povray cells on a 4-core LRU uncore.

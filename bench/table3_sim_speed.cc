@@ -8,7 +8,7 @@
  * faster, speedup growing with core count) is the target.
  *
  * A second table reports host-parallel scaling: the same BADCO
- * campaign run with --jobs 1/2/4/8 on the exec/ work-stealing
+ * campaign run with --jobs 1/2/4/8 on the exec/ thread
  * pool, with wall-clock speedup over the serial run and a check
  * that every job count produced the identical IPC matrix
  * (docs/PARALLELISM.md).  WSEL_SCALE_WORKLOADS sizes the campaign

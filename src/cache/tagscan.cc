@@ -16,8 +16,6 @@ toString(Path path)
         return "scalar";
       case Path::Sse2:
         return "sse2";
-      case Path::Avx2:
-        return "avx2";
     }
     return "scalar";
 }
@@ -29,8 +27,6 @@ Path
 widestSupported()
 {
 #ifdef WSEL_TAGSCAN_X86
-    if (__builtin_cpu_supports("avx2"))
-        return Path::Avx2;
     return Path::Sse2; // baseline on x86-64
 #else
     return Path::Scalar;
@@ -49,22 +45,15 @@ resolvePath()
 #ifdef WSEL_TAGSCAN_X86
     if (v == "sse2")
         return Path::Sse2;
-    if (v == "avx2") {
-        if (__builtin_cpu_supports("avx2"))
-            return Path::Avx2;
-        warn("WSEL_SIMD=avx2 requested but the CPU lacks AVX2; "
-             "using sse2");
-        return Path::Sse2;
-    }
 #else
-    if (v == "sse2" || v == "avx2") {
+    if (v == "sse2") {
         warn("WSEL_SIMD=" + v +
              " is x86-64 only; using the scalar path");
         return Path::Scalar;
     }
 #endif
     warn("ignoring unknown WSEL_SIMD '" + v +
-         "' (want scalar|sse2|avx2|auto)");
+         "' (want scalar|sse2|auto)");
     return widestSupported();
 }
 

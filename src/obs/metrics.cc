@@ -114,12 +114,7 @@ struct CatalogEntry
 
 constexpr CatalogEntry kCatalog[] = {
     {"scheduler.tasks_run", 'c'},
-    {"scheduler.tasks_stolen", 'c'},
-    {"scheduler.tasks_helped", 'c'},
     {"scheduler.tasks_cancelled", 'c'},
-    {"scheduler.steal_fail", 'c'},
-    {"scheduler.queue_depth", 'g'},
-    {"scheduler.queue_ns", 'h'},
     {"scheduler.run_ns", 'h'},
     {"persist.cache_hit", 'c'},
     {"persist.cache_miss", 'c'},

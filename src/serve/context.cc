@@ -91,16 +91,15 @@ CampaignContext::computeReferenceIpcs(std::size_t jobs)
 {
     if (!m_.refIpc.empty())
         return;
-    const UncoreConfig ref =
-        UncoreConfig::forCores(m_.cores, PolicyKind::LRU);
     if (fidelity_ == 0) {
-        const BadcoMulticoreSim ref_sim(ref, 1, m_.targetUops, seed_);
-        m_.refIpc = ref_sim.referenceIpcs(models_, jobs);
+        m_.refIpc = badcoReferenceIpcs(models_, m_.cores, m_.targetUops,
+                                       seed_, jobs);
     } else {
         // Detailed fidelity: no models; references come from the
         // cycle-level simulator (as runDetailedCampaign does).
-        const DetailedMulticoreSim ref_sim(coreCfg_, ref, 1,
-                                           m_.targetUops, seed_);
+        const DetailedMulticoreSim ref_sim(
+            coreCfg_, UncoreConfig::forCores(m_.cores, PolicyKind::LRU),
+            1, m_.targetUops, seed_);
         m_.refIpc = ref_sim.referenceIpcs(suite_, jobs);
     }
 }

@@ -172,12 +172,8 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
 
     const std::vector<const BadcoModel *> models =
         store.getSuite(suite, jobs);
-    std::vector<double> ref_ipc;
-    {
-        UncoreConfig ref = UncoreConfig::forCores(k, PolicyKind::LRU);
-        BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        ref_ipc = ref_sim.referenceIpcs(models, jobs);
-    }
+    const std::vector<double> ref_ipc =
+        badcoReferenceIpcs(models, k, target_uops, opts.seed, jobs);
 
     std::error_code ec;
     fs::create_directories(out_dir, ec);

@@ -24,7 +24,7 @@
  * once per batch (trace/trace_store.hh BatchPin). Cells own private
  * Uncore instances (the paper's sharing is within a cell, never
  * across cells); the packed 32-bit LLC tag arrays they probe resolve
- * through the runtime-dispatched SSE2/AVX2 tag-scan paths
+ * through the SSE2 tag scan, or the scalar loop off x86-64
  * (cache/tagscan.hh, WSEL_SIMD).
  *
  * Threads: run() is the one place BADCO cells are spread across

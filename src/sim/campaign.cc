@@ -430,12 +430,8 @@ runBadcoCampaign(const WorkloadSet &workloads,
     const std::size_t jobs = exec::resolveJobs(opts.jobs);
     const std::vector<const BadcoModel *> models =
         store.getSuite(suite, jobs);
-    {
-        UncoreConfig ref =
-            UncoreConfig::forCores(cores, PolicyKind::LRU);
-        BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        c.refIpc = ref_sim.referenceIpcs(models, jobs);
-    }
+    c.refIpc =
+        badcoReferenceIpcs(models, cores, target_uops, opts.seed, jobs);
     std::vector<UncoreConfig> ucfgs;
     for (PolicyKind p : policies)
         ucfgs.push_back(UncoreConfig::forCores(cores, p));

@@ -79,16 +79,8 @@ characterizeSuite(const std::vector<BenchmarkProfile> &suite,
                   std::size_t jobs)
 {
     std::vector<BenchmarkFeatures> out(suite.size());
-    const std::size_t resolved = exec::resolveJobs(jobs);
-    if (resolved <= 1 || suite.size() <= 1) {
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            out[i] = characterizeBenchmark(
-                suite[i], core_cfg, uncore_cfg, target_uops, seed);
-        return out;
-    }
-    exec::ThreadPool pool(resolved);
-    exec::parallel_for(
-        pool, std::size_t{0}, suite.size(), [&](std::size_t i) {
+    exec::forEachIndex(
+        exec::resolveJobs(jobs), suite.size(), [&](std::size_t i) {
             out[i] = characterizeBenchmark(
                 suite[i], core_cfg, uncore_cfg, target_uops, seed);
         });

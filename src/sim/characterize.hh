@@ -66,7 +66,7 @@ BenchmarkFeatures characterizeBenchmark(
  * Characterize a whole suite (suite order preserved).  Each
  * benchmark runs with the same @p seed, so the result does not
  * depend on @p jobs; with jobs != 1 the benchmarks run
- * concurrently on the exec/ work-stealing pool (0 asks for
+ * concurrently on an exec/ thread pool (0 asks for
  * exec::defaultJobs()).
  */
 std::vector<BenchmarkFeatures> characterizeSuite(

@@ -115,39 +115,29 @@ std::vector<const BadcoModel *>
 BadcoModelStore::getSuite(const std::vector<BenchmarkProfile> &suite,
                           std::size_t jobs)
 {
-    const std::size_t resolved = exec::resolveJobs(jobs);
-    if (resolved > 1) {
-        // Phase 1: build or load every model not yet in memory,
-        // concurrently.  Duplicate names are built once; the map
-        // and the cost counters are only updated in the serial
-        // phase below, in suite order.
-        std::vector<const BenchmarkProfile *> missing;
-        std::set<std::string> queued;
-        for (const BenchmarkProfile &p : suite) {
-            if (models_.count(p.name) || !queued.insert(p.name).second)
-                continue;
-            missing.push_back(&p);
-        }
-        if (missing.size() > 1) {
-            std::vector<std::optional<BadcoModel>> slot(
-                missing.size());
-            std::vector<double> secs(missing.size(), 0.0);
-            std::deque<bool> built(missing.size(), false);
-            exec::ThreadPool pool(resolved);
-            exec::parallel_for(
-                pool, std::size_t{0}, missing.size(),
-                [&](std::size_t i) {
-                    bool b = false;
-                    slot[i] = loadOrBuild(*missing[i], secs[i], b);
-                    built[i] = b;
-                });
-            for (std::size_t i = 0; i < missing.size(); ++i) {
-                models_.emplace(missing[i]->name,
-                                std::move(*slot[i]));
-                buildSeconds_ += secs[i];
-                built_ += built[i] ? 1 : 0;
-            }
-        }
+    // Build or load every model not yet in memory, on the jobs
+    // threads.  Duplicate names are built once; the map and the cost
+    // counters are only updated afterwards, in suite order.
+    std::vector<const BenchmarkProfile *> missing;
+    std::set<std::string> queued;
+    for (const BenchmarkProfile &p : suite) {
+        if (models_.count(p.name) || !queued.insert(p.name).second)
+            continue;
+        missing.push_back(&p);
+    }
+    std::vector<std::optional<BadcoModel>> slot(missing.size());
+    std::vector<double> secs(missing.size(), 0.0);
+    std::deque<bool> built(missing.size(), false);
+    exec::forEachIndex(
+        exec::resolveJobs(jobs), missing.size(), [&](std::size_t i) {
+            bool b = false;
+            slot[i] = loadOrBuild(*missing[i], secs[i], b);
+            built[i] = b;
+        });
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+        models_.emplace(missing[i]->name, std::move(*slot[i]));
+        buildSeconds_ += secs[i];
+        built_ += built[i] ? 1 : 0;
     }
     std::vector<const BadcoModel *> out;
     out.reserve(suite.size());

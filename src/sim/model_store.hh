@@ -46,7 +46,7 @@ class BadcoModelStore
     /**
      * Models for a whole suite, indexed like the suite.  With
      * jobs != 1 the missing models are built (or loaded from
-     * disk) concurrently on the exec/ work-stealing pool — model
+     * disk) concurrently on an exec/ thread pool — model
      * building is per-benchmark pure, only the map insertion is
      * serialized — and the result is identical to a serial call.
      * The store itself is not thread-safe: call get/getSuite from

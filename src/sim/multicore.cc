@@ -243,4 +243,15 @@ BadcoMulticoreSim::referenceIpcs(
     return refs;
 }
 
+std::vector<double>
+badcoReferenceIpcs(const std::vector<const BadcoModel *> &models,
+                   std::uint32_t cores, std::uint64_t target_uops,
+                   std::uint64_t seed, std::size_t jobs)
+{
+    const BadcoMulticoreSim ref(
+        UncoreConfig::forCores(cores, PolicyKind::LRU), 1, target_uops,
+        seed);
+    return ref.referenceIpcs(models, jobs);
+}
+
 } // namespace wsel

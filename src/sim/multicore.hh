@@ -174,6 +174,15 @@ class BadcoMulticoreSim
     bool restartThreads_ = true;
 };
 
+/**
+ * A BADCO campaign's reference IPCs: each model alone on the
+ * @p cores-core LRU uncore, over @p jobs threads (a thread count:
+ * resolve 0 first); in model order, independent of @p jobs.
+ */
+std::vector<double> badcoReferenceIpcs(
+    const std::vector<const BadcoModel *> &models, std::uint32_t cores,
+    std::uint64_t target_uops, std::uint64_t seed, std::size_t jobs);
+
 } // namespace wsel
 
 #endif // WSEL_SIM_MULTICORE_HH

@@ -346,11 +346,7 @@ runBadcoPopulationCampaign(
 
     const std::vector<const BadcoModel *> models =
         store.getSuite(suite, jobs);
-    {
-        UncoreConfig ref = UncoreConfig::forCores(k, PolicyKind::LRU);
-        BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        m.refIpc = ref_sim.referenceIpcs(models, jobs);
-    }
+    m.refIpc = badcoReferenceIpcs(models, k, target_uops, opts.seed, jobs);
 
     std::error_code ec;
     fs::create_directories(out_dir, ec);

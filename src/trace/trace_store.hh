@@ -341,7 +341,7 @@ class TraceStore
     /**
      * Materialize every chunk covering [0, uops) of @p profile's
      * stream. Serial; campaign prewarm fans this out over
-     * exec::parallel_for, one benchmark per task.
+     * exec::parallel_for, one benchmark per index.
      */
     void ensureBuilt(const BenchmarkProfile &profile,
                      std::uint64_t uops);

@@ -3,7 +3,9 @@
 # back, and `cache verify` passes it when cached and reports it
 # CORRUPT (exit 1) once one of its shards is truncated.  An --out
 # that names an existing file is refused before any cell runs, so no
-# checkpoint directory appears.  Invoked by
+# checkpoint directory appears, and so is a numeric option that is
+# not a whole unsigned decimal (`--resume yes`, `--jobs 4x`): the
+# saved campaign and its checkpoint stay untouched.  Invoked by
 # the wsel_cli_campaign_roundtrip ctest entry with
 # -DCLI=<wsel_cli binary> -DWORK=<scratch directory>.
 
@@ -58,6 +60,38 @@ file(READ ${blocked} kept)
 if(NOT kept STREQUAL "rank,policy,ipc\n")
     message(FATAL_ERROR "campaign --out over a file changed the file")
 endif()
+
+# Malformed numbers: refused up front, nothing simulated or removed.
+file(SHA256 ${camp}/manifest.bin manifest_sum)
+file(MAKE_DIRECTORY ${camp}.partial)
+file(WRITE ${camp}.partial/keep "checkpoint\n")
+foreach(bad "resume;yes" "jobs;4x")
+    list(GET bad 0 key)
+    list(GET bad 1 value)
+    execute_process(COMMAND ${CLI} campaign --cores 2 --insns 5000
+                            --limit 12 --jobs 1 --out ${camp}
+                            --${key} ${value}
+                    RESULT_VARIABLE rc
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(rc EQUAL 0)
+        message(FATAL_ERROR "campaign --${key} ${value} succeeded:\n${out}")
+    endif()
+    if(NOT err MATCHES "--${key} wants an unsigned integer")
+        message(FATAL_ERROR "campaign --${key} ${value} gave the wrong "
+                            "error:\n${err}")
+    endif()
+    if(NOT EXISTS ${camp}.partial/keep)
+        message(FATAL_ERROR "campaign --${key} ${value} removed the "
+                            "checkpoint before refusing the option")
+    endif()
+    file(SHA256 ${camp}/manifest.bin sum)
+    if(NOT sum STREQUAL manifest_sum)
+        message(FATAL_ERROR "campaign --${key} ${value} rewrote the "
+                            "saved campaign")
+    endif()
+endforeach()
+file(REMOVE_RECURSE ${camp}.partial)
 
 run_cli(0 out analyze --campaign ${camp})
 if(NOT out MATCHES "workloads: 12 ")

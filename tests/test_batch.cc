@@ -138,9 +138,8 @@ struct TagScanFixture
 TEST(GatheredTagScan, AllKernelsMatchScalarReference)
 {
     // Set counts across the SIMD chunk boundaries: 4-way (one SSE2
-    // compare, scalar tail on AVX2), 8-way, 16-way (the Table II
-    // LLC) and an odd way count that leaves a scalar tail on
-    // every path.
+    // compare), 8-way, 16-way (the Table II LLC) and an odd way
+    // count that leaves a scalar tail.
     for (std::uint32_t ways : {4u, 8u, 13u, 16u, 32u}) {
         for (std::size_t count :
              {std::size_t{1}, std::size_t{5}, std::size_t{33}}) {
@@ -154,11 +153,6 @@ TEST(GatheredTagScan, AllKernelsMatchScalarReference)
                 EXPECT_EQ(tagscan::findSse2(p.tags, p.n, p.want),
                           want)
                     << "sse2 ways " << ways << " probe " << i;
-                if (__builtin_cpu_supports("avx2")) {
-                    EXPECT_EQ(
-                        tagscan::findAvx2(p.tags, p.n, p.want), want)
-                        << "avx2 ways " << ways << " probe " << i;
-                }
 #endif
                 EXPECT_EQ(tagscan::find(p.tags, p.n, p.want), want)
                     << "dispatch ways " << ways << " probe " << i;

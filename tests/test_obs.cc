@@ -198,7 +198,7 @@ TEST(ObsSnapshot, CatalogPreRegisteredOnEnable)
     // scheduler, campaign shard, and persist-cache instruments, even
     // when their code paths never ran.
     EXPECT_TRUE(has("scheduler.tasks_run"));
-    EXPECT_TRUE(has("scheduler.queue_ns"));
+    EXPECT_TRUE(has("scheduler.run_ns"));
     EXPECT_TRUE(has("population.cells"));
     EXPECT_TRUE(has("population.shard_write_ns"));
     EXPECT_TRUE(has("persist.cache_hit"));
@@ -247,8 +247,11 @@ TEST(ObsTrace, RingOverflowDropsOldestAndCounts)
     obs::Counter &dropCounter = obs::counter("trace.dropped");
     const std::uint64_t dropsBefore = dropCounter.value();
     obs::enableTracing(64);
-    for (int i = 0; i < 100; ++i)
-        obs::instant("e" + std::to_string(i));
+    for (int i = 0; i < 100; ++i) {
+        std::string name = "e";
+        name += std::to_string(i);
+        obs::instant(std::move(name));
+    }
     const obs::TraceSnapshot snap = obs::traceSnapshot();
     EXPECT_EQ(snap.events.size(), 64u);
     EXPECT_EQ(snap.dropped, 36u);
@@ -387,10 +390,8 @@ TEST(ObsScheduler, PoolStatsReachRegistry)
     std::atomic<std::size_t> executed{0};
     {
         exec::ThreadPool pool(4);
-        exec::TaskGroup group(pool);
-        for (std::size_t i = 0; i < kTasks; ++i)
-            group.run([&executed] { ++executed; });
-        group.wait();
+        exec::parallel_for(pool, std::size_t{0}, kTasks,
+                           [&executed](std::size_t) { ++executed; });
     }
     EXPECT_EQ(executed.load(), kTasks);
     EXPECT_EQ(run.value() - before, kTasks);

@@ -1,17 +1,14 @@
 /**
  * @file
- * Unit tests for the exec/ work-stealing scheduler: work
- * distribution under skewed task costs, exception propagation and
- * group cancellation, deadlock-free nesting, TaskGraph ordering,
- * SchedulerStats consistency, and the WSEL_JOBS resolution rules.
+ * Unit tests for the exec/ parallel loop: exactly-once execution
+ * under skewed index costs, bitwise equality with a serial loop,
+ * exception propagation and cancellation of unstarted indices,
+ * inline nesting, and the WSEL_JOBS resolution rules.
  */
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -20,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/scheduler.hh"
-#include "stats/logging.hh"
+#include "obs/metrics.hh"
 
 namespace wsel
 {
@@ -28,9 +25,6 @@ namespace wsel
 namespace
 {
 
-using exec::SchedulerStats;
-using exec::TaskGraph;
-using exec::TaskGroup;
 using exec::ThreadPool;
 
 TEST(Scheduler, ResolveJobsAndWselJobsEnv)
@@ -61,7 +55,6 @@ TEST(Scheduler, PoolHasRequestedThreadCount)
 {
     ThreadPool pool(3);
     EXPECT_EQ(pool.threads(), 3u);
-    EXPECT_EQ(pool.stats().threads, 3u);
 }
 
 TEST(Scheduler, ParallelForMatchesSerialBitwise)
@@ -97,51 +90,18 @@ TEST(Scheduler, SingleWorkerPoolRunsInlineInOrder)
 {
     ThreadPool pool(1);
     std::vector<std::size_t> order;
+    std::vector<std::thread::id> ran_on;
     exec::parallel_for(pool, std::size_t{0}, std::size_t{16},
-                       [&](std::size_t i) { order.push_back(i); });
+                       [&](std::size_t i) {
+                           order.push_back(i);
+                           ran_on.push_back(std::this_thread::get_id());
+                       });
     ASSERT_EQ(order.size(), 16u);
-    for (std::size_t i = 0; i < order.size(); ++i)
+    for (std::size_t i = 0; i < order.size(); ++i) {
         EXPECT_EQ(order[i], i);
-    // Inline execution generates no pool traffic at all.
-    EXPECT_EQ(pool.stats().tasksRun, 0u);
-}
-
-TEST(Scheduler, WorkStealingUnderSkewedCosts)
-{
-    // External submissions round-robin across the two workers'
-    // deques: blocker -> deque 0, filler -> deque 1, setter ->
-    // deque 0.  Worker 0 drains its own deque in FIFO order, so it
-    // claims the blocker first and parks in it; the setter behind
-    // it can then only run on another thread (worker 1 stealing
-    // from deque 0's back, or the waiter helping).  Group
-    // completion therefore proves a steal or a help happened.
-    ThreadPool pool(2);
-    std::mutex mu;
-    std::condition_variable cv;
-    bool set = false;
-    std::atomic<int> ran{0};
-    {
-        TaskGroup group(pool);
-        group.run([&] {
-            std::unique_lock<std::mutex> lk(mu);
-            cv.wait(lk, [&] { return set; });
-            ++ran;
-        });
-        group.run([&] { ++ran; });
-        group.run([&] {
-            {
-                std::lock_guard<std::mutex> g(mu);
-                set = true;
-            }
-            cv.notify_all();
-            ++ran;
-        });
-        group.wait();
+        // Inline execution: every index runs on the calling thread.
+        EXPECT_EQ(ran_on[i], std::this_thread::get_id());
     }
-    EXPECT_EQ(ran.load(), 3);
-    const SchedulerStats st = pool.stats();
-    EXPECT_EQ(st.tasksRun, 3u);
-    EXPECT_GE(st.tasksStolen + st.tasksHelped, 1u);
 }
 
 TEST(Scheduler, SkewedParallelForRunsEveryIndexOnce)
@@ -160,31 +120,57 @@ TEST(Scheduler, SkewedParallelForRunsEveryIndexOnce)
     });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    EXPECT_EQ(pool.stats().tasksRun, n);
 }
 
 TEST(Scheduler, ExceptionCancelsOutstandingTasks)
 {
+    // Three threads work on the loop: two pool threads and the
+    // caller.  Indices 0..2 meet at a barrier, so each thread holds
+    // exactly one of them and nobody can claim index 3.  Index 0
+    // then throws; 1 and 2 return only once the cancellation is
+    // counted, which the pool does after moving the cursor to the
+    // end.  So indices 3.. are deterministically never started.
+    obs::enableMetrics();
+    obs::Counter &cancelled = obs::counter("scheduler.tasks_cancelled");
+    const std::uint64_t before = cancelled.value();
     ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    group.run([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    EXPECT_TRUE(group.cancelled());
+    constexpr std::size_t kHeld = 3;
+    constexpr std::size_t n = 64;
+    std::vector<std::atomic<int>> hits(n);
+    for (auto &h : hits)
+        h.store(0);
+    std::atomic<std::size_t> arrived{0};
+    EXPECT_THROW(
+        exec::parallel_for(
+            pool, std::size_t{0}, n,
+            [&](std::size_t i) {
+                hits[i].fetch_add(1);
+                if (i >= kHeld)
+                    return;
+                arrived.fetch_add(1);
+                while (arrived.load() < kHeld)
+                    std::this_thread::yield();
+                if (i == 0)
+                    throw std::runtime_error("index failed");
+                const auto give_up = std::chrono::steady_clock::now() +
+                                     std::chrono::seconds(10);
+                while (cancelled.value() == before &&
+                       std::chrono::steady_clock::now() < give_up)
+                    std::this_thread::yield();
+            }),
+        std::runtime_error);
+    obs::enableMetrics(false);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(), i < kHeld ? 1 : 0) << "index " << i;
+    EXPECT_EQ(cancelled.value() - before, n - kHeld);
 
-    // Everything submitted after the failure is deterministically
-    // skipped: the group is already cancelled.
-    for (int i = 0; i < 10; ++i)
-        group.run([&] { ++ran; });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 0);
-    const SchedulerStats st = pool.stats();
-    EXPECT_EQ(st.tasksCancelled, 10u);
-    // The pool survives a failed group and stays usable.
-    std::atomic<int> after{0};
-    exec::parallel_for(pool, std::size_t{0}, std::size_t{8},
-                       [&](std::size_t) { ++after; });
-    EXPECT_EQ(after.load(), 8);
+    // The pool survives a failed loop: the next one runs every index.
+    for (auto &h : hits)
+        h.store(0);
+    exec::parallel_for(pool, std::size_t{0}, n,
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(Scheduler, ParallelForRethrowsFirstError)
@@ -201,9 +187,9 @@ TEST(Scheduler, ParallelForRethrowsFirstError)
 
 TEST(Scheduler, NestedParallelForDoesNotDeadlock)
 {
-    // Outer tasks block in the inner wait; they make progress by
-    // helping execute inner tasks.  A lost wakeup or a worker
-    // parked forever shows up here as a test timeout.
+    // An inner loop on the same pool runs inline on the thread of
+    // its outer index.  A lost wakeup or a worker parked forever
+    // shows up here as a test timeout.
     for (const std::size_t threads : {1, 2, 4}) {
         ThreadPool pool(threads);
         const std::size_t n = 8;
@@ -222,91 +208,6 @@ TEST(Scheduler, NestedParallelForDoesNotDeadlock)
         EXPECT_EQ(sum, static_cast<long>(n * n * (n * n - 1) / 2))
             << threads << " threads";
     }
-}
-
-TEST(Scheduler, StatsAreInternallyConsistent)
-{
-    ThreadPool pool(4);
-    const std::size_t n = 100;
-    std::atomic<int> ran{0};
-    exec::parallel_for(pool, std::size_t{0}, n,
-                       [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), static_cast<int>(n));
-    const SchedulerStats st = pool.stats();
-    EXPECT_EQ(st.threads, 4u);
-    EXPECT_EQ(st.tasksRun, n);
-    EXPECT_EQ(st.tasksCancelled, 0u);
-    EXPECT_LE(st.tasksStolen + st.tasksHelped, st.tasksRun);
-    EXPECT_GE(st.queueSeconds, 0.0);
-    EXPECT_GE(st.runSeconds, 0.0);
-    EXPECT_LE(st.maxQueueSeconds, st.queueSeconds + 1e-12);
-    EXPECT_LE(st.maxRunSeconds, st.runSeconds + 1e-12);
-}
-
-TEST(TaskGraphTest, DiamondRespectsDependencies)
-{
-    ThreadPool pool(2);
-    TaskGraph graph(pool);
-    std::mutex mu;
-    std::vector<char> order;
-    auto record = [&](char c) {
-        return [&, c] {
-            std::lock_guard<std::mutex> g(mu);
-            order.push_back(c);
-        };
-    };
-    const auto a = graph.add(record('a'));
-    const auto b = graph.add(record('b'), {a});
-    const auto c = graph.add(record('c'), {a});
-    graph.add(record('d'), {b, c});
-    graph.run();
-
-    ASSERT_EQ(order.size(), 4u);
-    auto pos = [&](char c) {
-        return std::find(order.begin(), order.end(), c) -
-               order.begin();
-    };
-    EXPECT_EQ(pos('a'), 0);
-    EXPECT_EQ(pos('d'), 3);
-    EXPECT_LT(pos('a'), pos('b'));
-    EXPECT_LT(pos('a'), pos('c'));
-    EXPECT_LT(pos('b'), pos('d'));
-    EXPECT_LT(pos('c'), pos('d'));
-}
-
-TEST(TaskGraphTest, ErrorInNodeCancelsDependents)
-{
-    ThreadPool pool(2);
-    TaskGraph graph(pool);
-    std::atomic<int> ran{0};
-    const auto a =
-        graph.add([] { throw std::runtime_error("node failed"); });
-    graph.add([&] { ++ran; }, {a});
-    graph.add([&] { ++ran; }, {a});
-    EXPECT_THROW(graph.run(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(TaskGraphTest, ForwardOrSelfDependencyIsFatal)
-{
-    ThreadPool pool(1);
-    TaskGraph graph(pool);
-    // Dependencies must name earlier nodes: the graph is a DAG by
-    // construction, so a cycle cannot even be expressed.
-    EXPECT_THROW(graph.add([] {}, {0}), FatalError);
-    const auto a = graph.add([] {});
-    EXPECT_THROW(graph.add([] {}, {a + 1}), FatalError);
-}
-
-TEST(TaskGraphTest, IndependentNodesAllRun)
-{
-    ThreadPool pool(4);
-    TaskGraph graph(pool);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i)
-        graph.add([&] { ++ran; });
-    graph.run();
-    EXPECT_EQ(ran.load(), 32);
 }
 
 } // namespace

@@ -109,7 +109,11 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -173,13 +177,22 @@ class Args
         return it == kv_.end() ? def : it->second;
     }
 
+    /** --key as a whole unsigned decimal; anything else is fatal. */
     std::uint64_t
     getU64(const std::string &key, std::uint64_t def) const
     {
         auto it = kv_.find(key);
-        return it == kv_.end()
-                   ? def
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
+        if (it == kv_.end())
+            return def;
+        const std::string &v = it->second;
+        errno = 0;
+        char *end = nullptr;
+        const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(v[0])) ||
+            *end != '\0' || errno == ERANGE)
+            WSEL_FATAL("--" << key << " wants an unsigned integer, got '"
+                       << v << "'");
+        return n;
     }
 
     bool has(const std::string &key) const
@@ -191,12 +204,31 @@ class Args
     std::map<std::string, std::string> kv_;
 };
 
+/** --key as a whole finite number; anything else is fatal. */
 double
 argF64(const Args &args, const std::string &key, double def)
 {
-    return args.has(key)
-               ? std::strtod(args.get(key, "").c_str(), nullptr)
-               : def;
+    if (!args.has(key))
+        return def;
+    const std::string v = args.get(key, "");
+    char *end = nullptr;
+    const double x = std::strtod(v.c_str(), &end);
+    if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) ||
+        *end != '\0' || !std::isfinite(x))
+        WSEL_FATAL("--" << key << " wants a finite number, got '" << v
+                   << "'");
+    return x;
+}
+
+/**
+ * Eq. 8's random-sample size for @p cv, or "-" when cv is not finite
+ * (every d(w) of the pair is zero, so cv is 0/0).
+ */
+std::string
+eq8Size(double cv)
+{
+    return std::isfinite(cv) ? std::to_string(requiredSampleSize(cv))
+                             : "-";
 }
 
 std::vector<PolicyKind>
@@ -508,11 +540,12 @@ cmdServe(int argc, char **argv)
         WSEL_FATAL("serve " << sub << " requires --socket PATH");
     serve::Client client(socket);
     if (sub == "submit") {
+        const bool wait = args.getU64("wait", 1) != 0;
         const std::uint64_t id =
             client.submit(campaignSpecFromArgs(args));
         std::printf("campaign %llu accepted\n",
                     static_cast<unsigned long long>(id));
-        if (args.getU64("wait", 1) != 0) {
+        if (wait) {
             const serve::StatusMsg st = client.waitFinished(id);
             printServeStatus(id, st);
             return st.state == serve::CampaignState::Done ? 0 : 1;
@@ -534,11 +567,12 @@ cmdServe(int argc, char **argv)
         if (!args.has("id"))
             WSEL_FATAL("serve stop requires --id N");
         const std::uint64_t id = args.getU64("id", 0);
+        const bool wait = args.getU64("wait", 0) != 0;
         const std::string msg = client.stop(id);
         std::printf("campaign %llu: %s\n",
                     static_cast<unsigned long long>(id),
                     msg.c_str());
-        if (args.getU64("wait", 0) != 0)
+        if (wait)
             printServeStatus(id, client.waitFinished(id));
         return 0;
     }
@@ -872,11 +906,10 @@ cmdPopulation(const Args &args)
     for (const PopulationPairSummary &p : r.pairs) {
         const StreamedWorkloadStrata strata(
             p.sketch, p.d.count(), WorkloadStrataConfig{});
-        std::printf("%-12s %+10.6f %10.6f %8.3f %8.3f %8zu %7zu\n",
+        std::printf("%-12s %+10.6f %10.6f %8.3f %8.3f %8s %7zu\n",
                     p.spec.label.c_str(), p.d.mean(),
                     p.d.stddevPopulation(), p.cv(), p.inverseCv(),
-                    requiredSampleSize(p.cv()),
-                    strata.strataCount());
+                    eq8Size(p.cv()).c_str(), strata.strataCount());
     }
     std::printf("\n%llu cells simulated (%llu resumed), "
                 "%llu shards written (%llu reused), "
@@ -1013,8 +1046,8 @@ cmdAnalyze(const Args &args)
     std::printf("mean d(w) = %+.6f  sigma = %.6f  cv = %.3f  "
                 "1/cv = %.3f\n",
                 ds.mu, ds.sigma, ds.cv, ds.inverseCv());
-    std::printf("eq.(8) random-sample size: %zu\n",
-                requiredSampleSize(ds.cv));
+    std::printf("eq.(8) random-sample size: %s\n",
+                eq8Size(ds.cv).c_str());
     switch (classifyCv(ds.cv)) {
       case CvRegime::Equivalent:
         std::printf("regime: |cv| > 10 -> machines are "
@@ -1281,7 +1314,7 @@ usage()
         "  identical at every value)\n"
         "environment: WSEL_JOBS, WSEL_METRICS, WSEL_TRACE,\n"
         "  WSEL_TRACE_MEM, WSEL_CACHE_DIR, WSEL_BATCH_CELLS,\n"
-        "  WSEL_SIMD (scalar|sse2|avx2);\n"
+        "  WSEL_SIMD (scalar|sse2);\n"
         "  bench binaries write a machine-readable summary to\n"
         "  $WSEL_BENCH_JSON\n"
         "see the file header of tools/wsel_cli.cc for details\n");
