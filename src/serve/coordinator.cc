@@ -423,10 +423,8 @@ Coordinator::serveParked(LeaseClock::time_point now)
                 conn.leaseParkedAt.reset();
             } else if (now - *conn.leaseParkedAt >= kParkBound) {
                 conn.leaseParkedAt.reset();
-                WireWriter w;
-                w.u8(0);
                 (void)sendFrame(conn.fd.get(), MsgType::NoWork,
-                                w.bytes());
+                                encodeNoWork(false));
             }
         }
         if (conn.waitParkedAt && conn.fd.valid()) {
@@ -466,9 +464,8 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
 {
     switch (f.type) {
     case MsgType::HelloWorker: {
-        WireReader r(f.body);
         conn.kind = Conn::Kind::Worker;
-        conn.workerPid = r.u64();
+        conn.workerPid = decodeId(f.body);
         obs::gauge("serve.workers_active").add(1.0);
         return true;
     }
@@ -481,8 +478,7 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
             conn.leaseParkedAt = LeaseClock::now();
         return true;
     case MsgType::Heartbeat: {
-        WireReader r(f.body);
-        const std::uint64_t leaseId = r.u64();
+        const std::uint64_t leaseId = decodeId(f.body);
         auto it = inflight_.find(leaseId);
         if (it == inflight_.end())
             return true; // expired & reclaimed; worker will learn
@@ -493,12 +489,9 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
         return true;
     }
     case MsgType::Done: {
-        WireReader r(f.body);
-        const std::uint64_t leaseId = r.u64();
-        (void)r.u64(); // campaignId: inflight_ is authoritative
-        const std::uint64_t shard = r.u64();
-        const bool dedup = r.u8() != 0;
-        auto it = inflight_.find(leaseId);
+        // Its campaignId is not read: inflight_ is authoritative.
+        const DoneMsg done = decodeDone(f.body);
+        auto it = inflight_.find(done.leaseId);
         if (it == inflight_.end()) {
             // A zombie (lease expired, maybe re-run elsewhere).
             // The store already holds the shard bytes either way;
@@ -509,9 +502,9 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
         const std::uint64_t cid = it->second.campaignId;
         Campaign &c = campaigns_.at(cid);
         const CompleteResult res =
-            c.table->complete(leaseId, shard);
-        noteLeaseClosed(leaseId, &conn);
-        if (res == CompleteResult::Committed && dedup) {
+            c.table->complete(done.leaseId, done.shard);
+        noteLeaseClosed(done.leaseId, &conn);
+        if (res == CompleteResult::Committed && done.dedup) {
             ++c.deduped;
             obs::counter("serve.dedup_hits").inc();
         }
@@ -523,9 +516,8 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
         return true;
     }
     case MsgType::Failed: {
-        WireReader r(f.body);
-        const std::uint64_t leaseId = r.u64();
-        const std::string msg = r.str();
+        const ReplyMsg failed = decodeFailed(f.body);
+        const std::uint64_t leaseId = failed.id;
         auto it = inflight_.find(leaseId);
         if (it == inflight_.end())
             return true;
@@ -542,30 +534,24 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
         else
             obs::counter("serve.leases_requeued").inc();
         warn("lease " + std::to_string(leaseId) + " failed: " +
-             msg);
+             failed.message);
         if (c.state == CampaignState::Running &&
             c.table->finished())
             finalize(cid, c);
         return true;
     }
     case MsgType::Submit: {
-        WireReader r(f.body);
-        CampaignSpec spec = decodeSpec(r);
-        r.expectEnd();
-        WireWriter w;
+        CampaignSpec spec = decodeSpec(f.body);
+        ReplyMsg reply;
         const std::size_t pending =
             queue_.size() + (activeId_ != 0 ? 1 : 0);
         if (draining_) {
-            w.u8(0);
-            w.u64(0);
-            w.str("daemon is draining");
+            reply.message = "daemon is draining";
             obs::counter("serve.campaigns_rejected").inc();
         } else if (pending >= opts_.maxQueued) {
-            w.u8(0);
-            w.u64(0);
-            w.str("admission queue full (" +
-                  std::to_string(pending) + "/" +
-                  std::to_string(opts_.maxQueued) + ")");
+            reply.message = "admission queue full (" +
+                            std::to_string(pending) + "/" +
+                            std::to_string(opts_.maxQueued) + ")";
             obs::counter("serve.campaigns_rejected").inc();
         } else {
             const std::uint64_t id = nextCampaignId_++;
@@ -574,44 +560,38 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
             campaigns_.emplace(id, std::move(c));
             queue_.push_back(id);
             obs::counter("serve.campaigns_submitted").inc();
-            w.u8(1);
-            w.u64(id);
-            w.str("");
+            reply.ok = true;
+            reply.id = id;
         }
         return sendFrame(conn.fd.get(), MsgType::SubmitReply,
-                         w.bytes());
+                         encodeSubmitReply(reply));
     }
     case MsgType::StatusReq:
         return sendFrame(conn.fd.get(), MsgType::StatusReply,
-                         encodeStatus(statusOf(
-                             decodeCampaignId(f.body))));
+                         encodeStatus(statusOf(decodeId(f.body))));
     case MsgType::WaitReq:
         // Answered by serveParked, in this iteration when the
         // campaign is already final.
-        conn.waitCampaign = decodeCampaignId(f.body);
+        conn.waitCampaign = decodeId(f.body);
         conn.waitParkedAt = LeaseClock::now();
         return true;
-    case MsgType::MetricsReq: {
-        WireWriter w;
-        w.str(obs::metricsSnapshot().toJson());
+    case MsgType::MetricsReq:
         return sendFrame(conn.fd.get(), MsgType::MetricsReply,
-                         w.bytes());
-    }
+                         encodeText(obs::metricsSnapshot().toJson()));
     case MsgType::StopReq: {
-        const std::uint64_t cid = decodeCampaignId(f.body);
-        WireWriter w;
+        const std::uint64_t cid = decodeId(f.body);
+        ReplyMsg reply;
         auto it = campaigns_.find(cid);
         if (it == campaigns_.end()) {
-            w.u8(0);
-            w.str("unknown campaign " + std::to_string(cid));
+            reply.message = "unknown campaign " + std::to_string(cid);
         } else if (it->second.state == CampaignState::Queued) {
             Campaign &c = it->second;
             std::erase(queue_, cid);
             c.state = CampaignState::Stopped;
             c.message = "stopped before activation";
             obs::counter("serve.campaigns_stopped").inc();
-            w.u8(1);
-            w.str(c.message);
+            reply.ok = true;
+            reply.message = c.message;
         } else if (it->second.state == CampaignState::Running) {
             Campaign &c = it->second;
             // Stop granting leases; in-flight shards finish and
@@ -619,19 +599,18 @@ Coordinator::handleFrame(Conn &conn, const Frame &f)
             // re-submission dedups everything already paid for.
             c.table->halt();
             obs::counter("serve.campaigns_stopped").inc();
-            w.u8(1);
-            w.str("halting; " +
-                  std::to_string(c.table->activeLeases()) +
-                  " lease(s) in flight will finish");
+            reply.ok = true;
+            reply.message = "halting; " +
+                            std::to_string(c.table->activeLeases()) +
+                            " lease(s) in flight will finish";
             if (c.table->finished())
                 finalize(cid, c);
         } else {
-            w.u8(0);
-            w.str("campaign already " +
-                  std::string(toString(it->second.state)));
+            reply.message = "campaign already " +
+                            std::string(toString(it->second.state));
         }
         return sendFrame(conn.fd.get(), MsgType::StopReply,
-                         w.bytes());
+                         encodeStopReply(reply));
     }
     default:
         warn("coordinator: unexpected frame type " +

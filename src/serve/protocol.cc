@@ -194,8 +194,11 @@ FrameBuffer::next()
 // Message bodies
 // -------------------------------------------------------------------
 
+namespace
+{
+
 void
-encodeSpec(WireWriter &w, const CampaignSpec &spec)
+putSpec(WireWriter &w, const CampaignSpec &spec)
 {
     w.u32(spec.cores);
     w.u64(spec.targetUops);
@@ -216,7 +219,7 @@ encodeSpec(WireWriter &w, const CampaignSpec &spec)
 }
 
 CampaignSpec
-decodeSpec(WireReader &r)
+getSpec(WireReader &r)
 {
     CampaignSpec s;
     s.cores = r.u32();
@@ -244,6 +247,25 @@ decodeSpec(WireReader &r)
     return s;
 }
 
+} // namespace
+
+std::string
+encodeSpec(const CampaignSpec &spec)
+{
+    WireWriter w;
+    putSpec(w, spec);
+    return w.take();
+}
+
+CampaignSpec
+decodeSpec(std::string_view body)
+{
+    WireReader r(body);
+    CampaignSpec s = getSpec(r);
+    r.expectEnd();
+    return s;
+}
+
 std::string
 encodeLease(const LeaseMsg &m)
 {
@@ -254,7 +276,7 @@ encodeLease(const LeaseMsg &m)
     w.u64(m.ttlMs);
     w.u64(m.fingerprint);
     w.str(m.dir);
-    encodeSpec(w, m.spec);
+    putSpec(w, m.spec);
     return w.take();
 }
 
@@ -269,7 +291,7 @@ decodeLease(std::string_view body)
     m.ttlMs = r.u64();
     m.fingerprint = r.u64();
     m.dir = r.str();
-    m.spec = decodeSpec(r);
+    m.spec = getSpec(r);
     r.expectEnd();
     return m;
 }
@@ -310,7 +332,7 @@ decodeStatus(std::string_view body)
 }
 
 std::string
-encodeCampaignId(std::uint64_t id)
+encodeId(std::uint64_t id)
 {
     WireWriter w;
     w.u64(id);
@@ -318,12 +340,123 @@ encodeCampaignId(std::uint64_t id)
 }
 
 std::uint64_t
-decodeCampaignId(std::string_view body)
+decodeId(std::string_view body)
 {
     WireReader r(body);
     const std::uint64_t id = r.u64();
     r.expectEnd();
     return id;
+}
+
+std::string
+encodeDone(const DoneMsg &m)
+{
+    WireWriter w;
+    w.u64(m.leaseId);
+    w.u64(m.campaignId);
+    w.u64(m.shard);
+    w.u8(m.dedup ? 1 : 0);
+    return w.take();
+}
+
+DoneMsg
+decodeDone(std::string_view body)
+{
+    WireReader r(body);
+    DoneMsg m;
+    m.leaseId = r.u64();
+    m.campaignId = r.u64();
+    m.shard = r.u64();
+    m.dedup = r.u8() != 0;
+    r.expectEnd();
+    return m;
+}
+
+std::string
+encodeFailed(const ReplyMsg &m)
+{
+    WireWriter w;
+    w.u64(m.id);
+    w.str(m.message);
+    return w.take();
+}
+
+ReplyMsg
+decodeFailed(std::string_view body)
+{
+    WireReader r(body);
+    ReplyMsg m;
+    m.id = r.u64();
+    m.message = r.str();
+    r.expectEnd();
+    return m;
+}
+
+std::string
+encodeSubmitReply(const ReplyMsg &m)
+{
+    WireWriter w;
+    w.u8(m.ok ? 1 : 0);
+    w.u64(m.id);
+    w.str(m.message);
+    return w.take();
+}
+
+ReplyMsg
+decodeSubmitReply(std::string_view body)
+{
+    WireReader r(body);
+    ReplyMsg m;
+    m.ok = r.u8() != 0;
+    m.id = r.u64();
+    m.message = r.str();
+    r.expectEnd();
+    return m;
+}
+
+std::string
+encodeStopReply(const ReplyMsg &m)
+{
+    WireWriter w;
+    w.u8(m.ok ? 1 : 0);
+    w.str(m.message);
+    return w.take();
+}
+
+ReplyMsg
+decodeStopReply(std::string_view body)
+{
+    WireReader r(body);
+    ReplyMsg m;
+    m.ok = r.u8() != 0;
+    m.message = r.str();
+    r.expectEnd();
+    return m;
+}
+
+std::string
+encodeText(std::string_view text)
+{
+    WireWriter w;
+    w.str(text);
+    return w.take();
+}
+
+std::string
+decodeText(std::string_view body)
+{
+    WireReader r(body);
+    std::string text = r.str();
+    r.expectEnd();
+    return text;
+}
+
+std::string
+encodeNoWork(bool drain)
+{
+    WireWriter w;
+    w.u8(drain ? 1 : 0);
+    return w.take();
 }
 
 // -------------------------------------------------------------------
@@ -494,24 +627,19 @@ Client::roundTrip(MsgType type, std::string_view body,
 std::uint64_t
 Client::submit(const CampaignSpec &spec)
 {
-    WireWriter w;
-    encodeSpec(w, spec);
-    const Frame f =
-        roundTrip(MsgType::Submit, w.bytes(), MsgType::SubmitReply);
-    WireReader r(f.body);
-    const bool accepted = r.u8() != 0;
-    const std::uint64_t id = r.u64();
-    const std::string message = r.str();
-    r.expectEnd();
-    if (!accepted)
-        WSEL_FATAL("campaign rejected: " << message);
-    return id;
+    const ReplyMsg reply = decodeSubmitReply(
+        roundTrip(MsgType::Submit, encodeSpec(spec),
+                  MsgType::SubmitReply)
+            .body);
+    if (!reply.ok)
+        WSEL_FATAL("campaign rejected: " << reply.message);
+    return reply.id;
 }
 
 StatusMsg
 Client::status(std::uint64_t id)
 {
-    const Frame f = roundTrip(MsgType::StatusReq, encodeCampaignId(id),
+    const Frame f = roundTrip(MsgType::StatusReq, encodeId(id),
                               MsgType::StatusReply);
     return decodeStatus(f.body);
 }
@@ -519,27 +647,21 @@ Client::status(std::uint64_t id)
 std::string
 Client::metricsJson()
 {
-    const Frame f =
-        roundTrip(MsgType::MetricsReq, {}, MsgType::MetricsReply);
-    WireReader r(f.body);
-    std::string json = r.str();
-    r.expectEnd();
-    return json;
+    return decodeText(
+        roundTrip(MsgType::MetricsReq, {}, MsgType::MetricsReply)
+            .body);
 }
 
 std::string
 Client::stop(std::uint64_t id)
 {
-    const Frame f = roundTrip(MsgType::StopReq, encodeCampaignId(id),
-                              MsgType::StopReply);
-    WireReader r(f.body);
-    const bool ok = r.u8() != 0;
-    std::string message = r.str();
-    r.expectEnd();
-    if (!ok)
+    ReplyMsg reply = decodeStopReply(
+        roundTrip(MsgType::StopReq, encodeId(id), MsgType::StopReply)
+            .body);
+    if (!reply.ok)
         WSEL_FATAL("cannot stop campaign " << id << ": "
-                   << message);
-    return message;
+                   << reply.message);
+    return std::move(reply.message);
 }
 
 StatusMsg
@@ -549,7 +671,7 @@ Client::waitFinished(std::uint64_t id, int timeout_ms)
                           std::chrono::milliseconds(timeout_ms);
     for (;;) {
         const StatusMsg s = decodeStatus(
-            roundTrip(MsgType::WaitReq, encodeCampaignId(id),
+            roundTrip(MsgType::WaitReq, encodeId(id),
                       MsgType::StatusReply)
                 .body);
         if (s.state == CampaignState::Unknown)

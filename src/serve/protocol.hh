@@ -238,8 +238,39 @@ class FrameBuffer
     std::string buf_;
 };
 
-void encodeSpec(WireWriter &w, const CampaignSpec &spec);
-CampaignSpec decodeSpec(WireReader &r);
+/**
+ * @name Message bodies.
+ * One encoder and one decoder per body layout (see MsgType).  Every
+ * decoder reads the whole body, so a truncated body, trailing bytes
+ * or an implausible count raise ProtocolError.  Bodies that are
+ * empty (RequestLease, Shutdown, HelloClient, MetricsReq) have none.
+ */
+/** @{ */
+
+/** Done: {u64 leaseId, u64 campaignId, u64 shard, u8 dedup}. */
+struct DoneMsg
+{
+    std::uint64_t leaseId = 0;
+    std::uint64_t campaignId = 0;
+    std::uint64_t shard = 0;
+    bool dedup = false; ///< the store already held the shard
+};
+
+/**
+ * Failed {u64 leaseId, str message}, SubmitReply {u8 accepted,
+ * u64 campaignId, str message} and StopReply {u8 ok, str message}:
+ * an outcome, the id it concerns and why.
+ */
+struct ReplyMsg
+{
+    bool ok = false;
+    std::uint64_t id = 0;
+    std::string message;
+};
+
+/** Submit: the spec alone. */
+std::string encodeSpec(const CampaignSpec &spec);
+CampaignSpec decodeSpec(std::string_view body);
 
 std::string encodeLease(const LeaseMsg &m);
 LeaseMsg decodeLease(std::string_view body);
@@ -247,9 +278,36 @@ LeaseMsg decodeLease(std::string_view body);
 std::string encodeStatus(const StatusMsg &m);
 StatusMsg decodeStatus(std::string_view body);
 
-/** Body of StatusReq, StopReq and WaitReq: {u64 campaignId}. */
-std::string encodeCampaignId(std::uint64_t id);
-std::uint64_t decodeCampaignId(std::string_view body);
+/**
+ * One u64: HelloWorker (the worker's pid), Heartbeat (a lease id),
+ * and StatusReq, StopReq and WaitReq (a campaign id).
+ */
+std::string encodeId(std::uint64_t id);
+std::uint64_t decodeId(std::string_view body);
+
+std::string encodeDone(const DoneMsg &m);
+DoneMsg decodeDone(std::string_view body);
+
+/** Failed: {u64 leaseId = m.id, str message}; m.ok is not sent. */
+std::string encodeFailed(const ReplyMsg &m);
+ReplyMsg decodeFailed(std::string_view body);
+
+/** SubmitReply: {u8 accepted = m.ok, u64 campaignId = m.id, str}. */
+std::string encodeSubmitReply(const ReplyMsg &m);
+ReplyMsg decodeSubmitReply(std::string_view body);
+
+/** StopReply: {u8 ok, str message}; m.id is not sent. */
+std::string encodeStopReply(const ReplyMsg &m);
+ReplyMsg decodeStopReply(std::string_view body);
+
+/** MetricsReply: {str json}. */
+std::string encodeText(std::string_view text);
+std::string decodeText(std::string_view body);
+
+/** NoWork: {u8 drain}.  Workers ask again whatever it says. */
+std::string encodeNoWork(bool drain);
+
+/** @} */
 
 // -------------------------------------------------------------------
 // Sockets

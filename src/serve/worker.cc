@@ -85,11 +85,9 @@ class HeartbeatThread
                 continue; // no progress: let the lease run down
             seen = done;
             lk.unlock();
-            WireWriter w;
-            w.u64(lease_id);
             // A lost coordinator surfaces on the main thread's
             // next send or receive; nothing to do about it here.
-            (void)sendFrame(fd, MsgType::Heartbeat, w.bytes());
+            (void)sendFrame(fd, MsgType::Heartbeat, encodeId(lease_id));
             lk.lock();
         }
     }
@@ -223,12 +221,9 @@ runWorker(const WorkerOptions &opts)
         return 1;
     }
     FrameBuffer fb;
-    {
-        WireWriter w;
-        w.u64(static_cast<std::uint64_t>(::getpid()));
-        if (!sendFrame(fd.get(), MsgType::HelloWorker, w.bytes()))
-            return 1;
-    }
+    if (!sendFrame(fd.get(), MsgType::HelloWorker,
+                   encodeId(static_cast<std::uint64_t>(::getpid()))))
+        return 1;
 
     CachedContext cached;
     for (;;) {
@@ -259,22 +254,19 @@ runWorker(const WorkerOptions &opts)
             std::string error;
             const std::optional<bool> dedup =
                 runLease(lease, cached, opts, fd.get(), error);
-            WireWriter w;
             if (dedup) {
-                w.u64(lease.leaseId);
-                w.u64(lease.campaignId);
-                w.u64(lease.shard);
-                w.u8(*dedup ? 1 : 0);
-                if (!sendFrame(fd.get(), MsgType::Done, w.bytes()))
+                const DoneMsg done{lease.leaseId, lease.campaignId,
+                                   lease.shard, *dedup};
+                if (!sendFrame(fd.get(), MsgType::Done,
+                               encodeDone(done)))
                     return exitAfterLostSend(fd.get(), fb);
             } else {
-                w.u64(lease.leaseId);
-                w.str(error);
                 warn("worker: lease " +
                      std::to_string(lease.leaseId) + " failed: " +
                      error);
                 if (!sendFrame(fd.get(), MsgType::Failed,
-                               w.bytes()))
+                               encodeFailed({false, lease.leaseId,
+                                             error})))
                     return exitAfterLostSend(fd.get(), fb);
             }
             continue;

@@ -318,12 +318,13 @@ sampleSpec()
 
 TEST(ServeProtocolTest, SpecRoundTrips)
 {
-    serve::WireWriter w;
-    serve::encodeSpec(w, sampleSpec());
-    serve::WireReader r(w.bytes());
-    const serve::CampaignSpec back = serve::decodeSpec(r);
-    r.expectEnd();
-    EXPECT_EQ(back, sampleSpec());
+    serve::CampaignSpec spec = sampleSpec();
+    EXPECT_EQ(serve::decodeSpec(serve::encodeSpec(spec)), spec);
+    spec.fidelity = 1;
+    spec.escalateBudget = 0.25;
+    spec.escalateQuantile = 0.95;
+    spec.escalateMetric = "WSU";
+    EXPECT_EQ(serve::decodeSpec(serve::encodeSpec(spec)), spec);
 }
 
 TEST(ServeProtocolTest, LeaseRoundTrips)
@@ -373,24 +374,21 @@ TEST(ServeProtocolTest, CampaignIdBodyRoundTrips)
 {
     // StatusReq, StopReq and WaitReq all carry one campaign id.
     for (const std::uint64_t id : {0ull, 7ull, ~0ull})
-        EXPECT_EQ(serve::decodeCampaignId(serve::encodeCampaignId(id)),
-                  id);
+        EXPECT_EQ(serve::decodeId(serve::encodeId(id)), id);
     const std::string frame = serve::encodeFrame(
-        serve::MsgType::WaitReq, serve::encodeCampaignId(42));
+        serve::MsgType::WaitReq, serve::encodeId(42));
     serve::FrameBuffer fb;
     fb.feed(frame.data(), frame.size());
     const auto f = fb.next();
     ASSERT_TRUE(f);
     EXPECT_EQ(f->type, serve::MsgType::WaitReq);
-    EXPECT_EQ(serve::decodeCampaignId(f->body), 42u);
+    EXPECT_EQ(serve::decodeId(f->body), 42u);
 }
 
 TEST(ServeProtocolTest, FrameBufferReassemblesByteByByte)
 {
-    serve::WireWriter w;
-    serve::encodeSpec(w, sampleSpec());
-    const std::string frame =
-        serve::encodeFrame(serve::MsgType::Submit, w.bytes());
+    const std::string frame = serve::encodeFrame(
+        serve::MsgType::Submit, serve::encodeSpec(sampleSpec()));
 
     serve::FrameBuffer fb;
     for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
@@ -401,8 +399,7 @@ TEST(ServeProtocolTest, FrameBufferReassemblesByteByByte)
     const auto f = fb.next();
     ASSERT_TRUE(f);
     EXPECT_EQ(f->type, serve::MsgType::Submit);
-    serve::WireReader r(f->body);
-    EXPECT_EQ(serve::decodeSpec(r), sampleSpec());
+    EXPECT_EQ(serve::decodeSpec(f->body), sampleSpec());
 }
 
 TEST(ServeProtocolTest, FrameBufferPopsBackToBackFrames)
@@ -433,21 +430,14 @@ TEST(ServeProtocolTest, OversizedLengthPrefixThrows)
 
 TEST(ServeProtocolTest, TruncatedBodiesThrowEverywhere)
 {
-    serve::WireWriter w;
-    serve::encodeSpec(w, sampleSpec());
-    const std::string full = w.bytes();
+    const std::string full = serve::encodeSpec(sampleSpec());
     // Every proper prefix must fail loudly, never read past the
     // end: a peer can be SIGKILLed at any byte of a send.
-    for (std::size_t len = 0; len < full.size(); ++len) {
-        serve::WireReader r(std::string_view(full).substr(0, len));
+    for (std::size_t len = 0; len < full.size(); ++len)
         EXPECT_THROW(
-            {
-                serve::decodeSpec(r);
-                r.expectEnd();
-            },
+            serve::decodeSpec(std::string_view(full).substr(0, len)),
             serve::ProtocolError)
             << "prefix length " << len;
-    }
     const std::string lease_full =
         serve::encodeLease([] {
             serve::LeaseMsg m;
@@ -460,9 +450,9 @@ TEST(ServeProtocolTest, TruncatedBodiesThrowEverywhere)
                          std::string_view(lease_full).substr(0, len)),
                      serve::ProtocolError)
             << "prefix length " << len;
-    const std::string id_full = serve::encodeCampaignId(9);
+    const std::string id_full = serve::encodeId(9);
     for (std::size_t len = 0; len < id_full.size(); ++len)
-        EXPECT_THROW(serve::decodeCampaignId(
+        EXPECT_THROW(serve::decodeId(
                          std::string_view(id_full).substr(0, len)),
                      serve::ProtocolError)
             << "prefix length " << len;
@@ -476,8 +466,124 @@ TEST(ServeProtocolTest, TrailingGarbageRejected)
     body.push_back('\0');
     EXPECT_THROW(serve::decodeStatus(body), serve::ProtocolError);
     EXPECT_THROW(
-        serve::decodeCampaignId(serve::encodeCampaignId(1) + '\0'),
+        serve::decodeId(serve::encodeId(1) + '\0'),
         serve::ProtocolError);
+}
+
+TEST(ServeProtocolTest, ReplyBodiesRoundTrip)
+{
+    const serve::DoneMsg done =
+        serve::decodeDone(serve::encodeDone({7, 3, 12, true}));
+    EXPECT_EQ(done.leaseId, 7u);
+    EXPECT_EQ(done.campaignId, 3u);
+    EXPECT_EQ(done.shard, 12u);
+    EXPECT_TRUE(done.dedup);
+
+    const serve::ReplyMsg failed =
+        serve::decodeFailed(serve::encodeFailed({true, 9, "disk full"}));
+    EXPECT_EQ(failed.id, 9u);
+    EXPECT_EQ(failed.message, "disk full");
+
+    const serve::ReplyMsg sub = serve::decodeSubmitReply(
+        serve::encodeSubmitReply({true, 5, "queued"}));
+    EXPECT_TRUE(sub.ok);
+    EXPECT_EQ(sub.id, 5u);
+    EXPECT_EQ(sub.message, "queued");
+
+    const serve::ReplyMsg stop = serve::decodeStopReply(
+        serve::encodeStopReply({false, 5, "campaign already done"}));
+    EXPECT_FALSE(stop.ok);
+    EXPECT_EQ(stop.id, 0u); // not on the wire
+    EXPECT_EQ(stop.message, "campaign already done");
+
+    EXPECT_EQ(serve::decodeText(serve::encodeText("{}")), "{}");
+    EXPECT_THROW(serve::decodeText(serve::encodeText("{}") + '\0'),
+                 serve::ProtocolError);
+}
+
+/**
+ * Size and FNV-1a of one fixed frame of every MsgType, recorded
+ * before the message codec moved onto persist::Writer/Reader: a
+ * changed value means a worker or client of an older build no
+ * longer understands this one.
+ */
+TEST(ServeProtocolTest, EveryMessageBytesPinned)
+{
+    using serve::MsgType;
+    serve::CampaignSpec spec = sampleSpec();
+    spec.escalateBudget = 0.25;
+    spec.escalateQuantile = 0.95;
+    spec.escalateMetric = "WSU";
+    serve::LeaseMsg lease;
+    lease.leaseId = 7;
+    lease.campaignId = 3;
+    lease.shard = 12;
+    lease.ttlMs = 2500;
+    lease.fingerprint = 0xdeadbeefcafef00dULL;
+    lease.dir = "/store/c-1-2";
+    lease.spec = spec;
+    serve::StatusMsg status;
+    status.state = serve::CampaignState::Running;
+    status.shardsTotal = 5;
+    status.shardsDone = 4;
+    status.shardsDeduped = 2;
+    status.shardsQuarantined = 1;
+    status.leasesActive = 3;
+    status.dir = "/store/c-1-2";
+    status.message = "1 shard(s) quarantined as poison";
+
+    struct Pin
+    {
+        MsgType type;
+        std::string body;
+        std::size_t size;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {MsgType::HelloWorker, serve::encodeId(4242), 13,
+         0xff6caa87b4a8bc15ULL},
+        {MsgType::RequestLease, "", 5, 0xd80d6eaea7dc8252ULL},
+        {MsgType::Heartbeat, serve::encodeId(7), 13,
+         0xc97e3bf516c63e5aULL},
+        {MsgType::Done, serve::encodeDone({7, 3, 12, true}), 30,
+         0x0eaa2b220805d7c8ULL},
+        {MsgType::Failed,
+         serve::encodeFailed({false, 7, "shard 12: disk full"}), 36,
+         0x2e14bfdb30d037f1ULL},
+        {MsgType::Lease, serve::encodeLease(lease), 182,
+         0xe51f4318c27f170fULL},
+        {MsgType::NoWork, serve::encodeNoWork(false), 6,
+         0x90d7ff60054fe7f6ULL},
+        {MsgType::Shutdown, "", 5, 0xd80d7eaea7dc9d82ULL},
+        {MsgType::HelloClient, "", 5, 0xd80d4caea7dc488cULL},
+        {MsgType::Submit, serve::encodeSpec(spec), 126,
+         0x9456e082010426b1ULL},
+        {MsgType::SubmitReply, serve::encodeSubmitReply({true, 3, ""}),
+         18, 0xfdfa5cb8393e129dULL},
+        {MsgType::StatusReq, serve::encodeId(3), 13,
+         0xd81eac66af24a47eULL},
+        {MsgType::StatusReply, serve::encodeStatus(status), 98,
+         0xeb312b0cc02dcf6dULL},
+        {MsgType::MetricsReq, "", 5, 0xd80d49aea7dc4373ULL},
+        {MsgType::MetricsReply, serve::encodeText("{\"counters\":{}}"),
+         24, 0xf12f3ebcdf0f26b1ULL},
+        {MsgType::StopReq, serve::encodeId(3), 13,
+         0x8a7556f05cb8cc32ULL},
+        {MsgType::StopReply,
+         serve::encodeStopReply(
+             {true, 0, "halting; 2 lease(s) in flight will finish"}),
+         51, 0x44bd5069d1263366ULL},
+        {MsgType::WaitReq, serve::encodeId(3), 13,
+         0x9a0c3a9ab559df3cULL},
+    };
+    ASSERT_EQ(std::size(pins), 18u); // every MsgType, in enum order
+    for (const Pin &p : pins) {
+        SCOPED_TRACE(static_cast<int>(p.type));
+        const std::string frame = serve::encodeFrame(p.type, p.body);
+        EXPECT_EQ(frame.size(), p.size);
+        EXPECT_EQ(persist::fnv1a(frame), p.fnv)
+            << "0x" << persist::toHex(persist::fnv1a(frame));
+    }
 }
 
 // -------------------------------------------------------------------
@@ -723,9 +829,8 @@ class RawPeer
     void
     helloWorker()
     {
-        serve::WireWriter w;
-        w.u64(static_cast<std::uint64_t>(::getpid()));
-        send(serve::MsgType::HelloWorker, w.bytes());
+        send(serve::MsgType::HelloWorker,
+             serve::encodeId(static_cast<std::uint64_t>(::getpid())));
     }
 
     /** The next frame; a test failure (and type 0) after 30 s. */
@@ -778,12 +883,9 @@ class RawPeer
 std::string
 doneBody(const serve::LeaseMsg &lease)
 {
-    serve::WireWriter w;
-    w.u64(lease.leaseId);
-    w.u64(lease.campaignId);
-    w.u64(lease.shard);
-    w.u8(1); // dedup: no shard file is written
-    return w.take();
+    // dedup: no shard file is written
+    return serve::encodeDone(
+        {lease.leaseId, lease.campaignId, lease.shard, true});
 }
 
 /**
@@ -1609,15 +1711,13 @@ TEST_F(ServeDistributedTest, WaitIsAnsweredOnceAtCompletion)
 
     RawPeer client(socket_);
     client.send(serve::MsgType::HelloClient);
-    serve::WireWriter w;
-    serve::encodeSpec(w, spec);
-    client.send(serve::MsgType::Submit, w.bytes());
+    client.send(serve::MsgType::Submit, serve::encodeSpec(spec));
     const serve::Frame sub = client.next();
     ASSERT_EQ(sub.type, serve::MsgType::SubmitReply);
-    serve::WireReader r(sub.body);
-    ASSERT_EQ(r.u8(), 1);
-    const std::uint64_t id = r.u64();
-    client.send(serve::MsgType::WaitReq, serve::encodeCampaignId(id));
+    const serve::ReplyMsg accepted = serve::decodeSubmitReply(sub.body);
+    ASSERT_TRUE(accepted.ok);
+    const std::uint64_t id = accepted.id;
+    client.send(serve::MsgType::WaitReq, serve::encodeId(id));
 
     RawPeer worker(socket_);
     worker.helloWorker();
