@@ -2,10 +2,6 @@
 
 #include "badco/badco_machine.hh"
 
-#include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
 #include "cpu/detailed_core.hh"
 #include "mem/uncore.hh"
@@ -19,25 +15,12 @@ namespace wsel
 namespace
 {
 
-constexpr std::uint32_t kMagic = 0xbadc0de2;
+constexpr char kModelMagic[8] = {'W', 'S', 'B', 'A',
+                                 'D', 'C', 'O', 'M'};
+constexpr std::uint32_t kModelVersion = 1;
 
-template <typename T>
-void
-put(std::ostream &os, const T &v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-T
-get(std::istream &is)
-{
-    T v{};
-    is.read(reinterpret_cast<char *>(&v), sizeof(T));
-    if (!is)
-        WSEL_FATAL("truncated BADCO model stream");
-    return v;
-}
+/** Encoded bytes of one node (see BadcoModel::save). */
+constexpr std::size_t kNodeBytes = 4 + 4 + 8 + 8 + 8 + 1 + 8;
 
 /** Observer that accumulates the request stream into a model. */
 class ModelRecorder : public CoreObserver
@@ -237,89 +220,61 @@ BadcoModel::finalize()
 }
 
 void
-BadcoModel::save(std::ostream &os) const
+BadcoModel::save(const std::string &path) const
 {
-    put(os, kMagic);
-    const std::uint32_t name_len =
-        static_cast<std::uint32_t>(benchmark.size());
-    put(os, name_len);
-    os.write(benchmark.data(), name_len);
-    put(os, traceUops);
-    put(os, intrinsicCycles);
-    put(os, tailWeight);
-    put(os, tailUops);
-    put(os, loadCount);
-    put(os, window);
-    const std::uint64_t n = nodes.size();
-    put(os, n);
+    persist::Writer w(kModelMagic, kModelVersion,
+                      64 + benchmark.size() + kNodeBytes * nodes.size());
+    w.str(benchmark);
+    w.u64(traceUops);
+    w.u64(intrinsicCycles);
+    w.u64(tailWeight);
+    w.u64(tailUops);
+    w.u64(loadCount);
+    w.u32(window);
+    w.u64(nodes.size());
     for (const BadcoNode &node : nodes) {
-        put(os, node.weight);
-        put(os, node.uops);
-        put(os, node.uopSeq);
-        put(os, node.req.vaddr);
-        put(os, node.req.pc);
-        put(os, node.req.type);
-        put(os, node.req.dependsOn);
+        w.u32(node.weight);
+        w.u32(node.uops);
+        w.u64(node.uopSeq);
+        w.u64(node.req.vaddr);
+        w.u64(node.req.pc);
+        w.u8(static_cast<std::uint8_t>(node.req.type));
+        w.u64(static_cast<std::uint64_t>(node.req.dependsOn));
     }
+    w.seal(path);
 }
 
 BadcoModel
-BadcoModel::load(std::istream &is)
+BadcoModel::load(const std::string &path)
 {
-    if (get<std::uint32_t>(is) != kMagic)
-        WSEL_FATAL("not a BADCO model stream (bad magic)");
+    persist::Reader r = persist::Reader::open(path, kModelMagic,
+                                              kModelVersion,
+                                              "BADCO model");
     BadcoModel m;
-    const std::uint32_t name_len = get<std::uint32_t>(is);
-    // Bound-check counts before allocating: a bit-flipped length
-    // field must not turn into a multi-gigabyte resize.
-    if (name_len > 4096)
-        WSEL_FATAL("BADCO model stream has implausible name length "
-                   << name_len);
-    m.benchmark.resize(name_len);
-    is.read(m.benchmark.data(), name_len);
-    if (!is)
-        WSEL_FATAL("truncated BADCO model stream");
-    m.traceUops = get<std::uint64_t>(is);
-    m.intrinsicCycles = get<std::uint64_t>(is);
-    m.tailWeight = get<std::uint64_t>(is);
-    m.tailUops = get<std::uint64_t>(is);
-    m.loadCount = get<std::uint64_t>(is);
-    m.window = get<std::uint32_t>(is);
-    const std::uint64_t n = get<std::uint64_t>(is);
-    if (n > (1ULL << 32))
-        WSEL_FATAL("BADCO model stream has implausible node count "
-                   << n);
-    m.nodes.resize(n);
+    m.benchmark = r.str();
+    m.traceUops = r.u64();
+    m.intrinsicCycles = r.u64();
+    m.tailWeight = r.u64();
+    m.tailUops = r.u64();
+    m.loadCount = r.u64();
+    m.window = r.u32();
+    m.nodes.resize(r.count(r.u64(), r.remaining() / kNodeBytes,
+                           "node count"));
     for (BadcoNode &node : m.nodes) {
-        node.weight = get<std::uint32_t>(is);
-        node.uops = get<std::uint32_t>(is);
-        node.uopSeq = get<std::uint64_t>(is);
-        node.req.vaddr = get<std::uint64_t>(is);
-        node.req.pc = get<std::uint64_t>(is);
-        node.req.type = get<BadcoReqType>(is);
-        node.req.dependsOn = get<std::int64_t>(is);
+        node.weight = r.u32();
+        node.uops = r.u32();
+        node.uopSeq = r.u64();
+        node.req.vaddr = r.u64();
+        node.req.pc = r.u64();
+        const std::uint8_t type = r.u8();
+        if (type > static_cast<std::uint8_t>(BadcoReqType::Writeback))
+            r.fail("bad request type " + std::to_string(type));
+        node.req.type = static_cast<BadcoReqType>(type);
+        node.req.dependsOn = static_cast<std::int64_t>(r.u64());
     }
+    r.expectEnd();
     m.finalize();
     return m;
-}
-
-void
-BadcoModel::saveFile(const std::string &path) const
-{
-    // Serialize in memory and replace the file atomically so a
-    // crash mid-save cannot leave a half-written model behind.
-    std::ostringstream os(std::ios::binary);
-    save(os);
-    persist::atomicWriteFile(path, os.str());
-}
-
-BadcoModel
-BadcoModel::loadFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        WSEL_FATAL("cannot open '" << path << "' for reading");
-    return load(is);
 }
 
 } // namespace wsel

@@ -20,7 +20,6 @@
 #define WSEL_BADCO_BADCO_MODEL_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -132,15 +131,20 @@ struct BadcoModel
      */
     void finalize();
 
-    /** Serialize to a binary stream. */
-    void save(std::ostream &os) const;
+    /**
+     * Write the model to @p path as a sealed file
+     * (stats/persist.hh), atomically.  The body is the benchmark
+     * name, the scalar fields and then every node, in declaration
+     * order; the SoA view is not stored.
+     */
+    void save(const std::string &path) const;
 
-    /** Deserialize; fatal on format errors. */
-    static BadcoModel load(std::istream &is);
-
-    /** Convenience file wrappers. */
-    void saveFile(const std::string &path) const;
-    static BadcoModel loadFile(const std::string &path);
+    /**
+     * Read a model written by save().  Any damage (truncation, a
+     * flipped bit, trailing bytes, an older format) throws
+     * persist::CacheInvalid.
+     */
+    static BadcoModel load(const std::string &path);
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "serve/protocol.hh"
 
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -14,6 +13,7 @@
 #include <unistd.h>
 
 #include "stats/logging.hh"
+#include "stats/persist.hh"
 
 namespace wsel::serve
 {
@@ -21,19 +21,20 @@ namespace wsel::serve
 namespace
 {
 
-/** Sane upper bounds for decoded containers (untrusted peers). */
-constexpr std::uint32_t kMaxStringBytes = 1u << 20;
-constexpr std::uint32_t kMaxListEntries = 1u << 20;
+using persist::Reader;
+using persist::Writer;
 
-std::uint32_t
-checkedCount(WireReader &r, const char *what,
-             std::uint32_t max = kMaxListEntries)
+[[noreturn]] void
+raiseProtocol(const std::string &msg)
 {
-    const std::uint32_t n = r.u32();
-    if (n > max)
-        throw ProtocolError(std::string("implausible ") + what +
-                            " count " + std::to_string(n));
-    return n;
+    throw ProtocolError(msg);
+}
+
+/** A decoder of one frame body: every failed read is ProtocolError. */
+Reader
+bodyReader(std::string_view body)
+{
+    return Reader(std::string(body), "frame", raiseProtocol);
 }
 
 } // namespace
@@ -59,93 +60,6 @@ toString(CampaignState s)
 }
 
 // -------------------------------------------------------------------
-// WireWriter / WireReader
-// -------------------------------------------------------------------
-
-void
-WireWriter::u32(std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-WireWriter::u64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-WireWriter::str(std::string_view s)
-{
-    if (s.size() > kMaxStringBytes)
-        throw ProtocolError("refusing to encode " +
-                            std::to_string(s.size()) +
-                            " byte string");
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-}
-
-std::uint8_t
-WireReader::u8()
-{
-    if (remaining() < 1)
-        throw ProtocolError("truncated frame (u8)");
-    return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t
-WireReader::u32()
-{
-    if (remaining() < 4)
-        throw ProtocolError("truncated frame (u32)");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    pos_ += 4;
-    return v;
-}
-
-std::uint64_t
-WireReader::u64()
-{
-    if (remaining() < 8)
-        throw ProtocolError("truncated frame (u64)");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    pos_ += 8;
-    return v;
-}
-
-std::string
-WireReader::str()
-{
-    const std::uint32_t n = u32();
-    if (n > kMaxStringBytes)
-        throw ProtocolError("implausible string length " +
-                            std::to_string(n));
-    if (remaining() < n)
-        throw ProtocolError("truncated frame (string)");
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-}
-
-void
-WireReader::expectEnd() const
-{
-    if (remaining() != 0)
-        throw ProtocolError(std::to_string(remaining()) +
-                            " trailing bytes in frame");
-}
-
-// -------------------------------------------------------------------
 // Frames
 // -------------------------------------------------------------------
 
@@ -156,12 +70,11 @@ encodeFrame(MsgType type, std::string_view body)
     if (payload > kMaxFrameBytes)
         throw ProtocolError("frame payload too large: " +
                             std::to_string(payload));
-    WireWriter w;
+    Writer w;
     w.u32(static_cast<std::uint32_t>(payload));
     w.u8(static_cast<std::uint8_t>(type));
-    std::string out = w.take();
-    out.append(body.data(), body.size());
-    return out;
+    w.bytes(body.data(), body.size());
+    return w.take();
 }
 
 void
@@ -175,8 +88,8 @@ FrameBuffer::next()
 {
     if (buf_.size() < 4)
         return std::nullopt;
-    WireReader r(buf_);
-    const std::uint32_t len = r.u32();
+    const std::uint32_t len =
+        bodyReader(std::string_view(buf_).substr(0, 4)).u32();
     if (len == 0 || len > kMaxFrameBytes)
         throw ProtocolError("bad frame length " +
                             std::to_string(len));
@@ -198,7 +111,7 @@ namespace
 {
 
 void
-putSpec(WireWriter &w, const CampaignSpec &spec)
+putSpec(Writer &w, const CampaignSpec &spec)
 {
     w.u32(spec.cores);
     w.u64(spec.targetUops);
@@ -213,13 +126,13 @@ putSpec(WireWriter &w, const CampaignSpec &spec)
     for (const std::string &b : spec.benchmarks)
         w.str(b);
     w.u32(spec.fidelity);
-    w.u64(std::bit_cast<std::uint64_t>(spec.escalateBudget));
-    w.u64(std::bit_cast<std::uint64_t>(spec.escalateQuantile));
+    w.f64(spec.escalateBudget);
+    w.f64(spec.escalateQuantile);
     w.str(spec.escalateMetric);
 }
 
 CampaignSpec
-getSpec(WireReader &r)
+getSpec(Reader &r)
 {
     CampaignSpec s;
     s.cores = r.u32();
@@ -228,21 +141,21 @@ getSpec(WireReader &r)
     s.firstRank = r.u64();
     s.lastRank = r.u64();
     s.shardRows = r.u64();
-    const std::uint32_t np = checkedCount(r, "policy", 4096);
+    const std::uint32_t np = r.count(r.u32(), 4096, "policy count");
     s.policies.reserve(np);
     for (std::uint32_t i = 0; i < np; ++i)
         s.policies.push_back(r.str());
-    const std::uint32_t nb = checkedCount(r, "benchmark");
+    const std::uint32_t nb =
+        r.count(r.u32(), 1u << 20, "benchmark count");
     s.benchmarks.reserve(nb);
     for (std::uint32_t i = 0; i < nb; ++i)
         s.benchmarks.push_back(r.str());
     s.fidelity = r.u32();
     if (s.fidelity > 1)
-        throw ProtocolError("campaign spec fidelity " +
-                            std::to_string(s.fidelity) +
-                            " out of range");
-    s.escalateBudget = std::bit_cast<double>(r.u64());
-    s.escalateQuantile = std::bit_cast<double>(r.u64());
+        r.fail("campaign spec fidelity " +
+               std::to_string(s.fidelity) + " out of range");
+    s.escalateBudget = r.f64();
+    s.escalateQuantile = r.f64();
     s.escalateMetric = r.str();
     return s;
 }
@@ -252,7 +165,7 @@ getSpec(WireReader &r)
 std::string
 encodeSpec(const CampaignSpec &spec)
 {
-    WireWriter w;
+    Writer w;
     putSpec(w, spec);
     return w.take();
 }
@@ -260,7 +173,7 @@ encodeSpec(const CampaignSpec &spec)
 CampaignSpec
 decodeSpec(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     CampaignSpec s = getSpec(r);
     r.expectEnd();
     return s;
@@ -269,7 +182,7 @@ decodeSpec(std::string_view body)
 std::string
 encodeLease(const LeaseMsg &m)
 {
-    WireWriter w;
+    Writer w;
     w.u64(m.leaseId);
     w.u64(m.campaignId);
     w.u64(m.shard);
@@ -283,7 +196,7 @@ encodeLease(const LeaseMsg &m)
 LeaseMsg
 decodeLease(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     LeaseMsg m;
     m.leaseId = r.u64();
     m.campaignId = r.u64();
@@ -299,7 +212,7 @@ decodeLease(std::string_view body)
 std::string
 encodeStatus(const StatusMsg &m)
 {
-    WireWriter w;
+    Writer w;
     w.u8(static_cast<std::uint8_t>(m.state));
     w.u64(m.shardsTotal);
     w.u64(m.shardsDone);
@@ -314,7 +227,7 @@ encodeStatus(const StatusMsg &m)
 StatusMsg
 decodeStatus(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     StatusMsg m;
     const std::uint8_t st = r.u8();
     m.state = st > static_cast<std::uint8_t>(CampaignState::Unknown)
@@ -334,7 +247,7 @@ decodeStatus(std::string_view body)
 std::string
 encodeId(std::uint64_t id)
 {
-    WireWriter w;
+    Writer w;
     w.u64(id);
     return w.take();
 }
@@ -342,7 +255,7 @@ encodeId(std::uint64_t id)
 std::uint64_t
 decodeId(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     const std::uint64_t id = r.u64();
     r.expectEnd();
     return id;
@@ -351,7 +264,7 @@ decodeId(std::string_view body)
 std::string
 encodeDone(const DoneMsg &m)
 {
-    WireWriter w;
+    Writer w;
     w.u64(m.leaseId);
     w.u64(m.campaignId);
     w.u64(m.shard);
@@ -362,7 +275,7 @@ encodeDone(const DoneMsg &m)
 DoneMsg
 decodeDone(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     DoneMsg m;
     m.leaseId = r.u64();
     m.campaignId = r.u64();
@@ -375,7 +288,7 @@ decodeDone(std::string_view body)
 std::string
 encodeFailed(const ReplyMsg &m)
 {
-    WireWriter w;
+    Writer w;
     w.u64(m.id);
     w.str(m.message);
     return w.take();
@@ -384,7 +297,7 @@ encodeFailed(const ReplyMsg &m)
 ReplyMsg
 decodeFailed(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     ReplyMsg m;
     m.id = r.u64();
     m.message = r.str();
@@ -395,7 +308,7 @@ decodeFailed(std::string_view body)
 std::string
 encodeSubmitReply(const ReplyMsg &m)
 {
-    WireWriter w;
+    Writer w;
     w.u8(m.ok ? 1 : 0);
     w.u64(m.id);
     w.str(m.message);
@@ -405,7 +318,7 @@ encodeSubmitReply(const ReplyMsg &m)
 ReplyMsg
 decodeSubmitReply(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     ReplyMsg m;
     m.ok = r.u8() != 0;
     m.id = r.u64();
@@ -417,7 +330,7 @@ decodeSubmitReply(std::string_view body)
 std::string
 encodeStopReply(const ReplyMsg &m)
 {
-    WireWriter w;
+    Writer w;
     w.u8(m.ok ? 1 : 0);
     w.str(m.message);
     return w.take();
@@ -426,7 +339,7 @@ encodeStopReply(const ReplyMsg &m)
 ReplyMsg
 decodeStopReply(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     ReplyMsg m;
     m.ok = r.u8() != 0;
     m.message = r.str();
@@ -437,7 +350,7 @@ decodeStopReply(std::string_view body)
 std::string
 encodeText(std::string_view text)
 {
-    WireWriter w;
+    Writer w;
     w.str(text);
     return w.take();
 }
@@ -445,7 +358,7 @@ encodeText(std::string_view text)
 std::string
 decodeText(std::string_view body)
 {
-    WireReader r(body);
+    Reader r = bodyReader(body);
     std::string text = r.str();
     r.expectEnd();
     return text;
@@ -454,7 +367,7 @@ decodeText(std::string_view body)
 std::string
 encodeNoWork(bool drain)
 {
-    WireWriter w;
+    Writer w;
     w.u8(drain ? 1 : 0);
     return w.take();
 }

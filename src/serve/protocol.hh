@@ -12,8 +12,10 @@
  *     u8  MsgType
  *     ... body (per-message encoding below)
  *
- * The encoding deliberately mirrors the campaign_v3 style
- * (persist_v3.cc): u32/u64/f64/length-prefixed strings, every read
+ * Bodies are encoded by persist::Writer and decoded by
+ * persist::Reader, the codec of the sealed files without their
+ * header and checksum: little-endian u8/u32/u64, doubles as their
+ * bit pattern, u32-length-prefixed strings, every read
  * bounds-checked, malformed input raising ProtocolError — a peer
  * can be killed mid-write at any byte, so a receiver must treat
  * every frame as untrusted.
@@ -175,43 +177,6 @@ struct StatusMsg
 // -------------------------------------------------------------------
 // Encoding
 // -------------------------------------------------------------------
-
-/** Append-only little-endian encoder (mirrors persist_v3). */
-class WireWriter
-{
-  public:
-    void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void str(std::string_view s);
-
-    const std::string &bytes() const { return buf_; }
-    std::string take() { return std::move(buf_); }
-
-  private:
-    std::string buf_;
-};
-
-/** Bounds-checked reader; throws ProtocolError on truncation. */
-class WireReader
-{
-  public:
-    explicit WireReader(std::string_view data) : data_(data) {}
-
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    std::string str();
-
-    std::size_t remaining() const { return data_.size() - pos_; }
-
-    /** Throws unless the whole payload was consumed. */
-    void expectEnd() const;
-
-  private:
-    std::string_view data_;
-    std::size_t pos_ = 0;
-};
 
 /** A parsed frame: type plus its body (after the type byte). */
 struct Frame

@@ -57,16 +57,17 @@ BadcoModelStore::loadOrBuild(const BenchmarkProfile &profile,
         const std::string path = cachePath(profile);
         if (std::filesystem::exists(path)) {
             try {
-                BadcoModel m = BadcoModel::loadFile(path);
+                BadcoModel m = BadcoModel::load(path);
                 if (m.traceUops == targetUops_) {
                     obs::counter("persist.cache_hit").inc();
                     return m;
                 }
                 warn("stale BADCO model cache at " + path +
                      "; rebuilding");
-            } catch (const FatalError &e) {
-                // A damaged model cache must never abort a run:
-                // quarantine it for inspection and rebuild.
+            } catch (const persist::CacheInvalid &e) {
+                // A damaged model cache, or one in an older format,
+                // must never abort a run: quarantine it for
+                // inspection and rebuild.
                 persist::quarantineArtifact(
                     path, "corrupt BADCO model cache", e.what(),
                     "rebuilding");
@@ -93,7 +94,7 @@ BadcoModelStore::loadOrBuild(const BenchmarkProfile &profile,
     obs::histogram("badco.build_ns").record(t1 - t0);
 
     if (!cacheDir_.empty())
-        m.saveFile(cachePath(profile));
+        m.save(cachePath(profile));
     return m;
 }
 

@@ -197,7 +197,6 @@ Reader::open(const std::string &path, const char (&magic)[8],
         r.fail("too short for a checksum");
     // Decode the trailing checksum, then confine reads to the body.
     r.pos_ = r.data_.size() - 8;
-    r.end_ = r.data_.size();
     const std::uint64_t want = r.u64();
     r.end_ = r.data_.size() - 8;
     r.pos_ = 0;

@@ -152,10 +152,18 @@ std::string readFile(const std::string &path);
  * file is untrusted disk input (truncation, bit rot, a hostile
  * write), so every damage a reader can detect surfaces as
  * CacheInvalid, and callers quarantine and regenerate.
+ *
+ * The same two classes are the codec of bare bodies with no frame
+ * at all (the serve wire messages): a Writer built without a magic
+ * hands its bytes over with take(), and a Reader built on a body
+ * in memory decodes it with the same bounds checks.
  */
 class Writer
 {
   public:
+    /** A bare body: no header, and take() instead of seal(). */
+    Writer() = default;
+
     /** Start a file; @p body_bytes is a capacity hint. */
     Writer(const char (&magic)[8], std::uint32_t version,
            std::size_t body_bytes = 0)
@@ -199,6 +207,9 @@ class Writer
     /** Append the checksum and atomically write @p path.  Once. */
     void seal(const std::string &path);
 
+    /** The bytes written so far, moved out (bare bodies). */
+    std::string take() { return std::move(out_); }
+
   private:
     void
     le(std::uint64_t v, int n)
@@ -214,6 +225,21 @@ class Writer
 class Reader
 {
   public:
+    /**
+     * Raises the error of a failed read: receives "<what>: <why>"
+     * and throws.  The default raise throws CacheInvalid.
+     */
+    using Raise = void (*)(const std::string &msg);
+
+    /**
+     * Decode @p body, held in memory: no header, no checksum, and
+     * every failed read goes to @p raise.
+     */
+    Reader(std::string body, std::string what, Raise raise = nullptr)
+        : data_(std::move(body)), what_(std::move(what)),
+          raise_(raise), end_(data_.size())
+    {}
+
     /**
      * Load @p path and check its checksum, magic and version.
      * @p what names the artifact at the start of every error
@@ -286,17 +312,17 @@ class Reader
             fail("trailing bytes");
     }
 
-    /** Throw CacheInvalid("<what>: <why>"). */
+    /** Raise "<what>: <why>" (CacheInvalid by default). */
     [[noreturn]] void
     fail(const std::string &why) const
     {
-        throw CacheInvalid(what_ + ": " + why);
+        const std::string msg = what_ + ": " + why;
+        if (raise_)
+            raise_(msg);
+        throw CacheInvalid(msg);
     }
 
   private:
-    Reader(std::string data, std::string what)
-        : data_(std::move(data)), what_(std::move(what))
-    {}
 
     const char *
     take(std::size_t n)
@@ -321,8 +347,9 @@ class Reader
 
     std::string data_;
     std::string what_;
+    Raise raise_ = nullptr;
+    std::size_t end_ = 0; ///< end of the body (start of a checksum)
     std::size_t pos_ = 0;
-    std::size_t end_ = 0; ///< start of the checksum
 };
 
 /**

@@ -1,7 +1,9 @@
 # Round trip of a saved campaign through the CLI: `campaign --out`
 # writes a campaign_v3 directory, `analyze` and `report` read it
 # back, and `cache verify` passes it when cached and reports it
-# CORRUPT (exit 1) once one of its shards is truncated.  An --out
+# CORRUPT (exit 1) once one of its shards is truncated.  A BADCO
+# model with one flipped bit is CORRUPT too; once quarantined, the
+# same campaign rebuilds it and writes the same shards and manifest.  An --out
 # that names an existing file is refused before any cell runs, so no
 # checkpoint directory appears, and so is a numeric option that is
 # not a whole unsigned decimal (`--resume yes`, `--jobs 4x`): the
@@ -126,6 +128,84 @@ file(RENAME ${shard}.cut ${shard})
 run_cli(1 out cache verify --dir ${cache})
 if(NOT out MATCHES "CORRUPT [^\n]*campaign_v3_cli")
     message(FATAL_ERROR "cache verify missed the cut shard:\n${out}")
+endif()
+
+# Flip one bit in the middle of one cached BADCO model.
+set(models ${WORK}/models)
+file(GLOB model_files ${models}/badco_*.bin)
+list(SORT model_files)
+list(GET model_files 0 model)
+file(SIZE ${model} size)
+math(EXPR at "${size} / 2")
+file(READ ${model} byte OFFSET ${at} LIMIT 1 HEX)
+math(EXPR v "0x${byte} ^ 4")
+# printf's octal escape writes any byte value portably.
+math(EXPR octal "(${v} / 64) * 100 + (${v} / 8 % 8) * 10 + ${v} % 8")
+execute_process(COMMAND printf "\\${octal}"
+                OUTPUT_FILE ${WORK}/byte.bin
+                RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+    execute_process(COMMAND dd if=${WORK}/byte.bin of=${model} bs=1
+                            seek=${at} conv=notrunc
+                    RESULT_VARIABLE rc
+                    OUTPUT_QUIET ERROR_QUIET)
+endif()
+file(READ ${model} got OFFSET ${at} LIMIT 1 HEX)
+if(NOT rc EQUAL 0 OR got STREQUAL byte)
+    message(FATAL_ERROR "could not flip a bit of ${model}")
+endif()
+
+run_cli(1 out cache verify --dir ${models})
+string(FIND "${out}" "CORRUPT ${model}\n" at_line)
+if(at_line EQUAL -1)
+    message(FATAL_ERROR "cache verify missed the flipped bit in "
+                        "${model}:\n${out}")
+endif()
+run_cli(1 out cache verify --dir ${models} --quarantine 1)
+if(EXISTS ${model} OR NOT EXISTS ${model}.corrupt)
+    message(FATAL_ERROR "cache verify --quarantine 1 did not move "
+                        "${model} aside:\n${out}")
+endif()
+
+# The same campaign again: the model is rebuilt, and the results
+# match the first run's.
+set(camp2 ${WORK}/camp2)
+run_cli(0 out campaign --cores 2 --insns 5000 --limit 12
+        --jobs 1 --out ${camp2})
+if(NOT EXISTS ${model})
+    message(FATAL_ERROR "the rerun did not rebuild ${model}")
+endif()
+run_cli(0 out cache verify --dir ${models})
+file(GLOB shards RELATIVE ${camp} ${camp}/shard-*.bin)
+file(GLOB shards2 RELATIVE ${camp2} ${camp2}/shard-*.bin)
+if(NOT shards STREQUAL shards2)
+    message(FATAL_ERROR "the rerun wrote shards '${shards2}', the "
+                        "first run '${shards}'")
+endif()
+foreach(s ${shards})
+    file(SHA256 ${camp}/${s} want)
+    file(SHA256 ${camp2}/${s} have)
+    if(NOT want STREQUAL have)
+        message(FATAL_ERROR "the rerun's ${s} differs from the "
+                            "first run's")
+    endif()
+endforeach()
+# The manifest matches too, except for the run's wall clock and the
+# checksum over it: simSeconds is the f64 at byte 41 (after the
+# 12-byte header, the fingerprint, the simulator "badco", the core
+# count and the slice length), hex digits 82 to 97.
+file(READ ${camp}/manifest.bin want HEX)
+file(READ ${camp2}/manifest.bin have HEX)
+string(LENGTH "${want}" hex_len)
+math(EXPR tail_len "${hex_len} - 98 - 16")
+foreach(m want have)
+    string(SUBSTRING "${${m}}" 0 82 head)
+    string(SUBSTRING "${${m}}" 98 ${tail_len} tail)
+    set(${m} "${head}${tail}")
+endforeach()
+if(NOT want STREQUAL have)
+    message(FATAL_ERROR "the rerun's manifest differs from the first "
+                        "run's beyond its wall clock")
 endif()
 
 file(REMOVE_RECURSE ${WORK})

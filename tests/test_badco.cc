@@ -5,7 +5,10 @@
 
 #include <cmath>
 #include <filesystem>
-#include <sstream>
+#include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "badco/badco_model.hh"
 #include "mem/uncore.hh"
 #include "stats/logging.hh"
+#include "stats/persist.hh"
 #include "test_util.hh"
 
 namespace wsel
@@ -20,6 +24,16 @@ namespace wsel
 
 namespace
 {
+
+/** A per-process file name in the temporary directory. */
+std::string
+scratchPath(const std::string &name)
+{
+    return (std::filesystem::temp_directory_path() /
+            ("wsel_badco_" + name + "_" + std::to_string(::getpid()) +
+             ".bin"))
+        .string();
+}
 
 BadcoModel
 buildTestModel(const BenchmarkProfile &p, std::uint64_t target)
@@ -72,9 +86,10 @@ TEST(BadcoModel, SaveLoadRoundTrip)
 {
     const BadcoModel m =
         buildTestModel(test::lightProfile(), 10000);
-    std::stringstream ss;
-    m.save(ss);
-    const BadcoModel r = BadcoModel::load(ss);
+    const std::string path = scratchPath("roundtrip");
+    m.save(path);
+    const BadcoModel r = BadcoModel::load(path);
+    std::filesystem::remove(path);
     EXPECT_EQ(r.benchmark, m.benchmark);
     EXPECT_EQ(r.traceUops, m.traceUops);
     EXPECT_EQ(r.intrinsicCycles, m.intrinsicCycles);
@@ -95,9 +110,13 @@ TEST(BadcoModel, SaveLoadRoundTrip)
 
 TEST(BadcoModel, LoadRejectsGarbage)
 {
-    std::stringstream ss;
-    ss << "not a model";
-    EXPECT_THROW(BadcoModel::load(ss), FatalError);
+    const std::string path = scratchPath("garbage");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "not a model";
+    }
+    EXPECT_THROW(BadcoModel::load(path), persist::CacheInvalid);
+    std::filesystem::remove(path);
 }
 
 TEST(BadcoMachine, ReplayAtPerfectLatencyMatchesIntrinsic)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Byte-level pins of the eight checksummed binary artifacts: the
+ * Byte-level pins of the nine checksummed binary artifacts: the
  * campaign_v3 manifest (of a rank range and of a sampled campaign's
  * rank list) and shard, the adaptive batch and decision,
- * and the error profile, escalation record, fidelity batch and
- * hybrid report.  Each row writes one fixed record through the
+ * the error profile, escalation record, fidelity batch and
+ * hybrid report, and the BADCO model file.  Each row writes one fixed record through the
  * public writer; PersistGolden pins the size and FNV-1a of the
  * bytes, so any change to an encoder that alters a file (field
  * order, width, endianness, checksum) fails here before it can
@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "badco/badco_model.hh"
 #include "core/adaptive/controller.hh"
 #include "fidelity/error_profile.hh"
 #include "fidelity/persist_fidelity.hh"
@@ -197,6 +198,34 @@ fixedHybridReport()
     return rep;
 }
 
+BadcoModel
+fixedBadcoModel()
+{
+    BadcoModel m;
+    m.benchmark = "alpha";
+    m.traceUops = 5000;
+    m.intrinsicCycles = 4200;
+    m.tailWeight = 17;
+    m.tailUops = 23;
+    m.loadCount = 2;
+    m.window = 48;
+    m.nodes = {
+        {120, 40, 39, {0x7f0000001000ULL, 0x400100, BadcoReqType::Load,
+                       -1}},
+        {64, 30, 69, {0x7f0000002040ULL, 0x400180,
+                      BadcoReqType::Store, -1}},
+        {200, 90, 159, {0x7f0000003080ULL, 0x400200,
+                        BadcoReqType::Load, 0}},
+    };
+    return m;
+}
+
+std::string
+badcoModelPath(const std::string &dir)
+{
+    return dir + "/badco_model.bin";
+}
+
 const std::vector<Artifact> &
 artifacts()
 {
@@ -279,6 +308,14 @@ artifacts()
          [](const std::string &dir) {
              (void)fidelity::readHybridReport(dir);
          }},
+        {"badco-model",
+         [](const std::string &dir) {
+             fixedBadcoModel().save(badcoModelPath(dir));
+             return badcoModelPath(dir);
+         },
+         [](const std::string &dir) {
+             (void)BadcoModel::load(badcoModelPath(dir));
+         }},
     };
     return rows;
 }
@@ -337,7 +374,9 @@ struct Pin
 };
 
 // Recorded from the encoders before they were moved onto the shared
-// sealed-file codec (the rank-list manifest: when it was added).
+// sealed-file codec (the rank-list manifest: when it was added; the
+// BADCO model: when it became a sealed file, its body the earlier
+// unsealed stream without that stream's 4-byte magic).
 // These constants must never change: a new value means files
 // written by earlier builds no longer read back.
 constexpr Pin kPins[] = {
@@ -350,6 +389,7 @@ constexpr Pin kPins[] = {
     {"escalation-record", 116, 0xab459926904f759bULL},
     {"fidelity-batch", 172, 0x49589dd465e511f2ULL},
     {"hybrid-report", 155, 0xcc60c7502907d223ULL},
+    {"badco-model", 204, 0x1e6a3ee0c4006070ULL},
 };
 
 TEST_F(PersistGolden, EveryArtifactBytesPinned)

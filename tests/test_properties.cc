@@ -5,7 +5,6 @@
  */
 
 #include <filesystem>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -61,10 +60,7 @@ TEST(Properties, BadcoModelBuildIsBitDeterministic)
     const BenchmarkProfile p = test::heavyProfile();
     const BadcoModel a = buildBadcoModel(p, CoreConfig{}, 15000, 6);
     const BadcoModel b = buildBadcoModel(p, CoreConfig{}, 15000, 6);
-    std::stringstream sa, sb;
-    a.save(sa);
-    b.save(sb);
-    EXPECT_EQ(sa.str(), sb.str());
+    EXPECT_EQ(test::modelFileBytes(a), test::modelFileBytes(b));
 }
 
 TEST(Properties, TraceSeedsProduceDistinctStreams)
@@ -134,10 +130,8 @@ TEST(Properties, ModelStoreCacheRoundTripIsExact)
     }
     BadcoModelStore store2(CoreConfig{}, 6000, 5, dir.string());
     const BadcoModel &loaded = store2.get(p);
-    std::stringstream sa, sb;
-    direct.save(sa);
-    loaded.save(sb);
-    EXPECT_EQ(sa.str(), sb.str());
+    EXPECT_EQ(test::modelFileBytes(direct),
+              test::modelFileBytes(loaded));
     std::filesystem::remove_all(dir);
 }
 

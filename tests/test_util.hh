@@ -8,9 +8,15 @@
 #define WSEL_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
+#include <filesystem>
+#include <string>
 
+#include <unistd.h>
+
+#include "badco/badco_model.hh"
 #include "cpu/detailed_core.hh"
 #include "mem/uncore.hh"
+#include "stats/persist.hh"
 #include "trace/benchmark_profile.hh"
 #include "trace/trace_store.hh"
 
@@ -76,6 +82,23 @@ runSingleCore(const BenchmarkProfile &profile, UncoreIf &uncore,
                       uncore, 0, target, seed);
     runToTarget(core);
     return core.stats();
+}
+
+/**
+ * The bytes of @p m's sealed model file (BadcoModel::save), written
+ * through a scratch file in the temporary directory.
+ */
+inline std::string
+modelFileBytes(const BadcoModel &m)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("wsel_model_" + std::to_string(::getpid()) + ".bin"))
+            .string();
+    m.save(path);
+    std::string bytes = persist::readFile(path);
+    std::filesystem::remove(path);
+    return bytes;
 }
 
 } // namespace wsel::test

@@ -982,13 +982,15 @@ cmdCache(int argc, char **argv)
                             p.c_str(), c.simulator.c_str(), c.cores,
                             c.policies.size(), c.workloads.size());
             } else {
-                const BadcoModel m = BadcoModel::loadFile(p);
+                const BadcoModel m = BadcoModel::load(p);
                 std::printf("OK      %s (model '%s', %zu nodes)\n",
                             p.c_str(), m.benchmark.c_str(),
                             m.nodes.size());
             }
             ++ok;
             continue;
+        } catch (const persist::CacheInvalid &e) {
+            why = e.what();
         } catch (const FatalError &e) {
             why = e.what();
         }
