@@ -313,27 +313,6 @@ BENCHMARK(BM_BatchJobs)
     ->Args({32, 4})
     ->UseRealTime();
 
-// Pinning a batch's trace chunks up front (trace/trace_store.hh
-// BatchPin): the per-batch fixed cost the detailed path pays to
-// take chunk refills out of its lanes' way. Chunks are prebuilt;
-// items = chunk pins per iteration.
-void
-BM_BatchChunkPin(benchmark::State &state)
-{
-    static TraceStore store; // chunks shared across iterations
-    const BenchmarkProfile &p = findProfile("mcf");
-    constexpr std::uint64_t kUops =
-        4 * TraceStore::kDefaultChunkUops;
-    store.ensureBuilt(p, kUops);
-    for (auto _ : state) {
-        BatchPin pin;
-        pin.pin(store, p, kUops);
-        benchmark::DoNotOptimize(pin.held());
-    }
-    state.SetItemsProcessed(state.iterations() * 4);
-}
-BENCHMARK(BM_BatchChunkPin);
-
 void
 BM_BadcoMachineStep(benchmark::State &state)
 {

@@ -127,7 +127,6 @@ constexpr CatalogEntry kCatalog[] = {
     {"sim.badco.cell_ns", 'h'},
     {"batch.cells", 'c'},
     {"batch.lanes_active", 'g'},
-    {"batch.chunk_pins_saved", 'c'},
     {"batch.simd_path", 'g'},
     {"trace_store.chunks_built", 'c'},
     {"trace_store.chunk_hits", 'c'},

@@ -19,9 +19,8 @@
  * state) hot in each thread's host cache while peak RSS stays flat
  * in B. What the batch amortizes is setup: each thread's uncore
  * slot and load-completion arena, and the runner's lane slabs, are
- * reused by every cell, the batch's cells share benchmark model
- * node arrays, and the detailed path pins each row's trace chunks
- * once per batch (trace/trace_store.hh BatchPin). Cells own private
+ * reused by every cell, and the batch's cells share benchmark model
+ * node arrays. Cells own private
  * Uncore instances (the paper's sharing is within a cell, never
  * across cells); the packed 32-bit LLC tag arrays they probe resolve
  * through the SSE2 tag scan, or the scalar loop off x86-64
@@ -54,7 +53,6 @@
  * (default 32; 1 at one thread runs one cell per run()); the
  * caller's jobs (--jobs / WSEL_JOBS) picks J.
  * Instruments: batch.cells, batch.lanes_active,
- * batch.chunk_pins_saved (trace/trace_store.hh BatchPin),
  * batch.simd_path (the resolved tagscan path).
  */
 

@@ -172,17 +172,6 @@ simulateDetailedPopulationShard(
     auto run_row = [&](std::size_t r) {
         const std::size_t row = first + r;
         const Workload w = set[row];
-        // Pin the row's trace chunks once: all np x k cursors of
-        // this row read the same <= k benchmarks, so one pin per
-        // row keeps a tight WSEL_TRACE_MEM budget from thrashing a
-        // chunk out between cells only to rebuild it for the next
-        // one. Dropped (and the budget re-converged) per row.
-        BatchPin pin;
-        for (std::uint32_t bench : w.benchmarks()) {
-            if (bench < suite.size())
-                pin.pin(TraceStore::global(), suite[bench],
-                        m.targetUops);
-        }
         double *out = payload.data() + r * np * k;
         for (std::size_t p = 0; p < np; ++p) {
             persist::faultPoint("fidelity.escalate");

@@ -138,49 +138,6 @@ TraceCursor::dropChunk()
 }
 
 // -------------------------------------------------------------------
-// BatchPin
-// -------------------------------------------------------------------
-
-void
-BatchPin::pin(TraceStore &store, const BenchmarkProfile &profile,
-              std::uint64_t uops)
-{
-    static obs::Counter &pins_saved =
-        obs::counter("batch.chunk_pins_saved");
-    WSEL_ASSERT(!store_ || store_ == &store,
-                "one BatchPin cannot span two stores");
-    store_ = &store;
-    if (uops == 0)
-        return;
-    auto s = store.stream(profile);
-    const std::uint64_t last = (uops - 1) / s->chunkUops();
-    for (std::uint64_t i = 0; i <= last; ++i) {
-        std::shared_ptr<const TraceChunk> c = s->chunk(i);
-        if (seen_.insert(c.get()).second) {
-            chunks_.push_back(std::move(c));
-        } else {
-            ++saved_;
-            pins_saved.inc();
-        }
-    }
-}
-
-void
-BatchPin::release()
-{
-    if (chunks_.empty() && !store_)
-        return;
-    chunks_.clear();
-    seen_.clear();
-    saved_ = 0;
-    if (store_) {
-        // Pins may have held the store over budget; converge now.
-        store_->trimToBudget();
-        store_ = nullptr;
-    }
-}
-
-// -------------------------------------------------------------------
 // TraceStore
 // -------------------------------------------------------------------
 
@@ -264,16 +221,6 @@ TraceStore::residentBytes() const
 }
 
 void
-TraceStore::trimToBudget()
-{
-    static obs::Gauge &resident =
-        obs::gauge("trace_store.resident_bytes");
-    std::lock_guard<std::mutex> lock(mu_);
-    evictLocked(nullptr);
-    resident.set(static_cast<double>(residentBytes_));
-}
-
-void
 TraceStore::clear()
 {
     static obs::Gauge &resident =
@@ -328,13 +275,13 @@ TraceStore::evictLocked(const TraceStream::Entry *keep)
         TraceStream::Entry *lru = nullptr;
         for (auto &kv : streams_) {
             for (TraceStream::Entry &e : kv.second->entries_) {
-                // use_count > 1 means a cursor or BatchPin still
-                // holds the chunk: evicting it would keep the
-                // memory alive through that reader while
-                // un-charging it from the budget, and force a
-                // pointless rebuild for the next reader. Pinned
-                // chunks are therefore ineligible; the budget
-                // converges when the pins release (trimToBudget).
+                // use_count > 1 means a cursor still holds the
+                // chunk: evicting it would keep the memory alive
+                // through that reader while un-charging it from
+                // the budget, and force a pointless rebuild for the
+                // next reader. Pinned chunks are therefore
+                // ineligible; the budget converges at the next
+                // insertion after the cursor moves on.
                 if (e.chunk && &e != keep &&
                     e.chunk.use_count() == 1 &&
                     (!lru || e.lastUse < lru->lastUse))

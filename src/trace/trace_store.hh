@@ -25,13 +25,6 @@
  * chunk-free path at every --jobs setting
  * (tests/test_trace_store.cc).
  *
- * BatchPin extends the per-cursor pin to a whole batch of cells: a
- * shard's worth of lanes pins every chunk it will touch once up
- * front, so co-scheduled cells reading the same benchmark share one
- * resident copy for the batch's lifetime instead of racing the LRU
- * per cursor-refill. Releasing the pin re-runs eviction, so the
- * budget converges as soon as the batch retires.
- *
  * Instrumented through src/obs/: trace_store.chunks_built /
  * chunk_hits / chunks_evicted counters, trace_store.resident_bytes
  * gauge and the trace_store.build_ns histogram — all touched once
@@ -46,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "trace/benchmark_profile.hh"
@@ -235,68 +227,6 @@ class TraceCursor
 };
 
 /**
- * RAII pin over every trace chunk a batch of cells will read.
- *
- * A batched shard pins the chunk range [0, uops) of each distinct
- * benchmark once before stepping its lanes; repeat references from
- * other lanes of the batch then resolve against the already-pinned
- * copy (counted by the batch.chunk_pins_saved instrument) instead
- * of issuing their own store round-trips and LRU races. Pinned
- * chunks are ineligible for eviction, so a tight WSEL_TRACE_MEM
- * budget cannot thrash a chunk out mid-batch only to rebuild it for
- * the next lane. Destruction (or release()) drops every pin and
- * re-runs eviction so the budget converges immediately.
- */
-class BatchPin
-{
-  public:
-    BatchPin() = default;
-    ~BatchPin() { release(); }
-
-    BatchPin(BatchPin &&) = default;
-    BatchPin &operator=(BatchPin &&other) noexcept
-    {
-        if (this != &other) {
-            release();
-            store_ = other.store_;
-            chunks_ = std::move(other.chunks_);
-            seen_ = std::move(other.seen_);
-            saved_ = other.saved_;
-            other.store_ = nullptr;
-            other.chunks_.clear();
-            other.seen_.clear();
-        }
-        return *this;
-    }
-    BatchPin(const BatchPin &) = delete;
-    BatchPin &operator=(const BatchPin &) = delete;
-
-    /**
-     * Pin every chunk covering [0, uops) of @p profile's stream in
-     * @p store, building missing ones. Idempotent per chunk: a
-     * chunk already pinned by this batch is counted as a saved pin
-     * and not re-held.
-     */
-    void pin(TraceStore &store, const BenchmarkProfile &profile,
-             std::uint64_t uops);
-
-    /** Drop all pins and re-run eviction on the store. */
-    void release();
-
-    /** Distinct chunks currently held. */
-    std::size_t held() const { return chunks_.size(); }
-
-    /** Pin requests coalesced onto an already-held chunk. */
-    std::uint64_t saved() const { return saved_; }
-
-  private:
-    TraceStore *store_ = nullptr;
-    std::vector<std::shared_ptr<const TraceChunk>> chunks_;
-    std::unordered_set<const TraceChunk *> seen_;
-    std::uint64_t saved_ = 0;
-};
-
-/**
  * Thread-safe store of TraceStreams with a global LRU memory
  * budget. Use global() for the process-wide instance shared by
  * campaigns; tests construct private stores to force tiny budgets
@@ -361,13 +291,6 @@ class TraceStore
 
     /** Bytes currently resident across all streams. */
     std::size_t residentBytes() const;
-
-    /**
-     * Re-run eviction against the current budget. Called by
-     * BatchPin::release() so a budget overshoot held open by pins
-     * converges as soon as the batch retires; harmless otherwise.
-     */
-    void trimToBudget();
 
     /** Chunks evicted so far (tests; obs-independent). */
     std::uint64_t

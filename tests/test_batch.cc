@@ -3,20 +3,21 @@
  * Tests for the batched BADCO cell engine (sim/batch.hh) and its
  * bitwise-identity contract: a batched population shard must equal
  * the serial engine's bytes at every (batch, jobs) combination,
- * through mid-batch kills and resumes, and under trace-store budget
- * pressure that forces chunk eviction and re-pinning. Also covers
- * the tag-scan kernels (cache/tagscan.hh) against the scalar
- * reference on every x86 tier, and the BatchPin budget semantics:
- * pinned chunks are ineligible eviction victims, and the budget
- * converges as soon as a batch releases its pins.
+ * through mid-batch kills and resumes, and under a trace-store
+ * budget so tight that chunks are evicted and rebuilt between cells
+ * (the resident bytes must stay within the budget plus one chunk
+ * per cursor). Also covers the tag-scan kernels (cache/tagscan.hh)
+ * against the scalar reference on every x86 tier.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -459,90 +460,14 @@ TEST_F(BatchCampaign, KillMidFlushAtJobsFourResumesAtJobsOne)
 }
 
 // -------------------------------------------------------------------
-// BatchPin vs the trace-store budget
+// Detailed shards under a tight trace-store budget
 // -------------------------------------------------------------------
 
-TEST(BatchPinBudget, PinnedChunksSurviveTrimUntilRelease)
+TEST(BatchTraceBudget, TinyBudgetKeepsDetailedShardIdentical)
 {
-    // 8 chunks of 256 µops each far exceed a 16 KiB budget.
-    TraceStore store(16 * 1024, 256);
-    const BenchmarkProfile prof = test::lightProfile(7);
-
-    BatchPin pin;
-    pin.pin(store, prof, 8 * 256);
-    EXPECT_EQ(pin.held(), 8u);
-    const std::size_t resident = store.residentBytes();
-    EXPECT_GT(resident, store.budgetBytes());
-
-    // Every resident chunk is pinned: eviction must leave the
-    // overshoot in place rather than un-charge memory a reader
-    // still holds.
-    store.trimToBudget();
-    EXPECT_EQ(store.residentBytes(), resident);
-
-    // Releasing the pins re-runs eviction; the budget converges
-    // immediately.
-    pin.release();
-    EXPECT_EQ(pin.held(), 0u);
-    EXPECT_LE(store.residentBytes(), store.budgetBytes());
-    EXPECT_GT(store.evictions(), 0u);
-}
-
-TEST(BatchPinBudget, RepeatPinsCoalesce)
-{
-    TraceStore store(TraceStore::kDefaultBudgetBytes, 256);
-    const BenchmarkProfile prof = test::lightProfile(7);
-
-    BatchPin pin;
-    pin.pin(store, prof, 4 * 256);
-    EXPECT_EQ(pin.held(), 4u);
-    EXPECT_EQ(pin.saved(), 0u);
-
-    // A second lane of the batch referencing the same benchmark
-    // resolves against the held chunks instead of re-pinning.
-    pin.pin(store, prof, 4 * 256);
-    EXPECT_EQ(pin.held(), 4u);
-    EXPECT_EQ(pin.saved(), 4u);
-}
-
-TEST(BatchPinBudget, RepinAfterEvictionRegeneratesIdenticalChunks)
-{
-    // Budget fits about two 256-µop chunks, so walking the stream
-    // evicts chunk 0; re-pinning it must rebuild identical bytes.
-    TraceStore store(16 * 1024, 256);
-    const BenchmarkProfile prof = test::lightProfile(7);
-    const auto stream = store.stream(prof);
-
-    TraceChunk first;
-    {
-        const auto c0 = stream->chunk(0);
-        first = *c0;
-    }
-    const std::uint64_t builds0 = stream->builds();
-
-    for (std::uint64_t i = 1; i < 8; ++i)
-        (void)stream->chunk(i);
-    EXPECT_GT(store.evictions(), 0u);
-
-    const auto again = stream->chunk(0);
-    EXPECT_GT(stream->builds(), builds0);
-    EXPECT_EQ(again->firstUop, first.firstUop);
-    EXPECT_EQ(again->count, first.count);
-    EXPECT_EQ(again->kind, first.kind);
-    EXPECT_EQ(again->addr, first.addr);
-    EXPECT_EQ(again->pc, first.pc);
-    EXPECT_EQ(again->dep1, first.dep1);
-    EXPECT_EQ(again->dep2, first.dep2);
-    EXPECT_EQ(again->latency, first.latency);
-    EXPECT_EQ(again->taken, first.taken);
-}
-
-TEST(BatchPinBudget, TinyBudgetKeepsDetailedShardIdentical)
-{
-    // The detailed shard pins each row's chunks (BatchPin), so a
-    // budget too small for even one benchmark's stream must force
-    // evict-and-repin between rows without changing a single bit
-    // of the payload.
+    // A budget too small for even one benchmark's stream forces
+    // chunks to be evicted and rebuilt between cells without
+    // changing a single bit of the payload.
     persist::V3Manifest m;
     m.fingerprint = 0xde7a11;
     m.simulator = "detailed";
@@ -594,10 +519,23 @@ TEST(BatchPinBudget, TinyBudgetKeepsDetailedShardIdentical)
     g.setChunkUops(512);
     g.setBudgetBytes(24 * 1024);
     const std::uint64_t ev0 = g.evictions();
+    // Sample the resident bytes before every cell: only cursors pin
+    // chunks, one each, so the store may overshoot its budget by at
+    // most one chunk per core.
+    std::size_t peak = 0;
+    persist::setFaultHook([&](const char *point, std::uint64_t) {
+        if (std::string_view(point) == "fidelity.escalate")
+            peak = std::max(peak, g.residentBytes());
+    });
     std::vector<double> tight;
     simulateDetailedPopulationShard(m, all, CoreConfig{}, ucfgs,
                                     suite, 1, 0, 1, tight);
+    persist::setFaultHook(nullptr);
     EXPECT_GT(g.evictions(), ev0);
+    const std::size_t chunk = g.stream(suite[1])->chunk(0)->bytes();
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, g.budgetBytes() + m.cores * chunk)
+        << "chunk " << chunk << " bytes";
 
     ASSERT_EQ(tight.size(), plenty.size());
     for (std::size_t i = 0; i < plenty.size(); ++i)
