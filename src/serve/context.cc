@@ -3,6 +3,7 @@
 #include "serve/store.hh"
 #include "sim/campaign.hh"
 #include "sim/multicore.hh"
+#include "sim/population.hh"
 #include "stats/logging.hh"
 
 namespace wsel::serve
@@ -43,30 +44,11 @@ CampaignContext::CampaignContext(const CampaignSpec &spec,
     for (const std::string &p : spec.policies)
         policies.push_back(parsePolicyKind(p)); // FATAL on unknown
 
-    const std::uint64_t last =
-        spec.lastRank == 0 ? pop_.size() : spec.lastRank;
-    if (spec.firstRank >= last || last > pop_.size())
-        WSEL_FATAL("campaign spec rank range [" << spec.firstRank
-                   << ", " << last << ") invalid for population of "
-                   << pop_.size());
-
     fidelity_ = spec.fidelity;
-    const char *sim_name = fidelity_ == 0 ? "badco" : "detailed";
-    m_.fingerprint = campaignFingerprint(
-        sim_name, spec.cores, spec.targetUops, policies, suite_);
-    m_.simulator = sim_name;
-    m_.cores = spec.cores;
-    m_.targetUops = spec.targetUops;
-    for (PolicyKind p : policies)
-        m_.policies.push_back(toString(p));
-    m_.benchmarks = spec.benchmarks;
-    m_.popBenchmarks = static_cast<std::uint32_t>(suite_.size());
-    m_.popCores = spec.cores;
-    m_.firstRank = spec.firstRank;
-    m_.lastRank = last;
-    m_.shardRows = spec.shardRows;
-    m_.instructions = m_.rows() * policies.size() * spec.cores *
-                      spec.targetUops;
+    m_ = populationManifest(fidelity_ == 0 ? "badco" : "detailed",
+                            spec.cores, spec.targetUops, policies,
+                            suite_, spec.firstRank, spec.lastRank,
+                            spec.shardRows);
 
     ucfgs_.reserve(policies.size());
     for (PolicyKind p : policies)

@@ -281,6 +281,39 @@ runShardLoop(
     return st;
 }
 
+persist::V3Manifest
+populationManifest(const std::string &simulator, std::uint32_t cores,
+                   std::uint64_t target_uops,
+                   const std::vector<PolicyKind> &policies,
+                   const std::vector<BenchmarkProfile> &suite,
+                   std::uint64_t first_rank, std::uint64_t last_rank,
+                   std::uint64_t shard_rows)
+{
+    const WorkloadPopulation pop(
+        static_cast<std::uint32_t>(suite.size()), cores);
+    const std::uint64_t last = last_rank == 0 ? pop.size() : last_rank;
+    if (first_rank >= last || last > pop.size())
+        WSEL_FATAL("rank range [" << first_rank << ", " << last
+                   << ") invalid for a population of " << pop.size());
+    persist::V3Manifest m;
+    m.fingerprint = campaignFingerprint(simulator, cores, target_uops,
+                                        policies, suite);
+    m.simulator = simulator;
+    m.cores = cores;
+    m.targetUops = target_uops;
+    for (PolicyKind p : policies)
+        m.policies.push_back(toString(p));
+    for (const BenchmarkProfile &p : suite)
+        m.benchmarks.push_back(p.name);
+    m.popBenchmarks = pop.numBenchmarks();
+    m.popCores = cores;
+    m.firstRank = first_rank;
+    m.lastRank = last;
+    m.shardRows = shard_rows;
+    m.instructions = m.rows() * policies.size() * cores * target_uops;
+    return m;
+}
+
 PopulationResult
 runBadcoPopulationCampaign(
     const WorkloadPopulation &pop,
@@ -296,12 +329,6 @@ runBadcoPopulationCampaign(
         WSEL_FATAL("population is over " << pop.numBenchmarks()
                    << " benchmarks but the suite has "
                    << suite.size());
-    const std::uint64_t last =
-        opts.lastRank == 0 ? pop.size() : opts.lastRank;
-    if (opts.firstRank >= last || last > pop.size())
-        WSEL_FATAL("population rank range [" << opts.firstRank
-                   << ", " << last << ") invalid for size "
-                   << pop.size());
     for (const PopulationPairSpec &s : pairs) {
         if (s.x >= policies.size() || s.y >= policies.size())
             WSEL_FATAL("pair " << s.label
@@ -316,22 +343,11 @@ runBadcoPopulationCampaign(
     const std::size_t np = policies.size();
     const std::uint32_t k = pop.cores();
 
-    persist::V3Manifest m;
-    m.fingerprint = campaignFingerprint("badco", k, target_uops,
-                                        policies, suite);
-    m.simulator = "badco";
-    m.cores = k;
-    m.targetUops = target_uops;
-    for (PolicyKind p : policies)
-        m.policies.push_back(toString(p));
-    for (const BenchmarkProfile &p : suite)
-        m.benchmarks.push_back(p.name);
-    m.popBenchmarks = pop.numBenchmarks();
-    m.popCores = k;
-    m.firstRank = opts.firstRank;
-    m.lastRank = last;
-    m.shardRows = std::max<std::uint64_t>(
-        1, opts.shardCells / std::max<std::size_t>(1, np));
+    persist::V3Manifest m = populationManifest(
+        "badco", k, target_uops, policies, suite, opts.firstRank,
+        opts.lastRank,
+        std::max<std::uint64_t>(
+            1, opts.shardCells / std::max<std::size_t>(1, np)));
 
     const std::vector<const BadcoModel *> models =
         store.getSuite(suite, jobs);
@@ -390,10 +406,9 @@ runBadcoPopulationCampaign(
     result.cellsResumed = st.cellsResumed;
     result.shardsWritten = st.shardsWritten;
     result.shardsResumed = st.shardsResumed;
-    m.simSeconds += st.simSeconds;
     // Instructions describe the whole artifact (resumed shards
     // included); simSeconds is this run's simulation wall only.
-    m.instructions = m.rows() * np * k * target_uops;
+    m.simSeconds += st.simSeconds;
 
     // The manifest is the commit point: it only exists once every
     // shard it describes does.

@@ -285,6 +285,20 @@ ShardLoopStats runShardLoop(
     bool verbose, const std::string &label);
 
 /**
+ * The manifest of a campaign over ranks [first_rank, last_rank) of
+ * the population of @p suite at @p cores (last_rank 0: to the end),
+ * before it runs: fingerprint, policies, benchmarks, geometry and
+ * instruction count.  refIpc and simSeconds are the caller's.
+ * WSEL_FATAL on an empty or out-of-range rank range.
+ */
+persist::V3Manifest populationManifest(
+    const std::string &simulator, std::uint32_t cores,
+    std::uint64_t target_uops, const std::vector<PolicyKind> &policies,
+    const std::vector<BenchmarkProfile> &suite,
+    std::uint64_t first_rank, std::uint64_t last_rank,
+    std::uint64_t shard_rows);
+
+/**
  * Run (or resume) a BADCO population campaign over ranks
  * [opts.firstRank, opts.lastRank) of @p pop, writing a campaign_v3
  * artifact to @p out_dir (created if missing) and returning the
