@@ -119,6 +119,8 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -246,6 +248,42 @@ parsePolicyList(const std::string &s)
         }
     }
     return out;
+}
+
+/**
+ * The compared pair of a two-policy command, as {x, y}: --x/--y, or
+ * the population command's --policies Y,X (oriented as its pair
+ * labels: "first outperforms second").  @p kind names the campaign
+ * in the error.
+ */
+std::pair<PolicyKind, PolicyKind>
+policyPairFromArgs(const Args &args, const char *kind)
+{
+    if (!args.has("policies"))
+        return {parsePolicyKind(args.get("x", "FIFO")),
+                parsePolicyKind(args.get("y", "LRU"))};
+    const auto pol = parsePolicyList(args.get("policies", ""));
+    if (pol.size() != 2)
+        WSEL_FATAL("a " << kind << " campaign compares exactly two "
+                   "policies (--policies Y,X; got "
+                   << pol.size() << ")");
+    return {pol[1], pol[0]};
+}
+
+/**
+ * The --first/--last/--limit rank range of @p pop as {first, last},
+ * last 0 meaning the end: --limit N stands for --last first + N
+ * (capped at the population) unless --last is given.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+rankRangeFromArgs(const Args &args, const WorkloadPopulation &pop)
+{
+    const std::uint64_t first = args.getU64("first", 0);
+    std::uint64_t last = args.getU64("last", 0);
+    if (args.has("limit") && !args.has("last"))
+        last = std::min<std::uint64_t>(
+            pop.size(), first + args.getU64("limit", 0));
+    return {first, last};
 }
 
 /**
@@ -398,11 +436,8 @@ campaignSpecFromArgs(const Args &args)
         spec.benchmarks.push_back(p.name);
     const WorkloadPopulation pop(
         static_cast<std::uint32_t>(suite.size()), spec.cores);
-    spec.firstRank = args.getU64("first", 0);
-    spec.lastRank = args.getU64("last", 0);
-    if (args.has("limit") && !args.has("last"))
-        spec.lastRank = std::min<std::uint64_t>(
-            pop.size(), spec.firstRank + args.getU64("limit", 0));
+    std::tie(spec.firstRank, spec.lastRank) =
+        rankRangeFromArgs(args, pop);
     const std::uint64_t shard_cells =
         args.getU64("shard-size", 64 * 1024);
     spec.shardRows = std::max<std::uint64_t>(
@@ -599,23 +634,7 @@ cmdAdaptive(const Args &args)
     const ThroughputMetric metric =
         parseMetric(args.get("metric", "IPCT"));
 
-    // Either --x/--y, or the population command's --policies Y,X
-    // (oriented as its pair labels: "first outperforms second").
-    PolicyKind x = PolicyKind::FIFO;
-    PolicyKind y = PolicyKind::LRU;
-    if (args.has("policies")) {
-        const auto pol =
-            parsePolicyList(args.get("policies", ""));
-        if (pol.size() != 2)
-            WSEL_FATAL("a sequential campaign compares exactly two "
-                       "policies (--policies Y,X; got "
-                       << pol.size() << ")");
-        y = pol[0];
-        x = pol[1];
-    } else {
-        x = parsePolicyKind(args.get("x", "FIFO"));
-        y = parsePolicyKind(args.get("y", "LRU"));
-    }
+    const auto [x, y] = policyPairFromArgs(args, "sequential");
 
     const auto &suite = spec2006Suite();
     const WorkloadPopulation pop(
@@ -710,22 +729,7 @@ cmdHybrid(const Args &args)
     const ThroughputMetric metric =
         parseMetric(args.get("metric", "IPCT"));
 
-    // Same orientation as adaptive: --x/--y, or --policies Y,X.
-    PolicyKind x = PolicyKind::FIFO;
-    PolicyKind y = PolicyKind::LRU;
-    if (args.has("policies")) {
-        const auto pol =
-            parsePolicyList(args.get("policies", ""));
-        if (pol.size() != 2)
-            WSEL_FATAL("a hybrid campaign compares exactly two "
-                       "policies (--policies Y,X; got "
-                       << pol.size() << ")");
-        y = pol[0];
-        x = pol[1];
-    } else {
-        x = parsePolicyKind(args.get("x", "FIFO"));
-        y = parsePolicyKind(args.get("y", "LRU"));
-    }
+    const auto [x, y] = policyPairFromArgs(args, "hybrid");
 
     const auto &suite = spec2006Suite();
     const WorkloadPopulation pop(
@@ -736,12 +740,8 @@ cmdHybrid(const Args &args)
     opts.jobs = static_cast<std::size_t>(args.getU64("jobs", 0));
     opts.shardCells = static_cast<std::size_t>(
         args.getU64("shard-size", 64 * 1024));
-    opts.firstRank = args.getU64("first", 0);
-    opts.lastRank = args.getU64("last", 0);
-    if (args.has("limit") && !args.has("last"))
-        opts.lastRank = std::min<std::uint64_t>(
-            pop.size(),
-            opts.firstRank + args.getU64("limit", 0));
+    std::tie(opts.firstRank, opts.lastRank) =
+        rankRangeFromArgs(args, pop);
     opts.resume = args.getU64("resume", 1) != 0;
     opts.verbose = args.getU64("verbose", 0) != 0;
     opts.quantile = argF64(args, "quantile", 0.95);
@@ -859,12 +859,8 @@ cmdPopulation(const Args &args)
     opts.jobs = static_cast<std::size_t>(args.getU64("jobs", 0));
     opts.shardCells = static_cast<std::size_t>(
         args.getU64("shard-size", 64 * 1024));
-    opts.firstRank = args.getU64("first", 0);
-    opts.lastRank = args.getU64("last", 0);
-    if (args.has("limit") && !args.has("last"))
-        opts.lastRank = std::min<std::uint64_t>(
-            pop.size(),
-            opts.firstRank + args.getU64("limit", 0));
+    std::tie(opts.firstRank, opts.lastRank) =
+        rankRangeFromArgs(args, pop);
     opts.resume = args.getU64("resume", 1) != 0;
     opts.verbose = args.getU64("verbose", 0) != 0;
     opts.batchCells =
