@@ -37,6 +37,56 @@ bodyReader(std::string_view body)
     return Reader(std::string(body), "frame", raiseProtocol);
 }
 
+void
+putSpec(Writer &w, const CampaignSpec &spec)
+{
+    w.u32(spec.cores);
+    w.u64(spec.targetUops);
+    w.u64(spec.seed);
+    w.u64(spec.firstRank);
+    w.u64(spec.lastRank);
+    w.u64(spec.shardRows);
+    w.u32(static_cast<std::uint32_t>(spec.policies.size()));
+    for (const std::string &p : spec.policies)
+        w.str(p);
+    w.u32(static_cast<std::uint32_t>(spec.benchmarks.size()));
+    for (const std::string &b : spec.benchmarks)
+        w.str(b);
+    w.u32(spec.fidelity);
+    w.f64(spec.escalateBudget);
+    w.f64(spec.escalateQuantile);
+    w.str(spec.escalateMetric);
+}
+
+CampaignSpec
+getSpec(Reader &r)
+{
+    CampaignSpec s;
+    s.cores = r.u32();
+    s.targetUops = r.u64();
+    s.seed = r.u64();
+    s.firstRank = r.u64();
+    s.lastRank = r.u64();
+    s.shardRows = r.u64();
+    const std::uint32_t np = r.count(r.u32(), 4096, "policy count");
+    s.policies.reserve(np);
+    for (std::uint32_t i = 0; i < np; ++i)
+        s.policies.push_back(r.str());
+    const std::uint32_t nb =
+        r.count(r.u32(), 1u << 20, "benchmark count");
+    s.benchmarks.reserve(nb);
+    for (std::uint32_t i = 0; i < nb; ++i)
+        s.benchmarks.push_back(r.str());
+    s.fidelity = r.u32();
+    if (s.fidelity > 1)
+        r.fail("campaign spec fidelity " +
+               std::to_string(s.fidelity) + " out of range");
+    s.escalateBudget = r.f64();
+    s.escalateQuantile = r.f64();
+    s.escalateMetric = r.str();
+    return s;
+}
+
 } // namespace
 
 const char *
@@ -107,60 +157,6 @@ FrameBuffer::next()
 // Message bodies
 // -------------------------------------------------------------------
 
-namespace
-{
-
-void
-putSpec(Writer &w, const CampaignSpec &spec)
-{
-    w.u32(spec.cores);
-    w.u64(spec.targetUops);
-    w.u64(spec.seed);
-    w.u64(spec.firstRank);
-    w.u64(spec.lastRank);
-    w.u64(spec.shardRows);
-    w.u32(static_cast<std::uint32_t>(spec.policies.size()));
-    for (const std::string &p : spec.policies)
-        w.str(p);
-    w.u32(static_cast<std::uint32_t>(spec.benchmarks.size()));
-    for (const std::string &b : spec.benchmarks)
-        w.str(b);
-    w.u32(spec.fidelity);
-    w.f64(spec.escalateBudget);
-    w.f64(spec.escalateQuantile);
-    w.str(spec.escalateMetric);
-}
-
-CampaignSpec
-getSpec(Reader &r)
-{
-    CampaignSpec s;
-    s.cores = r.u32();
-    s.targetUops = r.u64();
-    s.seed = r.u64();
-    s.firstRank = r.u64();
-    s.lastRank = r.u64();
-    s.shardRows = r.u64();
-    const std::uint32_t np = r.count(r.u32(), 4096, "policy count");
-    s.policies.reserve(np);
-    for (std::uint32_t i = 0; i < np; ++i)
-        s.policies.push_back(r.str());
-    const std::uint32_t nb =
-        r.count(r.u32(), 1u << 20, "benchmark count");
-    s.benchmarks.reserve(nb);
-    for (std::uint32_t i = 0; i < nb; ++i)
-        s.benchmarks.push_back(r.str());
-    s.fidelity = r.u32();
-    if (s.fidelity > 1)
-        r.fail("campaign spec fidelity " +
-               std::to_string(s.fidelity) + " out of range");
-    s.escalateBudget = r.f64();
-    s.escalateQuantile = r.f64();
-    s.escalateMetric = r.str();
-    return s;
-}
-
-} // namespace
 
 std::string
 encodeSpec(const CampaignSpec &spec)

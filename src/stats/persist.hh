@@ -323,7 +323,6 @@ class Reader
     }
 
   private:
-
     const char *
     take(std::size_t n)
     {
