@@ -2,7 +2,6 @@
 
 #include "badco/badco_machine.hh"
 
-
 #include "cpu/detailed_core.hh"
 #include "mem/uncore.hh"
 #include "stats/logging.hh"
