@@ -406,8 +406,9 @@ runBadcoPopulationCampaign(
     result.cellsResumed = st.cellsResumed;
     result.shardsWritten = st.shardsWritten;
     result.shardsResumed = st.shardsResumed;
-    // Instructions describe the whole artifact (resumed shards
-    // included); simSeconds is this run's simulation wall only.
+    // simSeconds is this run's simulation wall only; instructions
+    // (populationManifest) describe the whole artifact, resumed
+    // shards included.
     m.simSeconds += st.simSeconds;
 
     // The manifest is the commit point: it only exists once every

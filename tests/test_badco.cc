@@ -8,8 +8,6 @@
 #include <fstream>
 #include <string>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "badco/badco_machine.hh"
@@ -24,16 +22,6 @@ namespace wsel
 
 namespace
 {
-
-/** A per-process file name in the temporary directory. */
-std::string
-scratchPath(const std::string &name)
-{
-    return (std::filesystem::temp_directory_path() /
-            ("wsel_badco_" + name + "_" + std::to_string(::getpid()) +
-             ".bin"))
-        .string();
-}
 
 BadcoModel
 buildTestModel(const BenchmarkProfile &p, std::uint64_t target)
@@ -86,7 +74,7 @@ TEST(BadcoModel, SaveLoadRoundTrip)
 {
     const BadcoModel m =
         buildTestModel(test::lightProfile(), 10000);
-    const std::string path = scratchPath("roundtrip");
+    const std::string path = test::scratchPath("badco_roundtrip");
     m.save(path);
     const BadcoModel r = BadcoModel::load(path);
     std::filesystem::remove(path);
@@ -110,7 +98,7 @@ TEST(BadcoModel, SaveLoadRoundTrip)
 
 TEST(BadcoModel, LoadRejectsGarbage)
 {
-    const std::string path = scratchPath("garbage");
+    const std::string path = test::scratchPath("badco_garbage");
     {
         std::ofstream out(path, std::ios::binary);
         out << "not a model";

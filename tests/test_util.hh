@@ -84,17 +84,21 @@ runSingleCore(const BenchmarkProfile &profile, UncoreIf &uncore,
     return core.stats();
 }
 
-/**
- * The bytes of @p m's sealed model file (BadcoModel::save), written
- * through a scratch file in the temporary directory.
- */
+/** A per-process file name in the temporary directory. */
+inline std::string
+scratchPath(const std::string &name)
+{
+    return (std::filesystem::temp_directory_path() /
+            ("wsel_" + name + "_" + std::to_string(::getpid()) +
+             ".bin"))
+        .string();
+}
+
+/** The bytes of @p m's sealed model file (BadcoModel::save). */
 inline std::string
 modelFileBytes(const BadcoModel &m)
 {
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("wsel_model_" + std::to_string(::getpid()) + ".bin"))
-            .string();
+    const std::string path = scratchPath("model");
     m.save(path);
     std::string bytes = persist::readFile(path);
     std::filesystem::remove(path);
