@@ -68,12 +68,14 @@ getSpec(Reader &r)
     s.firstRank = r.u64();
     s.lastRank = r.u64();
     s.shardRows = r.u64();
-    const std::uint32_t np = r.count(r.u32(), 4096, "policy count");
+    // Every name takes at least its 4-byte length.
+    const std::uint32_t np =
+        r.count(r.u32(), r.remaining() / 4, "policy count");
     s.policies.reserve(np);
     for (std::uint32_t i = 0; i < np; ++i)
         s.policies.push_back(r.str());
     const std::uint32_t nb =
-        r.count(r.u32(), 1u << 20, "benchmark count");
+        r.count(r.u32(), r.remaining() / 4, "benchmark count");
     s.benchmarks.reserve(nb);
     for (std::uint32_t i = 0; i < nb; ++i)
         s.benchmarks.push_back(r.str());

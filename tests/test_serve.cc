@@ -17,10 +17,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -499,6 +501,51 @@ TEST(ServeProtocolTest, ReplyBodiesRoundTrip)
     EXPECT_EQ(serve::decodeText(serve::encodeText("{}")), "{}");
     EXPECT_THROW(serve::decodeText(serve::encodeText("{}") + '\0'),
                  serve::ProtocolError);
+}
+
+TEST(ServeProtocolTest, BitFlipsDecodeOrThrowProtocolError)
+{
+    // Frames carry no checksum, so a flipped bit may decode to other
+    // values; it must never read past the body, allocate by a wild
+    // count, or fail any other way than ProtocolError.
+    serve::LeaseMsg lease;
+    lease.spec = sampleSpec();
+    lease.dir = "/store/c-1-2";
+    serve::StatusMsg status;
+    status.dir = "/d";
+    status.message = "queued";
+    using Decode = std::function<void(std::string_view)>;
+    const std::pair<std::string, Decode> bodies[] = {
+        {serve::encodeSpec(sampleSpec()),
+         [](std::string_view b) { (void)serve::decodeSpec(b); }},
+        {serve::encodeLease(lease),
+         [](std::string_view b) { (void)serve::decodeLease(b); }},
+        {serve::encodeStatus(status),
+         [](std::string_view b) { (void)serve::decodeStatus(b); }},
+        {serve::encodeDone({7, 3, 12, true}),
+         [](std::string_view b) { (void)serve::decodeDone(b); }},
+        {serve::encodeFailed({false, 7, "disk full"}),
+         [](std::string_view b) { (void)serve::decodeFailed(b); }},
+        {serve::encodeSubmitReply({true, 3, "ok"}),
+         [](std::string_view b) { (void)serve::decodeSubmitReply(b); }},
+        {serve::encodeStopReply({true, 0, "halting"}),
+         [](std::string_view b) { (void)serve::decodeStopReply(b); }},
+        {serve::encodeText("{}"),
+         [](std::string_view b) { (void)serve::decodeText(b); }},
+    };
+    for (const auto &[full, decode] : bodies) {
+        for (std::size_t byte = 0; byte < full.size(); ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::string flipped = full;
+                flipped[byte] =
+                    static_cast<char>(flipped[byte] ^ (1 << bit));
+                try {
+                    decode(flipped);
+                } catch (const serve::ProtocolError &) {
+                }
+            }
+        }
+    }
 }
 
 /**
