@@ -55,8 +55,9 @@ struct SequentialConfig
 {
     /**
      * Stop once the confidence in the leading design reaches this.
-     * The paper's fig. 1 saturation point |x| = 2 corresponds to
-     * erf(sqrt(2)) ~ 0.977.
+     * 0.977 = 1/2 (1 + erf(sqrt(2))): eq. 5 at x = sqrt(2), a
+     * sample of W = 4 cv^2.  Eq. 8's W = 8 cv^2 (x = 2) gives
+     * 1/2 (1 + erf(2)) ~ 0.9977 (docs/SAMPLING.md).
      */
     double targetConfidence = 0.977;
 

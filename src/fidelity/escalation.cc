@@ -4,10 +4,26 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/scheduler.hh"
+#include "obs/trace.hh"
 #include "stats/logging.hh"
+#include "stats/persist.hh"
 
 namespace wsel::fidelity
 {
+
+namespace
+{
+
+void
+checkBudget(double budget_fraction)
+{
+    if (!(budget_fraction >= 0.0 && budget_fraction <= 1.0))
+        WSEL_FATAL("escalation budget fraction must be in [0, 1], "
+                   "got " << budget_fraction);
+}
+
+} // namespace
 
 EscalationOracle::EscalationOracle(ThroughputMetric m,
                                    const ErrorProfile &profile,
@@ -16,9 +32,6 @@ EscalationOracle::EscalationOracle(ThroughputMetric m,
     : m_(m), profile_(&profile), quantile_(quantile),
       refIpc_(std::move(ref_ipc))
 {
-    if (!(quantile_ > 0.0 && quantile_ < 1.0))
-        WSEL_FATAL("escalation quantile must be in (0, 1), got "
-                   << quantile_);
     if (refIpc_.size() != profile.numBenchmarks())
         WSEL_FATAL("escalation oracle got " << refIpc_.size()
                    << " reference IPCs for a profile over "
@@ -98,9 +111,7 @@ std::vector<std::uint8_t>
 selectEscalations(const std::vector<CellInterval> &cells,
                   double threshold, double budget_fraction)
 {
-    if (!(budget_fraction >= 0.0 && budget_fraction <= 1.0))
-        WSEL_FATAL("escalation budget fraction must be in [0, 1], "
-                   "got " << budget_fraction);
+    checkBudget(budget_fraction);
     const std::size_t n = cells.size();
     std::vector<std::uint8_t> flags(n, 0);
     std::vector<std::size_t> suspects;
@@ -127,6 +138,112 @@ selectEscalations(const std::vector<CellInterval> &cells,
     for (std::size_t i : suspects)
         flags[i] = 1;
     return flags;
+}
+
+void
+checkEscalationKnobs(double quantile, double budget_fraction)
+{
+    if (!(quantile > 0.0 && quantile < 1.0))
+        WSEL_FATAL("escalation quantile must be in (0, 1), got "
+                   << quantile);
+    checkBudget(budget_fraction);
+}
+
+void
+checkProfileSuite(const ErrorProfile &profile,
+                  const std::vector<BenchmarkProfile> &suite)
+{
+    if (profile.suiteHash() != ErrorProfile::hashSuite(suite))
+        WSEL_FATAL("error profile was calibrated for a different "
+                   "suite; re-calibrate before escalating");
+}
+
+EscalationPlan
+planEscalation(const persist::V3Manifest &m,
+               const std::string &sweep_dir,
+               const WorkloadPopulation &pop,
+               const std::vector<BenchmarkProfile> &suite,
+               const ErrorProfile &profile,
+               const EscalationKnobs &knobs,
+               const std::string &record_dir, bool resume,
+               std::size_t jobs)
+{
+    checkEscalationKnobs(knobs.quantile, knobs.budgetFraction);
+    checkProfileSuite(profile, suite);
+    if (m.policies.size() < 2)
+        WSEL_FATAL("escalation needs a sweep of two policies, got "
+                   << m.policies.size());
+
+    // Per-row intervals, recomputed every run (cheap and
+    // deterministic given the profile): the hybrid report needs
+    // them even when the set itself is pinned.
+    obs::Span span("fidelity.intervals");
+    EscalationPlan plan;
+    plan.cells.resize(static_cast<std::size_t>(m.rows()));
+    const std::size_t np = m.policies.size();
+    const std::uint32_t k = m.cores;
+    auto scan_shard = [&](std::size_t s) {
+        const std::vector<double> payload =
+            persist::readV3Shard(sweep_dir, m, s);
+        EscalationOracle oracle(knobs.metric, profile, knobs.quantile,
+                                m.refIpc);
+        const std::uint64_t first = m.shardFirstRank(s);
+        const std::uint64_t n = m.rowsInShard(s);
+        WorkloadCursor cur(pop, first);
+        for (std::uint64_t r = 0; r < n; ++r, cur.next()) {
+            const double *row = payload.data() + r * np * k;
+            plan.cells[static_cast<std::size_t>(
+                first - m.firstRank + r)] =
+                oracle.interval(cur.benchmarks(), {row, k},
+                                {row + k, k});
+        }
+    };
+    exec::forEachIndex(exec::resolveJobs(jobs), m.shardCount(),
+                       scan_shard);
+
+    // The identity of the set: every field but the bitmap.  A
+    // committed record with other knobs is stale, not corrupt.
+    EscalationRecord &rec = plan.record;
+    rec.badcoFingerprint = m.fingerprint;
+    rec.detailedFingerprint = knobs.detailedFingerprint;
+    rec.seed = knobs.seed;
+    rec.metric = toString(knobs.metric);
+    rec.policyX = m.policies[0];
+    rec.policyY = m.policies[1];
+    rec.quantile = knobs.quantile;
+    rec.budgetFraction = knobs.budgetFraction;
+    rec.threshold = knobs.threshold;
+    rec.firstRank = m.firstRank;
+    rec.lastRank = m.lastRank;
+    if (resume && hasEscalationRecord(record_dir)) {
+        try {
+            EscalationRecord got = readEscalationRecord(record_dir);
+            EscalationRecord identity = got;
+            identity.escalatedCount = 0;
+            identity.bitmap.clear();
+            if (identity == rec) {
+                rec = std::move(got);
+                return plan;
+            }
+        } catch (const persist::CacheInvalid &e) {
+            persist::quarantineArtifact(
+                escalationRecordPath(record_dir),
+                "corrupt fidelity bitmap", e.what(),
+                "recomputing the escalation set");
+        }
+    }
+
+    const std::vector<std::uint8_t> flags = selectEscalations(
+        plan.cells, knobs.threshold, knobs.budgetFraction);
+    rec.resizeBitmap();
+    for (std::uint64_t r = 0; r < rec.rows(); ++r) {
+        if (flags[static_cast<std::size_t>(r)]) {
+            rec.setEscalated(r);
+            ++rec.escalatedCount;
+        }
+    }
+    writeEscalationRecord(record_dir, rec);
+    return plan;
 }
 
 } // namespace wsel::fidelity

@@ -20,6 +20,11 @@
  * the most ambiguous rows (smallest |d - threshold|) with a
  * deterministic rank tie-break, so the set is identical across job
  * counts and resumes.
+ *
+ * planEscalation is the one place a campaign's escalation set is
+ * chosen: the in-process hybrid run (sim/hybrid.hh) and the serve
+ * coordinator's detailed phase both call it, so the same sweep,
+ * profile and knobs pick the same rows on every path.
  */
 
 #ifndef WSEL_FIDELITY_ESCALATION_HH
@@ -27,10 +32,14 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/metrics/throughput.hh"
+#include "core/workload/workload.hh"
 #include "fidelity/error_profile.hh"
+#include "fidelity/persist_fidelity.hh"
+#include "stats/persist_v3.hh"
 
 namespace wsel::fidelity
 {
@@ -60,7 +69,8 @@ class EscalationOracle
     /**
      * @param m Throughput metric of the X-vs-Y question.
      * @param profile Calibrated error model (borrowed).
-     * @param quantile One-sided error-bound quantile, e.g. 0.95.
+     * @param quantile One-sided error-bound quantile in (0, 1),
+     *        e.g. 0.95 (ErrorProfile::errorBound checks it).
      * @param ref_ipc Per-benchmark reference IPCs for the speedup
      *        metrics.  Reference IPCs are treated as exact; their
      *        model error is folded into the per-cell bound via the
@@ -96,6 +106,50 @@ class EscalationOracle
 std::vector<std::uint8_t> selectEscalations(
     const std::vector<CellInterval> &cells, double threshold,
     double budget_fraction);
+
+/** WSEL_FATAL unless @p quantile is in (0, 1), the budget in [0, 1]. */
+void checkEscalationKnobs(double quantile, double budget_fraction);
+
+/** WSEL_FATAL unless @p profile was calibrated for @p suite. */
+void checkProfileSuite(const ErrorProfile &profile,
+                       const std::vector<BenchmarkProfile> &suite);
+
+/** What shapes an escalation set besides the sweep and profile. */
+struct EscalationKnobs
+{
+    ThroughputMetric metric{};
+    double quantile = 0.0;
+    double budgetFraction = 0.0;
+    double threshold = 0.0;
+    std::uint64_t seed = 0;
+    std::uint64_t detailedFingerprint = 0; ///< of the re-simulation
+};
+
+/** A committed escalation set and the intervals behind it. */
+struct EscalationPlan
+{
+    EscalationRecord record;
+    std::vector<CellInterval> cells; ///< one per sweep row
+};
+
+/**
+ * Choose and commit the escalation set of the committed BADCO sweep
+ * @p m in @p sweep_dir (policies[0] is X, policies[1] is Y).  Checks
+ * the knobs and the profile's suite, computes every row's interval
+ * (one shard per task on @p jobs threads, 0 = default), and with
+ * @p resume keeps the fidelity-bitmap.bin in @p record_dir whose
+ * identity fields all match, so a resumed campaign escalates the
+ * same rows after the profile drifted.  Otherwise selectEscalations
+ * picks the set, which replaces a stale or corrupt record.
+ */
+EscalationPlan planEscalation(const persist::V3Manifest &m,
+                              const std::string &sweep_dir,
+                              const WorkloadPopulation &pop,
+                              const std::vector<BenchmarkProfile> &suite,
+                              const ErrorProfile &profile,
+                              const EscalationKnobs &knobs,
+                              const std::string &record_dir,
+                              bool resume, std::size_t jobs);
 
 } // namespace wsel::fidelity
 

@@ -77,6 +77,7 @@ struct EscalationRecord
     std::uint64_t escalatedCount = 0;
     std::vector<std::uint8_t> bitmap; ///< ceil(rows/8), LSB-first
 
+    bool operator==(const EscalationRecord &) const = default;
     std::uint64_t rows() const { return lastRank - firstRank; }
     void resizeBitmap();
     bool escalated(std::uint64_t row) const;

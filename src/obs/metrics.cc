@@ -29,12 +29,6 @@ threadShard()
     return shard;
 }
 
-} // namespace detail
-
-namespace
-{
-
-/** Escape a string for embedding in a JSON string literal. */
 std::string
 jsonEscape(std::string_view s)
 {
@@ -69,6 +63,11 @@ jsonEscape(std::string_view s)
     }
     return out;
 }
+
+} // namespace detail
+
+namespace
+{
 
 /** Human-friendly duration for the plain-text table. */
 std::string
@@ -486,7 +485,7 @@ MetricsSnapshot::toJson() const
     os << "{\n  \"wsel_metrics\": 1,\n  \"instruments\": [\n";
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const MetricsEntry &e = entries[i];
-        os << "    {\"name\": \"" << jsonEscape(e.name)
+        os << "    {\"name\": \"" << detail::jsonEscape(e.name)
            << "\", \"type\": \"" << e.type << "\"";
         if (e.type == "histogram") {
             os << ", \"count\": " << e.count

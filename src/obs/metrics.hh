@@ -52,6 +52,9 @@ extern std::atomic<bool> gMetricsEnabled;
 /** Stable per-thread shard index in [0, kCounterShards). */
 std::size_t threadShard();
 
+/** Escape @p s for a JSON string literal (metrics and trace). */
+std::string jsonEscape(std::string_view s);
+
 } // namespace detail
 
 /** Number of per-thread cells a Counter is sharded over. */

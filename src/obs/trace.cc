@@ -120,41 +120,6 @@ ring()
 
 thread_local std::vector<const char *> spanStack;
 
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 void
@@ -242,15 +207,15 @@ renderChromeTrace(const TraceSnapshot &snap)
         const TraceEvent &e = *order[i];
         char ts[40];
         std::snprintf(ts, sizeof ts, "%.3f", e.tsNs / 1e3);
-        os << "{\"name\":\"" << jsonEscape(e.name)
+        os << "{\"name\":\"" << detail::jsonEscape(e.name)
            << "\",\"cat\":\"wsel\",\"ph\":\"" << e.ph
            << "\",\"pid\":" << kPid << ",\"tid\":" << e.tid
            << ",\"ts\":" << ts;
         if (!e.args.empty()) {
             // Scope markers ('s'/'t') aside, "i" events require a
             // scope field; default it to thread.
-            os << ",\"args\":{\"detail\":\"" << jsonEscape(e.args)
-               << "\"}";
+            os << ",\"args\":{\"detail\":\""
+               << detail::jsonEscape(e.args) << "\"}";
         }
         if (e.ph == 'i')
             os << ",\"s\":\"t\"";

@@ -1,5 +1,6 @@
 #include "serve/context.hh"
 
+#include "fidelity/escalation.hh"
 #include "serve/store.hh"
 #include "sim/campaign.hh"
 #include "sim/multicore.hh"
@@ -45,6 +46,14 @@ CampaignContext::CampaignContext(const CampaignSpec &spec,
         policies.push_back(parsePolicyKind(p)); // FATAL on unknown
 
     fidelity_ = spec.fidelity;
+    // Refused at admission, not after the sweep.
+    if (fidelity_ == 0 && spec.escalateBudget != 0.0) {
+        if (policies.size() < 2)
+            WSEL_FATAL("escalation needs two policies, X and Y");
+        fidelity::checkEscalationKnobs(spec.escalateQuantile,
+                                       spec.escalateBudget);
+        (void)parseMetric(spec.escalateMetric);
+    }
     m_ = populationManifest(fidelity_ == 0 ? "badco" : "detailed",
                             spec.cores, spec.targetUops, policies,
                             suite_, spec.firstRank, spec.lastRank,

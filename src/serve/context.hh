@@ -43,7 +43,8 @@ class CampaignContext
   public:
     /**
      * Resolve and validate @p spec (WSEL_FATAL on unknown
-     * benchmark/policy names, bad rank range, zero geometry) and,
+     * benchmark/policy names, bad rank range, zero geometry, bad
+     * escalation knobs) and,
      * for a BADCO campaign, build the models with @p jobs threads
      * through the cache at @p cache_dir.
      */

@@ -9,10 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "core/metrics/throughput.hh"
-#include "fidelity/error_profile.hh"
 #include "fidelity/escalation.hh"
-#include "fidelity/persist_fidelity.hh"
 #include "obs/metrics.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
@@ -151,118 +148,52 @@ Coordinator::activateNext()
 bool
 Coordinator::beginEscalation(std::uint64_t id, Campaign &c)
 {
-    const persist::V3Manifest &m = c.ctx->manifest();
-    if (opts_.cacheDir.empty()) {
-        warn("campaign " + std::to_string(id) +
-             ": escalation requested but the daemon has no cache "
-             "dir to hold an error profile; finishing at BADCO "
-             "fidelity");
+    // Whatever keeps escalation from being planned leaves the
+    // committed BADCO campaign Done, with the reason in its status.
+    const auto skip = [&](const std::string &why) {
+        c.message = "escalation skipped (" + why +
+                    "); finished at BADCO fidelity";
+        warn("campaign " + std::to_string(id) + ": " + c.message);
         return false;
-    }
-    const std::string ppath =
-        fidelity::errorProfilePath(opts_.cacheDir);
-    fidelity::ErrorProfile profile;
-    try {
-        profile = fidelity::readErrorProfile(ppath);
-    } catch (const persist::CacheInvalid &e) {
-        warn("campaign " + std::to_string(id) +
-             ": cannot load error profile " + ppath + " (" +
-             e.what() + "); finishing at BADCO fidelity");
-        return false;
-    }
-    if (profile.suiteHash() !=
-        fidelity::ErrorProfile::hashSuite(c.ctx->suite())) {
-        warn("campaign " + std::to_string(id) +
-             ": error profile was calibrated for a different "
-             "suite; finishing at BADCO fidelity");
-        return false;
-    }
+    };
+    if (opts_.cacheDir.empty())
+        return skip("the daemon has no cache dir to hold an error "
+                    "profile");
 
-    ThroughputMetric metric;
-    try {
-        metric = parseMetric(c.spec.escalateMetric);
-    } catch (const FatalError &e) {
-        warn("campaign " + std::to_string(id) + ": " + e.what() +
-             "; finishing at BADCO fidelity");
-        return false;
-    }
-    if (!(c.spec.escalateQuantile > 0.0 &&
-          c.spec.escalateQuantile < 1.0) ||
-        !(c.spec.escalateBudget <= 1.0)) {
-        warn("campaign " + std::to_string(id) +
-             ": escalation knobs out of range; finishing at BADCO "
-             "fidelity");
-        return false;
-    }
-
-    // Per-row d(w) intervals over the committed sweep; rows whose
-    // interval straddles zero are suspects, budget-capped.
-    const std::uint64_t rows = m.rows();
-    std::vector<fidelity::CellInterval> cells(
-        static_cast<std::size_t>(rows));
-    {
-        fidelity::EscalationOracle oracle(
-            metric, profile, c.spec.escalateQuantile, m.refIpc);
-        const std::size_t np = m.policies.size();
-        const std::uint32_t k = m.cores;
-        for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
-            const std::vector<double> payload =
-                persist::readV3Shard(c.dir, m, s);
-            const std::uint64_t first = m.shardFirstRank(s);
-            WorkloadCursor cur(c.ctx->population(), first);
-            const std::uint64_t n = m.rowsInShard(s);
-            for (std::uint64_t r = 0; r < n; ++r, cur.next()) {
-                const double *row = payload.data() + r * np * k;
-                cells[static_cast<std::size_t>(
-                    first - m.firstRank + r)] =
-                    oracle.interval(cur.benchmarks(), {row, k},
-                                    {row + k, k});
-            }
-        }
-    }
-    const std::vector<std::uint8_t> flags =
-        fidelity::selectEscalations(cells, 0.0,
-                                    c.spec.escalateBudget);
-
-    // Phase-1 campaign: same geometry, detailed fidelity.
+    // Phase-1 campaign: same geometry, detailed fidelity.  Its dir
+    // holds the escalation set, pinned across coordinator restarts.
     CampaignSpec dspec = c.spec;
     dspec.fidelity = 1;
     dspec.escalateBudget = 0.0;
     std::unique_ptr<CampaignContext> dctx;
+    std::string ddir;
+    fidelity::EscalationRecord rec;
     try {
+        const fidelity::ErrorProfile profile =
+            fidelity::readErrorProfile(
+                fidelity::errorProfilePath(opts_.cacheDir));
         dctx = std::make_unique<CampaignContext>(
             dspec, opts_.cacheDir, opts_.jobs);
+        ddir = store_.campaignDir(dctx->manifest().fingerprint,
+                                  dctx->geometryHash());
+        store_.ensureCampaignDir(ddir);
+        fidelity::EscalationKnobs knobs;
+        knobs.metric = parseMetric(c.spec.escalateMetric);
+        knobs.quantile = c.spec.escalateQuantile;
+        knobs.budgetFraction = c.spec.escalateBudget;
+        knobs.seed = c.spec.seed;
+        knobs.detailedFingerprint = dctx->manifest().fingerprint;
+        rec = fidelity::planEscalation(
+                  c.ctx->manifest(), c.dir, c.ctx->population(),
+                  c.ctx->suite(), profile, knobs, ddir, true,
+                  opts_.jobs)
+                  .record;
     } catch (const FatalError &e) {
-        warn("campaign " + std::to_string(id) +
-             ": detailed-phase context failed: " + e.what() +
-             "; finishing at BADCO fidelity");
-        return false;
+        return skip(e.what());
+    } catch (const persist::CacheInvalid &e) {
+        return skip(e.what());
     }
     const persist::V3Manifest &dm = dctx->manifest();
-    const std::string ddir =
-        store_.campaignDir(dm.fingerprint, dctx->geometryHash());
-    store_.ensureCampaignDir(ddir);
-
-    fidelity::EscalationRecord rec;
-    rec.badcoFingerprint = m.fingerprint;
-    rec.detailedFingerprint = dm.fingerprint;
-    rec.seed = c.spec.seed;
-    rec.metric = c.spec.escalateMetric;
-    rec.policyX = m.policies[0];
-    rec.policyY = m.policies[1];
-    rec.quantile = c.spec.escalateQuantile;
-    rec.budgetFraction = c.spec.escalateBudget;
-    rec.threshold = 0.0;
-    rec.firstRank = m.firstRank;
-    rec.lastRank = m.lastRank;
-    rec.resizeBitmap();
-    for (std::uint64_t r = 0; r < rows; ++r) {
-        if (flags[static_cast<std::size_t>(r)]) {
-            rec.setEscalated(r);
-            ++rec.escalatedCount;
-        }
-    }
-    fidelity::writeEscalationRecord(ddir, rec);
 
     auto table =
         std::make_unique<LeaseTable>(dm.shardCount(), opts_.lease);
@@ -284,9 +215,9 @@ Coordinator::beginEscalation(std::uint64_t id, Campaign &c)
         }
     }
 
-    c.badcoDir = c.dir;
-    c.escalatedRows = rec.escalatedCount;
-    c.escalatedShards = flagged_shards;
+    c.message = "escalated " + std::to_string(rec.escalatedCount) +
+                " row(s) at detailed fidelity; badco " + c.dir +
+                "; detailed " + ddir;
     c.phase = 1;
     c.spec = std::move(dspec);
     c.ctx = std::move(dctx);
@@ -311,23 +242,16 @@ void
 Coordinator::finalize(std::uint64_t id, Campaign &c)
 {
     if (c.table->succeeded()) {
+        // The detailed dir of phase 1 holds only escalated shards
+        // (the fidelity-bitmap sidecar names them), so no manifest:
+        // a manifest claims a complete campaign.
         if (c.phase == 0) {
             c.ctx->computeReferenceIpcs(opts_.jobs);
             ResultStore::commitManifest(c.dir, c.ctx->manifest());
             if (c.spec.fidelity == 0 &&
                 c.spec.escalateBudget > 0.0 &&
-                c.spec.policies.size() >= 2 &&
                 beginEscalation(id, c))
                 return; // now Running in the detailed phase
-        }
-        if (c.phase == 1) {
-            // The detailed dir holds only escalated shards (the
-            // fidelity-bitmap sidecar names them), so no manifest:
-            // a manifest claims a complete campaign.
-            c.message =
-                "escalated " + std::to_string(c.escalatedRows) +
-                " row(s) at detailed fidelity; badco " +
-                c.badcoDir + "; detailed " + c.dir;
         }
         c.state = CampaignState::Done;
     } else if (c.table->halted()) {

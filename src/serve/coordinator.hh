@@ -143,9 +143,6 @@ class Coordinator
          * Running until those shards commit too.
          */
         std::uint32_t phase = 0;
-        std::string badcoDir;          ///< phase-0 dir
-        std::uint64_t escalatedRows = 0;
-        std::uint64_t escalatedShards = 0;
     };
 
     struct Conn

@@ -43,30 +43,6 @@ applyId(std::uint64_t detailed_fp, const HybridOptions &opts,
     return h.digest();
 }
 
-/**
- * Does a freshly-read escalation record describe this campaign?
- * Knob drift (a different quantile/budget/threshold) makes the
- * record stale, not corrupt: the caller recomputes and overwrites.
- */
-bool
-recordMatches(const fidelity::EscalationRecord &rec,
-              const persist::V3Manifest &m,
-              std::uint64_t detailed_fp, ThroughputMetric metric,
-              const HybridOptions &opts, std::uint64_t last_rank)
-{
-    return rec.badcoFingerprint == m.fingerprint &&
-           rec.detailedFingerprint == detailed_fp &&
-           rec.seed == opts.seed &&
-           rec.firstRank == opts.firstRank &&
-           rec.lastRank == last_rank &&
-           rec.metric == toString(metric) &&
-           rec.policyX == m.policies[0] &&
-           rec.policyY == m.policies[1] &&
-           rec.quantile == opts.quantile &&
-           rec.budgetFraction == opts.budgetFraction &&
-           rec.threshold == opts.threshold;
-}
-
 } // namespace
 
 HybridResult
@@ -84,12 +60,9 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
         WSEL_FATAL("population is over " << pop.numBenchmarks()
                    << " benchmarks but the suite has "
                    << suite.size());
-    if (profile.suiteHash() !=
-        fidelity::ErrorProfile::hashSuite(suite))
-        WSEL_FATAL("error profile was calibrated for a different "
-                   "suite; re-calibrate before running hybrid");
-    if (!(opts.quantile > 0.0 && opts.quantile < 1.0))
-        WSEL_FATAL("hybrid quantile must be in (0, 1)");
+    // Refuse bad knobs before the sweep; the planner checks again.
+    fidelity::checkProfileSuite(profile, suite);
+    fidelity::checkEscalationKnobs(opts.quantile, opts.budgetFraction);
     if (opts.batchRows == 0)
         WSEL_FATAL("hybrid batch size must be positive");
 
@@ -128,80 +101,20 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
     const std::uint64_t detailed_fp = campaignFingerprint(
         "detailed", k, target_uops, policies, suite);
 
-    // Phase 2: per-row intervals from the error profile, then the
-    // escalation set.  The BADCO d(w) and the interval slack are
-    // recomputed every run (cheap, deterministic given the same
-    // profile); the *set* itself is pinned by the sidecar so a
-    // resumed run escalates exactly the same rows even after the
-    // profile learned from other campaigns.
-    std::vector<fidelity::CellInterval> cells(
-        static_cast<std::size_t>(rows));
-    {
-        obs::Span pspan("fidelity.intervals");
-        const std::uint64_t shards = m.shardCount();
-        auto scan_shard = [&](std::size_t s) {
-            const std::vector<double> payload =
-                persist::readV3Shard(out_dir, m, s);
-            fidelity::EscalationOracle oracle(metric, profile,
-                                              opts.quantile,
-                                              m.refIpc);
-            const std::uint64_t first = m.shardFirstRank(s);
-            const std::uint64_t n = m.rowsInShard(s);
-            WorkloadCursor cur(pop, first);
-            for (std::uint64_t r = 0; r < n; ++r, cur.next()) {
-                const double *row =
-                    payload.data() + r * np * k;
-                cells[static_cast<std::size_t>(
-                    first - m.firstRank + r)] =
-                    oracle.interval(cur.benchmarks(), {row, k},
-                                    {row + k, k});
-            }
-        };
-        exec::forEachIndex(jobs, shards, scan_shard);
-    }
-
-    fidelity::EscalationRecord rec;
-    bool have_record = false;
-    if (opts.resume && fidelity::hasEscalationRecord(out_dir)) {
-        try {
-            rec = fidelity::readEscalationRecord(out_dir);
-            have_record = recordMatches(rec, m, detailed_fp, metric,
-                                        opts, m.lastRank);
-            if (!have_record && opts.verbose)
-                logLine("  [hybrid] escalation sidecar is for "
-                        "different knobs; recomputing the set");
-        } catch (const persist::CacheInvalid &e) {
-            persist::quarantineArtifact(
-                fidelity::escalationRecordPath(out_dir),
-                "corrupt fidelity bitmap", e.what(),
-                "recomputing the escalation set");
-        }
-    }
-    if (!have_record) {
-        const std::vector<std::uint8_t> flags =
-            fidelity::selectEscalations(cells, opts.threshold,
-                                        opts.budgetFraction);
-        rec = fidelity::EscalationRecord{};
-        rec.badcoFingerprint = m.fingerprint;
-        rec.detailedFingerprint = detailed_fp;
-        rec.seed = opts.seed;
-        rec.metric = toString(metric);
-        rec.policyX = m.policies[0];
-        rec.policyY = m.policies[1];
-        rec.quantile = opts.quantile;
-        rec.budgetFraction = opts.budgetFraction;
-        rec.threshold = opts.threshold;
-        rec.firstRank = m.firstRank;
-        rec.lastRank = m.lastRank;
-        rec.resizeBitmap();
-        for (std::uint64_t r = 0; r < rows; ++r) {
-            if (flags[static_cast<std::size_t>(r)]) {
-                rec.setEscalated(r);
-                ++rec.escalatedCount;
-            }
-        }
-        fidelity::writeEscalationRecord(out_dir, rec);
-    }
+    // Phase 2: the escalation set, committed to the sidecar before
+    // any detailed cell runs and pinned across resumes.
+    fidelity::EscalationKnobs knobs;
+    knobs.metric = metric;
+    knobs.quantile = opts.quantile;
+    knobs.budgetFraction = opts.budgetFraction;
+    knobs.threshold = opts.threshold;
+    knobs.seed = opts.seed;
+    knobs.detailedFingerprint = detailed_fp;
+    const fidelity::EscalationPlan plan = fidelity::planEscalation(
+        m, out_dir, pop, suite, profile, knobs, out_dir, opts.resume,
+        jobs);
+    const fidelity::EscalationRecord &rec = plan.record;
+    const std::vector<fidelity::CellInterval> &cells = plan.cells;
     result.escalation = rec;
 
     // Phase 3: detailed re-simulation of the escalated rows, in

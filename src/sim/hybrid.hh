@@ -6,13 +6,13 @@
  *
  *   1. BADCO sweep — the streamed campaign_v3 population engine
  *      (sim/population.hh) over the two policies.
- *   2. Escalation — an EscalationOracle composes the calibrated
- *      ErrorProfile through the throughput metric into per-row
- *      d(w) intervals; rows whose interval straddles the decision
- *      threshold are flagged, capped by a budget knob, and the set
- *      is committed to a fidelity-bitmap sidecar BEFORE any
- *      detailed cell runs (so a resumed run replays the same set
- *      even after the profile drifted).
+ *   2. Escalation — fidelity::planEscalation, shared with the
+ *      serve coordinator, composes the ErrorProfile through the
+ *      metric into per-row d(w) intervals; rows whose interval
+ *      straddles the decision threshold are flagged, capped by a
+ *      budget knob, and the set is committed to a fidelity-bitmap
+ *      sidecar BEFORE any detailed cell runs (so a resumed run
+ *      replays the same set even after the profile drifted).
  *   3. Detailed re-simulation — flagged rows re-run on the
  *      detailed simulator under both policies, sharing the trace
  *      store, the exec pool and campaignCellSeed with

@@ -77,7 +77,7 @@ class HybridCampaign : public ::testing::Test
     /**
      * The standard run: LRU vs DIP over the full 4-core population
      * of the 3-benchmark suite (15 rows, 4 shards), quantile 0.95,
-     * budget 0.25, @p batch_rows rows per detailed batch (2 unless
+     * budget @p budget_fraction (0.25), @p batch_rows rows per detailed batch (2 unless
      * a test asks for the default).  A fresh *empty*
      * profile has an infinite error bound, so every row straddles
      * and the budget alone picks the escalation set — maximally
@@ -85,7 +85,7 @@ class HybridCampaign : public ::testing::Test
      */
     HybridResult
     run(const std::string &out, std::size_t jobs = 1,
-        std::uint64_t batch_rows = 2)
+        std::uint64_t batch_rows = 2, double budget_fraction = 0.25)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(
@@ -96,6 +96,7 @@ class HybridCampaign : public ::testing::Test
         opts.jobs = jobs;
         opts.shardCells = 8;
         opts.batchRows = batch_rows;
+        opts.budgetFraction = budget_fraction;
         batchRows_ = batch_rows;
         return runHybridCampaign(pop, PolicyKind::LRU,
                                  PolicyKind::DIP,
@@ -182,6 +183,92 @@ TEST_F(HybridCampaign, BudgetCapsEscalationSet)
     // The combined bound brackets the point estimate.
     EXPECT_LE(r.report.comboLo, r.report.meanD);
     EXPECT_GE(r.report.comboHi, r.report.meanD);
+}
+
+TEST_F(HybridCampaign, OutOfRangeBudgetRunsNoCell)
+{
+    // Refused before the BADCO sweep, not after it.
+    test::FaultInjector count;
+    EXPECT_THROW(run(path("v3"), 1, 2, 1.5), FatalError);
+    EXPECT_EQ(count.hits("population.cell"), 0u);
+    EXPECT_FALSE(fs::exists(path("v3") + "/manifest.bin"));
+}
+
+/**
+ * planEscalation over the committed sweep of a standard run, with
+ * the standard run's knobs and @p profile.
+ */
+fidelity::EscalationPlan
+planStandard(const HybridResult &r, const std::string &sweep_dir,
+             const fidelity::ErrorProfile &profile,
+             double budget_fraction, const std::string &record_dir,
+             bool resume)
+{
+    const auto suite = testSuite();
+    const WorkloadPopulation pop(
+        static_cast<std::uint32_t>(suite.size()), 4);
+    const HybridOptions opts;
+    fidelity::EscalationKnobs knobs;
+    knobs.metric = ThroughputMetric::IPCT;
+    knobs.quantile = opts.quantile;
+    knobs.budgetFraction = budget_fraction;
+    knobs.threshold = opts.threshold;
+    knobs.seed = opts.seed;
+    knobs.detailedFingerprint = r.escalation.detailedFingerprint;
+    return fidelity::planEscalation(r.manifest, sweep_dir, pop, suite,
+                                    profile, knobs, record_dir,
+                                    resume, 1);
+}
+
+TEST_F(HybridCampaign, PinnedSetSurvivesProfileDrift)
+{
+    // With the whole population as budget the empty profile
+    // escalates every row.
+    const std::string out = path("v3");
+    const HybridResult r = run(out, 1, 2, 1.0);
+    ASSERT_EQ(r.escalation.escalatedCount, 15u);
+    const std::string committed =
+        test::readFile(fidelity::escalationRecordPath(out));
+
+    // A profile that learned BADCO is exact: planned afresh, it
+    // escalates only the rows whose d(w) is 0.
+    fidelity::ErrorProfile drifted(testSuite());
+    for (std::uint32_t b = 0; b < 3; ++b)
+        for (int i = 0; i < 8; ++i)
+            drifted.record(b, 1.0, 1.0);
+    const std::string fresh = path("fresh");
+    fs::create_directories(fresh);
+    const fidelity::EscalationPlan recomputed =
+        planStandard(r, out, drifted, 1.0, fresh, false);
+    EXPECT_LT(recomputed.record.escalatedCount,
+              r.escalation.escalatedCount);
+
+    // On resume the committed set stands, byte for byte.
+    const fidelity::EscalationPlan pinned =
+        planStandard(r, out, drifted, 1.0, out, true);
+    EXPECT_EQ(pinned.record, r.escalation);
+    EXPECT_EQ(test::readFile(fidelity::escalationRecordPath(out)),
+              committed);
+}
+
+TEST_F(HybridCampaign, BudgetChangeRecomputesPinnedSet)
+{
+    const std::string out = path("v3");
+    const HybridResult r = run(out);
+
+    // Another budget is another question: the set is recomputed
+    // (ceil(0.5 * 15) = 8 rows, a superset of the 4 most ambiguous)
+    // and overwrites the committed record.
+    const fidelity::ErrorProfile empty(testSuite());
+    const fidelity::EscalationPlan plan =
+        planStandard(r, out, empty, 0.5, out, true);
+    EXPECT_EQ(plan.record.budgetFraction, 0.5);
+    EXPECT_EQ(plan.record.escalatedCount, 8u);
+    for (std::uint64_t row = 0; row < plan.record.rows(); ++row)
+        EXPECT_TRUE(!r.escalation.escalated(row) ||
+                    plan.record.escalated(row))
+            << row;
+    EXPECT_EQ(fidelity::readEscalationRecord(out), plan.record);
 }
 
 TEST_F(HybridCampaign, SerialAndParallelBitwiseIdentical)

@@ -36,6 +36,7 @@
 
 #include "fidelity/error_profile.hh"
 #include "fidelity/persist_fidelity.hh"
+#include "mem/uncore_config.hh"
 #include "obs/metrics.hh"
 #include "serve/context.hh"
 #include "serve/coordinator.hh"
@@ -43,6 +44,7 @@
 #include "serve/protocol.hh"
 #include "serve/spawn.hh"
 #include "serve/store.hh"
+#include "sim/hybrid.hh"
 #include "sim/model_store.hh"
 #include "sim/population.hh"
 #include "stats/persist.hh"
@@ -1346,6 +1348,148 @@ TEST_F(ServeDistributedTest, EscalationReleasesSuspectShardsDetailed)
     const std::string bdir = store.campaignDir(
         bctx.manifest().fingerprint, bctx.geometryHash());
     EXPECT_TRUE(serve::ResultStore::isComplete(bdir));
+}
+
+/**
+ * The in-process hybrid run and a distributed submission choose
+ * their escalation set with the same planner, so one shape, one
+ * profile and one set of knobs commit byte-identical
+ * fidelity-bitmap.bin files on both paths.
+ */
+TEST_F(ServeDistributedTest, EscalationSetMatchesHybridCampaign)
+{
+    serve::CampaignSpec spec = tinySpec();
+    spec.escalateBudget = 0.3;
+    spec.escalateQuantile = 0.9;
+    const serve::CampaignContext ctx(spec, cacheDir_);
+
+    // Only mcf (the last benchmark) has a wide error bound, so the
+    // intervals, not only the budget, shape the set.
+    fidelity::ErrorProfile profile(ctx.suite());
+    const std::uint32_t nb =
+        static_cast<std::uint32_t>(ctx.suite().size());
+    for (std::uint32_t b = 0; b < nb; ++b)
+        for (int i = 0; i < 8; ++i)
+            profile.record(b, b + 1 == nb ? 1.25 : 1.0, 1.0);
+    const std::string ppath = fidelity::errorProfilePath(cacheDir_);
+    fidelity::writeErrorProfile(ppath, profile);
+
+    Service service(coordinatorOptions());
+    serve::Client client(socket_);
+    const std::uint64_t id = client.submit(spec);
+    const pid_t w = spawnWorker();
+    const serve::StatusMsg st = client.waitFinished(id);
+    EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
+    service.stop();
+    expectClean(w);
+    fs::remove(ppath);
+
+    HybridOptions opts;
+    opts.seed = spec.seed;
+    opts.shardCells = spec.shardRows * spec.policies.size();
+    opts.quantile = spec.escalateQuantile;
+    opts.budgetFraction = spec.escalateBudget;
+    BadcoModelStore store(
+        CoreConfig{}, spec.targetUops,
+        UncoreConfig::forCores(spec.cores, PolicyKind::LRU)
+            .llcHitLatency,
+        cacheDir_);
+    const std::string out = dir_ + "/hybrid";
+    const HybridResult r = runHybridCampaign(
+        ctx.population(), PolicyKind::LRU, PolicyKind::Random,
+        ThroughputMetric::IPCT, spec.targetUops, store, ctx.suite(),
+        profile, out, opts);
+    EXPECT_GT(r.escalation.escalatedCount, 0u);
+    EXPECT_EQ(readFileBytes(fidelity::escalationRecordPath(st.dir)),
+              readFileBytes(fidelity::escalationRecordPath(out)));
+}
+
+/**
+ * Escalation knobs out of their domain are refused at admission:
+ * the campaign fails with the reason while a worker waits, and no
+ * lease is granted.
+ */
+TEST_F(ServeDistributedTest, BadEscalationSpecFailsAtAdmission)
+{
+    Service service(coordinatorOptions());
+    serve::Client client(socket_);
+    const pid_t w = spawnWorker();
+    EXPECT_GE(awaitCounter(client, "serve.workers_active", 1.0), 1.0);
+    const double granted =
+        counterValue(client.metricsJson(), "serve.leases_granted");
+
+    const auto refused = [&](serve::CampaignSpec spec,
+                             const std::string &reason) {
+        const serve::StatusMsg st =
+            client.waitFinished(client.submit(spec));
+        EXPECT_EQ(st.state, serve::CampaignState::Failed)
+            << reason;
+        EXPECT_NE(st.message.find(reason), std::string::npos)
+            << st.message;
+    };
+    serve::CampaignSpec spec = tinySpec();
+    spec.escalateBudget = 1.5;
+    refused(spec, "budget fraction");
+    spec.escalateBudget = -0.25;
+    refused(spec, "budget fraction");
+    spec.escalateBudget = 0.3;
+    spec.escalateQuantile = 1.0;
+    refused(spec, "quantile");
+    spec.escalateQuantile = 0.9;
+    spec.escalateMetric = "XYZ";
+    refused(spec, "unknown throughput metric");
+
+    EXPECT_EQ(counterValue(client.metricsJson(), "serve.leases_granted"),
+              granted);
+    service.stop();
+    expectClean(w);
+}
+
+/**
+ * Escalation that cannot be planned for a reason of the daemon's
+ * environment leaves the committed BADCO campaign Done, with the
+ * reason in the status message `serve status` and `--wait` print.
+ */
+TEST_F(ServeDistributedTest, EscalationSkipReasonsReachDoneStatus)
+{
+    serve::CampaignSpec spec = tinySpec();
+    spec.escalateBudget = 0.3;
+    const auto skipped = [&](const serve::CoordinatorOptions &opts,
+                             const std::string &reason) {
+        Service service(opts);
+        serve::Client client(socket_);
+        // Registered before the submission: a fully deduped rerun
+        // finishes before a late worker could connect.
+        const pid_t w = spawnWorker();
+        EXPECT_GE(awaitCounter(client, "serve.workers_active", 1.0),
+                  1.0);
+        const serve::StatusMsg st =
+            client.waitFinished(client.submit(spec));
+        service.stop();
+        expectClean(w);
+        EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
+        EXPECT_NE(st.message.find("escalation skipped"),
+                  std::string::npos)
+            << st.message;
+        EXPECT_NE(st.message.find(reason), std::string::npos)
+            << st.message;
+        // The final dir is the BADCO campaign, without a set.
+        EXPECT_TRUE(serve::ResultStore::isComplete(st.dir));
+        EXPECT_FALSE(fidelity::hasEscalationRecord(st.dir));
+    };
+
+    const std::string ppath = fidelity::errorProfilePath(cacheDir_);
+    fs::remove(ppath);
+    skipped(coordinatorOptions(), "error profile: cannot open");
+
+    fidelity::writeErrorProfile(
+        ppath, fidelity::ErrorProfile({findProfile("povray")}));
+    skipped(coordinatorOptions(), "different suite");
+    fs::remove(ppath);
+
+    serve::CoordinatorOptions no_cache = coordinatorOptions();
+    no_cache.cacheDir.clear();
+    skipped(no_cache, "no cache dir");
 }
 
 TEST_F(ServeDistributedTest, PoisonShardQuarantinedCampaignFails)

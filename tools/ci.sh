@@ -136,12 +136,14 @@ for preset in $presets; do
         # is SIGKILLed at the 3rd escalated detailed cell (after
         # the escalation set committed, mid detailed batch), then
         # resume it to a committed hybrid.bin report — all under
-        # the sanitizer.
+        # the sanitizer. Calibration's 16 detailed cells (8
+        # workloads x 2 policies) pass the kill point first, so the
+        # 3rd escalated cell is its 19th hit.
         echo "==> hybrid fidelity smoke: $preset"
         hybdir="$bindir/hybrid-smoke"
         rm -rf "$hybdir"
         if WSEL_CACHE_DIR="$hybdir/cache" \
-            WSEL_KILL_POINT=fidelity.escalate:3 \
+            WSEL_KILL_POINT=fidelity.escalate:19 \
             "./$bindir/tools/wsel_cli" hybrid \
             --out "$hybdir/run" \
             --insns 5000 --cores 2 --limit 24 --calibrate 8 \
@@ -178,6 +180,8 @@ for preset in $presets; do
         for f in hybrid.bin "$(cd "$hybdir/default-j1" && ls fidelity-batch-*.bin)"; do
             cmp "$hybdir/default-j1/$f" "$hybdir/default-j4/$f"
         done
+        # The distributed smoke escalates with this profile.
+        cp "$hybdir/cache/error_profile.bin" "$bindir/smoke-profile.bin"
         rm -rf "$hybdir"
         echo "==> hybrid smoke passed under $preset"
 
@@ -186,15 +190,17 @@ for preset in $presets; do
         # itself mid-shard — and a client submission that must
         # still complete with a committed manifest. Workers run
         # two threads each, so the threaded batch runner and the
-        # heartbeat thread run under the sanitizer too.
+        # heartbeat thread run under the sanitizer too, as does the
+        # daemon's 2-thread escalation scan (hybrid smoke profile).
         echo "==> distributed campaign smoke: $preset"
         servedir="$bindir/serve-smoke"
         rm -rf "$servedir"
-        mkdir -p "$servedir"
+        mkdir -p "$servedir/cache"
+        mv "$bindir/smoke-profile.bin" "$servedir/cache/error_profile.bin"
         "./$bindir/tools/wsel_serve" \
             --socket "$servedir/serve.sock" \
             --store "$servedir/store" \
-            --cache-dir "$servedir/cache" &
+            --cache-dir "$servedir/cache" --jobs 2 &
         serve_pid=$!
         worker_pids=""
         for i in 1 2 3; do
@@ -208,10 +214,11 @@ for preset in $presets; do
             --socket "$servedir/serve.sock" \
             --cache-dir "$servedir/cache" --jobs 2 &
         victim_pid=$!
-        "./$bindir/tools/wsel_cli" serve submit \
+        submitted=$("./$bindir/tools/wsel_cli" serve submit \
             --socket "$servedir/serve.sock" \
             --insns 5000 --cores 2 --limit 40 --shard-size 16 \
-            --wait 1
+            --escalate-budget 0.1 --wait 1)
+        echo "$submitted"
         kill -TERM "$serve_pid"
         wait "$serve_pid"
         for pid in $worker_pids; do
@@ -219,6 +226,8 @@ for preset in $presets; do
         done
         wait "$victim_pid" && exit 1 || true # must have died
         test -s "$servedir"/store/c-*/manifest.bin
+        # The final dir is the detailed phase's, holding the set.
+        test -s "$(echo "$submitted" | sed -n 's/^  dir: //p')/fidelity-bitmap.bin"
         rm -rf "$servedir"
         echo "==> distributed smoke passed under $preset"
     fi

@@ -132,7 +132,7 @@
 #include "core/confidence/confidence.hh"
 #include "core/sampling/sampling.hh"
 #include "fidelity/calibrate.hh"
-#include "fidelity/error_profile.hh"
+#include "fidelity/escalation.hh"
 #include "fidelity/persist_fidelity.hh"
 #include "serve/coordinator.hh"
 #include "serve/protocol.hh"
@@ -750,6 +750,8 @@ cmdHybrid(const Args &args)
     opts.batchRows = args.getU64("batch-rows", 64);
     opts.batchCells =
         static_cast<std::uint32_t>(args.getU64("batch-cells", 0));
+    // Before calibration runs its detailed cells.
+    fidelity::checkEscalationKnobs(opts.quantile, opts.budgetFraction);
 
     const std::string profile_path = args.get(
         "profile", fidelity::errorProfilePath(defaultCacheDir()));
