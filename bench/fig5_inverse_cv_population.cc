@@ -6,31 +6,18 @@
  * (same signs) but require different sample sizes (different
  * magnitudes).
  *
- * Two population-engine sections extend the figure
- * (docs/PERFORMANCE.md, "Population campaigns"):
- *
- *  - an 8-core streamed run (WSEL_POP8_ROWS rows, default 1500;
- *    0 = the full 4.3M-workload population) reporting per-pair
- *    1/cv from the one-pass Welford statistics, cells/sec, and
- *    peak RSS — the paper's Figure 5 point that 8-core populations
- *    are only approachable with bounded-memory streaming;
- *  - a batched-cell-engine sweep (sim/batch.hh) over
- *    --batch-cells {1, 8, 16, 32, 64} on a 4-core rank range at
- *    --jobs 8 (WSEL_POP_BENCH_ROWS sizes it, default 600 rows),
- *    reporting cells/sec and peak RSS per batch size
- *    (docs/PERFORMANCE.md, "Batched execution"). Peak RSS is the
- *    process high-water mark, so later sweep points can only
- *    inherit earlier peaks — flat numbers across the sweep mean
- *    batching added nothing.
+ * An 8-core streamed run extends the figure (docs/PERFORMANCE.md,
+ * "Population campaigns"): WSEL_POP8_ROWS rows (default 1500; 0 =
+ * the full 4.3M-workload population), reporting per-pair 1/cv from
+ * the one-pass Welford statistics, cells/sec, and peak RSS — the
+ * paper's Figure 5 point that 8-core populations are only
+ * approachable with bounded-memory streaming.
  *
  * When WSEL_BENCH_JSON names a file, the 8-core section is
  * archived there as JSON (tools/ci.sh stores it as
- * BENCH_population.json); WSEL_BENCH_JSON_BATCH does the same for
- * the batch sweep (BENCH_batch.json), which tools/ci.sh also uses
- * as its batched-throughput floor check.
+ * BENCH_population.json).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -127,97 +114,9 @@ main()
     const auto &suite = spec2006Suite();
     const std::uint32_t b =
         static_cast<std::uint32_t>(suite.size());
-    const WorkloadPopulation pop4(b, 4);
-    const std::uint64_t bench_rows = std::min<std::uint64_t>(
-        pop4.size(), envU64("WSEL_POP_BENCH_ROWS", 600));
     const auto policies = paperPolicies();
-    const std::size_t np = policies.size();
     const std::string scratch = ".wsel_bench_population";
     fs::create_directories(scratch);
-
-    const UncoreConfig ucfg =
-        UncoreConfig::forCores(4, PolicyKind::LRU);
-    BadcoModelStore store(CoreConfig{}, target, ucfg.llcHitLatency,
-                          defaultCacheDir());
-    // Build the models outside the timed runs.
-    (void)store.getSuite(suite, exec::resolveJobs(0));
-
-    const double cells4 =
-        static_cast<double>(bench_rows) * static_cast<double>(np);
-
-    // --------------------------------------------------------------
-    // Batched cell engine: cells/sec vs batch size B on a 4-core
-    // rank range. batch=1 is the serial engine shape; the
-    // artifact bytes are identical at every B (tests/test_batch.cc),
-    // so this sweep measures pure execution efficiency.
-    // --------------------------------------------------------------
-    struct BatchPoint
-    {
-        std::uint32_t batch;
-        double sec;
-        double cps;
-        double rssMib;
-    };
-    std::vector<BatchPoint> batch_points;
-    std::printf("\nBATCHED CELL ENGINE (badco, 4 cores, %llu "
-                "workloads x %zu policies, jobs=8)\n\n",
-                static_cast<unsigned long long>(bench_rows), np);
-    std::printf("%-12s %10s %12s %12s\n", "batch-cells", "seconds",
-                "cells/sec", "peak-RSS-MiB");
-    for (std::uint32_t bsz : {1u, 8u, 16u, 32u, 64u}) {
-        const std::string out =
-            scratch + "/batch" + std::to_string(bsz) + ".v3";
-        PopulationOptions opts;
-        opts.jobs = 8;
-        opts.lastRank = bench_rows;
-        opts.resume = false;
-        opts.batchCells = bsz;
-        const auto t0 = std::chrono::steady_clock::now();
-        const PopulationResult r = runBadcoPopulationCampaign(
-            pop4, policies, target, store, suite, {}, out, opts);
-        const double sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        batch_points.push_back(
-            {bsz, sec, cells4 / sec, peakRssMib()});
-        std::printf("%-12u %10.2f %12.0f %12.1f\n", bsz, sec,
-                    batch_points.back().cps,
-                    batch_points.back().rssMib);
-        (void)r;
-    }
-
-    if (const char *json = std::getenv("WSEL_BENCH_JSON_BATCH");
-        json && *json) {
-        FILE *f = std::fopen(json, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", json);
-            return 1;
-        }
-        std::fprintf(f,
-                     "{\n"
-                     "  \"bench\": \"batch\",\n"
-                     "  \"target_uops\": %llu,\n"
-                     "  \"workloads\": %llu,\n"
-                     "  \"policies\": %zu,\n"
-                     "  \"jobs\": 8,\n"
-                     "  \"points\": [\n",
-                     static_cast<unsigned long long>(target),
-                     static_cast<unsigned long long>(bench_rows),
-                     np);
-        for (std::size_t i = 0; i < batch_points.size(); ++i) {
-            const BatchPoint &p = batch_points[i];
-            std::fprintf(
-                f,
-                "    {\"batch\": %u, \"seconds\": %.2f, "
-                "\"cells_per_sec\": %.2f, \"peak_rss_mib\": "
-                "%.1f}%s\n",
-                p.batch, p.sec, p.cps, p.rssMib,
-                i + 1 == batch_points.size() ? "" : ",");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-    }
 
     // --------------------------------------------------------------
     // 8-core streamed population: per-pair 1/cv from the one-pass

@@ -237,7 +237,7 @@ BENCHMARK(BM_TagCompare)
     ->Arg(static_cast<int>(tagscan::Path::Scalar))
     ->Arg(static_cast<int>(tagscan::Path::Sse2));
 
-// Models and uncore shared by the batched-engine microbenches:
+// Models and uncore of the batched-engine microbench:
 // load-heavy mcf/povray cells on a 4-core LRU uncore.
 constexpr std::uint64_t kBatchTarget = 20000;
 
@@ -261,10 +261,19 @@ batchUncores()
     return ucfgs;
 }
 
-/** Fill @p runner to capacity and flush it once per iteration. */
+// One flush of 32 cells per thread at jobs {1, 4} per iteration:
+// the jobs=4 point over the jobs=1 point is the flush's thread
+// scaling, per-flush barrier (the wait for the slowest thread)
+// included. Each cell pays its uncore construction and lane reset,
+// i.e. what a population shard pays per (workload, policy) cell.
+// Wall-clock rate; items = cells.
 void
-runFlushes(benchmark::State &state, BadcoBatchRunner &runner)
+BM_BatchJobs(benchmark::State &state)
 {
+    const auto &ucfgs = batchUncores();
+    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
+                            kBatchTarget, batchModels(),
+                            static_cast<std::size_t>(state.range(0)));
     const std::uint32_t cells = runner.capacity();
     const std::uint32_t benches[4] = {0, 1, 0, 1};
     std::vector<double> out(static_cast<std::size_t>(cells) * 4);
@@ -277,41 +286,7 @@ runFlushes(benchmark::State &state, BadcoBatchRunner &runner)
     }
     state.SetItemsProcessed(state.iterations() * cells);
 }
-
-// Whole cells through the batched engine (sim/batch.hh) at batch
-// size B on one thread: the per-cell cost including uncore
-// construction and lane reset, i.e. what a population shard pays
-// per (workload, policy) cell. Items = cells.
-void
-BM_BatchStep(benchmark::State &state)
-{
-    const auto &ucfgs = batchUncores();
-    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                            kBatchTarget, batchModels(),
-                            static_cast<std::uint32_t>(state.range(0)),
-                            std::size_t{1});
-    runFlushes(state, runner);
-}
-BENCHMARK(BM_BatchStep)->Arg(1)->Arg(8)->Arg(32);
-
-// Batch 32 per thread at jobs {1, 4}: each iteration is one flush
-// of 32 x jobs cells, so the jobs=4 point over the jobs=1 point is
-// the flush's thread scaling, per-flush barrier (the wait for the
-// slowest thread) included. Wall-clock rate; items = cells.
-void
-BM_BatchJobs(benchmark::State &state)
-{
-    const auto &ucfgs = batchUncores();
-    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                            kBatchTarget, batchModels(),
-                            static_cast<std::uint32_t>(state.range(0)),
-                            static_cast<std::size_t>(state.range(1)));
-    runFlushes(state, runner);
-}
-BENCHMARK(BM_BatchJobs)
-    ->Args({32, 1})
-    ->Args({32, 4})
-    ->UseRealTime();
+BENCHMARK(BM_BatchJobs)->Arg(1)->Arg(4)->UseRealTime();
 
 void
 BM_BadcoMachineStep(benchmark::State &state)

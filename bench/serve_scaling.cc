@@ -201,7 +201,7 @@ runFixedOverhead(std::size_t campaigns, std::uint64_t rows,
             simulatePopulationShardBatched(
                 ctx.manifest(),
                 WorkloadSet::fullPopulation(ctx.population()),
-                ctx.uncores(), ctx.models(), ctx.seed(), 0, 0, jobs,
+                ctx.uncores(), ctx.models(), ctx.seed(), 0, jobs,
                 payload);
             sim.push_back(1e3 * secondsSince(s0));
             overhead.push_back(wall.back() - sim.back());

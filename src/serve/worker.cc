@@ -167,14 +167,12 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
                 std::max<std::uint64_t>(1, lease.ttlMs / 4)),
             cells_done);
         if (ctx.fidelity() == 0)
-            // Batch size from WSEL_BATCH_CELLS (resolver default
-            // otherwise) and job count from --jobs; neither ever
-            // changes shard bytes, so mixed worker fleets stay
-            // coherent.
+            // Job count from --jobs; it never changes shard bytes,
+            // so mixed worker fleets stay coherent.
             simulatePopulationShardBatched(
                 m, WorkloadSet::fullPopulation(ctx.population()),
                 ctx.uncores(), ctx.models(), ctx.seed(), lease.shard,
-                0, opts.jobs, payload, &cells_done);
+                opts.jobs, payload, &cells_done);
         else
             simulateDetailedPopulationShard(
                 m, WorkloadSet::fullPopulation(ctx.population()),

@@ -74,8 +74,7 @@ approxPerBenchmarkIpcs(const WorkloadPopulation &pop,
     // Row-major (policy, benchmark) cells of k IPCs each.
     std::vector<double> cells(np * nb * k, 0.0);
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
-                            target_uops, models, resolveBatchCells(0),
-                            jobs);
+                            target_uops, models, jobs);
     std::vector<std::uint32_t> benches(k);
     for (std::size_t p = 0; p < np; ++p) {
         for (std::size_t b = 0; b < nb; ++b) {
@@ -201,8 +200,7 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
     const std::vector<UncoreConfig> ucfgs{
         UncoreConfig::forCores(k, x), UncoreConfig::forCores(k, y)};
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
-                            target_uops, models,
-                            resolveBatchCells(opts.batchCells), jobs);
+                            target_uops, models, jobs);
 
     SequentialController ctl(opts.stop, pop.size());
     result.budgetWorkloads = ctl.budgetWorkloads();

@@ -89,13 +89,6 @@ struct AdaptiveOptions
     bool resume = false;
 
     bool verbose = false;
-
-    /**
-     * Cells per batched-engine group (sim/batch.hh): 0 resolves
-     * WSEL_BATCH_CELLS (default 32), 1 runs cells serially.
-     * Bitwise identical at every value.
-     */
-    std::uint32_t batchCells = 0;
 };
 
 struct AdaptiveResult

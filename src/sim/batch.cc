@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <string>
 
 #include "cache/tagscan.hh"
 #include "exec/scheduler.hh"
@@ -13,42 +11,14 @@
 namespace wsel
 {
 
-std::uint32_t
-resolveBatchCells(std::uint32_t requested)
-{
-    std::uint64_t b = requested;
-    if (b == 0) {
-        b = kDefaultBatchCells;
-        if (const char *env = std::getenv("WSEL_BATCH_CELLS");
-            env && *env) {
-            char *end = nullptr;
-            const unsigned long long v =
-                std::strtoull(env, &end, 10);
-            if (end != env && *end == '\0' && v > 0) {
-                b = v;
-            } else {
-                warn("ignoring invalid WSEL_BATCH_CELLS '" +
-                     std::string(env) + "' (want a positive cell "
-                     "count)");
-            }
-        }
-    }
-    return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-        b, 1, kMaxBatchCells));
-}
-
 BadcoBatchRunner::BadcoBatchRunner(
     std::span<const UncoreConfig> ucfgs, std::uint32_t cores,
     std::uint64_t target_uops,
-    const std::vector<const BadcoModel *> &models,
-    std::uint32_t batch_cells, std::size_t jobs,
+    const std::vector<const BadcoModel *> &models, std::size_t jobs,
     std::atomic<std::uint64_t> *cells_done)
     : ucfgs_(ucfgs), cores_(cores), targetUops_(target_uops),
-      models_(models),
-      batchCells_(std::clamp<std::uint32_t>(batch_cells, 1,
-                                            kMaxBatchCells)),
-      threads_(exec::resolveJobs(jobs)),
-      capacity_(batchCells_ * threads_), cellsDone_(cells_done),
+      models_(models), threads_(exec::resolveJobs(jobs)),
+      capacity_(kCellsPerThread * threads_), cellsDone_(cells_done),
       workers_(threads_)
 {
     if (cores_ == 0)
@@ -56,15 +26,13 @@ BadcoBatchRunner::BadcoBatchRunner(
     if (targetUops_ == 0)
         WSEL_FATAL("target µop count cannot be zero");
 
-    const std::size_t lanes =
-        static_cast<std::size_t>(capacity_) * cores_;
-    cellSeed_.resize(capacity_);
-    cellPolicy_.resize(capacity_);
-    cellOut_.resize(capacity_);
-    cellLoads_.resize(capacity_);
-    lanes_.resize(lanes);
-    outComp_.resize(lanes * kMaxOutstanding);
-    outMark_.resize(lanes * kMaxOutstanding);
+    for (Worker &w : workers_) {
+        w.lanes.resize(cores_);
+        w.outComp.resize(std::size_t{cores_} * kMaxOutstanding);
+        w.outMark.resize(std::size_t{cores_} * kMaxOutstanding);
+    }
+    cells_.reserve(capacity_);
+    benches_.reserve(std::size_t{capacity_} * cores_);
 
     if (obs::metricsEnabled())
         obs::gauge("batch.simd_path")
@@ -87,14 +55,7 @@ BadcoBatchRunner::add(std::uint64_t seed, std::uint32_t policy,
     if (policy >= ucfgs_.size())
         WSEL_FATAL("cell references policy " << policy
                    << " outside the campaign's " << ucfgs_.size());
-
-    const std::size_t b = cells_;
-    std::size_t loads = 0;
-    cellSeed_[b] = seed;
-    cellPolicy_[b] = policy;
-    cellOut_[b] = out_ipc;
-    for (std::uint32_t k = 0; k < cores_; ++k) {
-        const std::uint32_t bench = benches[k];
+    for (const std::uint32_t bench : benches) {
         if (bench >= models_.size() || models_[bench] == nullptr)
             WSEL_FATAL("no BADCO model for benchmark " << bench);
         const BadcoModel &model = *models_[bench];
@@ -105,53 +66,39 @@ BadcoBatchRunner::add(std::uint64_t seed, std::uint32_t policy,
                        << " was not finalize()d");
         if (model.window == 0)
             WSEL_FATAL("degenerate BADCO machine limits");
-        const std::size_t lane =
-            static_cast<std::size_t>(b) * cores_ + k;
-        // The load-completion region is bound in runCell(): it
-        // belongs to whichever thread runs the cell.
-        BadcoLane &l = lanes_[lane];
-        l = BadcoLane{};
-        l.model = &model;
-        l.outComp = outComp_.data() + lane * kMaxOutstanding;
-        l.outMark = outMark_.data() + lane * kMaxOutstanding;
-        l.targetUops = targetUops_;
-        l.core = k;
-        l.window = model.window;
-        l.maxOutstanding = kMaxOutstanding;
-        loads += model.loadCount;
     }
-    cellLoads_[b] = loads;
-    ++cells_;
+    cells_.push_back({seed, policy, out_ipc});
+    benches_.insert(benches_.end(), benches.begin(), benches.end());
 }
 
 void
 BadcoBatchRunner::run()
 {
-    if (cells_ == 0)
+    const std::size_t cells = cells_.size();
+    if (cells == 0)
         return;
     const bool metrics = obs::metricsEnabled();
     obs::Gauge *lanes_active = nullptr;
-    const std::size_t threads =
-        std::min<std::size_t>(threads_, cells_);
+    const std::size_t threads = std::min<std::size_t>(threads_, cells);
     if (metrics) {
         static obs::Counter &cellsC = obs::counter("batch.cells");
         static obs::Gauge &lanesG =
             obs::gauge("batch.lanes_active");
-        cellsC.inc(cells_);
+        cellsC.inc(cells);
         lanes_active = &lanesG;
-        lanesG.set(static_cast<double>(cells_ * cores_));
+        lanesG.set(static_cast<double>(cells * cores_));
     }
 
     // Each thread claims the next unclaimed cell until none is
     // left. Which thread runs which cell, and in what order, is
     // unobservable: cells share nothing, and each writes only its
-    // own lanes and output slot.
+    // thread's machine state and its own output slot.
     std::atomic<std::size_t> next{0};
     const auto drain = [&](std::size_t t) {
         Worker &w = workers_[t];
-        for (std::size_t b = next.fetch_add(1); b < cells_;
-             b = next.fetch_add(1)) {
-            runCell(w, b);
+        for (std::size_t c = next.fetch_add(1); c < cells;
+             c = next.fetch_add(1)) {
+            runCell(w, c);
             if (cellsDone_)
                 cellsDone_->fetch_add(1, std::memory_order_relaxed);
         }
@@ -166,32 +113,46 @@ BadcoBatchRunner::run()
 
     if (lanes_active)
         lanes_active->set(0.0);
-    cells_ = 0;
+    cells_.clear();
+    benches_.clear();
 }
 
 void
-BadcoBatchRunner::runCell(Worker &w, std::size_t b)
+BadcoBatchRunner::runCell(Worker &w, std::size_t c)
 {
     // The cell runs to completion under the rotating-quantum
     // schedule (runBadcoQuanta), which keeps one uncore's working
     // set hot per thread.
-    if (w.loadComp.size() < cellLoads_[b])
-        w.loadComp.resize(cellLoads_[b]);
-    w.uncore.emplace(ucfgs_[cellPolicy_[b]], cores_, cellSeed_[b]);
-    Uncore &unc = *w.uncore;
-    BadcoLane *lanes = lanes_.data() + b * cores_;
+    const Cell &cell = cells_[c];
+    const std::uint32_t *benches = benches_.data() + c * cores_;
+    std::size_t loads = 0;
+    for (std::uint32_t k = 0; k < cores_; ++k)
+        loads += models_[benches[k]]->loadCount;
+    if (w.loadComp.size() < loads)
+        w.loadComp.resize(loads);
     std::uint64_t *lcomp = w.loadComp.data();
     for (std::uint32_t k = 0; k < cores_; ++k) {
-        lanes[k].loadComp = lcomp;
-        lcomp += lanes[k].model->loadCount;
+        const BadcoModel &model = *models_[benches[k]];
+        BadcoLane &l = w.lanes[k];
+        l = BadcoLane{};
+        l.model = &model;
+        l.outComp = w.outComp.data() + k * kMaxOutstanding;
+        l.outMark = w.outMark.data() + k * kMaxOutstanding;
+        l.loadComp = lcomp;
+        lcomp += model.loadCount;
+        l.targetUops = targetUops_;
+        l.core = k;
+        l.window = model.window;
+        l.maxOutstanding = kMaxOutstanding;
     }
+    w.uncore.emplace(ucfgs_[cell.policy], cores_, cell.seed);
     runBadcoQuanta(
-        cores_, [&](std::uint32_t k) -> BadcoLane & { return lanes[k]; },
-        unc, kQuantum);
-    double *out = cellOut_[b];
+        cores_,
+        [&](std::uint32_t k) -> BadcoLane & { return w.lanes[k]; },
+        *w.uncore, kQuantum);
     for (std::uint32_t k = 0; k < cores_; ++k)
-        out[k] = static_cast<double>(targetUops_) /
-                 static_cast<double>(lanes[k].cyclesToTarget);
+        cell.out[k] = static_cast<double>(targetUops_) /
+                      static_cast<double>(w.lanes[k].cyclesToTarget);
     w.uncore.reset();
 }
 

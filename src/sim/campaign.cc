@@ -440,7 +440,7 @@ runBadcoCampaign(const WorkloadSet &workloads,
                           std::uint64_t s, std::vector<double> &out) {
                           simulatePopulationShardBatched(
                               m, workloads, ucfgs, models, opts.seed,
-                              s, 0, jobs, out);
+                              s, jobs, out);
                       });
     return c;
 }

@@ -83,7 +83,6 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
     pop_opts.lastRank = opts.lastRank;
     pop_opts.resume = opts.resume;
     pop_opts.verbose = opts.verbose;
-    pop_opts.batchCells = opts.batchCells;
     std::vector<PopulationPairSpec> pairs(1);
     pairs[0].x = 0;
     pairs[0].y = 1;

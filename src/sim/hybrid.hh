@@ -62,8 +62,8 @@ struct HybridOptions
 
     CoreConfig coreCfg{};          ///< detailed-core parameters
 
-    /** BADCO-phase batched-engine cells per batch (sim/batch.hh):
-     *  0 resolves WSEL_BATCH_CELLS (default 32), 1 = serial. */
+    /** Kept only for perfbench; delete with the benchmark item.
+     *  Ignored: the BADCO cell engine's flush size is fixed. */
     std::uint32_t batchCells = 0;
 };
 

@@ -119,8 +119,7 @@ simulatePopulationShardBatched(
     const persist::V3Manifest &m, const WorkloadSet &set,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
-    std::uint64_t base_seed, std::uint64_t shard,
-    std::uint32_t batch_cells, std::size_t jobs,
+    std::uint64_t base_seed, std::uint64_t shard, std::size_t jobs,
     std::vector<double> &payload,
     std::atomic<std::uint64_t> *cells_done)
 {
@@ -133,9 +132,7 @@ simulatePopulationShardBatched(
     const std::size_t rows = m.rowsInShard(shard);
     payload.assign(rows * np * k, 0.0);
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
-                            m.targetUops, models,
-                            resolveBatchCells(batch_cells), jobs,
-                            cells_done);
+                            m.targetUops, models, jobs, cells_done);
     set.forEach(first, first + rows,
                 [&](std::size_t row,
                     std::span<const std::uint32_t> benches) {
@@ -372,8 +369,6 @@ runBadcoPopulationCampaign(
     for (PolicyKind p : policies)
         ucfgs.push_back(UncoreConfig::forCores(k, p));
 
-    const std::uint32_t batch_cells =
-        resolveBatchCells(opts.batchCells);
     const WorkloadSet all = WorkloadSet::fullPopulation(pop);
 
     // Each shard's cells are spread over the jobs threads by the
@@ -388,8 +383,8 @@ runBadcoPopulationCampaign(
         m, out_dir, opts.resume,
         [&](std::uint64_t s, std::vector<double> &payload) {
             simulatePopulationShardBatched(m, all, ucfgs, models,
-                                           opts.seed, s, batch_cells,
-                                           jobs, payload);
+                                           opts.seed, s, jobs,
+                                           payload);
         },
         [&](std::uint64_t s, std::span<const double> payload) {
             std::vector<PopulationPairSummary> part =

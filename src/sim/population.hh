@@ -129,11 +129,8 @@ struct PopulationOptions
     /** Quantile-sketch capacity (kept d(w) samples per pair). */
     std::size_t sketchCapacity = 4096;
 
-    /**
-     * Cells per batch for the batched BADCO engine (sim/batch.hh):
-     * 0 resolves WSEL_BATCH_CELLS (default 32), 1 runs cells
-     * serially. Results are bitwise identical at every value.
-     */
+    /** Kept only for perfbench; delete with the benchmark item.
+     *  Ignored: the BADCO cell engine's flush size is fixed. */
     std::uint32_t batchCells = 0;
 };
 
@@ -200,23 +197,19 @@ void simulatePopulationShard(
 /**
  * Batched variant of simulatePopulationShard: identical contract
  * and bitwise-identical payload, but cells run through the
- * BadcoBatchRunner (sim/batch.hh) in groups of @p batch_cells per
- * thread (resolved via resolveBatchCells; 1 at one job behaves
- * like the serial engine), spread over @p jobs threads (0 =
+ * BadcoBatchRunner (sim/batch.hh), spread over @p jobs threads (0 =
  * $WSEL_JOBS else hardware). @p cells_done gains one per cell as
  * each finishes inside a flush. The "population.cell" fault point
- * still fires once per cell, at batch-append time on the calling
- * thread — a fault or SIGKILL mid-batch abandons the whole
- * (unwritten) shard exactly as the serial engine's mid-shard fault
- * does, so resume semantics are unchanged at any batch size or job
- * count.
+ * still fires once per cell, at append time on the calling thread
+ * — a fault or SIGKILL mid-flush abandons the whole (unwritten)
+ * shard exactly as the serial engine's mid-shard fault does, so
+ * resume semantics are unchanged at any job count.
  */
 void simulatePopulationShardBatched(
     const persist::V3Manifest &m, const WorkloadSet &set,
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
-    std::uint64_t base_seed, std::uint64_t shard,
-    std::uint32_t batch_cells, std::size_t jobs,
+    std::uint64_t base_seed, std::uint64_t shard, std::size_t jobs,
     std::vector<double> &payload,
     std::atomic<std::uint64_t> *cells_done = nullptr);
 

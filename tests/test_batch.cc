@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the batched BADCO cell engine (sim/batch.hh) and its
- * bitwise-identity contract: a batched population shard must equal
- * the serial engine's bytes at every (batch, jobs) combination,
- * through mid-batch kills and resumes, and under a trace-store
- * budget so tight that chunks are evicted and rebuilt between cells
- * (the resident bytes must stay within the budget plus one chunk
- * per cursor). Also covers the tag-scan kernels (cache/tagscan.hh)
- * against the scalar reference on every x86 tier.
+ * Tests for the BADCO cell engine (sim/batch.hh) and its
+ * bitwise-identity contract: a population shard run through it must
+ * equal the serial engine's bytes at every job count, on shards that
+ * outlast one flush, through mid-flush kills and resumes at another
+ * job count, and under a trace-store budget so tight that chunks are
+ * evicted and rebuilt between cells (the resident bytes must stay
+ * within the budget plus one chunk per cursor). Also covers the
+ * tag-scan kernels (cache/tagscan.hh) against the scalar reference
+ * on every x86 tier.
  */
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "mem/uncore_config.hh"
 #include "sim/batch.hh"
 #include "sim/campaign.hh"
+#include "sim/multicore.hh"
 #include "sim/population.hh"
 #include "stats/persist_v3.hh"
 #include "test_util.hh"
@@ -52,45 +54,29 @@ testSuite()
     return s;
 }
 
+/**
+ * Seven distinct benchmarks: a 4-core population of C(10, 4) = 210
+ * workloads, so a two-policy shard can outlast one flush at every
+ * job count the tests use (32 cells per thread, 224 at seven).
+ */
+std::vector<BenchmarkProfile>
+wideSuite()
+{
+    std::vector<BenchmarkProfile> s;
+    for (std::uint64_t i = 0; i < 7; ++i) {
+        BenchmarkProfile p = i % 2 ? test::heavyProfile(11 + i)
+                                   : test::lightProfile(7 + i);
+        p.name.append("-").append(std::to_string(i));
+        s.push_back(std::move(p));
+    }
+    return s;
+}
+
 const std::vector<PolicyKind> kPolicies = {PolicyKind::LRU,
                                            PolicyKind::DIP};
 
-/** Restores the batch-size knob to "unset" on scope exit. */
-struct BatchEnvGuard
-{
-    ~BatchEnvGuard() { unsetenv("WSEL_BATCH_CELLS"); }
-};
-
-// -------------------------------------------------------------------
-// resolveBatchCells
-// -------------------------------------------------------------------
-
-TEST(ResolveBatchCells, ExplicitRequestWinsAndClamps)
-{
-    BatchEnvGuard env;
-    setenv("WSEL_BATCH_CELLS", "5", 1);
-    // A nonzero request ignores the environment entirely.
-    EXPECT_EQ(resolveBatchCells(7), 7u);
-    EXPECT_EQ(resolveBatchCells(1), 1u);
-    EXPECT_EQ(resolveBatchCells(kMaxBatchCells + 1000),
-              kMaxBatchCells);
-}
-
-TEST(ResolveBatchCells, EnvResolvesWhenUnspecified)
-{
-    BatchEnvGuard env;
-    unsetenv("WSEL_BATCH_CELLS");
-    EXPECT_EQ(resolveBatchCells(0), kDefaultBatchCells);
-    setenv("WSEL_BATCH_CELLS", "5", 1);
-    EXPECT_EQ(resolveBatchCells(0), 5u);
-    setenv("WSEL_BATCH_CELLS", "999999", 1);
-    EXPECT_EQ(resolveBatchCells(0), kMaxBatchCells);
-    // Invalid values fall back to the default (with a warning).
-    setenv("WSEL_BATCH_CELLS", "abc", 1);
-    EXPECT_EQ(resolveBatchCells(0), kDefaultBatchCells);
-    setenv("WSEL_BATCH_CELLS", "0", 1);
-    EXPECT_EQ(resolveBatchCells(0), kDefaultBatchCells);
-}
+/** Job counts every identity test runs at. */
+constexpr std::size_t kJobs[] = {1, 2, 4, 7};
 
 // -------------------------------------------------------------------
 // Tag-scan kernels (tagscan::find*) vs the scalar reference
@@ -166,7 +152,11 @@ TEST(GatheredTagScan, AllKernelsMatchScalarReference)
 // BadcoBatchRunner: direct engine identity
 // -------------------------------------------------------------------
 
-/** Shard geometry over the full WorkloadPopulation(3, 4). */
+/**
+ * Shard geometry over the full WorkloadPopulation(7, 4) of
+ * wideSuite(): 120-row shards of 240 and 180 cells, so at every job
+ * count in kJobs the first shard outlasts one flush.
+ */
 persist::V3Manifest
 engineManifest()
 {
@@ -177,13 +167,15 @@ engineManifest()
     m.targetUops = kUops;
     m.instructions = 0;
     m.policies = {"LRU", "DIP"};
-    m.benchmarks = {"test-light", "test-heavy", "test-light2"};
-    m.refIpc = {1.0, 1.0, 1.0};
-    m.popBenchmarks = 3;
+    for (const BenchmarkProfile &p : wideSuite()) {
+        m.benchmarks.push_back(p.name);
+        m.refIpc.push_back(1.0);
+    }
+    m.popBenchmarks = 7;
     m.popCores = 4;
     m.firstRank = 0;
-    m.lastRank = 15;
-    m.shardRows = 4; // shards of 4, 4, 4, 3 rows
+    m.lastRank = 210;
+    m.shardRows = 120;
     return m;
 }
 
@@ -196,64 +188,64 @@ TEST(BatchEngine, AutoFlushMatchesSerialRunner)
     for (PolicyKind p : kPolicies)
         ucfgs.push_back(UncoreConfig::forCores(4, p));
 
+    // More cells than one flush holds at any job count in kJobs, so
+    // every runner flushes inside add() at least once.
     const WorkloadPopulation pop(3, 4);
-    constexpr std::size_t kCells = 6;
-    std::vector<double> serial(kCells * 4), batched(kCells * 4);
-
-    // Capacity 1: every add() runs one cell (the serial shape).
-    BadcoBatchRunner one({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                         models, 1, std::size_t{1});
-    // Capacity 2: add() must auto-flush on the third cell.
-    BadcoBatchRunner two({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                         models, 2, std::size_t{1});
-    EXPECT_EQ(two.capacity(), 2u);
-    // Two cells per thread at three jobs: one 6-cell flush spread
-    // over three threads.
-    std::vector<double> threaded(kCells * 4);
-    BadcoBatchRunner wide({ucfgs.data(), ucfgs.size()}, 4, kUops,
-                          models, 2, std::size_t{3});
-    EXPECT_EQ(wide.threads(), 3u);
-    EXPECT_EQ(wide.capacity(), 6u);
-
+    constexpr std::size_t kCells = 250;
+    std::vector<double> serial(kCells * 4);
     for (std::size_t i = 0; i < kCells; ++i) {
-        const Workload w = pop.unrank(2 * i);
-        const std::uint64_t seed = 1000 + 17 * i;
-        const auto p = static_cast<std::uint32_t>(i % 2);
-        one.add(seed, p, {w.benchmarks().data(), 4},
-                serial.data() + i * 4);
-        two.add(seed, p, {w.benchmarks().data(), 4},
-                batched.data() + i * 4);
-        EXPECT_LE(two.pending(), 2u);
-        wide.add(seed, p, {w.benchmarks().data(), 4},
-                 threaded.data() + i * 4);
+        const BadcoMulticoreSim sim(ucfgs[i % 2], 4, kUops,
+                                    1000 + 17 * i);
+        const SimResult r =
+            sim.run(pop.unrank(i % pop.size()), models);
+        std::copy(r.ipc.begin(), r.ipc.end(),
+                  serial.begin() + i * 4);
     }
-    EXPECT_TRUE(two.full());
-    EXPECT_TRUE(wide.full());
-    one.run();
-    two.run();
-    wide.run();
-    EXPECT_EQ(one.pending(), 0u);
-    EXPECT_EQ(two.pending(), 0u);
-    EXPECT_EQ(wide.pending(), 0u);
 
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_GT(batched[i], 0.0);
-        EXPECT_EQ(serial[i], batched[i]) << "lane " << i;
-        EXPECT_EQ(serial[i], threaded[i]) << "lane " << i;
+    for (std::size_t jobs : kJobs) {
+        BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
+                                kUops, models, jobs);
+        EXPECT_EQ(runner.threads(), jobs);
+        EXPECT_EQ(runner.capacity(),
+                  BadcoBatchRunner::kCellsPerThread * jobs);
+        ASSERT_LT(runner.capacity(), kCells);
+        std::vector<double> got(kCells * 4);
+        std::size_t flushes = 0;
+        for (std::size_t i = 0; i < kCells; ++i) {
+            const Workload w = pop.unrank(i % pop.size());
+            if (runner.full())
+                ++flushes;
+            runner.add(1000 + 17 * i,
+                       static_cast<std::uint32_t>(i % 2),
+                       {w.benchmarks().data(), 4}, got.data() + i * 4);
+            EXPECT_LE(runner.pending(), runner.capacity());
+        }
+        EXPECT_EQ(flushes, (kCells - 1) / runner.capacity())
+            << "jobs " << jobs;
+        EXPECT_EQ(runner.pending(),
+                  kCells - flushes * runner.capacity());
+        runner.run();
+        EXPECT_EQ(runner.pending(), 0u);
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_GT(got[i], 0.0);
+            EXPECT_EQ(serial[i], got[i])
+                << "jobs " << jobs << " lane " << i;
+        }
     }
 }
 
 TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
 {
-    const auto suite = testSuite();
+    const auto suite = wideSuite();
     const persist::V3Manifest m = engineManifest();
     const WorkloadSet all =
-        WorkloadSet::fullPopulation(WorkloadPopulation(3, 4));
+        WorkloadSet::fullPopulation(WorkloadPopulation(7, 4));
     BadcoModelStore store(CoreConfig{}, kUops, 5);
     const auto models = store.getSuite(suite);
     std::vector<UncoreConfig> ucfgs;
     for (PolicyKind p : kPolicies)
         ucfgs.push_back(UncoreConfig::forCores(4, p));
+    ASSERT_EQ(m.shardCount(), 2u);
 
     for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
         std::vector<double> serial;
@@ -265,29 +257,26 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
         const std::uint64_t cells =
             m.rowsInShard(s) * m.policies.size();
         EXPECT_EQ(serial_done.load(), cells);
-        // Jobs spread each flush over threads: at jobs 7 a shard
-        // of 8 cells leaves most threads idle in some flushes (one
-        // cell at batch 1), which must not matter either.
-        for (std::size_t jobs : {1u, 2u, 4u, 7u}) {
-            for (std::uint32_t batch : {1u, 3u, 7u, 32u}) {
-                std::vector<double> batched;
-                std::atomic<std::uint64_t> done{0};
-                simulatePopulationShardBatched(m, all, ucfgs, models,
-                                               1, s, batch, jobs,
-                                               batched, &done);
-                ASSERT_EQ(batched.size(), serial.size());
-                EXPECT_EQ(done.load(), cells);
-                for (std::size_t i = 0; i < serial.size(); ++i)
-                    EXPECT_EQ(serial[i], batched[i])
-                        << "shard " << s << " jobs " << jobs
-                        << " batch " << batch << " lane " << i;
-            }
+        // Shard 0 (240 cells) outlasts one flush at every job count,
+        // so it ends with a partial flush; shard 1 (180 cells) fits
+        // one flush at seven jobs.
+        for (std::size_t jobs : kJobs) {
+            std::vector<double> batched;
+            std::atomic<std::uint64_t> done{0};
+            simulatePopulationShardBatched(m, all, ucfgs, models, 1,
+                                           s, jobs, batched, &done);
+            ASSERT_EQ(batched.size(), serial.size());
+            EXPECT_EQ(done.load(), cells);
+            for (std::size_t i = 0; i < serial.size(); ++i)
+                EXPECT_EQ(serial[i], batched[i])
+                    << "shard " << s << " jobs " << jobs << " lane "
+                    << i;
         }
     }
 }
 
 // -------------------------------------------------------------------
-// Batched population campaigns on disk
+// Population campaigns on disk
 // -------------------------------------------------------------------
 
 /** Per-test scratch directory (the PopulationCampaign idiom). */
@@ -305,7 +294,6 @@ class BatchCampaign : public ::testing::Test
         fs::remove_all(dir_);
         fs::create_directories(dir_);
         unsetenv("WSEL_JOBS");
-        unsetenv("WSEL_BATCH_CELLS");
     }
 
     void
@@ -321,23 +309,21 @@ class BatchCampaign : public ::testing::Test
     }
 
     /**
-     * 2 policies x the full 4-core population over 3 benchmarks
-     * (15 workloads), 8 cells per shard -> 4 shards unless
-     * @p shard_cells says otherwise, run with an explicit batch
-     * size.
+     * 2 policies x the full 4-core population of @p suite (15
+     * workloads for testSuite()), 8 cells per shard -> 4 shards
+     * unless @p shard_cells says otherwise.
      */
     PopulationResult
     run(const std::string &out, std::size_t jobs,
-        std::uint32_t batch, std::size_t shard_cells = 8)
+        std::size_t shard_cells = 8,
+        const std::vector<BenchmarkProfile> &suite = testSuite())
     {
-        const auto suite = testSuite();
         const WorkloadPopulation pop(
             static_cast<std::uint32_t>(suite.size()), 4);
         BadcoModelStore store(CoreConfig{}, kUops, 5);
         PopulationOptions opts;
         opts.jobs = jobs;
         opts.shardCells = shard_cells;
-        opts.batchCells = batch;
         return runBadcoPopulationCampaign(pop, kPolicies, kUops,
                                           store, suite, {}, out,
                                           opts);
@@ -356,53 +342,52 @@ class BatchCampaign : public ::testing::Test
     std::string dir_;
 };
 
-TEST_F(BatchCampaign, ShardsBitwiseIdenticalAcrossBatchAndJobs)
+TEST_F(BatchCampaign, ShardsBitwiseIdenticalAcrossJobs)
 {
+    // wideSuite()'s 420 cells in 240-cell shards: shard 0 outlasts
+    // one flush at every job count, shard 1 (180 cells) fits one
+    // flush at seven jobs.
+    const auto suite = wideSuite();
     const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1);
+    const PopulationResult rr = run(ref, 1, 240, suite);
+    ASSERT_EQ(rr.manifest.shardCount(), 2u);
     const auto want = shardBytes(ref, rr.manifest.shardCount());
     for (const std::string &b : want)
         ASSERT_FALSE(b.empty());
 
-    for (std::uint32_t batch : {7u, 32u}) {
-        for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-            const std::string out =
-                path("b" + std::to_string(batch) + "j" +
-                     std::to_string(jobs));
-            const PopulationResult r = run(out, jobs, batch);
-            ASSERT_EQ(r.manifest.shardCount(),
-                      rr.manifest.shardCount());
-            const auto got =
-                shardBytes(out, r.manifest.shardCount());
-            for (std::size_t s = 0; s < want.size(); ++s)
-                EXPECT_EQ(want[s], got[s])
-                    << "shard " << s << " batch " << batch
-                    << " jobs " << jobs;
-        }
+    for (std::size_t jobs : kJobs) {
+        if (jobs == 1)
+            continue;
+        const std::string out = path("j" + std::to_string(jobs));
+        const PopulationResult r = run(out, jobs, 240, suite);
+        ASSERT_EQ(r.manifest.shardCount(), rr.manifest.shardCount());
+        EXPECT_EQ(want, shardBytes(out, r.manifest.shardCount()))
+            << "jobs " << jobs;
     }
 }
 
 TEST_F(BatchCampaign, KillMidBatchResumesToIdenticalArtifact)
 {
     const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 32);
+    const PopulationResult rr = run(ref, 1);
     const auto want = shardBytes(ref, rr.manifest.shardCount());
 
-    // With batch 32 > the 8 cells of a shard, the whole shard is
-    // one pending batch; killing at the 13th cell overall lands on
-    // shard 1's fifth cell — mid-batch, with four cells appended
-    // and unflushed. The shard is abandoned unwritten, exactly as
-    // a serial mid-shard kill.
+    // At one job a flush holds 32 cells, more than the 8 of a
+    // shard, so each shard is one flush that runs when the shard
+    // ends. Killing at the 13th cell overall lands on shard 1's
+    // fifth cell — mid-flush, with four cells appended and not yet
+    // run. The shard is abandoned unwritten, exactly as a serial
+    // mid-shard kill.
     const std::string out = path("v3");
     {
         test::FaultInjector fi("population.cell", 13);
-        EXPECT_THROW(run(out, 1, 32), test::InjectedFault);
+        EXPECT_THROW(run(out, 1), test::InjectedFault);
     }
     EXPECT_FALSE(persist::isV3CampaignDir(out));
 
-    // Resume with a *different* batch size: resume semantics are
-    // shard-granular and the payload is batch-invariant.
-    const PopulationResult r2 = run(out, 1, 1);
+    // Resume at a *different* job count: resume semantics are
+    // shard-granular and the payload is thread-invariant.
+    const PopulationResult r2 = run(out, 4);
     EXPECT_GE(r2.shardsResumed, 1u);
     EXPECT_LT(r2.cellsSimulated, 15u * kPolicies.size());
     EXPECT_EQ(r2.cellsSimulated + r2.cellsResumed,
@@ -413,20 +398,20 @@ TEST_F(BatchCampaign, KillMidBatchResumesToIdenticalArtifact)
     EXPECT_TRUE(persist::isV3CampaignDir(out));
 }
 
-TEST_F(BatchCampaign, OneShardAtJobsFourMatchesSerialBatchOne)
+TEST_F(BatchCampaign, OneShardAtJobsFourMatchesJobsOne)
 {
     // At the default 64 Ki-cell shard size the whole campaign is one
     // shard, so every thread works inside it: the runner, not the
     // shard loop, spreads the cells.
     constexpr std::size_t kDefaultShard = 64 * 1024;
     const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1, kDefaultShard);
+    const PopulationResult rr = run(ref, 1, kDefaultShard);
     ASSERT_EQ(rr.manifest.shardCount(), 1u);
     const auto want = shardBytes(ref, 1);
     ASSERT_FALSE(want[0].empty());
 
     const std::string out = path("j4");
-    const PopulationResult r = run(out, 4, 0, kDefaultShard);
+    const PopulationResult r = run(out, 4, kDefaultShard);
     ASSERT_EQ(r.manifest.shardCount(), 1u);
     EXPECT_EQ(r.cellsSimulated, 15u * kPolicies.size());
     EXPECT_EQ(want, shardBytes(out, 1));
@@ -435,21 +420,21 @@ TEST_F(BatchCampaign, OneShardAtJobsFourMatchesSerialBatchOne)
 TEST_F(BatchCampaign, KillMidFlushAtJobsFourResumesAtJobsOne)
 {
     const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1);
+    const PopulationResult rr = run(ref, 1);
     const auto want = shardBytes(ref, rr.manifest.shardCount());
 
-    // Batch 2 per thread at jobs 4 is an 8-cell flush: shard 0's
-    // cells run as one flush on four threads and commit; the kill
-    // at the 13th appended cell lands in shard 1 with four cells
-    // of its flush appended and not yet run.
+    // At four jobs each 8-cell shard runs as one flush on four
+    // threads: shard 0 commits, and the kill at the 13th appended
+    // cell lands in shard 1 with four cells of its flush appended
+    // and not yet run.
     const std::string out = path("v3");
     {
         test::FaultInjector fi("population.cell", 13);
-        EXPECT_THROW(run(out, 4, 2), test::InjectedFault);
+        EXPECT_THROW(run(out, 4), test::InjectedFault);
     }
     EXPECT_FALSE(persist::isV3CampaignDir(out));
 
-    const PopulationResult r2 = run(out, 1, 1);
+    const PopulationResult r2 = run(out, 1);
     EXPECT_GE(r2.shardsResumed, 1u);
     EXPECT_EQ(r2.cellsSimulated + r2.cellsResumed,
               15u * kPolicies.size());

@@ -257,10 +257,8 @@ TEST(BadcoGolden, BatchRunnerCellsBitwise)
     for (PolicyKind p : policies)
         ucfgs.push_back(UncoreConfig::forCores(4, p));
     for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-        // Two cells per thread: at four threads the ten cells run
-        // as one flush, at one thread as five.
         BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                                kGoldenUops, models, 2, jobs);
+                                kGoldenUops, models, jobs);
         std::vector<double> ipc(kBadcoCellBits.size() * 4);
         for (std::size_t p = 0; p < policies.size(); ++p) {
             for (std::size_t w = 0; w < kBadcoWorkloads.size(); ++w)

@@ -44,6 +44,7 @@
 #include "serve/protocol.hh"
 #include "serve/spawn.hh"
 #include "serve/store.hh"
+#include "sim/batch.hh"
 #include "sim/hybrid.hh"
 #include "sim/model_store.hh"
 #include "sim/population.hh"
@@ -1685,25 +1686,26 @@ TEST_F(ServeDistributedTest, ThreadedWorkersMatchSerialReference)
 
 TEST_F(ServeDistributedTest, LongFlushKeepsLeaseByProgress)
 {
-    // One shard, run as ONE batch-runner flush on one thread: no
-    // row boundary falls inside it, so only the heartbeat thread
-    // can renew the lease. The TTL is a quarter of the shard's
+    // One shard, run as ONE batch-runner flush on one thread: it
+    // holds no more cells than a flush at --jobs 1, so no row
+    // boundary falls inside it and only the heartbeat thread can
+    // renew the lease. The TTL is a quarter of the shard's
     // measured serial time, so the flush outlives it ~4 times; at
     // least 100 ms, because the worker loads the campaign's models
     // under the lease before any cell can finish.
     serve::CampaignSpec spec = tinySpec();
-    spec.benchmarks = {"povray", "gromacs", "gcc",
-                       "mcf",    "milc",    "namd"};
+    spec.benchmarks = {"gcc", "mcf", "milc"};
     spec.policies = {"LRU", "RND", "FIFO", "DIP", "DRRIP"};
-    spec.targetUops = 200000;
-    spec.shardRows = 21; // C(7, 2) workloads: the whole population
+    spec.targetUops = 300000;
+    spec.shardRows = 6; // C(4, 2) workloads: the whole population
     { serve::CampaignContext warm(spec, cacheDir_); } // model build
     const auto t0 = std::chrono::steady_clock::now();
     const persist::V3Manifest m =
         writeReference(spec, dir_ + "/reference");
     const auto serial = std::chrono::steady_clock::now() - t0;
     ASSERT_EQ(m.shardCount(), 1u);
-    const std::uint64_t cells = m.rowsInShard(0) * m.policies.size();
+    ASSERT_LE(m.rowsInShard(0) * m.policies.size(),
+              BadcoBatchRunner::kCellsPerThread);
 
     serve::CoordinatorOptions opts = coordinatorOptions();
     opts.lease.ttl = std::max(
@@ -1716,9 +1718,7 @@ TEST_F(ServeDistributedTest, LongFlushKeepsLeaseByProgress)
         counterValue(client.metricsJson(), "serve.leases_expired");
     const double dedup0 =
         counterValue(client.metricsJson(), "serve.dedup_hits");
-    const pid_t w = spawnWorker(
-        {"WSEL_BATCH_CELLS=" + std::to_string(cells)},
-        {"--jobs", "1"});
+    const pid_t w = spawnWorker({}, {"--jobs", "1"});
     const serve::StatusMsg st =
         client.waitFinished(client.submit(spec));
     EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;

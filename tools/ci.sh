@@ -15,27 +15,20 @@
 # table3_sim_speed records the trace-store hot-path throughput
 # (cells/sec at --jobs 1/8 plus the trace_store.* counter snapshot,
 # docs/PERFORMANCE.md) to build-release/BENCH_trace_store.json;
-# fig5_inverse_cv_population records the population-engine numbers
-# (old-vs-streamed cells/sec and the 8-core streamed run, docs/
-# PERFORMANCE.md "Population campaigns") to
-# build-release/BENCH_population.json, and the batched-cell-engine
-# sweep (docs/PERFORMANCE.md "Batched execution") to
-# build-release/BENCH_batch.json, which doubles as a throughput
-# floor check: batch=32 must not run slower than batch=1.
+# fig5_inverse_cv_population records the 8-core streamed population
+# run (docs/PERFORMANCE.md "Population campaigns") to
+# build-release/BENCH_population.json.
 #
 # Every sanitizer preset also runs a capped `wsel_cli population`
-# smoke, exercising the streamed campaign_v3 writer, the batch
-# runner's thread spread, and the one-pass statistics under
-# asan/ubsan and tsan — twice at 80-cell shards, at
-# --batch-cells 1 and --batch-cells 8, and twice more at the
-# default (one-shard) size, --jobs 1
-# --batch-cells 1 against --jobs 4, with a byte-compare of the
-# shards (the sim/batch.hh identity contract under the sanitizer)
-# — plus a
-# `wsel_cli adaptive` smoke (sequential
+# smoke, exercising the streamed campaign_v3 writer, the cell
+# engine's thread spread, and the one-pass statistics under
+# asan/ubsan and tsan — --jobs 1 against --jobs 4, at 80-cell
+# shards and at the default (one-shard) size, with a byte-compare
+# of the shards (the sim/batch.hh identity contract under the
+# sanitizer) — plus a `wsel_cli adaptive` smoke (sequential
 # stopping rule with a resume pass, docs/SAMPLING.md), both
 # adaptive and hybrid smokes running their cells through the
-# batched engine; the release leg archives the adaptive-vs-fixed
+# same engine; the release leg archives the adaptive-vs-fixed
 # cell counts to build-release/BENCH_adaptive.json.
 #
 # The mixed-fidelity layer (docs/FIDELITY.md) gets a smoke on every
@@ -74,42 +67,31 @@ for preset in $presets; do
         echo "==> population smoke: $preset"
         popdir="$bindir/population-smoke"
         rm -rf "$popdir"
-        WSEL_CACHE_DIR="$popdir/cache" \
-            "./$bindir/tools/wsel_cli" population \
-            --out "$popdir/pop.v3" \
-            --insns 5000 --limit 64 --shard-size 80 --jobs 4 \
-            --batch-cells 1
-        test -s "$popdir/pop.v3/manifest.bin"
-        # Batched twin of the same campaign: the batched engine
+        # The same campaign at --jobs 1 and --jobs 4, at 80-cell
+        # shards and as one shard (the default size), where the four
+        # threads work inside the shard: the cell engine
         # (sim/batch.hh) must produce bitwise-identical shards under
         # the sanitizer too.
-        WSEL_CACHE_DIR="$popdir/cache" \
-            "./$bindir/tools/wsel_cli" population \
-            --out "$popdir/pop-batched.v3" \
-            --insns 5000 --limit 64 --shard-size 80 --jobs 4 \
-            --batch-cells 8
-        test -s "$popdir/pop-batched.v3/manifest.bin"
-        for shard in "$popdir"/pop.v3/shard-*.bin; do
-            cmp "$shard" "$popdir/pop-batched.v3/${shard##*/}"
+        for jobs in 1 4; do
+            WSEL_CACHE_DIR="$popdir/cache" \
+                "./$bindir/tools/wsel_cli" population \
+                --out "$popdir/pop-j$jobs.v3" \
+                --insns 5000 --limit 64 --shard-size 80 --jobs "$jobs"
+            WSEL_CACHE_DIR="$popdir/cache" \
+                "./$bindir/tools/wsel_cli" population \
+                --out "$popdir/pop-one-j$jobs.v3" \
+                --insns 5000 --limit 64 --jobs "$jobs"
         done
-        # One-shard twin at the default shard size: the whole
-        # campaign is a single shard, so the four threads work
-        # inside it (the batch runner's thread spread, not the
-        # shard loop) — same bytes as the serial engine.
-        WSEL_CACHE_DIR="$popdir/cache" \
-            "./$bindir/tools/wsel_cli" population \
-            --out "$popdir/pop-one.v3" \
-            --insns 5000 --limit 64 --jobs 1 --batch-cells 1
-        WSEL_CACHE_DIR="$popdir/cache" \
-            "./$bindir/tools/wsel_cli" population \
-            --out "$popdir/pop-one-j4.v3" \
-            --insns 5000 --limit 64 --jobs 4
+        test -s "$popdir/pop-j4.v3/manifest.bin"
         test -s "$popdir/pop-one-j4.v3/manifest.bin"
-        test "$(ls "$popdir"/pop-one.v3/shard-*.bin | wc -l)" -eq 1
-        cmp "$popdir/pop-one.v3/shard-000000.bin" \
+        for shard in "$popdir"/pop-j1.v3/shard-*.bin; do
+            cmp "$shard" "$popdir/pop-j4.v3/${shard##*/}"
+        done
+        test "$(ls "$popdir"/pop-one-j1.v3/shard-*.bin | wc -l)" -eq 1
+        cmp "$popdir/pop-one-j1.v3/shard-000000.bin" \
             "$popdir/pop-one-j4.v3/shard-000000.bin"
         rm -rf "$popdir"
-        echo "==> population smoke (serial + batched + one-shard threads) passed under $preset"
+        echo "==> population smoke (jobs 1 vs 4, 80-cell shards and one shard) passed under $preset"
 
         # Adaptive sequential campaign smoke (docs/SAMPLING.md):
         # live stopping rule, batch artifacts and a resume of the
@@ -120,14 +102,13 @@ for preset in $presets; do
         WSEL_CACHE_DIR="$adadir/cache" \
             "./$bindir/tools/wsel_cli" adaptive \
             --out "$adadir/run" \
-            --insns 5000 --cores 2 --batch 16 --budget 64 --jobs 4 \
-            --batch-cells 8
+            --insns 5000 --cores 2 --batch 16 --budget 64 --jobs 4
         test -s "$adadir/run/adaptive.bin"
         WSEL_CACHE_DIR="$adadir/cache" \
             "./$bindir/tools/wsel_cli" adaptive \
             --out "$adadir/run" \
             --insns 5000 --cores 2 --batch 16 --budget 64 --jobs 4 \
-            --batch-cells 8 --resume 1
+            --resume 1
         rm -rf "$adadir"
         echo "==> adaptive smoke passed under $preset"
 
@@ -147,8 +128,7 @@ for preset in $presets; do
             "./$bindir/tools/wsel_cli" hybrid \
             --out "$hybdir/run" \
             --insns 5000 --cores 2 --limit 24 --calibrate 8 \
-            --budget-frac 0.25 --batch-rows 2 --jobs 4 \
-            --batch-cells 8; then
+            --budget-frac 0.25 --batch-rows 2 --jobs 4; then
             echo "hybrid smoke: kill point never fired" >&2
             exit 1
         fi
@@ -158,8 +138,7 @@ for preset in $presets; do
             "./$bindir/tools/wsel_cli" hybrid \
             --out "$hybdir/run" \
             --insns 5000 --cores 2 --limit 24 --calibrate 8 \
-            --budget-frac 0.25 --batch-rows 2 --jobs 4 \
-            --batch-cells 8
+            --budget-frac 0.25 --batch-rows 2 --jobs 4
         test -s "$hybdir/run/hybrid.bin"
         # Default batch rows: one batch file holds every escalated
         # row and its cells spread over the jobs; --jobs 1 and
@@ -266,29 +245,12 @@ for preset in $presets; do
         WSEL_CACHE_DIR="$smoke/cache" \
         WSEL_INSNS=20000 \
         WSEL_POP_LIMIT=400 \
-        WSEL_POP_BENCH_ROWS=400 \
         WSEL_POP8_ROWS=300 \
         WSEL_BENCH_JSON="build-release/BENCH_population.json" \
-        WSEL_BENCH_JSON_BATCH="build-release/BENCH_batch.json" \
             ./build-release/bench/fig5_inverse_cv_population
         test -s "build-release/BENCH_population.json"
-        test -s "build-release/BENCH_batch.json"
-        # Throughput floor: the batched engine at its default batch
-        # size must not run slower than batch=1 on the same 4-core
-        # range. 10% head-room absorbs shared-runner noise without
-        # masking a real pessimization.
-        python3 - build-release/BENCH_batch.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-points = {p["batch"]: p["cells_per_sec"] for p in doc["points"]}
-serial, batched = points[1], points[32]
-print(f"batch floor: batch=32 {batched:.0f} vs "
-      f"batch=1 {serial:.0f} cells/sec")
-if batched < 0.9 * serial:
-    sys.exit("batched engine slower than batch=1: regression")
-EOF
         rm -rf "$smoke/cache"
-        echo "==> benches archived in build-release/BENCH_population.json and BENCH_batch.json"
+        echo "==> bench archived in build-release/BENCH_population.json"
 
         echo "==> adaptive stopping bench: $preset"
         WSEL_CACHE_DIR="$smoke/cache" \

@@ -63,8 +63,7 @@
  *       [--first R] [--last R] [--shard-size CELLS] [--jobs N]
  *       [--quantile Q] [--budget-frac F] [--threshold T]
  *       [--batch-rows W] [--profile FILE] [--calibrate W]
- *       [--resume 0|1] [--seed S] [--batch-cells B]
- *       [--verbose 1]
+ *       [--resume 0|1] [--seed S] [--verbose 1]
  *       error-bounded mixed-fidelity campaign (docs/FIDELITY.md):
  *       BADCO sweep, then cells whose d(w) error interval
  *       straddles --threshold escalate to the detailed simulator
@@ -116,8 +115,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -153,6 +154,21 @@ namespace
 {
 
 using namespace wsel;
+
+/** A set of option names, without their leading "--". */
+using Keys = std::initializer_list<std::string_view>;
+
+/** The options setupObs() reads, taken by every simulation command. */
+const Keys kObsKeys = {"metrics-out", "trace-out", "trace-mem"};
+
+/** The options campaignSpecFromArgs() reads. */
+const Keys kSpecKeys = {"cores", "insns", "seed", "policies", "first",
+                        "last", "limit", "shard-size", "fidelity",
+                        "escalate-budget", "escalate-quantile",
+                        "escalate-metric", "metric"};
+
+/** The rank-range options rankRangeFromArgs() reads. */
+const Keys kRangeKeys = {"first", "last", "limit"};
 
 /** Minimal --key value argument parser. */
 class Args
@@ -200,6 +216,36 @@ class Args
     bool has(const std::string &key) const
     {
         return kv_.count(key) != 0;
+    }
+
+    /**
+     * Refuse any option outside @p groups, naming @p cmd: each
+     * command calls this before it builds a model or runs a cell,
+     * so a misspelt or retired option fails instead of being
+     * silently ignored.
+     */
+    void
+    allow(const char *cmd,
+          std::initializer_list<Keys> groups) const
+    {
+        for (const auto &kv : kv_) {
+            bool known = false;
+            for (const Keys &g : groups)
+                known = known || std::find(g.begin(), g.end(),
+                                           kv.first) != g.end();
+            if (!known)
+                WSEL_FATAL(cmd << " does not take --" << kv.first);
+        }
+    }
+
+    /** A copy without the options @p keys (a forwarded mode flag). */
+    Args
+    without(Keys keys) const
+    {
+        Args a = *this;
+        for (std::string_view k : keys)
+            a.kv_.erase(std::string(k));
+        return a;
     }
 
   private:
@@ -311,6 +357,7 @@ setupObs(const Args &args)
 int
 cmdCharacterize(const Args &args)
 {
+    args.allow("characterize", {kObsKeys, {"cores", "insns", "jobs"}});
     setupObs(args);
     const std::uint32_t cores =
         static_cast<std::uint32_t>(args.getU64("cores", 4));
@@ -352,6 +399,9 @@ cmdCharacterize(const Args &args)
 int
 cmdCampaign(const Args &args)
 {
+    args.allow("campaign",
+               {kObsKeys, {"out", "cores", "insns", "limit", "policies",
+                           "jobs", "resume"}});
     setupObs(args);
     if (!args.has("out"))
         WSEL_FATAL("campaign requires --out DIR");
@@ -488,6 +538,9 @@ printServeStatus(std::uint64_t id, const serve::StatusMsg &st)
 int
 cmdPopulationDistributed(const Args &args)
 {
+    args.allow("population --distributed",
+               {kObsKeys, kSpecKeys,
+                {"out", "distributed", "socket", "jobs", "ttl-ms"}});
     setupObs(args);
     if (!args.has("out"))
         WSEL_FATAL("population requires --out DIR (the result-"
@@ -570,6 +623,15 @@ cmdServe(int argc, char **argv)
     }
     const std::string sub = argv[2];
     const Args args(argc, argv, 3);
+    const std::string cmd = "serve " + sub;
+    if (sub == "submit")
+        args.allow(cmd.c_str(), {kSpecKeys, {"socket", "wait"}});
+    else if (sub == "status")
+        args.allow(cmd.c_str(), {{"socket", "id"}});
+    else if (sub == "metrics")
+        args.allow(cmd.c_str(), {{"socket"}});
+    else if (sub == "stop")
+        args.allow(cmd.c_str(), {{"socket", "id", "wait"}});
     const std::string socket = args.get("socket", "");
     if (socket.empty())
         WSEL_FATAL("serve " << sub << " requires --socket PATH");
@@ -624,6 +686,12 @@ cmdServe(int argc, char **argv)
 int
 cmdAdaptive(const Args &args)
 {
+    args.allow("adaptive",
+               {kObsKeys,
+                {"out", "cores", "insns", "metric", "x", "y",
+                 "policies", "seed", "jobs", "batch", "target", "min",
+                 "budget", "wall-clock", "method", "set-size",
+                 "redraws", "resume", "verbose"}});
     setupObs(args);
     if (!args.has("out"))
         WSEL_FATAL("adaptive requires --out DIR");
@@ -656,8 +724,6 @@ cmdAdaptive(const Args &args)
         static_cast<std::size_t>(args.getU64("redraws", 256));
     opts.resume = args.getU64("resume", 1) != 0;
     opts.verbose = args.getU64("verbose", 0) != 0;
-    opts.batchCells =
-        static_cast<std::uint32_t>(args.getU64("batch-cells", 0));
 
     const UncoreConfig ucfg =
         UncoreConfig::forCores(cores, PolicyKind::LRU);
@@ -719,6 +785,12 @@ cmdAdaptive(const Args &args)
 int
 cmdHybrid(const Args &args)
 {
+    args.allow("hybrid",
+               {kObsKeys, kRangeKeys,
+                {"out", "cores", "insns", "metric", "x", "y",
+                 "policies", "seed", "jobs", "shard-size", "resume",
+                 "verbose", "quantile", "budget-frac", "threshold",
+                 "batch-rows", "profile", "calibrate"}});
     setupObs(args);
     if (!args.has("out"))
         WSEL_FATAL("hybrid requires --out DIR");
@@ -748,8 +820,6 @@ cmdHybrid(const Args &args)
     opts.budgetFraction = argF64(args, "budget-frac", 0.25);
     opts.threshold = argF64(args, "threshold", 0.0);
     opts.batchRows = args.getU64("batch-rows", 64);
-    opts.batchCells =
-        static_cast<std::uint32_t>(args.getU64("batch-cells", 0));
     // Before calibration runs its detailed cells.
     fidelity::checkEscalationKnobs(opts.quantile, opts.budgetFraction);
 
@@ -834,12 +904,20 @@ cmdHybrid(const Args &args)
 int
 cmdPopulation(const Args &args)
 {
+    // Each mode takes the options of the command it forwards to,
+    // less the mode flags read here.
     if (args.getU64("sequential", 0) != 0)
-        return cmdAdaptive(args);
+        return cmdAdaptive(args.without({"sequential"}));
     if (args.getU64("hybrid", 0) != 0)
-        return cmdHybrid(args);
+        return cmdHybrid(args.without({"sequential", "hybrid"}));
     if (args.has("distributed"))
-        return cmdPopulationDistributed(args);
+        return cmdPopulationDistributed(
+            args.without({"sequential", "hybrid"}));
+    args.allow("population",
+               {kObsKeys, kRangeKeys,
+                {"out", "cores", "insns", "policies", "metric", "seed",
+                 "jobs", "shard-size", "resume", "verbose",
+                 "sequential", "hybrid"}});
     setupObs(args);
     if (!args.has("out"))
         WSEL_FATAL("population requires --out DIR");
@@ -865,8 +943,6 @@ cmdPopulation(const Args &args)
         rankRangeFromArgs(args, pop);
     opts.resume = args.getU64("resume", 1) != 0;
     opts.verbose = args.getU64("verbose", 0) != 0;
-    opts.batchCells =
-        static_cast<std::uint32_t>(args.getU64("batch-cells", 0));
 
     // Every ordered policy pair i<j, oriented "i outperforms j".
     std::vector<PopulationPairSpec> pairs;
@@ -933,6 +1009,7 @@ cmdCache(int argc, char **argv)
         return 2;
     }
     const Args args(argc, argv, 3);
+    args.allow("cache verify", {{"dir", "quarantine"}});
     const std::string dir = args.get("dir", defaultCacheDir());
     if (dir.empty())
         WSEL_FATAL("no cache directory configured "
@@ -1036,9 +1113,13 @@ loadPair(const Args &args)
     return p;
 }
 
+/** The options loadPair() reads. */
+const Keys kPairKeys = {"campaign", "metric", "x", "y"};
+
 int
 cmdAnalyze(const Args &args)
 {
+    args.allow("analyze", {kPairKeys});
     const PairData p = loadPair(args);
     const DifferenceStats ds = differenceStats(p.d);
     std::printf("workloads: %zu   metric: %s\n", p.tx.size(),
@@ -1079,6 +1160,7 @@ cmdAnalyze(const Args &args)
 int
 cmdSelect(const Args &args)
 {
+    args.allow("select", {kPairKeys, {"size", "method", "seed"}});
     const PairData p = loadPair(args);
     const std::size_t size = args.getU64("size", 30);
     const std::string method = args.get("method", "workload");
@@ -1133,6 +1215,7 @@ cmdSelect(const Args &args)
 int
 cmdConfidence(const Args &args)
 {
+    args.allow("confidence", {kPairKeys, {"size", "draws", "seed"}});
     const PairData p = loadPair(args);
     const std::size_t size = args.getU64("size", 30);
     const std::size_t draws = args.getU64("draws", 2000);
@@ -1153,6 +1236,7 @@ cmdConfidence(const Args &args)
 int
 cmdSimulate(const Args &args)
 {
+    args.allow("simulate", {{"workload", "insns", "policy", "detailed"}});
     if (!args.has("workload"))
         WSEL_FATAL("simulate requires --workload b1+b2+...");
     const std::uint64_t insns = args.getU64("insns", 100000);
@@ -1218,6 +1302,7 @@ cmdSimulate(const Args &args)
 int
 cmdReport(const Args &args)
 {
+    args.allow("report", {{"campaign", "out"}});
     if (!args.has("campaign") || !args.has("out"))
         WSEL_FATAL("report requires --campaign DIR --out FILE.md");
     const Campaign c = Campaign::load(args.get("campaign", ""));
@@ -1259,7 +1344,7 @@ usage()
         "      [--jobs N] [--first R] [--last R|--limit N]\n"
         "      [--resume 0|1] [--metric IPCT|WSU|HSU|GSU]\n"
         "      [--seed S] [--distributed N] [--sequential 1]\n"
-        "      [--hybrid 1] [--batch-cells B] [--verbose 1]\n"
+        "      [--hybrid 1] [--verbose 1]\n"
         "      full-population campaign into a sharded campaign_v3\n"
         "      dir; --distributed N leases shards to N spawned\n"
         "      wsel_worker processes with --out as the result-store\n"
@@ -1272,7 +1357,7 @@ usage()
         "      [--min W] [--batch W] [--jobs N]\n"
         "      [--method random|ranked-set] [--set-size M]\n"
         "      [--redraws N] [--wall-clock SECS] [--resume 0|1]\n"
-        "      [--seed S] [--batch-cells B] [--verbose 1]\n"
+        "      [--seed S] [--verbose 1]\n"
         "      sequential campaign that stops at target confidence\n"
         "      (docs/SAMPLING.md); resumable bitwise-identically\n"
         "  hybrid --out DIR [--x POL --y POL|--policies Y,X]\n"
@@ -1280,8 +1365,7 @@ usage()
         "      [--first R] [--last R|--limit N] [--shard-size CELLS]\n"
         "      [--quantile Q] [--budget-frac F] [--threshold T]\n"
         "      [--batch-rows W] [--profile FILE] [--calibrate W]\n"
-        "      [--jobs N] [--resume 0|1] [--seed S]\n"
-        "      [--batch-cells B] [--verbose 1]\n"
+        "      [--jobs N] [--resume 0|1] [--seed S] [--verbose 1]\n"
         "      error-bounded mixed-fidelity campaign: BADCO sweep,\n"
         "      then suspect cells escalate to the detailed\n"
         "      simulator, at most --budget-frac of the population;\n"
@@ -1308,13 +1392,10 @@ usage()
         "  cache verify [--dir DIR] [--quarantine 0|1]\n"
         "\n"
         "common options: --jobs N (0 = $WSEL_JOBS, else hardware),\n"
-        "  --metrics-out FILE, --trace-out FILE, --trace-mem MIB,\n"
-        "  --batch-cells B (cells per batched-engine group; 0 =\n"
-        "  $WSEL_BATCH_CELLS else 32, 1 = serial, max 4096; bitwise\n"
-        "  identical at every value)\n"
+        "  --metrics-out FILE, --trace-out FILE, --trace-mem MIB;\n"
+        "  a command refuses any option it does not take\n"
         "environment: WSEL_JOBS, WSEL_METRICS, WSEL_TRACE,\n"
-        "  WSEL_TRACE_MEM, WSEL_CACHE_DIR, WSEL_BATCH_CELLS,\n"
-        "  WSEL_SIMD (scalar|sse2);\n"
+        "  WSEL_TRACE_MEM, WSEL_CACHE_DIR, WSEL_SIMD (scalar|sse2);\n"
         "  bench binaries write a machine-readable summary to\n"
         "  $WSEL_BENCH_JSON\n"
         "see the file header of tools/wsel_cli.cc for details\n");
